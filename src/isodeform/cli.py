@@ -9,7 +9,8 @@ Subcommands:
 * ``selftest`` runs the built-in acceptance suite, one line per criterion.
 
 Exit codes: 0 all checks pass, 2 verification failure, 3 hypothesis
-violation (rank or numerical singularity), 4 scene or argument parse error.
+violation (rank or numerical singularity), 4 scene or argument parse error,
+or an expression evaluated outside its domain.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 
 from .deformation import KernelMismatchError
 from .errors import HypothesisError, SceneError
+from .expr import ExprEvalError
 from .geometry import DomainError, FrameError
 from .jet import JetError
 from .linalg import LinalgError
@@ -168,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LinalgError, FrameError, JetError) as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except DomainError as exc:
+    except (DomainError, ExprEvalError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (KernelMismatchError, QuadratureError) as exc:

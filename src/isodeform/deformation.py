@@ -45,8 +45,11 @@ from .codazzi import (
 from . import expr as exprmod
 from .errors import HypothesisError
 from .geometry import (
+    CHUNK,
+    GRID_SHRINK,
     Chart,
     ChartJets,
+    DomainError,
     Frame,
     chart_jets,
     codazzi_A_residual_field,
@@ -62,6 +65,7 @@ from .linalg import (
     max_principal_angle,
     solve,
     svd_rank_kernel,
+    unit_normal,
 )
 from .quadrature import integrate_segment
 
@@ -555,30 +559,50 @@ def path_integral_immersion(
     chart: Chart,
     source: PairSource,
     base: Sequence[float],
-    target: Sequence[float],
+    targets: Sequence[float],
     F0: Optional[Sequence[float]] = None,
     axis_order: Optional[Sequence[int]] = None,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """F(target) by integrating omega along the axis-ordered staircase."""
+    """F at each target by integrating omega along axis-ordered staircases.
+
+    ``targets`` is one point, shape (n,), giving F with shape (dim,), or a
+    batch, shape (K, n), giving shape (K, dim).  Each staircase leg of the
+    whole batch is one quadrature call: with t = t0 + s (x_k - t0) every
+    target's leg runs over s in [0, 1], its integrand scaled by the leg
+    length, so a zero-length leg contributes exactly 0.  Convergence is the
+    max norm over all targets, each held to the same absolute ``tol``.  The
+    integrand is evaluated in slices of ``CHUNK`` points to bound memory.
+    """
     base = np.asarray(base, dtype=float)
-    target = np.asarray(target, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    X = np.atleast_2d(targets)
+    K, n = X.shape
     dim = chart.ambient_dim
-    F = np.zeros(dim) if F0 is None else np.asarray(F0, dtype=float).copy()
-    order = list(range(chart.n)) if axis_order is None else list(axis_order)
-    cur = base.copy()
+    F = np.zeros((K, dim))
+    if F0 is not None:
+        F += np.asarray(F0, dtype=float)
+    order = list(range(n)) if axis_order is None else list(axis_order)
+    cur = np.repeat(base[None, :], K, axis=0)
     for ax in order:
-        t0, t1 = cur[ax], target[ax]
-        if t0 != t1:
-            fixed = cur.copy()
+        t0 = cur[:, ax].copy()
+        length = X[:, ax] - t0
+        if np.any(length != 0):
 
-            def fn(t: np.ndarray) -> np.ndarray:
-                pts = _segment_points(fixed, ax, t)
-                return _omega_values(chart, source, pts)[..., ax]
+            def fn(s: np.ndarray) -> np.ndarray:
+                m = len(s)
+                pts = np.repeat(cur[None, :, :], m, axis=0)
+                pts[:, :, ax] = t0 + s[:, None] * length
+                pts = pts.reshape(-1, n)
+                om = np.concatenate([
+                    _omega_values(chart, source, pts[lo:lo + CHUNK])[..., ax]
+                    for lo in range(0, len(pts), CHUNK)
+                ])
+                return (om.reshape(m, K, dim) * length[:, None]).reshape(m, -1)
 
-            F = F + integrate_segment(fn, t0, t1, tol=tol)
-        cur[ax] = target[ax]
-    return F
+            F += integrate_segment(fn, 0.0, 1.0, tol=tol).reshape(K, dim)
+        cur[:, ax] = X[:, ax]
+    return F if targets.ndim > 1 else F[0]
 
 
 def path_integral_on_grid(
@@ -680,10 +704,12 @@ def fd_deformed_frame(
     tol: float = 1e-12,
     base: Optional[Sequence[float]] = None,
 ) -> FDFrame:
-    """Finite-difference frame of the staircase-integrated immersion."""
-    from .geometry import GRID_SHRINK, DomainError
-    from .linalg import unit_normal
+    """Finite-difference frame of the staircase-integrated immersion.
 
+    The Richardson stencil around ``u`` is collected first and integrated
+    in one batched ``path_integral_immersion`` call, whose convergence is
+    the max norm over all stencil points.
+    """
     u = np.asarray(u, dtype=float)
     n = chart.n
     lo = np.asarray(chart.lo)
@@ -693,50 +719,59 @@ def fd_deformed_frame(
     h2 = 10 * step
     if np.any(u - lo < 2 * h2) or np.any(hi - u < 2 * h2):
         raise DomainError(f"point too close to the boundary for step {step}")
-
-    cache = {}
-
-    def F(x: np.ndarray) -> np.ndarray:
-        key = tuple(np.round(x, 12))
-        if key not in cache:
-            cache[key] = path_integral_immersion(
-                chart, source, base, x, tol=tol
-            )
-        return cache[key]
-
     dim = chart.ambient_dim
-    f = F(u)
-    J = np.empty((dim, n))
-    d2 = np.empty((dim, n, n))
 
-    def central1(i, h):
-        xp, xm = u.copy(), u.copy()
-        xp[i] += h
-        xm[i] -= h
-        return (F(xp) - F(xm)) / (2 * h)
+    def richardson(F: Callable[[np.ndarray], np.ndarray]):
+        f = F(u)
+        J = np.empty((dim, n))
+        d2 = np.empty((dim, n, n))
 
-    def second_same(i, h):
-        xp, xm = u.copy(), u.copy()
-        xp[i] += h
-        xm[i] -= h
-        return (F(xp) - 2 * f + F(xm)) / h**2
+        def central1(i, h):
+            xp, xm = u.copy(), u.copy()
+            xp[i] += h
+            xm[i] -= h
+            return (F(xp) - F(xm)) / (2 * h)
 
-    def second_mixed(i, j, h):
-        out = np.zeros(dim)
-        for si in (+1, -1):
-            for sj in (+1, -1):
-                x = u.copy()
-                x[i] += si * h
-                x[j] += sj * h
-                out += si * sj * F(x)
-        return out / (4 * h**2)
+        def second_same(i, h):
+            xp, xm = u.copy(), u.copy()
+            xp[i] += h
+            xm[i] -= h
+            return (F(xp) - 2 * f + F(xm)) / h**2
 
-    for i in range(n):
-        J[:, i] = (4 * central1(i, step / 2) - central1(i, step)) / 3
-        d2[:, i, i] = (4 * second_same(i, h2 / 2) - second_same(i, h2)) / 3
-        for j in range(i + 1, n):
-            v = (4 * second_mixed(i, j, h2 / 2) - second_mixed(i, j, h2)) / 3
-            d2[:, i, j] = d2[:, j, i] = v
+        def second_mixed(i, j, h):
+            out = np.zeros(dim)
+            for si in (+1, -1):
+                for sj in (+1, -1):
+                    x = u.copy()
+                    x[i] += si * h
+                    x[j] += sj * h
+                    out += si * sj * F(x)
+            return out / (4 * h**2)
+
+        for i in range(n):
+            J[:, i] = (4 * central1(i, step / 2) - central1(i, step)) / 3
+            d2[:, i, i] = (4 * second_same(i, h2 / 2) - second_same(i, h2)) / 3
+            for j in range(i + 1, n):
+                v = (4 * second_mixed(i, j, h2 / 2) - second_mixed(i, j, h2)) / 3
+                d2[:, i, j] = d2[:, j, i] = v
+        return f, J, d2
+
+    def key(x: np.ndarray) -> tuple:
+        return tuple(np.round(x, 12))
+
+    # first pass: record the deduplicated stencil; second: read F off it
+    stencil = {}
+
+    def record(x: np.ndarray) -> np.ndarray:
+        stencil.setdefault(key(x), x)
+        return np.zeros(dim)
+
+    richardson(record)
+    Fv = path_integral_immersion(
+        chart, source, base, np.array(list(stencil.values())), tol=tol
+    )
+    row = dict(zip(stencil, Fv))
+    f, J, d2 = richardson(lambda x: row[key(x)])
 
     N = unit_normal(J)
     g = J.T @ J

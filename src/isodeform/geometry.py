@@ -35,6 +35,7 @@ from .jet import JetScalar, d1_values, jet_space, mat_det, mat_inv, mat_mul, val
 from .linalg import DegenerateJacobianError, NotSPDError, cholesky_spd, svd_rank_kernel
 
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
+CHUNK = 1024  # points per batched jet evaluation, which bounds memory
 SELF_ADJOINT_TOL = 1e-10
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .codazzi import Explicit
 from .deformation import closed_form_immersion, path_integral_immersion
 from .errors import SceneError
-from .geometry import chart_jets, grid_axes
+from .geometry import GRID_SHRINK, chart_jets, grid_axes
 from .jet import values
 from .scene import Scene
 
@@ -83,16 +83,11 @@ def _surface_values(scene: Scene, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     if scene.spec is None:
         raise SceneError("missing section: codazzi (mesh exports f and F)")
     if isinstance(scene.spec, Explicit):
-        # no closed form: integrate the 1-form df o Q per vertex
-        base = np.asarray(chart.lo) + 0.02 * (
+        # no closed form: integrate the 1-form df o Q to all vertices at once
+        base = np.asarray(chart.lo) + GRID_SHRINK * (
             np.asarray(chart.hi) - np.asarray(chart.lo)
         )
-        Fv = np.stack(
-            [
-                path_integral_immersion(chart, scene.spec, base, u)
-                for u in pts
-            ]
-        )
+        Fv = path_integral_immersion(chart, scene.spec, base, pts)
     else:
         Fv = closed_form_immersion(chart, scene.spec)(pts)
     return fv, Fv

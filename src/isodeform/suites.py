@@ -61,7 +61,7 @@ from .deformation import (
     verify_deformation,
 )
 from .errors import HypothesisError, SceneError
-from .geometry import chart_jets, frame_from_jets, grid_points, rank_A_field
+from .geometry import CHUNK, chart_jets, frame_from_jets, grid_points, rank_A_field
 from .jet import values
 from .linalg import det
 from .report import (
@@ -73,8 +73,6 @@ from .report import (
     check_skipped,
 )
 from .scene import Scene
-
-CHUNK = 1024
 
 # Default tolerances.  Jet-identity residuals at K=3 sit at ~1e-13 in double
 # precision, so 1e-9 leaves three orders of headroom; checks that cross a
@@ -517,8 +515,8 @@ def resolve_tolerances(overrides: Dict[str, float]) -> Dict[str, float]:
         if name not in DEFAULT_TOL:
             known = ", ".join(sorted(DEFAULT_TOL))
             raise SceneError(f"unknown tolerance: {name} (known: {known})")
-        if value <= 0:
-            raise SceneError(f"tolerance {name} must be positive")
+        if not (np.isfinite(value) and value > 0):
+            raise SceneError(f"tolerance {name} must be positive and finite")
         tol[name] = float(value)
     return tol
 

@@ -118,6 +118,40 @@ def test_unknown_tolerance_exit_four(good_scene):
     assert "unknown tolerance" in res.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_exit_four(good_scene, value):
+    res = run_cli("verify", good_scene, "--tol", f"weingarten={value}")
+    assert res.returncode == 4
+    assert "positive and finite" in res.stderr
+
+
+def test_expression_domain_violation_exit_four(tmp_path):
+    # log(u1) is defined at the box center but not on the whole grid
+    p = tmp_path / "log.scene"
+    p.write_text(
+        "[chart]\nn = 2\nf1 = u1\nf2 = u2\nf3 = log(u1)\n"
+        "domain1 = -0.5,1\ndomain2 = 0,1\n[run]\nsuites = geometry\n"
+    )
+    res = run_cli("verify", str(p))
+    assert res.returncode == 4
+    assert "Traceback" not in res.stderr
+    assert res.stderr.startswith("domain error: log")
+    assert len(res.stderr.splitlines()) == 1
+
+
+def test_operator_domain_violation_in_mesh_exit_four(tmp_path):
+    # q11 is undefined at quadrature nodes of the path-integrated mesh
+    p = tmp_path / "qlog.scene"
+    p.write_text(
+        "[chart]\ncatalog = plane2\n[codazzi]\nvariant = explicit\n"
+        "q11 = 1 + 0.1*log(u1)\nq12 = 0\nq21 = 0\nq22 = 1\n"
+        "[run]\ngrid = 3\n"
+    )
+    res = run_cli("mesh", str(p), "--out", str(tmp_path / "q.obj"))
+    assert res.returncode == 4
+    assert res.stderr.startswith("domain error: log")
+
+
 def test_point_mode(good_scene):
     res = run_cli("verify", good_scene, "--point", "0.6,0.7,0.8")
     assert res.returncode == 0, res.stderr

@@ -24,7 +24,7 @@ from isodeform.deformation import (
     verify_deformation,
 )
 from isodeform.errors import HypothesisError
-from isodeform.geometry import grid_points
+from isodeform.geometry import CHUNK, grid_points
 
 
 def test_parallel_sphere_closed_form():
@@ -160,8 +160,35 @@ def test_path_integral_single_target():
         ch, Parallel(0.1), base, target, F0=F0, axis_order=[1, 0]
     )
     expected = F_fn(target[None])[0]
+    assert F1.shape == F2.shape == (3,)
     assert np.abs(F1 - expected).max() < 1e-11
     assert np.abs(F2 - expected).max() < 1e-11
+
+
+@pytest.mark.parametrize("axis_order", [[0, 1], [1, 0]])
+def test_path_integral_target_batch(axis_order):
+    # one batched call must reproduce the single-target integrals, including
+    # base itself and targets whose staircase has a zero-length leg; the
+    # grid rows push the integrand past one CHUNK of points per call
+    ch = catalog.torus2()
+    F_fn = closed_form_immersion(ch, Parallel(0.1))
+    base = np.array([0.5, 0.6])
+    special = [[4.0, 5.0], [0.5, 0.6], [0.5, 5.0], [4.0, 0.6], [2.0, 3.0]]
+    grid = grid_points(ch, 9)
+    targets = np.concatenate([special, grid])
+    assert 16 * len(targets) > CHUNK
+    F0 = F_fn(base[None])[0]
+    Fb = path_integral_immersion(
+        ch, Parallel(0.1), base, targets, F0=F0, axis_order=axis_order
+    )
+    assert Fb.shape == (len(targets), 3)
+    assert np.abs(Fb - F_fn(targets)).max() < 1e-11
+    np.testing.assert_array_equal(Fb[1], F0)
+    for x, row in zip(targets[: len(special)], Fb):
+        single = path_integral_immersion(
+            ch, Parallel(0.1), base, x, F0=F0, axis_order=axis_order
+        )
+        assert np.abs(row - single).max() < 1e-11
 
 
 def test_extract_and_gauge_roundtrip():

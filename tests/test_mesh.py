@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isodeform.errors import SceneError
-from isodeform.mesh import export_mesh, parse_slice
+from isodeform.mesh import _slice_grid, _surface_values, export_mesh, parse_slice
 from isodeform.scene import parse_scene
 
 TORUS = """
@@ -138,7 +138,8 @@ def test_projection_for_high_ambient_dimension(tmp_path):
 
 
 def test_explicit_variant_uses_path_integration(tmp_path):
-    # diag(p(u1), p(u1)) with p > 0 is Codazzi on the flat plane
+    # diag(p(u1), 1) is Codazzi on the flat plane, so the integrated F is
+    # path-independent: F = (u1 + 0.05 u1^2, u2, 0) up to a translation
     scene = parse_scene(
         """
 [chart]
@@ -148,7 +149,7 @@ variant = explicit
 q11 = 1 + 0.1*u1
 q12 = 0
 q21 = 0
-q22 = 1 + 0.1*u1
+q22 = 1
 [run]
 grid = 3
 """
@@ -158,6 +159,12 @@ grid = 3
     assert (nv, nq) == (9, 4)
     objs = _read_obj(out)
     assert np.isfinite(np.array(objs["F"]["v"])).all()
+    pts, _ = _slice_grid(scene, {})
+    _, Fv = _surface_values(scene, pts)
+    u1, u2 = pts[:, 0], pts[:, 1]
+    exact = np.stack([u1 + 0.05 * u1**2, u2, np.zeros_like(u1)], axis=-1)
+    shift = exact[0] - Fv[0]
+    assert np.abs(Fv + shift - exact).max() < 1e-9
 
 
 def test_parallel_offset_moves_along_the_normal(tmp_path):
