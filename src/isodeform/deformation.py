@@ -292,13 +292,20 @@ class DeformationCheck:
         return float(self.kernel_angle_field.max())
 
 
-def _det_signs(Q: np.ndarray) -> np.ndarray:
+def global_det_sign(Q: np.ndarray) -> int:
+    """sign(det Q), which every matrix of the stack Q (..., n, n) must share.
+
+    Raises HypothesisError otherwise: the sign relating the two Gauss maps
+    and shape operators is then not globally defined.
+    """
     n = Q.shape[-1]
-    flat = Q.reshape(-1, n, n)
-    out = np.empty(flat.shape[0])
-    for m in range(flat.shape[0]):
-        out[m] = np.sign(det(flat[m]))
-    return out.reshape(Q.shape[:-2])
+    signs = {np.sign(det(m)) for m in Q.reshape(-1, n, n)}
+    if len(signs) > 1:
+        raise HypothesisError(
+            "sign(det Q) changes over the sample; the deformation sign "
+            "is not globally defined"
+        )
+    return int(signs.pop())
 
 
 def _ortho_operator(L: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -386,13 +393,7 @@ def verify_deformation(
     cjF = ChartJets(list(immersion_jets(cj, s, h)), cj.u)
     frameF = frame_from_jets(cjF)
 
-    signs = _det_signs(cf.Q)
-    if signs.min() != signs.max():
-        raise HypothesisError(
-            "sign(det Q) changes over the sample; the deformation sign "
-            "is not globally defined"
-        )
-    sign = int(signs.max())
+    sign = global_det_sign(cf.Q)
 
     JQ = np.einsum("...pk,...kj->...pj", frame.J, cf.Q)
     dF_field = np.abs(frameF.J - JQ).max(axis=(-1, -2))
@@ -430,6 +431,12 @@ def verify_deformation(
 
 
 # ----------------------------------------------------- path integration
+#
+# Every path integral goes through one leg kernel, ``_leg_integrals``: a
+# covector field callback pts (m, n) -> (m, d, n) integrated along a batch
+# of axis-parallel legs in one quadrature call.  ``_point_staircase`` chains
+# legs from a base point to a batch of targets, ``_grid_staircase`` fills a
+# sample grid axis by axis.
 
 
 def _omega_values(
@@ -445,6 +452,72 @@ def _omega_values(
     Jv = np.moveaxis(values(cj.Jjet).astype(float), (0, 1), (-2, -1))
     Qv = np.moveaxis(values(qj).astype(float), (0, 1), (-2, -1))
     return np.einsum("...pk,...kj->...pj", Jv, Qv)
+
+
+def _leg_integrals(covector, starts, lengths, ax: int, tol: float) -> np.ndarray:
+    """Integrals of covector[..., ax] along legs starts -> starts + lengths e_ax.
+
+    Returns shape (L, d) for L legs.  With t = t0 + s length every leg runs
+    over s in [0, 1], its integrand scaled by its length, so the batch is one
+    quadrature call whose convergence is the max norm over all legs, each
+    held to the same absolute ``tol``.  The covector is evaluated in slices
+    of ``CHUNK`` points to bound memory.
+    """
+    L, n = starts.shape
+
+    def fn(s: np.ndarray) -> np.ndarray:
+        m = len(s)
+        pts = np.repeat(starts[None, :, :], m, axis=0)
+        pts[:, :, ax] += s[:, None] * lengths
+        pts = pts.reshape(-1, n)
+        cov = np.concatenate([
+            covector(pts[lo:lo + CHUNK])[..., ax]
+            for lo in range(0, len(pts), CHUNK)
+        ])
+        return (cov.reshape(m, L, -1) * lengths[:, None]).reshape(m, -1)
+
+    return integrate_segment(fn, 0.0, 1.0, tol=tol).reshape(L, -1)
+
+
+def _point_staircase(covector, base, X, order, tol: float) -> np.ndarray:
+    """Integral of the covector from ``base`` (n,) to each row of X (K, n).
+
+    The path moves along the axes in ``order``; the legs of all targets on
+    one axis are one kernel call, and a zero-length leg contributes exactly
+    0.  Returns shape (K, d), or (K, 1) zeros when no leg has length.
+    """
+    cur = np.repeat(base[None, :], len(X), axis=0)
+    total = np.zeros((len(X), 1))
+    for ax in order:
+        length = X[:, ax] - cur[:, ax]
+        if np.any(length != 0):
+            total = total + _leg_integrals(covector, cur, length, ax, tol)
+        cur[:, ax] = X[:, ax]
+    return total
+
+
+def _grid_staircase(covector, axes, start, order, tol: float) -> np.ndarray:
+    """``start`` (d,) plus the covector's integral from the first point of
+    the grid with per-axis samples ``axes`` to every grid point: (*res, d).
+
+    Per axis, every step of every line through the block already filled is
+    one leg of a single kernel call; a cumulative sum along the axis then
+    chains the steps.
+    """
+    n = len(axes)
+    F = np.reshape(start, (1,) * n + (-1,))
+    for ax in order:
+        line_axes = [a[:F.shape[j]] for j, a in enumerate(axes)]
+        line_axes[ax] = axes[ax][:-1]
+        starts = np.stack(np.meshgrid(*line_axes, indexing="ij"), axis=-1)
+        block = starts.shape[:-1]
+        steps = np.diff(axes[ax]).reshape([-1 if j == ax else 1 for j in range(n)])
+        lengths = np.broadcast_to(steps, block).reshape(-1)
+        seg = _leg_integrals(covector, starts.reshape(-1, n), lengths, ax, tol)
+        F = np.cumsum(
+            np.concatenate([F, seg.reshape(block + (-1,))], axis=ax), axis=ax
+        )
+    return F
 
 
 @dataclass(frozen=True)
@@ -466,50 +539,26 @@ class LoopRect:
     base: Tuple[float, ...]
 
 
-def _segment_points(
-    rect_base: np.ndarray, axis: int, t: np.ndarray
-) -> np.ndarray:
-    pts = np.broadcast_to(rect_base, (len(t), len(rect_base))).copy()
-    pts[:, axis] = t
-    return pts
-
-
-def _staircase_segments(
-    rect: LoopRect, order: Sequence[int]
-) -> List[Tuple[int, float, float, np.ndarray]]:
-    """(axis, t0, t1, fixed-point) legs from (a0,b0) to (a1,b1)."""
-    start = {rect.axis_a: rect.a0, rect.axis_b: rect.b0}
-    end = {rect.axis_a: rect.a1, rect.axis_b: rect.b1}
-    cur = dict(start)
-    legs = []
-    for ax in order:
-        base = np.array(rect.base, dtype=float)
-        for k, v in cur.items():
-            base[k] = v
-        legs.append((ax, cur[ax], end[ax], base))
-        cur[ax] = end[ax]
-    return legs
+def _circulation(covector, rect: LoopRect, tol: float) -> np.ndarray:
+    """Clockwise circulation of the covector around the rectangle: (d,)."""
+    start = np.array(rect.base, dtype=float)
+    end = start.copy()
+    start[[rect.axis_a, rect.axis_b]] = rect.a0, rect.b0
+    end[[rect.axis_a, rect.axis_b]] = rect.a1, rect.b1
+    b_first = _point_staircase(
+        covector, start, end[None], (rect.axis_b, rect.axis_a), tol
+    )
+    a_first = _point_staircase(
+        covector, start, end[None], (rect.axis_a, rect.axis_b), tol
+    )
+    return (b_first - a_first)[0]
 
 
 def omega_loop_integral(
     chart: Chart, source: PairSource, rect: LoopRect, tol: float = 1e-10
 ) -> np.ndarray:
     """Clockwise circulation of omega around the rectangle, in R^dim."""
-    dim = chart.ambient_dim
-
-    def path_integral(order: Sequence[int]) -> np.ndarray:
-        total = np.zeros(dim)
-        for ax, t0, t1, base in _staircase_segments(rect, order):
-            def fn(t: np.ndarray) -> np.ndarray:
-                pts = _segment_points(base, ax, t)
-                return _omega_values(chart, source, pts)[..., ax]
-
-            total = total + integrate_segment(fn, t0, t1, tol=tol)
-        return total
-
-    b_first = path_integral([rect.axis_b, rect.axis_a])
-    a_first = path_integral([rect.axis_a, rect.axis_b])
-    return b_first - a_first
+    return _circulation(lambda p: _omega_values(chart, source, p), rect, tol)
 
 
 def default_loop_rects(chart: Chart, margin: float = 0.02) -> List[LoopRect]:
@@ -568,40 +617,19 @@ def path_integral_immersion(
 
     ``targets`` is one point, shape (n,), giving F with shape (dim,), or a
     batch, shape (K, n), giving shape (K, dim).  Each staircase leg of the
-    whole batch is one quadrature call: with t = t0 + s (x_k - t0) every
-    target's leg runs over s in [0, 1], its integrand scaled by the leg
-    length, so a zero-length leg contributes exactly 0.  Convergence is the
-    max norm over all targets, each held to the same absolute ``tol``.  The
-    integrand is evaluated in slices of ``CHUNK`` points to bound memory.
+    whole batch is one quadrature call, every target held to the same
+    absolute ``tol``.
     """
     base = np.asarray(base, dtype=float)
     targets = np.asarray(targets, dtype=float)
     X = np.atleast_2d(targets)
-    K, n = X.shape
-    dim = chart.ambient_dim
-    F = np.zeros((K, dim))
+    F = np.zeros((len(X), chart.ambient_dim))
     if F0 is not None:
         F += np.asarray(F0, dtype=float)
-    order = list(range(n)) if axis_order is None else list(axis_order)
-    cur = np.repeat(base[None, :], K, axis=0)
-    for ax in order:
-        t0 = cur[:, ax].copy()
-        length = X[:, ax] - t0
-        if np.any(length != 0):
-
-            def fn(s: np.ndarray) -> np.ndarray:
-                m = len(s)
-                pts = np.repeat(cur[None, :, :], m, axis=0)
-                pts[:, :, ax] = t0 + s[:, None] * length
-                pts = pts.reshape(-1, n)
-                om = np.concatenate([
-                    _omega_values(chart, source, pts[lo:lo + CHUNK])[..., ax]
-                    for lo in range(0, len(pts), CHUNK)
-                ])
-                return (om.reshape(m, K, dim) * length[:, None]).reshape(m, -1)
-
-            F += integrate_segment(fn, 0.0, 1.0, tol=tol).reshape(K, dim)
-        cur[:, ax] = X[:, ax]
+    order = range(X.shape[1]) if axis_order is None else axis_order
+    F += _point_staircase(
+        lambda p: _omega_values(chart, source, p), base, X, order, tol
+    )
     return F if targets.ndim > 1 else F[0]
 
 
@@ -616,56 +644,17 @@ def path_integral_on_grid(
     """F on the whole sample grid by shared-prefix staircase integration.
 
     Returns (mesh points with shape (*res, n), F values with shape
-    (*res, dim)).  All grid lines at the same depth share one adaptive
-    quadrature call, so the cost scales with the number of grid steps, not
-    the number of points.
+    (*res, dim)).  All steps along one axis share one adaptive quadrature
+    call, and a cumulative sum chains them.
     """
     axes = grid_axes(chart, res)
-    shape = tuple(len(ax) for ax in axes)
-    n = chart.n
-    dim = chart.ambient_dim
-    order = list(range(n)) if axis_order is None else list(axis_order)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    F = np.zeros(shape + (dim,))
-    if F0 is not None:
-        F[(0,) * n] = np.asarray(F0, dtype=float)
-
-    done: List[int] = []
-    for ax in order:
-        # lines fan out over the axes already filled; untouched axes sit at
-        # their first sample
-        line_axes = [axes[j] if j in done else axes[j][:1] for j in range(n)]
-        lines = np.stack(np.meshgrid(*line_axes, indexing="ij"), axis=-1)
-        lines = lines.reshape(-1, n)
-        for ik in range(1, shape[ax]):
-            t0, t1 = axes[ax][ik - 1], axes[ax][ik]
-
-            def fn(t: np.ndarray) -> np.ndarray:
-                m = len(t)
-                pts = np.repeat(lines[None, :, :], m, axis=0)
-                pts[:, :, ax] = t[:, None]
-                om = _omega_values(chart, source, pts.reshape(-1, n))
-                return om[..., ax].reshape(m, -1)
-
-            seg = integrate_segment(fn, t0, t1, tol=tol)
-            seg = seg.reshape([len(la) for la in line_axes] + [dim])
-            src = _line_index(done, ax, ik - 1, n)
-            dst = _line_index(done, ax, ik, n)
-            F[dst] = F[src] + seg[_line_index(done, ax, 0, n, collapse=True)]
-        done.append(ax)
+    start = np.zeros(chart.ambient_dim) if F0 is None else np.asarray(F0, float)
+    order = range(chart.n) if axis_order is None else axis_order
+    F = _grid_staircase(
+        lambda p: _omega_values(chart, source, p), axes, start, order, tol
+    )
     return mesh, F
-
-
-def _line_index(done, ax, ik, n, collapse=False):
-    idx = []
-    for j in range(n):
-        if j == ax:
-            idx.append(0 if collapse else ik)
-        elif j in done:
-            idx.append(slice(None))
-        else:
-            idx.append(0)
-    return tuple(idx)
 
 
 def path_dependence_residual(
@@ -816,64 +805,23 @@ def extract_gh(
     Z, h = decompose_ambient(frame, Fv)
 
     def zeta_at(pts: np.ndarray) -> np.ndarray:
+        # the covector g(Z, .) as a one-row field, shape (m, 1, n)
         fr = frame_from_jets(chart_jets(chart, pts, order=2))
         Zp, _ = decompose_ambient(fr, F_fn(pts))
-        return np.einsum("...ij,...j->...i", fr.g, Zp)
+        return np.einsum("...ij,...j->...i", fr.g, Zp)[..., None, :]
 
-    closed = _covector_loop_residual(chart, zeta_at, tol)
-    g_grid = _prefix_integrate(chart, zeta_at, axes, tol)
+    closed = max(
+        float(np.abs(_circulation(zeta_at, rect, tol)).max())
+        for rect in default_loop_rects(chart)
+    )
+    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(n), tol)
     return GridPair(
         points=mesh,
-        g=g_grid,
+        g=g_grid[..., 0],
         h=h.reshape(shape),
         grad_g=Z.reshape(shape + (n,)),
         closed_residual=closed,
     )
-
-
-def _covector_loop_residual(chart, zeta_at, tol):
-    worst = 0.0
-    for rect in default_loop_rects(chart):
-        total = np.zeros(1)
-        legs_b = _staircase_segments(rect, [rect.axis_b, rect.axis_a])
-        legs_a = _staircase_segments(rect, [rect.axis_a, rect.axis_b])
-        for sgn, legs in ((1.0, legs_b), (-1.0, legs_a)):
-            for ax, t0, t1, base in legs:
-                def fn(t):
-                    pts = _segment_points(base, ax, t)
-                    return zeta_at(pts)[..., ax]
-
-                total = total + sgn * integrate_segment(fn, t0, t1, tol=tol)
-        worst = max(worst, float(np.abs(total).max()))
-    return worst
-
-
-def _prefix_integrate(chart, zeta_at, axes, tol):
-    n = chart.n
-    shape = tuple(len(ax) for ax in axes)
-    g = np.zeros(shape)
-    done: List[int] = []
-    for ax in range(n):
-        line_axes = [axes[j] if j in done else axes[j][:1] for j in range(n)]
-        lines = np.stack(np.meshgrid(*line_axes, indexing="ij"), axis=-1)
-        lines = lines.reshape(-1, n)
-        for ik in range(1, shape[ax]):
-            t0, t1 = axes[ax][ik - 1], axes[ax][ik]
-
-            def fn(t):
-                m = len(t)
-                pts = np.repeat(lines[None, :, :], m, axis=0)
-                pts[:, :, ax] = t[:, None]
-                z = zeta_at(pts.reshape(-1, n))[..., ax]
-                return z.reshape(m, -1)
-
-            seg = integrate_segment(fn, t0, t1, tol=tol)
-            seg = seg.reshape([len(la) for la in line_axes])
-            src = _line_index(done, ax, ik - 1, n)
-            dst = _line_index(done, ax, ik, n)
-            g[dst] = g[src] + seg[_line_index(done, ax, 0, n, collapse=True)]
-        done.append(ax)
-    return g
 
 
 def pair_on_grid(chart: Chart, pair: GHPairData, res) -> GridPair:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -223,8 +224,14 @@ class _Parser:
                               (pos, pos + max(1, len(text))))
 
 
+@lru_cache(maxsize=256)
 def parse(text: str, n_vars: int) -> ExprAst:
-    """Parse a DSL expression with variables u1..u<n_vars>."""
+    """Parse a DSL expression with variables u1..u<n_vars>.
+
+    Cached: the ASTs are frozen, so every caller may share one parse, and
+    the integrands that evaluate a scene's few sources per call reparse
+    none.  The bound keeps long-lived processes from growing the cache.
+    """
     return _Parser(text, n_vars).parse()
 
 

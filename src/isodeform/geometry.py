@@ -412,13 +412,8 @@ def frame_at(chart: Chart, u, order: int = 3) -> Frame:
 
 # ---------------------------------------------------------------- residuals
 #
-# Field variants return one value per batch point; the plain functions
-# reduce with max so a single number certifies the whole sample.
-
-
-def g_norm(frame: Frame, v: np.ndarray) -> np.ndarray:
-    """|v|_g for tangent vectors with coordinate components (*b, n)."""
-    return np.sqrt(np.einsum("...i,...ij,...j->...", v, frame.g, v))
+# Each residual field returns one value per batch point; callers reduce it
+# with max so a single number certifies the whole sample.
 
 
 def weingarten_residual_field(frame: Frame) -> np.ndarray:
@@ -480,18 +475,6 @@ def gauss_formula_residual_field(frame: Frame) -> np.ndarray:
         "...ij,...p->...pij", frame.b, frame.N
     )
     return np.abs(frame.d2f - rhs).max(axis=(-1, -2, -3))
-
-
-def weingarten_residual(frame: Frame) -> float:
-    return float(np.max(weingarten_residual_field(frame)))
-
-
-def gauss_residual(frame: Frame) -> float:
-    return float(np.max(gauss_residual_field(frame)))
-
-
-def codazzi_A_residual(frame: Frame) -> float:
-    return float(np.max(codazzi_A_residual_field(frame)))
 
 
 # ---------------------------------------------------------------- utilities

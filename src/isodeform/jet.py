@@ -203,16 +203,6 @@ class JetScalar:
     def d4(self):
         return self._full(4)
 
-    def derivative(self, indices: tuple[int, ...]):
-        """Mixed partial for an arbitrary index tuple (order = len(indices))."""
-        alpha = [0] * self.n_vars
-        for v in indices:
-            alpha[v] += 1
-        if sum(alpha) > self.order:
-            raise JetError(f"derivative order {sum(alpha)} exceeds jet order {self.order}")
-        fac = math.prod(math.factorial(a) for a in alpha)
-        return self.coef[self.space.index[tuple(alpha)]] * fac
-
     def diff(self, i: int) -> "JetScalar":
         """The jet of the partial derivative d/du_i (order drops by one)."""
         if self.order < 1:
@@ -314,7 +304,7 @@ def _recip(a: JetScalar) -> JetScalar:
     v = np.asarray(a.value)
     if np.any(np.abs(v) <= MIN_DIVISOR) or not np.all(np.isfinite(v)):
         bad = v.flat[int(np.argmin(np.abs(v)))] if v.size else v
-        raise JetDomainError(f"division by a jet with value {bad!r}")
+        raise JetDomainError(f"division by a jet with value {float(bad)}")
     coeffs = [1.0 / v]
     for _ in range(a.order):
         coeffs.append(-coeffs[-1] / v)
@@ -357,7 +347,7 @@ def exp(a: JetScalar) -> JetScalar:
 def log(a: JetScalar) -> JetScalar:
     v = np.asarray(a.value)
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise JetDomainError(f"log of a jet with value {np.min(v)!r}")
+        raise JetDomainError(f"log of a jet with value {float(np.min(v))}")
     coeffs = [np.log(v)]
     for k in range(1, a.order + 1):
         coeffs.append((-1.0) ** (k - 1) / (k * v**k))
@@ -367,7 +357,7 @@ def log(a: JetScalar) -> JetScalar:
 def sqrt(a: JetScalar) -> JetScalar:
     v = np.asarray(a.value)
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise JetDomainError(f"sqrt of a jet with value {np.min(v)!r}")
+        raise JetDomainError(f"sqrt of a jet with value {float(np.min(v))}")
     return powf(a, 0.5, _domain_checked=True)
 
 
@@ -375,7 +365,7 @@ def powf(a: JetScalar, r: float, _domain_checked: bool = False) -> JetScalar:
     """a**r for non-integer real r; requires the jet value to be positive."""
     v = np.asarray(a.value)
     if not _domain_checked and (np.any(v <= 0) or not np.all(np.isfinite(v))):
-        raise JetDomainError(f"non-integer power of a jet with value {np.min(v)!r}")
+        raise JetDomainError(f"non-integer power of a jet with value {float(np.min(v))}")
     # c_k = binom(r, k) v^(r-k), built by the recurrence c_k = c_{k-1}(r-k+1)/(k v)
     coeffs = [v**r]
     for k in range(1, a.order + 1):

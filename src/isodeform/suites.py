@@ -53,6 +53,7 @@ from .deformation import (
     extract_gh,
     fd_deformed_frame,
     gauge_fit,
+    global_det_sign,
     GridPair,
     omega_loop_integral,
     pair_on_grid,
@@ -63,7 +64,6 @@ from .deformation import (
 from .errors import HypothesisError, SceneError
 from .geometry import CHUNK, chart_jets, frame_from_jets, grid_points, rank_A_field
 from .jet import values
-from .linalg import det
 from .report import (
     CheckResult,
     FAIL,
@@ -247,8 +247,7 @@ def _loop_check(chart, spec, tol) -> CheckResult:
     )
 
 
-def _path_vs_closed_check(chart, spec, grid, tol) -> CheckResult:
-    mesh, Fp = path_integral_on_grid(chart, spec, grid)
+def _path_vs_closed_check(chart, spec, mesh, Fp, tol) -> CheckResult:
     flat = mesh.reshape(-1, chart.n)
     Fc = closed_form_immersion(chart, spec)(flat)
     diff = Fp.reshape(-1, chart.ambient_dim) - Fc
@@ -284,11 +283,12 @@ def _deformation_pair_suite(
         "kernel_angle",
     )
     collected: Dict[str, List[np.ndarray]] = {n: [] for n in field_names}
-    signs = []
+    # each chunk's sign is uniform already, so one Q per chunk decides
+    chunk_qs = []
     pair_q = 0.0
     for lo, hi in _chunks(len(pts)):
         chk = verify_deformation(chart, pts[lo:hi], spec, order=4)
-        signs.append(chk.sign)
+        chunk_qs.append(chk.cf.Q.reshape(-1, chart.n, chart.n)[0])
         pair_q = max(pair_q, chk.pair_q_residual)
         collected["dF"].append(chk.dF_field)
         collected["metric"].append(chk.metric_field)
@@ -298,12 +298,7 @@ def _deformation_pair_suite(
         collected["gauss_congruence"].append(chk.gauss_field)
         collected["wedge"].append(chk.wedge_field)
         collected["kernel_angle"].append(chk.kernel_angle_field)
-    if len(set(signs)) > 1:
-        raise HypothesisError(
-            "sign(det Q) changes over the sample; the deformation sign "
-            "is not globally defined"
-        )
-    sign = signs[0]
+    sign = global_det_sign(np.array(chunk_qs))
     checks = []
     if isinstance(spec, (Parallel, MinusA)):
         checks.append(
@@ -327,8 +322,13 @@ def _deformation_pair_suite(
         )
     if grid_mode:
         checks.append(_loop_check(chart, spec, tol))
-        checks.append(_path_vs_closed_check(chart, spec, grid, tol))
-        swap = path_dependence_residual(chart, spec, grid)
+        # one forward and one reversed sweep feed both path checks
+        mesh, F_fwd = path_integral_on_grid(chart, spec, grid)
+        _, F_rev = path_integral_on_grid(
+            chart, spec, grid, axis_order=list(reversed(range(chart.n)))
+        )
+        checks.append(_path_vs_closed_check(chart, spec, mesh, F_fwd, tol))
+        swap = float(np.abs(F_fwd - F_rev).max())
         checks.append(
             _scalar_check(
                 "deformation", "path_order_swap", swap, tol["path_order_swap"]
@@ -364,19 +364,11 @@ def _fd_probe_points(chart, grid, pts, grid_mode) -> np.ndarray:
 def _deformation_explicit_suite(
     chart, spec, pts, grid, tol, grid_mode
 ) -> Tuple[List[CheckResult], int]:
-    # sign(det Q) over the whole sample
-    signs = []
+    qs = []
     for lo, hi in _chunks(len(pts)):
         cj = chart_jets(chart, pts[lo:hi], 2)
-        qv = np.moveaxis(values(q_jets(cj, spec)).astype(float), (0, 1), (-2, -1))
-        signs.append(np.array([np.sign(det(m)) for m in qv.reshape(-1, chart.n, chart.n)]))
-    signs = np.concatenate(signs)
-    if signs.min() != signs.max():
-        raise HypothesisError(
-            "sign(det Q) changes over the sample; the deformation sign "
-            "is not globally defined"
-        )
-    sign = int(signs[0])
+        qs.append(np.moveaxis(values(q_jets(cj, spec)).astype(float), (0, 1), (-2, -1)))
+    sign = global_det_sign(np.concatenate(qs))
 
     checks: List[CheckResult] = []
     if grid_mode:

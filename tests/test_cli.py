@@ -136,6 +136,7 @@ def test_expression_domain_violation_exit_four(tmp_path):
     assert res.returncode == 4
     assert "Traceback" not in res.stderr
     assert res.stderr.startswith("domain error: log")
+    assert "np.float64" not in res.stderr
     assert len(res.stderr.splitlines()) == 1
 
 

@@ -14,6 +14,7 @@ from isodeform.deformation import (
     gauge_fit,
     gh_gauss_translation,
     gh_parallel_offset,
+    global_det_sign,
     kernel_angle_field,
     omega_loop_integral,
     omega_loop_residual,
@@ -116,6 +117,13 @@ def test_kernel_mismatch_raises():
         kernel_angle_field(chk.frame, broken)
 
 
+def test_global_det_sign_gate():
+    assert global_det_sign(np.stack([np.eye(3), np.diag([2.0, 1.0, 3.0])])) == 1
+    assert global_det_sign(-np.eye(3)[None]) == -1
+    with pytest.raises(HypothesisError, match=r"sign\(det Q\) changes"):
+        global_det_sign(np.stack([np.eye(2), np.diag([1.0, -2.0])]))
+
+
 def test_plane_loop_control_exact():
     # flat plane with Q = diag(1, 1 + u1): the circulation around the unit
     # square is exactly -1 in the second ambient component
@@ -125,6 +133,27 @@ def test_plane_loop_control_exact():
     loop = omega_loop_integral(pl, spec, rect)
     assert np.allclose(loop, [0.0, -1.0, 0.0], atol=1e-12)
     assert path_dependence_residual(pl, spec, 3) > 1.0
+
+
+@pytest.mark.parametrize("axis_order", [[0, 1], [1, 0]])
+def test_grid_sweep_matches_point_staircase_where_path_matters(axis_order):
+    # omega = df o diag(1, 1 + u1) on the plane is not exact, so F depends on
+    # the path; the grid sweep and the point staircase follow the same
+    # staircase to every grid point and must agree there
+    pl = catalog.plane2()
+    spec = Explicit((("1", "0"), ("0", "1 + u1")))
+    mesh, Fg = path_integral_on_grid(pl, spec, (4, 5), axis_order=axis_order)
+    flat = mesh.reshape(-1, 2)
+    Fp = path_integral_immersion(
+        pl, spec, flat[0], flat, axis_order=axis_order
+    )
+    assert Fg.shape == (4, 5, 3)
+    assert np.abs(Fg.reshape(-1, 3) - Fp).max() < 1e-12
+    # u2 is integrated at u1 = x1 (u1 first) or at u1 = x0 (u2 first)
+    du = flat - flat[0]
+    u1 = flat[:, 0] if axis_order == [0, 1] else flat[0, 0]
+    expected = np.stack([du[:, 0], (1 + u1) * du[:, 1], 0 * du[:, 0]], axis=-1)
+    assert np.abs(Fp - expected).max() < 1e-12
 
 
 def test_loops_vanish_for_integrable_sources():

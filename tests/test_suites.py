@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from isodeform import deformation, suites
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.report import FAIL, PASS, SKIP
 from isodeform.scene import parse_scene
@@ -90,6 +91,17 @@ def test_rank_gate_refuses_flat_plane():
     assert "certified rank 0" in msg
 
 
+def test_explicit_det_sign_change_refused():
+    # det Q = u1 - 0.8 changes sign inside the sample grid
+    scene = parse_scene(
+        "[chart]\ncatalog = sphere3\n[codazzi]\nvariant = explicit\n"
+        "q11 = u1 - 0.8\nq12 = 0\nq13 = 0\nq21 = 0\nq22 = 1\nq23 = 0\n"
+        "q31 = 0\nq32 = 0\nq33 = 1\n[run]\ngrid = 4\nsuites = deformation\n"
+    )
+    with pytest.raises(HypothesisError, match=r"sign\(det Q\) changes"):
+        run_suites(scene)
+
+
 def test_low_dimension_full_rank_warns_but_runs():
     scene = parse_scene(
         "[chart]\ncatalog = torus2\n[codazzi]\nvariant = parallel\nt = 0.1\n"
@@ -164,3 +176,20 @@ def test_worst_point_is_reproducible(sphere_report):
     rep = run_suites(parse_scene(SPHERE), point=chk.worst_point)
     again = rep.find("metric")
     assert again.max_residual <= 10 * max(chk.max_residual, 1e-15)
+
+
+def test_pair_suite_sweeps_the_grid_once_per_axis_order(monkeypatch):
+    # path_vs_closed and path_order_swap share one forward and one reversed
+    # grid sweep
+    orders = []
+    sweep = deformation.path_integral_on_grid
+
+    def counting(*args, **kwargs):
+        orders.append(kwargs.get("axis_order"))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "path_integral_on_grid", counting)
+    monkeypatch.setattr(deformation, "path_integral_on_grid", counting)
+    rep = run_suites(parse_scene(SPHERE.replace("grid = 4", "grid = 3")))
+    assert not rep.failed
+    assert orders == [None, [2, 1, 0]]
