@@ -28,7 +28,7 @@ from .jet import JetError
 from .linalg import LinalgError
 from .mesh import export_mesh
 from .quadrature import QuadratureError
-from .scene import load_scene
+from .scene import _parse_project, load_scene
 from .suites import run_suites
 
 EXIT_PASS = 0
@@ -111,19 +111,6 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
     return tols
 
 
-def _parse_project(text: str) -> tuple[int, int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise SceneError(f"--project: expected three comma-separated indices, got {text!r}")
-    try:
-        idx = tuple(int(p) for p in parts)
-    except ValueError:
-        raise SceneError(f"--project: bad index in {text!r}") from None
-    if len(set(idx)) != 3 or min(idx) < 1:
-        raise SceneError("--project: indices must be distinct and >= 1")
-    return idx
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
     if args.grid is not None:
@@ -144,7 +131,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_mesh(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
-    project = _parse_project(args.project) if args.project else None
+    project = None
+    if args.project:
+        project = _parse_project(args.project, scene.chart.ambient_dim, "--project")
     nverts, nquads = export_mesh(scene, args.out, slice_spec=args.slice, project=project)
     print(f"wrote {args.out}: 2 objects, {nverts} vertices and {nquads} quads each")
     return EXIT_PASS

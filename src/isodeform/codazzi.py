@@ -20,11 +20,11 @@ Four ways to specify Q are supported:
   commutation and the Codazzi identity are reported as residuals so that
   broken inputs can be detected by the verification suites.
 
-``codazzi_frame`` extracts pointwise values (Q, its inverse, covariant
-derivative) with a nonsingularity gate, and the ``deformed_*`` functions
-build the metric g~ = g(Q., Q.), its Levi-Civita connection, and its
-curvature, each compared against the closed-form route the deformation
-theory predicts.
+``codazzi_frame_from_jets`` extracts pointwise values (Q, its inverse,
+covariant derivative) from the jets of ``q_jets`` with a nonsingularity
+gate, and the ``deformed_*`` functions build the metric g~ = g(Q., Q.),
+its Levi-Civita connection, and its curvature, each compared against the
+closed-form route the deformation theory predicts.
 """
 
 from __future__ import annotations
@@ -234,21 +234,14 @@ def _singular_range(Qv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return smin.reshape(Qv.shape[:-2]), smax.reshape(Qv.shape[:-2])
 
 
-def codazzi_frame(
-    cj: ChartJets, frame: Frame, spec: CodazziSpec, rank_rtol: float = Q_RANK_RTOL
+def codazzi_frame_from_jets(
+    qj: np.ndarray, frame: Frame, rank_rtol: float = Q_RANK_RTOL
 ) -> CodazziFrame:
-    """Extract Q values with the nonsingularity gate.
+    """Extract Q values from its jets, with the nonsingularity gate.
 
     Raises HypothesisError when Q is numerically singular anywhere in the
     batch; the deformation theory needs an invertible operator.
     """
-    qj = q_jets(cj, spec)
-    return codazzi_frame_from_jets(qj, frame, rank_rtol)
-
-
-def codazzi_frame_from_jets(
-    qj: np.ndarray, frame: Frame, rank_rtol: float = Q_RANK_RTOL
-) -> CodazziFrame:
     if qj[0, 0].space.order < 1:
         raise FrameError("Q jets need order >= 1 for covariant derivatives")
     Qv = _move(values(qj), 2)

@@ -369,31 +369,51 @@ def kernel_angle_field(
     return out.reshape(frame.A.shape[:-2])
 
 
+def _source_q_jets(cj: ChartJets, source: PairSource) -> np.ndarray:
+    """Jets of Q for a spec, or for a scalar pair given as callables."""
+    if isinstance(source, GHPairData):
+        return q_from_scalar_jets(cj, *_pair_jets(cj, source))
+    return q_jets(cj, source)
+
+
 def verify_deformation(
     chart: Chart, pts: np.ndarray, source: PairSource, order: int = 4
 ) -> DeformationCheck:
-    """Build F in closed form and check every pointwise claim about it."""
+    """Build F in closed form and check every pointwise claim about it.
+
+    Builds the chart jets, frame and Q frame at ``pts`` and hands them to
+    ``deformation_check_from_jets``, the per-chunk body the deformation
+    suite runs on the jets it shares with the other suites.
+    """
     cj = chart_jets(chart, pts, order)
     frame = frame_from_jets(cj)
+    cf = codazzi_frame_from_jets(_source_q_jets(cj, source), frame)
+    return deformation_check_from_jets(cj, frame, cf, global_det_sign(cf.Q), source)
+
+
+def deformation_check_from_jets(
+    cj: ChartJets, frame: Frame, cf: CodazziFrame, sign: int, source: PairSource
+) -> DeformationCheck:
+    """Every pointwise claim about the closed-form F, from built jets.
+
+    ``cf`` is the Q frame of ``source`` on ``frame`` and ``sign`` its
+    sign(det Q), already checked uniform on the batch.
+    """
     pair = as_pair(source)
     if pair is None:
         raise ValueError("verify_deformation needs a scalar pair source")
     s, h = _pair_jets(cj, pair)
-    qj_pair = q_from_scalar_jets(cj, s, h)
     if isinstance(source, (Parallel, MinusA)):
-        qj = q_jets(cj, source)
-        q_dir = np.moveaxis(values(qj).astype(float), (0, 1), (-2, -1))
-        q_par = np.moveaxis(values(qj_pair).astype(float), (0, 1), (-2, -1))
-        pair_q_residual = float(np.abs(q_dir - q_par).max())
+        # the direct operator against the one the scalar pair induces
+        q_par = np.moveaxis(
+            values(q_from_scalar_jets(cj, s, h)).astype(float), (0, 1), (-2, -1)
+        )
+        pair_q_residual = float(np.abs(cf.Q - q_par).max())
     else:
-        qj = qj_pair
         pair_q_residual = 0.0
-    cf = codazzi_frame_from_jets(qj, frame)
 
     cjF = ChartJets(list(immersion_jets(cj, s, h)), cj.u)
     frameF = frame_from_jets(cjF)
-
-    sign = global_det_sign(cf.Q)
 
     JQ = np.einsum("...pk,...kj->...pj", frame.J, cf.Q)
     dF_field = np.abs(frameF.J - JQ).max(axis=(-1, -2))
@@ -444,12 +464,8 @@ def _omega_values(
 ) -> np.ndarray:
     """Values of the 1-form omega = df o Q: shape (*batch, dim, n)."""
     cj = chart_jets(chart, pts, order=2)
-    if isinstance(source, GHPairData):
-        s, h = _pair_jets(cj, source)
-        qj = q_from_scalar_jets(cj, s, h)
-    else:
-        qj = q_jets(cj, source)
     Jv = np.moveaxis(values(cj.Jjet).astype(float), (0, 1), (-2, -1))
+    qj = _source_q_jets(cj, source)
     Qv = np.moveaxis(values(qj).astype(float), (0, 1), (-2, -1))
     return np.einsum("...pk,...kj->...pj", Jv, Qv)
 

@@ -16,6 +16,10 @@ text, 0-based in the AST).  Functions: sin, cos, exp, log, sqrt.
 
 Integer exponents evaluate by repeated multiplication (any base);
 non-integer or non-constant exponents require a positive base.
+
+``num``, ``add`` and ``mul`` build ASTs in code, e.g. |f|^2 / 2 from the
+parsed chart components; ``num`` writes a negative value as ``Neg`` of a
+nonnegative ``Num``.
 """
 
 from __future__ import annotations
@@ -395,21 +399,7 @@ def eval_value(node: ExprAst, point):
     return np.asarray(out, dtype=float) if np.ndim(out) else float(out)
 
 
-def max_var_index(node: ExprAst) -> int:
-    """Largest 0-based variable index used, or -1 for a constant expression."""
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Neg):
-        return max_var_index(node.child)
-    if isinstance(node, Call):
-        return max_var_index(node.arg)
-    if isinstance(node, BinOp):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    return -1
-
-
-# helpers for building ASTs programmatically (used by the deformation module
-# and by the catalog when composing scalar fields from chart components)
+# AST builders (see the module docstring)
 
 
 def num(v: float) -> ExprAst:

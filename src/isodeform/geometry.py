@@ -512,11 +512,6 @@ def rank_A_field(frame: Frame, tol: float = 1e-9) -> np.ndarray:
     return ranks.reshape(frame.A.shape[:-2])
 
 
-def rank_A(frame: Frame, tol: float = 1e-9) -> int:
-    """Certified rank over the sample: the minimum pointwise rank."""
-    return int(np.min(rank_A_field(frame, tol)))
-
-
 def fd_oracle(chart: Chart, u, step: float = 1e-5):
     """Finite-difference values (f, J, d2f) at a single point.
 

@@ -434,17 +434,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(A, v):
-    A = np.asarray(A, dtype=object)
-    out = np.empty(A.shape[0], dtype=object)
-    for i in range(A.shape[0]):
-        acc = A[i, 0] * v[0]
-        for k in range(1, A.shape[1]):
-            acc = acc + A[i, k] * v[k]
-        out[i] = acc
-    return out
-
-
 def values(obj_arr) -> np.ndarray:
     """Extract .value from an object array of jets -> float array with the
     jet batch axes appended after the array's own axes."""

@@ -278,19 +278,27 @@ def _parse_suites(value: str) -> Tuple[str, ...]:
     return tuple(s for s in SUITES if s in names)
 
 
-def _parse_project(value: str, ambient_dim: int) -> Tuple[int, ...]:
+def _parse_project(value: str, ambient_dim: int, where: str) -> Tuple[int, ...]:
+    """Three distinct 1-based ambient coordinates for mesh export.
+
+    ``where`` names the value's origin in messages: ``[run] project`` in a
+    scene file, ``--project`` on the command line.
+    """
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 3:
-        raise SceneError("[run] project: expected three coordinate indices")
-    idx = tuple(_as_int("run", "project", p) for p in parts)
+        raise SceneError(f"{where}: expected three coordinate indices")
+    idx = []
+    for p in parts:
+        try:
+            idx.append(int(p))
+        except ValueError:
+            raise SceneError(f"{where}: expected an integer, got {p!r}") from None
     if len(set(idx)) != 3:
-        raise SceneError("[run] project: indices must be distinct")
+        raise SceneError(f"{where}: indices must be distinct")
     for i in idx:
         if not (1 <= i <= ambient_dim):
-            raise SceneError(
-                f"[run] project: index {i} outside 1..{ambient_dim}"
-            )
-    return idx
+            raise SceneError(f"{where}: index {i} outside 1..{ambient_dim}")
+    return tuple(idx)
 
 
 def _parse_run(
@@ -311,7 +319,7 @@ def _parse_run(
         elif key == "suites":
             suites = _parse_suites(value)
         elif key == "project":
-            project = _parse_project(value, chart.ambient_dim)
+            project = _parse_project(value, chart.ambient_dim, "[run] project")
         elif key.startswith("tol_"):
             name = key[len("tol_"):]
             val = _as_float("run", key, value)

@@ -19,8 +19,18 @@ Four suites cover the deformation theory end to end:
 deformation and roundtrip suites: a grid whose certified rank of A drops
 below 3 (below n for n < 3 charts, which get a warning instead) is
 refused with a HypothesisError, since the rigidity claims assume rank
-A >= 3.  Pointwise work is chunked; reductions happen in index order so
-identical scenes produce identical reports.
+A >= 3.
+
+All pointwise work is one pass over the sample in CHUNK slices.  Each
+slice builds its chart jets and frame once, and the jets and frame of Q
+once when codazzi or deformation runs; the geometry, codazzi and
+deformation suites read those and put their fields into one name -> field
+table, from which the checks are made.  The jet order is 4 when codazzi
+or deformation runs and the scene order otherwise; geometry fields do not
+depend on it, and geometry skips its curvature checks when the scene order
+is below 3.  Grid path integrals, FD probes and the roundtrip suite run
+after the pass.  Reductions happen in index order so identical scenes
+produce identical reports.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from .deformation import (
     as_pair,
     closed_form_immersion,
     default_loop_rects,
+    deformation_check_from_jets,
     extract_gh,
     fd_deformed_frame,
     gauge_fit,
@@ -59,11 +70,9 @@ from .deformation import (
     pair_on_grid,
     path_dependence_residual,
     path_integral_on_grid,
-    verify_deformation,
 )
 from .errors import HypothesisError, SceneError
 from .geometry import CHUNK, chart_jets, frame_from_jets, grid_points, rank_A_field
-from .jet import values
 from .report import (
     CheckResult,
     FAIL,
@@ -139,86 +148,106 @@ def _scalar_check(
     )
 
 
-# ------------------------------------------------------------- geometry
+# ---------------------------------------------------------- sample pass
+
+# check name -> residual field of the frame
+_GEOMETRY = {
+    "weingarten": geo.weingarten_residual_field,
+    "gauss_formula": geo.gauss_formula_residual_field,
+    "metric_compat": geo.metric_compat_residual_field,
+    "gauss": geo.gauss_residual_field,
+    "codazzi_A": geo.codazzi_A_residual_field,
+    "bianchi1": geo.bianchi_first_residual_field,
+}
+_CURVATURE = ("gauss", "codazzi_A", "bianchi1")
+# check name -> DeformationCheck field
+_DEFORMATION = {
+    "dF": "dF_field",
+    "metric": "metric_field",
+    "shape": "shape_field",
+    "selfadjoint_At": "selfadjoint_field",
+    "codazzi_At": "codazzi_At_field",
+    "gauss_congruence": "gauss_field",
+    "wedge": "wedge_field",
+    "kernel_angle": "kernel_angle_field",
+}
 
 
-def _geometry_suite(chart, pts, order, tol) -> List[CheckResult]:
-    needs_curv = ("gauss", "codazzi_A", "bianchi1")
-    collected: Dict[str, List[np.ndarray]] = {}
-    have_curv = order >= 3
+def _sample_pass(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
+    """One pass over the sample: check name -> field over ``pts``."""
+    if not any(s in scene.suites for s in ("geometry", "codazzi", "deformation")):
+        return {}
+    table: Dict[str, List[np.ndarray]] = {}
     for lo, hi in _chunks(len(pts)):
-        fr = frame_from_jets(chart_jets(chart, pts[lo:hi], order))
-        collected.setdefault("weingarten", []).append(
-            geo.weingarten_residual_field(fr)
-        )
-        collected.setdefault("gauss_formula", []).append(
-            geo.gauss_formula_residual_field(fr)
-        )
-        collected.setdefault("metric_compat", []).append(
-            geo.metric_compat_residual_field(fr)
-        )
-        if have_curv:
-            collected.setdefault("gauss", []).append(
-                geo.gauss_residual_field(fr)
+        for name, field in _chunk_fields(scene, pts[lo:hi]).items():
+            table.setdefault(name, []).append(field)
+    return {name: np.concatenate(parts) for name, parts in table.items()}
+
+
+def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
+    """Every pointwise field at one chunk, from one build of its jets.
+
+    See the module docstring for the jet order.  ``sign_Q`` holds one Q:
+    the chunk's sign(det Q) gate has made its sign uniform.  The jets die
+    on return, before the next chunk builds its own, which keeps the peak
+    memory at one chunk's jets.
+    """
+    chart, spec, suites = scene.chart, scene.spec, scene.suites
+    needs_q = "codazzi" in suites or "deformation" in suites
+    cj = chart_jets(chart, pts, 4 if needs_q else scene.order)
+    fr = frame_from_jets(cj)
+    fields: Dict[str, np.ndarray] = {}
+    if "geometry" in suites:
+        for name, residual in _GEOMETRY.items():
+            if scene.order >= 3 or name not in _CURVATURE:
+                fields[name] = residual(fr)
+    if not needs_q:
+        return fields
+    qj = q_jets(cj, spec)
+    cf = codazzi_frame_from_jets(qj, fr)
+    if "codazzi" in suites:
+        fields["commutator"] = commutator_residual_field(fr, cf)
+        fields["codazzi_Q"] = codazzi_Q_residual_field(fr, cf)
+        if isinstance(spec, GHPair):
+            fields["gh_constraint"] = gh_constraint_residual_field(
+                cj, *gh_pair_jets(cj, spec)
             )
-            collected.setdefault("codazzi_A", []).append(
-                geo.codazzi_A_residual_field(fr)
-            )
-            collected.setdefault("bianchi1", []).append(
-                geo.bianchi_first_residual_field(fr)
-            )
+        fields["deformed_connection"] = deformed_connection_residual_field(
+            cj, fr, cf, qj
+        )
+        fields["deformed_curvature"] = deformed_curvature_residual_field(
+            cj, fr, cf, qj
+        )
+    if "deformation" in suites:
+        sign = global_det_sign(cf.Q)
+        fields["sign_Q"] = cf.Q.reshape(-1, chart.n, chart.n)[:1]
+        if not isinstance(spec, Explicit):
+            chk = deformation_check_from_jets(cj, fr, cf, sign, spec)
+            fields["pair_q"] = np.array([chk.pair_q_residual])
+            for name, attr in _DEFORMATION.items():
+                fields[name] = getattr(chk, attr)
+    return fields
+
+
+def _geometry_suite(fields, pts, order, tol) -> List[CheckResult]:
     checks = []
-    for name in (
-        "weingarten",
-        "gauss_formula",
-        "metric_compat",
-        "gauss",
-        "codazzi_A",
-        "bianchi1",
-    ):
-        if name in needs_curv and not have_curv:
+    for name in _GEOMETRY:
+        if name in _CURVATURE and order < 3:
             checks.append(
-                check_skipped(
-                    "geometry", name, tol[name], "needs jet order >= 3"
-                )
+                check_skipped("geometry", name, tol[name], "needs jet order >= 3")
             )
             continue
-        field = np.concatenate(collected[name])
-        checks.append(check_from_field("geometry", name, field, pts, tol[name]))
+        checks.append(check_from_field("geometry", name, fields[name], pts, tol[name]))
     return checks
 
 
-# -------------------------------------------------------------- codazzi
-
-
-def _codazzi_suite(chart, spec, pts, tol) -> List[CheckResult]:
+def _codazzi_suite(fields, spec, pts, tol) -> List[CheckResult]:
     names = ["commutator", "codazzi_Q"]
     if isinstance(spec, GHPair):
         names.append("gh_constraint")
     names += ["deformed_connection", "deformed_curvature"]
-    collected: Dict[str, List[np.ndarray]] = {n: [] for n in names}
-    for lo, hi in _chunks(len(pts)):
-        cj = chart_jets(chart, pts[lo:hi], 4)
-        fr = frame_from_jets(cj)
-        qj = q_jets(cj, spec)
-        cf = codazzi_frame_from_jets(qj, fr)
-        collected["commutator"].append(commutator_residual_field(fr, cf))
-        collected["codazzi_Q"].append(codazzi_Q_residual_field(fr, cf))
-        if isinstance(spec, GHPair):
-            s, h = gh_pair_jets(cj, spec)
-            collected["gh_constraint"].append(
-                gh_constraint_residual_field(cj, s, h)
-            )
-        collected["deformed_connection"].append(
-            deformed_connection_residual_field(cj, fr, cf, qj)
-        )
-        collected["deformed_curvature"].append(
-            deformed_curvature_residual_field(cj, fr, cf, qj)
-        )
     return [
-        check_from_field(
-            "codazzi", name, np.concatenate(collected[name]), pts, tol[name]
-        )
+        check_from_field("codazzi", name, fields[name], pts, tol[name])
         for name in names
     ]
 
@@ -270,55 +299,22 @@ def _path_vs_closed_check(chart, spec, mesh, Fp, tol) -> CheckResult:
 
 
 def _deformation_pair_suite(
-    chart, spec, pts, grid, tol, grid_mode
-) -> Tuple[List[CheckResult], int]:
-    field_names = (
-        "dF",
-        "metric",
-        "shape",
-        "selfadjoint_At",
-        "codazzi_At",
-        "gauss_congruence",
-        "wedge",
-        "kernel_angle",
-    )
-    collected: Dict[str, List[np.ndarray]] = {n: [] for n in field_names}
-    # each chunk's sign is uniform already, so one Q per chunk decides
-    chunk_qs = []
-    pair_q = 0.0
-    for lo, hi in _chunks(len(pts)):
-        chk = verify_deformation(chart, pts[lo:hi], spec, order=4)
-        chunk_qs.append(chk.cf.Q.reshape(-1, chart.n, chart.n)[0])
-        pair_q = max(pair_q, chk.pair_q_residual)
-        collected["dF"].append(chk.dF_field)
-        collected["metric"].append(chk.metric_field)
-        collected["shape"].append(chk.shape_field)
-        collected["selfadjoint_At"].append(chk.selfadjoint_field)
-        collected["codazzi_At"].append(chk.codazzi_At_field)
-        collected["gauss_congruence"].append(chk.gauss_field)
-        collected["wedge"].append(chk.wedge_field)
-        collected["kernel_angle"].append(chk.kernel_angle_field)
-    sign = global_det_sign(np.array(chunk_qs))
+    chart, spec, fields, pts, grid, tol, grid_mode
+) -> List[CheckResult]:
     checks = []
     if isinstance(spec, (Parallel, MinusA)):
         checks.append(
             _scalar_check(
                 "deformation",
                 "pair_q",
-                pair_q,
+                float(fields["pair_q"].max()),
                 tol["pair_q"],
                 note="direct Q route vs scalar-pair Q route",
             )
         )
-    for name in field_names:
+    for name in _DEFORMATION:
         checks.append(
-            check_from_field(
-                "deformation",
-                name,
-                np.concatenate(collected[name]),
-                pts,
-                tol[name],
-            )
+            check_from_field("deformation", name, fields[name], pts, tol[name])
         )
     if grid_mode:
         checks.append(_loop_check(chart, spec, tol))
@@ -339,7 +335,7 @@ def _deformation_pair_suite(
             checks.append(
                 check_skipped("deformation", name, tol[name], _NO_GRID_NOTE)
             )
-    return checks, sign
+    return checks
 
 
 def _fd_probe_points(chart, grid, pts, grid_mode) -> np.ndarray:
@@ -362,14 +358,8 @@ def _fd_probe_points(chart, grid, pts, grid_mode) -> np.ndarray:
 
 
 def _deformation_explicit_suite(
-    chart, spec, pts, grid, tol, grid_mode
-) -> Tuple[List[CheckResult], int]:
-    qs = []
-    for lo, hi in _chunks(len(pts)):
-        cj = chart_jets(chart, pts[lo:hi], 2)
-        qs.append(np.moveaxis(values(q_jets(cj, spec)).astype(float), (0, 1), (-2, -1)))
-    sign = global_det_sign(np.concatenate(qs))
-
+    chart, spec, pts, grid, tol, grid_mode, sign
+) -> List[CheckResult]:
     checks: List[CheckResult] = []
     if grid_mode:
         checks.append(_loop_check(chart, spec, tol))
@@ -428,7 +418,7 @@ def _deformation_explicit_suite(
                 note="finite differences of the path-integrated immersion",
             )
         )
-    return checks, sign
+    return checks
 
 
 # ------------------------------------------------------------ roundtrip
@@ -563,23 +553,24 @@ def run_suites(
                 "are checked pedagogically only"
             )
 
+    fields = _sample_pass(scene, pts)
     sign: Optional[int] = None
     checks: List[CheckResult] = []
     for suite in scene.suites:
         if suite == "geometry":
-            checks += _geometry_suite(chart, pts, scene.order, tol)
+            checks += _geometry_suite(fields, pts, scene.order, tol)
         elif suite == "codazzi":
-            checks += _codazzi_suite(chart, spec, pts, tol)
+            checks += _codazzi_suite(fields, spec, pts, tol)
         elif suite == "deformation":
+            sign = global_det_sign(fields["sign_Q"])
             if isinstance(spec, Explicit):
-                more, sign = _deformation_explicit_suite(
-                    chart, spec, pts, grid, tol, grid_mode
+                checks += _deformation_explicit_suite(
+                    chart, spec, pts, grid, tol, grid_mode, sign
                 )
             else:
-                more, sign = _deformation_pair_suite(
-                    chart, spec, pts, grid, tol, grid_mode
+                checks += _deformation_pair_suite(
+                    chart, spec, fields, pts, grid, tol, grid_mode
                 )
-            checks += more
         elif suite == "roundtrip":
             checks += _roundtrip_suite(chart, spec, grid, tol, grid_mode)
 

@@ -186,6 +186,22 @@ def test_mesh_subcommand(tmp_path):
 
     res3 = run_cli("mesh", str(p), "--out", str(out), "--project", "1,1,2")
     assert res3.returncode == 4
+    assert "--project: indices must be distinct" in res3.stderr
+
+
+def test_project_messages_name_their_origin(tmp_path):
+    # one parsing rule for the flag and the scene key; the message says
+    # which one was wrong
+    p = tmp_path / "torus.scene"
+    p.write_text(TORUS)
+    out = tmp_path / "torus.obj"
+    res = run_cli("mesh", str(p), "--out", str(out), "--project", "1,2,9")
+    assert res.returncode == 4
+    assert "scene error: --project: index 9 outside 1..3" in res.stderr
+    p.write_text(TORUS + "project = 1,2,x\n")
+    res = run_cli("mesh", str(p), "--out", str(out))
+    assert res.returncode == 4
+    assert "scene error: [run] project: expected an integer, got 'x'" in res.stderr
 
 
 def test_help_lists_subcommands():
@@ -193,3 +209,18 @@ def test_help_lists_subcommands():
     assert res.returncode == 0
     for sub in ("verify", "mesh", "selftest"):
         assert sub in res.stdout
+
+
+def test_geometry_only_scene_with_non_self_adjoint_q_exit_zero(tmp_path):
+    # the explicit Q below is not g-self-adjoint, but only geometry runs,
+    # and geometry never builds Q
+    p = tmp_path / "geometry.scene"
+    p.write_text(
+        "[chart]\ncatalog = sphere3\n[codazzi]\nvariant = explicit\n"
+        "q11 = 1\nq12 = u1\nq13 = 0\nq21 = 0\nq22 = 1\nq23 = 0\n"
+        "q31 = 0\nq32 = 0\nq33 = 1\n[run]\ngrid = 3\nsuites = geometry\n"
+    )
+    res = run_cli("verify", str(p))
+    assert res.returncode == 0, res.stderr
+    assert "result: pass" in res.stdout
+    assert "check: weingarten" in res.stdout

@@ -10,7 +10,6 @@ from isodeform.codazzi import (
     MinusA,
     Parallel,
     codazzi_Q_residual_field,
-    codazzi_frame,
     commutator_residual_field,
     deformed_connection_residual_field,
     deformed_curvature_residual_field,

@@ -198,11 +198,6 @@ def test_num_literal_nonnegative_invariant():
     assert expr.num(-2.0) == Neg(Num(2.0))
 
 
-def test_max_var_index():
-    assert expr.max_var_index(parse("sin(u3)+u1", 3)) == 2
-    assert expr.max_var_index(parse("2+pi", 1)) == -1
-
-
 def test_eval_jet_batched_matches_pointwise():
     ast = parse("exp(0.3*u1)*sin(u2)", 2)
     pts = np.array([[0.1, 0.2], [0.5, 0.9], [1.0, 1.5]])

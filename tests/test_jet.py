@@ -21,7 +21,6 @@ from isodeform.jet import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_vec,
 )
 
 
@@ -342,10 +341,3 @@ def test_mat_inv_over_jets():
             expect = 1.0 if i == j else 0.0
             assert np.allclose(eye[i, j].coef[0], expect, atol=1e-13)
             assert np.allclose(eye[i, j].coef[1:], 0.0, atol=1e-13)
-
-
-def test_mat_vec():
-    M = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object)
-    v = np.array([5.0, 6.0], dtype=object)
-    out = mat_vec(M, v)
-    assert out[0] == 17.0 and out[1] == 39.0

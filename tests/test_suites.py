@@ -1,9 +1,11 @@
 """Suite orchestration: reports, determinism, rank gate, skip logic."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from isodeform import deformation, suites
+from isodeform import codazzi, deformation, geometry, suites
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.report import FAIL, PASS, SKIP
 from isodeform.scene import parse_scene
@@ -193,3 +195,62 @@ def test_pair_suite_sweeps_the_grid_once_per_axis_order(monkeypatch):
     rep = run_suites(parse_scene(SPHERE.replace("grid = 4", "grid = 3")))
     assert not rep.failed
     assert orders == [None, [2, 1, 0]]
+
+
+def test_sample_pass_builds_jets_and_q_frame_once_per_chunk(monkeypatch):
+    # every pointwise suite reads one order-4 chart jet and one Q frame per
+    # CHUNK slice; three slices of the 27-point grid make that count visible
+    monkeypatch.setattr(suites, "CHUNK", 10)
+    jet_orders = []
+    q_frames = []
+    build_jets = geometry.chart_jets
+    build_q_frame = codazzi.codazzi_frame_from_jets
+
+    def counting_jets(chart, u, order=3):
+        jet_orders.append(order)
+        return build_jets(chart, u, order)
+
+    def counting_q_frame(*args, **kwargs):
+        q_frames.append(1)
+        return build_q_frame(*args, **kwargs)
+
+    for mod in (suites, deformation):
+        monkeypatch.setattr(mod, "chart_jets", counting_jets)
+        monkeypatch.setattr(mod, "codazzi_frame_from_jets", counting_q_frame)
+    scene = parse_scene(SPHERE.replace("grid = 4", "grid = 3"))
+    assert scene.suites == ("geometry", "codazzi", "deformation", "roundtrip")
+    rep = run_suites(scene)
+    assert not rep.failed
+    assert jet_orders.count(4) == 3
+    assert len(q_frames) == 3
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("catalog_name", ["sphere3", "graph3"])
+def test_geometry_checks_do_not_depend_on_jet_order(catalog_name, order):
+    # with codazzi requested the pass runs at order 4; the geometry checks
+    # must read exactly as they do at the scene order
+    text = (
+        f"[chart]\ncatalog = {catalog_name}\n[codazzi]\nvariant = parallel\n"
+        f"t = 0.1\n[run]\ngrid = 4\norder = {order}\n"
+    )
+    alone = run_suites(parse_scene(text + "suites = geometry\n"))
+    mixed = run_suites(parse_scene(text + "suites = geometry, codazzi\n"))
+    geo_checks = [c for c in mixed.checks if c.suite == "geometry"]
+    assert geo_checks == alone.checks
+    assert len(geo_checks) == 6
+
+
+def test_geometry_only_scene_does_not_build_q():
+    # Q is not g-self-adjoint, which q_jets refuses; geometry never needs Q
+    scene = parse_scene(
+        "[chart]\ncatalog = sphere3\n[codazzi]\nvariant = explicit\n"
+        "q11 = 1\nq12 = u1\nq13 = 0\nq21 = 0\nq22 = 1\nq23 = 0\n"
+        "q31 = 0\nq32 = 0\nq33 = 1\n[run]\ngrid = 3\nsuites = geometry\n"
+    )
+    assert any("not g-self-adjoint" in w for w in scene.warnings)
+    rep = run_suites(scene)
+    assert not rep.failed
+    assert [c.suite for c in rep.checks] == ["geometry"] * 6
+    with pytest.raises(HypothesisError, match="not g-self-adjoint"):
+        run_suites(dataclasses.replace(scene, suites=("geometry", "codazzi")))
