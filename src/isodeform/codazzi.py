@@ -119,15 +119,6 @@ def gh_constraint_residual_field(
     return gn(mism) / scale
 
 
-def _check_gh_constraint(cj: ChartJets, s: JetScalar, h: JetScalar) -> None:
-    worst = float(gh_constraint_residual_field(cj, s, h).max())
-    if worst > GH_CONSTRAINT_TOL:
-        raise HypothesisError(
-            "scalar pair violates the gradient constraint "
-            f"A(grad g) = -grad h: residual {worst:.3e} > {GH_CONSTRAINT_TOL}"
-        )
-
-
 def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
     """Jets of Q at order K-2, hypothesis-checked where construction allows.
 
@@ -146,8 +137,7 @@ def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
                 Q[i, j] = -A[i, j]
         return Q
     if isinstance(spec, GHPair):
-        s, h = gh_pair_jets(cj, spec)
-        return q_from_scalar_jets(cj, s, h)
+        return q_from_scalar_jets(cj, *gh_pair_jets(cj, spec))[0]
     if isinstance(spec, Explicit):
         if len(spec.entries) != n or any(len(r) != n for r in spec.entries):
             raise ValueError(
@@ -164,12 +154,21 @@ def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
     raise TypeError(f"unknown Codazzi spec {spec!r}")
 
 
-def q_from_scalar_jets(cj: ChartJets, s: JetScalar, h: JetScalar) -> np.ndarray:
-    """Q = Hess(s) - h A from scalar jets (s at full order, h at >= K-2).
+def q_from_scalar_jets(
+    cj: ChartJets, s: JetScalar, h: JetScalar
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Q = Hess(s) - h A from scalar jets (s at full order, h at >= K-2),
+    and the gradient-constraint field it was gated on.
 
-    Verifies the gradient constraint first; see ``GHPair``.
+    Raises HypothesisError when the constraint fails; see ``GHPair``.
     """
-    _check_gh_constraint(cj, s, h)
+    field = gh_constraint_residual_field(cj, s, h)
+    worst = float(field.max())
+    if worst > GH_CONSTRAINT_TOL:
+        raise HypothesisError(
+            "scalar pair violates the gradient constraint "
+            f"A(grad g) = -grad h: residual {worst:.3e} > {GH_CONSTRAINT_TOL}"
+        )
     n = cj.n
     hess = cj.scalar_hess_jets(s)
     ht = h.truncated(cj.order - 2)
@@ -178,7 +177,7 @@ def q_from_scalar_jets(cj: ChartJets, s: JetScalar, h: JetScalar) -> np.ndarray:
     for i in range(n):
         for j in range(n):
             Q[i, j] = hess[i, j] - ht * A[i, j]
-    return Q
+    return Q, field
 
 
 def _check_explicit_self_adjoint(cj: ChartJets, Q: np.ndarray) -> None:
@@ -213,27 +212,6 @@ class CodazziFrame:
     sigma_max: np.ndarray
 
 
-def _batched_inverse(Qv: np.ndarray) -> np.ndarray:
-    n = Qv.shape[-1]
-    flat = Qv.reshape(-1, n, n)
-    out = np.empty_like(flat)
-    eye = np.eye(n)
-    for m in range(flat.shape[0]):
-        out[m] = solve(flat[m], eye)
-    return out.reshape(Qv.shape)
-
-
-def _singular_range(Qv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    n = Qv.shape[-1]
-    flat = Qv.reshape(-1, n, n)
-    smin = np.empty(flat.shape[0])
-    smax = np.empty(flat.shape[0])
-    for m in range(flat.shape[0]):
-        _, s, _ = jacobi_svd(flat[m])
-        smin[m], smax[m] = s[-1], s[0]
-    return smin.reshape(Qv.shape[:-2]), smax.reshape(Qv.shape[:-2])
-
-
 def codazzi_frame_from_jets(
     qj: np.ndarray, frame: Frame, rank_rtol: float = Q_RANK_RTOL
 ) -> CodazziFrame:
@@ -246,7 +224,8 @@ def codazzi_frame_from_jets(
         raise FrameError("Q jets need order >= 1 for covariant derivatives")
     Qv = _move(values(qj), 2)
     dQ = _move(d1_values(qj), 3)
-    smin, smax = _singular_range(Qv)
+    _, sig, _ = jacobi_svd(Qv)
+    smin, smax = sig[..., -1], sig[..., 0]
     # floor the scale at 1 so a uniformly tiny Q counts as singular too
     if np.any(smin <= rank_rtol * np.maximum(smax, 1.0)):
         worst = float(smin.min())
@@ -254,7 +233,7 @@ def codazzi_frame_from_jets(
             f"deformation operator is numerically singular: "
             f"min singular value {worst:.3e}"
         )
-    Q_inv = _batched_inverse(Qv)
+    Q_inv = solve(Qv, np.eye(Qv.shape[-1]))
     Gv = frame.Gamma
     nablaQ = (
         np.einsum("...kji->...ikj", dQ)

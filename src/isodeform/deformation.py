@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import codazzi as codazzimod
 from .codazzi import (
     CodazziFrame,
     CodazziSpec,
@@ -39,6 +38,7 @@ from .codazzi import (
     Parallel,
     codazzi_frame_from_jets,
     deformed_metric,
+    gh_pair_jets,
     q_from_scalar_jets,
     q_jets,
 )
@@ -49,11 +49,11 @@ from .geometry import (
     GRID_SHRINK,
     Chart,
     ChartJets,
-    DomainError,
     Frame,
     chart_jets,
     codazzi_A_residual_field,
     decompose_ambient,
+    fd_stencil,
     frame_from_jets,
     grid_axes,
 )
@@ -73,11 +73,11 @@ from .quadrature import integrate_segment
 class KernelMismatchError(ValueError):
     """Ranks of A and the deformed shape operator disagree."""
 
-    def __init__(self, rank_A: int, rank_At: int, where: int):
+    def __init__(self, rank_A: int, rank_At: int, u: Sequence[float]):
         self.rank_A = rank_A
         self.rank_At = rank_At
         super().__init__(
-            f"kernel dimensions differ at sample {where}: "
+            f"kernel dimensions differ at u = {','.join(f'{x:.6f}' for x in u)}: "
             f"rank A = {rank_A}, rank deformed A = {rank_At}"
         )
 
@@ -298,26 +298,20 @@ def global_det_sign(Q: np.ndarray) -> int:
     Raises HypothesisError otherwise: the sign relating the two Gauss maps
     and shape operators is then not globally defined.
     """
-    n = Q.shape[-1]
-    signs = {np.sign(det(m)) for m in Q.reshape(-1, n, n)}
-    if len(signs) > 1:
+    signs = np.ravel(np.sign(det(Q)))
+    if np.any(signs != signs[0]):
         raise HypothesisError(
             "sign(det Q) changes over the sample; the deformation sign "
             "is not globally defined"
         )
-    return int(signs.pop())
+    return int(signs[0])
 
 
 def _ortho_operator(L: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Conjugate operator T into g-orthonormal coordinates: L^T T L^{-T}."""
     n = L.shape[-1]
-    Lf = L.reshape(-1, n, n)
-    Tf = T.reshape(-1, n, n)
-    out = np.empty_like(Tf)
-    for m in range(Tf.shape[0]):
-        Linv_T = solve(Lf[m].T, np.eye(n))
-        out[m] = Lf[m].T @ Tf[m] @ Linv_T
-    return out.reshape(T.shape)
+    LT = np.swapaxes(L.reshape(-1, n, n), -1, -2)
+    return (LT @ T.reshape(-1, n, n) @ solve(LT, np.eye(n))).reshape(T.shape)
 
 
 def _pair_minors(M: np.ndarray) -> np.ndarray:
@@ -354,26 +348,38 @@ def kernel_angle_field(
 ) -> np.ndarray:
     """Largest principal angle between ker A and ker A~ per point.
 
-    Raises KernelMismatchError when the numerical ranks disagree anywhere.
+    Raises KernelMismatchError, naming the first such point by its chart
+    coordinates, when the numerical ranks disagree anywhere.
     """
     n = frame.n
-    A = frame.A.reshape(-1, n, n)
-    At = Atilde.reshape(-1, n, n)
-    out = np.empty(A.shape[0])
-    for m in range(A.shape[0]):
-        r1, k1, _ = svd_rank_kernel(A[m], tol)
-        r2, k2, _ = svd_rank_kernel(At[m], tol)
-        if r1 != r2:
-            raise KernelMismatchError(r1, r2, m)
-        out[m] = max_principal_angle(k1, k2)
+    r1, V1, _ = svd_rank_kernel(frame.A.reshape(-1, n, n), tol)
+    r2, V2, _ = svd_rank_kernel(Atilde.reshape(-1, n, n), tol)
+    bad = np.flatnonzero(r1 != r2)
+    if bad.size:
+        m = bad[0]
+        raise KernelMismatchError(int(r1[m]), int(r2[m]), frame.u.reshape(-1, n)[m])
+    out = np.empty(len(r1))
+    for r in set(r1.tolist()):  # kernels of one rank form a stack
+        at = r1 == r
+        out[at] = max_principal_angle(V1[at][..., r:], V2[at][..., r:])
     return out.reshape(frame.A.shape[:-2])
 
 
-def _source_q_jets(cj: ChartJets, source: PairSource) -> np.ndarray:
-    """Jets of Q for a spec, or for a scalar pair given as callables."""
-    if isinstance(source, GHPairData):
-        return q_from_scalar_jets(cj, *_pair_jets(cj, source))
-    return q_jets(cj, source)
+def source_jets(cj: ChartJets, source: PairSource):
+    """(Q jets, pair jets, gradient-constraint field) of a deformation source.
+
+    When Q is built from a scalar pair (GHPair, GHPairData), the pair's jets
+    (s, h) and the constraint field Q was gated on come with it, each built
+    once; for any other source both are None.
+    """
+    if isinstance(source, GHPair):
+        pair = gh_pair_jets(cj, source)
+    elif isinstance(source, GHPairData):
+        pair = _pair_jets(cj, source)
+    else:
+        return q_jets(cj, source), None, None
+    qj, field = q_from_scalar_jets(cj, *pair)
+    return qj, pair, field
 
 
 def verify_deformation(
@@ -387,26 +393,38 @@ def verify_deformation(
     """
     cj = chart_jets(chart, pts, order)
     frame = frame_from_jets(cj)
-    cf = codazzi_frame_from_jets(_source_q_jets(cj, source), frame)
-    return deformation_check_from_jets(cj, frame, cf, global_det_sign(cf.Q), source)
+    qj, pair, _ = source_jets(cj, source)
+    cf = codazzi_frame_from_jets(qj, frame)
+    return deformation_check_from_jets(
+        cj, frame, cf, global_det_sign(cf.Q), source, pair
+    )
 
 
 def deformation_check_from_jets(
-    cj: ChartJets, frame: Frame, cf: CodazziFrame, sign: int, source: PairSource
+    cj: ChartJets,
+    frame: Frame,
+    cf: CodazziFrame,
+    sign: int,
+    source: PairSource,
+    pair: Optional[Tuple[JetScalar, JetScalar]],
 ) -> DeformationCheck:
     """Every pointwise claim about the closed-form F, from built jets.
 
     ``cf`` is the Q frame of ``source`` on ``frame`` and ``sign`` its
-    sign(det Q), already checked uniform on the batch.
+    sign(det Q), already checked uniform on the batch.  ``pair`` is the
+    scalar pair's jets when ``source_jets`` built Q from them; otherwise
+    (None) they are built here.
     """
-    pair = as_pair(source)
     if pair is None:
-        raise ValueError("verify_deformation needs a scalar pair source")
-    s, h = _pair_jets(cj, pair)
+        pair_data = as_pair(source)
+        if pair_data is None:
+            raise ValueError("verify_deformation needs a scalar pair source")
+        pair = _pair_jets(cj, pair_data)
+    s, h = pair
     if isinstance(source, (Parallel, MinusA)):
         # the direct operator against the one the scalar pair induces
         q_par = np.moveaxis(
-            values(q_from_scalar_jets(cj, s, h)).astype(float), (0, 1), (-2, -1)
+            values(q_from_scalar_jets(cj, s, h)[0]).astype(float), (0, 1), (-2, -1)
         )
         pair_q_residual = float(np.abs(cf.Q - q_par).max())
     else:
@@ -465,7 +483,7 @@ def _omega_values(
     """Values of the 1-form omega = df o Q: shape (*batch, dim, n)."""
     cj = chart_jets(chart, pts, order=2)
     Jv = np.moveaxis(values(cj.Jjet).astype(float), (0, 1), (-2, -1))
-    qj = _source_q_jets(cj, source)
+    qj = source_jets(cj, source)[0]
     Qv = np.moveaxis(values(qj).astype(float), (0, 1), (-2, -1))
     return np.einsum("...pk,...kj->...pj", Jv, Qv)
 
@@ -715,51 +733,9 @@ def fd_deformed_frame(
     in one batched ``path_integral_immersion`` call, whose convergence is
     the max norm over all stencil points.
     """
-    u = np.asarray(u, dtype=float)
-    n = chart.n
-    lo = np.asarray(chart.lo)
-    hi = np.asarray(chart.hi)
     if base is None:
-        base = lo + GRID_SHRINK * (hi - lo)
-    h2 = 10 * step
-    if np.any(u - lo < 2 * h2) or np.any(hi - u < 2 * h2):
-        raise DomainError(f"point too close to the boundary for step {step}")
-    dim = chart.ambient_dim
-
-    def richardson(F: Callable[[np.ndarray], np.ndarray]):
-        f = F(u)
-        J = np.empty((dim, n))
-        d2 = np.empty((dim, n, n))
-
-        def central1(i, h):
-            xp, xm = u.copy(), u.copy()
-            xp[i] += h
-            xm[i] -= h
-            return (F(xp) - F(xm)) / (2 * h)
-
-        def second_same(i, h):
-            xp, xm = u.copy(), u.copy()
-            xp[i] += h
-            xm[i] -= h
-            return (F(xp) - 2 * f + F(xm)) / h**2
-
-        def second_mixed(i, j, h):
-            out = np.zeros(dim)
-            for si in (+1, -1):
-                for sj in (+1, -1):
-                    x = u.copy()
-                    x[i] += si * h
-                    x[j] += sj * h
-                    out += si * sj * F(x)
-            return out / (4 * h**2)
-
-        for i in range(n):
-            J[:, i] = (4 * central1(i, step / 2) - central1(i, step)) / 3
-            d2[:, i, i] = (4 * second_same(i, h2 / 2) - second_same(i, h2)) / 3
-            for j in range(i + 1, n):
-                v = (4 * second_mixed(i, j, h2 / 2) - second_mixed(i, j, h2)) / 3
-                d2[:, i, j] = d2[:, j, i] = v
-        return f, J, d2
+        lo = np.asarray(chart.lo)
+        base = lo + GRID_SHRINK * (np.asarray(chart.hi) - lo)
 
     def key(x: np.ndarray) -> tuple:
         return tuple(np.round(x, 12))
@@ -769,14 +745,14 @@ def fd_deformed_frame(
 
     def record(x: np.ndarray) -> np.ndarray:
         stencil.setdefault(key(x), x)
-        return np.zeros(dim)
+        return np.zeros(chart.ambient_dim)
 
-    richardson(record)
+    fd_stencil(chart, record, u, step, 10 * step)
     Fv = path_integral_immersion(
         chart, source, base, np.array(list(stencil.values())), tol=tol
     )
     row = dict(zip(stencil, Fv))
-    f, J, d2 = richardson(lambda x: row[key(x)])
+    f, J, d2 = fd_stencil(chart, lambda x: row[key(x)], u, step, 10 * step)
 
     N = unit_normal(J)
     g = J.T @ J

@@ -505,68 +505,64 @@ def scalar_grad_hess(chart: Chart, u, s_ast: ExprAst, order: int = 3):
 
 def rank_A_field(frame: Frame, tol: float = 1e-9) -> np.ndarray:
     """Pointwise numerical rank of the shape operator."""
-    A = frame.A.reshape(-1, frame.n, frame.n)
-    ranks = np.empty(A.shape[0], dtype=int)
-    for m in range(A.shape[0]):
-        ranks[m], _, _ = svd_rank_kernel(A[m], tol)
-    return ranks.reshape(frame.A.shape[:-2])
+    return svd_rank_kernel(frame.A, tol)[0]
+
+
+def fd_stencil(chart: Chart, F, u, step: float, h2: float):
+    """Richardson central differences (F(u), dF (d, n), d2F (d, n, n)).
+
+    F maps a point (n,) to a value (d,) and is called once per stencil
+    point.  First derivatives combine the steps ``step`` and ``step/2``,
+    second derivatives ``h2`` and ``h2/2``; u must sit at least 2*h2 inside
+    the chart box.
+    """
+    u = np.asarray(u, dtype=float)
+    lo, hi = np.asarray(chart.lo), np.asarray(chart.hi)
+    if np.any(u - lo < 2 * h2) or np.any(hi - u < 2 * h2):
+        raise DomainError(f"point too close to the boundary for step {step}")
+    n = len(u)
+    f = F(u)
+
+    def at(*moves):
+        x = u.copy()
+        for i, h in moves:
+            x[i] += h
+        return F(x)
+
+    def richardson(diff, h):
+        return (4 * diff(h / 2) - diff(h)) / 3
+
+    J = np.empty(f.shape + (n,))
+    d2 = np.empty(f.shape + (n, n))
+    for i in range(n):
+        J[:, i] = richardson(lambda h: (at((i, h)) - at((i, -h))) / (2 * h), step)
+        d2[:, i, i] = richardson(
+            lambda h: (at((i, h)) - 2 * f + at((i, -h))) / h**2, h2
+        )
+        for j in range(i + 1, n):
+            d2[:, i, j] = d2[:, j, i] = richardson(
+                lambda h: (
+                    at((i, h), (j, h)) - at((i, h), (j, -h))
+                    - at((i, -h), (j, h)) + at((i, -h), (j, -h))
+                ) / (4 * h**2),
+                h2,
+            )
+    return f, J, d2
 
 
 def fd_oracle(chart: Chart, u, step: float = 1e-5):
     """Finite-difference values (f, J, d2f) at a single point.
 
-    Central differences with one Richardson level, evaluated through the
-    value-only expression path (independent of the jet machinery).  First
-    derivatives use `step`; second derivatives use 100*step to keep
-    cancellation noise well under the comparison tolerances.  The point must
-    sit at least 200*step inside the domain.
+    ``fd_stencil`` over the value-only expression path (independent of the
+    jet machinery).  Second derivatives use 100*step to keep cancellation
+    noise well under the comparison tolerances, so the point must sit at
+    least 200*step inside the domain.
     """
-    u = np.asarray(u, dtype=float)
-    h2 = 100 * step
-    lo = np.asarray(chart.lo)
-    hi = np.asarray(chart.hi)
-    if np.any(u - lo < 2 * h2) or np.any(hi - u < 2 * h2):
-        raise DomainError(f"point too close to the boundary for step {step}")
 
     def fval(x):
         return np.array([exprmod.eval_value(c, x) for c in chart.components])
 
-    n = chart.n
-    f = fval(u)
-    J = np.empty((n + 1, n))
-    d2f = np.empty((n + 1, n, n))
-
-    def central1(x, i, h):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        return (fval(xp) - fval(xm)) / (2 * h)
-
-    for i in range(n):
-        J[:, i] = (4 * central1(u, i, step / 2) - central1(u, i, step)) / 3
-
-    def second_same(i, h):
-        xp, xm = u.copy(), u.copy()
-        xp[i] += h
-        xm[i] -= h
-        return (fval(xp) - 2 * f + fval(xm)) / h**2
-
-    def second_mixed(i, j, h):
-        out = np.zeros(n + 1)
-        for si in (+1, -1):
-            for sj in (+1, -1):
-                x = u.copy()
-                x[i] += si * h
-                x[j] += sj * h
-                out += si * sj * fval(x)
-        return out / (4 * h**2)
-
-    for i in range(n):
-        d2f[:, i, i] = (4 * second_same(i, h2 / 2) - second_same(i, h2)) / 3
-        for j in range(i + 1, n):
-            v = (4 * second_mixed(i, j, h2 / 2) - second_mixed(i, j, h2)) / 3
-            d2f[:, i, j] = d2f[:, j, i] = v
-    return f, J, d2f
+    return fd_stencil(chart, fval, u, step, 100 * step)
 
 
 def grid_axes(chart: Chart, res) -> list[np.ndarray]:

@@ -23,7 +23,8 @@ A >= 3.
 
 All pointwise work is one pass over the sample in CHUNK slices.  Each
 slice builds its chart jets and frame once, and the jets and frame of Q
-once when codazzi or deformation runs; the geometry, codazzi and
+once when codazzi or deformation runs (with the jets of a scalar pair that
+defines Q, and its gradient-constraint field); the geometry, codazzi and
 deformation suites read those and put their fields into one name -> field
 table, from which the checks are made.  The jet order is 4 when codazzi
 or deformation runs and the scene order otherwise; geometry fields do not
@@ -52,8 +53,6 @@ from .codazzi import (
     deformed_connection_residual_field,
     deformed_curvature_residual_field,
     deformed_metric,
-    gh_constraint_residual_field,
-    gh_pair_jets,
     q_jets,
 )
 from .deformation import (
@@ -70,6 +69,7 @@ from .deformation import (
     pair_on_grid,
     path_dependence_residual,
     path_integral_on_grid,
+    source_jets,
 )
 from .errors import HypothesisError, SceneError
 from .geometry import CHUNK, chart_jets, frame_from_jets, grid_points, rank_A_field
@@ -203,15 +203,13 @@ def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
                 fields[name] = residual(fr)
     if not needs_q:
         return fields
-    qj = q_jets(cj, spec)
+    qj, pair, gh_field = source_jets(cj, spec)
     cf = codazzi_frame_from_jets(qj, fr)
     if "codazzi" in suites:
         fields["commutator"] = commutator_residual_field(fr, cf)
         fields["codazzi_Q"] = codazzi_Q_residual_field(fr, cf)
         if isinstance(spec, GHPair):
-            fields["gh_constraint"] = gh_constraint_residual_field(
-                cj, *gh_pair_jets(cj, spec)
-            )
+            fields["gh_constraint"] = gh_field
         fields["deformed_connection"] = deformed_connection_residual_field(
             cj, fr, cf, qj
         )
@@ -222,7 +220,7 @@ def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
         sign = global_det_sign(cf.Q)
         fields["sign_Q"] = cf.Q.reshape(-1, chart.n, chart.n)[:1]
         if not isinstance(spec, Explicit):
-            chk = deformation_check_from_jets(cj, fr, cf, sign, spec)
+            chk = deformation_check_from_jets(cj, fr, cf, sign, spec, pair)
             fields["pair_q"] = np.array([chk.pair_q_residual])
             for name, attr in _DEFORMATION.items():
                 fields[name] = getattr(chk, attr)

@@ -115,6 +115,14 @@ def test_kernel_mismatch_raises():
     broken = chk.frameF.A + 0.5 * np.eye(4)
     with pytest.raises(KernelMismatchError, match="rank"):
         kernel_angle_field(chk.frame, broken)
+    # one later point only: the message names it by its chart coordinates
+    broken = chk.frameF.A.copy()
+    broken[11] += 0.5 * np.eye(4)
+    with pytest.raises(KernelMismatchError) as err:
+        kernel_angle_field(chk.frame, broken)
+    where = ",".join(f"{x:.6f}" for x in pts[11])
+    assert f"at u = {where}:" in str(err.value)
+    assert (err.value.rank_A, err.value.rank_At) == (3, 4)
 
 
 def test_global_det_sign_gate():

@@ -1,6 +1,8 @@
 """Linear algebra tests; numpy's LAPACK routines serve as the independent
 oracle (the shipped code never calls them for these decisions)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,117 @@ def test_max_principal_angle():
     assert max_principal_angle(empty, empty) == 0.0
     with pytest.raises(linalg.LinalgError):
         max_principal_angle(B1, np.zeros((3, 1)))
+
+
+# ------------------------------------------------------------------ stacks
+
+
+def _mixed_stack(rng, n, m=None, size=12):
+    """Random matrices, a zero matrix and members of every rank 1..n-1."""
+    m = n if m is None else m
+    A = rng.uniform(-1, 1, (size, m, n))
+    A[1] = 0.0
+    for r in range(1, min(m, n)):
+        A[1 + r] = rng.uniform(-1, 1, (m, r)) @ rng.uniform(-1, 1, (r, n))
+    return A
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lu_solve_det_on_stacks(n):
+    rng = np.random.default_rng(10 + n)
+    A = rng.uniform(-1, 1, (7, n, n)) + n * np.eye(n)
+    LU, perm = linalg.lu_factor(A)
+    for i in range(len(A)):
+        lu_i, perm_i = linalg.lu_factor(A[i])
+        assert np.array_equal(LU[i], lu_i) and np.array_equal(perm[i], perm_i)
+        L = np.tril(LU[i], -1) + np.eye(n)
+        assert np.allclose(L @ np.triu(LU[i]), A[i][perm[i]], atol=1e-13)
+
+    B = rng.uniform(-1, 1, (7, n, 3))
+    X = solve(A, B)
+    shared = solve(A, B[0])
+    for i in range(len(A)):
+        assert np.array_equal(X[i], solve(A[i], B[i]))
+        assert np.array_equal(shared[i], solve(A[i], B[0]))
+    assert np.allclose(X, np.linalg.solve(A, B), atol=1e-12)
+    with pytest.raises(linalg.LinalgError, match="1-d right-hand side"):
+        solve(A, B[0, :, 0])
+
+    S = _mixed_stack(rng, n)  # members 1..n are singular, the rest not
+    d = det(S)
+    assert d.shape == (len(S),)
+    singular = np.arange(1, n + 1)
+    assert np.all(d[singular] == 0.0)
+    assert np.all(np.delete(d, singular) != 0.0)
+    for i in range(len(S)):
+        assert d[i] == det(S[i])
+    assert np.allclose(
+        np.delete(d, singular), np.delete(np.linalg.det(S), singular), rtol=1e-10
+    )
+    with pytest.raises(SingularMatrixError, match=r"column \d of matrix \(1,\)"):
+        linalg.lu_factor(S)
+    # the first failing column is named, also when max|A| dwarfs 1
+    big = 1e13 * A[0]
+    big[:, 0] = 0.0
+    with pytest.raises(SingularMatrixError, match="pivot at column 0 at or below"):
+        linalg.lu_factor(big)
+    S[singular] = np.eye(n)
+    S[10, :, -1] = S[10, :, 0]
+    where = rf"column {n - 1} of matrix \(1, 4\)"
+    with pytest.raises(SingularMatrixError, match=where):
+        solve(S.reshape(2, 6, n, n), np.eye(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dm", [-1, 0, 1])
+def test_jacobi_svd_on_stacks(n, dm):
+    rng = np.random.default_rng(20 + n)
+    A = _mixed_stack(rng, n, m=n + dm)
+    U, s, Vt = jacobi_svd(A)
+    for i in range(len(A)):
+        u, si, vt = jacobi_svd(A[i])
+        assert np.array_equal(U[i], u)
+        assert np.array_equal(s[i], si)
+        assert np.array_equal(Vt[i], vt)
+    assert np.allclose(s, np.linalg.svd(A, compute_uv=False), atol=1e-12)
+    assert np.allclose(U * s[:, None, :] @ Vt, A, atol=1e-12)
+    assert np.all(s[1] == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_kernel_and_angle_on_stacks(n):
+    rng = np.random.default_rng(30 + n)
+    A = _mixed_stack(rng, n)
+    rank, V, s = svd_rank_kernel(A)
+    oracle = np.linalg.svd(A, compute_uv=False)
+    assert np.array_equal(rank, np.sum(oracle > 1e-9 * oracle[:, :1], axis=1))
+    assert rank[1] == 0
+    assert sorted(set(rank.tolist())) == list(range(n + 1))
+    for i in range(len(A)):
+        r_i, k_i, s_i = svd_rank_kernel(A[i])
+        assert rank[i] == r_i and np.array_equal(s[i], s_i)
+        assert np.array_equal(V[i][:, rank[i]:], k_i)
+        assert np.allclose(A[i] @ k_i, 0.0, atol=1e-12)
+
+    for k in range(n + 1):
+        B1 = np.linalg.qr(rng.uniform(-1, 1, (6, n, n)))[0][..., :k]
+        B2 = np.linalg.qr(rng.uniform(-1, 1, (6, n, n)))[0][..., :k]
+        angle = max_principal_angle(B1, B2)
+        assert angle.shape == (6,)
+        for i in range(6):
+            assert angle[i] == max_principal_angle(B1[i], B2[i])
+        if k:
+            cos = np.linalg.svd(np.swapaxes(B1, -1, -2) @ B2, compute_uv=False)
+            assert np.allclose(angle, np.arccos(np.clip(cos[:, -1], -1, 1)), atol=1e-7)
+        else:
+            assert np.all(angle == 0.0)
+
+
+def test_library_never_calls_numpy_linalg():
+    src = Path(linalg.__file__).parent
+    offenders = [
+        p.name
+        for p in sorted(src.rglob("*.py"))
+        if "numpy.linalg" in p.read_text() or "np.linalg" in p.read_text()
+    ]
+    assert offenders == []

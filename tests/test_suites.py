@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isodeform import codazzi, deformation, geometry, suites
+from isodeform import codazzi, deformation, expr, geometry, suites
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.report import FAIL, PASS, SKIP
 from isodeform.scene import parse_scene
@@ -223,6 +223,28 @@ def test_sample_pass_builds_jets_and_q_frame_once_per_chunk(monkeypatch):
     assert not rep.failed
     assert jet_orders.count(4) == 3
     assert len(q_frames) == 3
+
+
+def test_sample_pass_evaluates_scalar_pair_once_per_chunk(monkeypatch):
+    # Q, the gh_constraint field and F all read one evaluation of g and h
+    g_ast, h_ast = expr.parse("0*u1", 3), expr.parse("1+0*u2", 3)
+    calls = {"g": 0, "h": 0}
+    eval_jet = expr.eval_jet
+
+    def counting(ast, *args, **kwargs):
+        for name, target in (("g", g_ast), ("h", h_ast)):
+            calls[name] += ast == target
+        return eval_jet(ast, *args, **kwargs)
+
+    monkeypatch.setattr(expr, "eval_jet", counting)
+    scene = parse_scene(
+        "[chart]\ncatalog = sphere3\n[codazzi]\nvariant = gh\n"
+        "g = 0*u1\nh = 1+0*u2\n[run]\nsuites = codazzi, deformation\n"
+    )
+    rep = run_suites(scene, point=[0.6, 0.7, 0.8])
+    assert not rep.failed
+    assert "gh_constraint" in [c.name for c in rep.checks]
+    assert calls == {"g": 1, "h": 1}
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
