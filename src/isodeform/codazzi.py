@@ -20,6 +20,11 @@ Four ways to specify Q are supported:
   commutation and the Codazzi identity are reported as residuals so that
   broken inputs can be detected by the verification suites.
 
+The DSL specs parse their sources once and keep the ASTs.  Q is built as
+jets by ``q_jets`` for the sample, or as values by ``explicit_q_values``
+and ``q_from_scalar_values`` for the path integrands; both routes share one
+g-self-adjointness gate and one gradient-constraint gate.
+
 ``codazzi_frame_from_jets`` extracts pointwise values (Q, its inverse,
 covariant derivative) from the jets of ``q_jets`` with a nonsingularity
 gate, and the ``deformed_*`` functions build the metric g~ = g(Q., Q.),
@@ -29,7 +34,7 @@ closed-form route the deformation theory predicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple, Union
 
 import numpy as np
@@ -45,7 +50,9 @@ from .geometry import (
     SELF_ADJOINT_TOL,
     christoffel_jets,
     curvature_values,
+    jet_partials,
 )
+from .expr import ExprAst
 from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
 from .linalg import NotSPDError, cholesky_spd, jacobi_svd, solve
 
@@ -60,8 +67,19 @@ class Parallel:
 
 @dataclass(frozen=True)
 class GHPair:
+    """Q = Hess(g) - h A from DSL sources; ``asts(n)`` parses them once per n."""
+
     g_source: str
     h_source: str
+    _parsed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def asts(self, n: int) -> Tuple[ExprAst, ExprAst]:
+        """(g, h) parsed for an n-variable chart."""
+        if n not in self._parsed:
+            self._parsed[n] = (
+                exprmod.parse(self.g_source, n), exprmod.parse(self.h_source, n)
+            )
+        return self._parsed[n]
 
 
 @dataclass(frozen=True)
@@ -71,7 +89,25 @@ class MinusA:
 
 @dataclass(frozen=True)
 class Explicit:
+    """Q^k_j given entrywise; the entries are parsed once, when it is built."""
+
     entries: Tuple[Tuple[str, ...], ...]  # row k gives Q^k_1 .. Q^k_n
+    _parsed: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.entries)
+        object.__setattr__(self, "_parsed", tuple(
+            tuple(exprmod.parse(e, n) for e in row) for row in self.entries
+        ))
+
+    def asts(self, n: int) -> Tuple[Tuple[ExprAst, ...], ...]:
+        """The n x n entry ASTs; ValueError when the entries are not n x n."""
+        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+            raise ValueError(
+                f"explicit Q needs {n}x{n} entries, got "
+                f"{len(self.entries)} rows"
+            )
+        return self._parsed
 
 
 CodazziSpec = Union[Parallel, GHPair, MinusA, Explicit]
@@ -90,9 +126,7 @@ def _identity_minus(cj: ChartJets, scale: float) -> np.ndarray:
 
 def gh_pair_jets(cj: ChartJets, spec: GHPair) -> Tuple[JetScalar, JetScalar]:
     """Evaluate the scalar pair at full jet order."""
-    n = cj.n
-    g_ast = exprmod.parse(spec.g_source, n)
-    h_ast = exprmod.parse(spec.h_source, n)
+    g_ast, h_ast = spec.asts(cj.n)
     return (
         exprmod.eval_jet(g_ast, cj.u, cj.order),
         exprmod.eval_jet(h_ast, cj.u, cj.order),
@@ -100,23 +134,28 @@ def gh_pair_jets(cj: ChartJets, spec: GHPair) -> Tuple[JetScalar, JetScalar]:
 
 
 def gh_constraint_residual_field(
-    cj: ChartJets, s: JetScalar, h: JetScalar
+    A: np.ndarray, g: np.ndarray, grad_s: np.ndarray, grad_h: np.ndarray
 ) -> np.ndarray:
-    """|A(grad g) + grad h|_g per point, relative to the gradient sizes.
+    """|A(grad s) + grad h|_g per point, relative to the gradient sizes.
 
-    The pair induces a Codazzi, commuting Q exactly when this vanishes.
+    Float stacks: A and g (*b, n, n), the contravariant gradients (*b, n).
+    The pair induces a Codazzi, commuting Q exactly when this vanishes, so
+    it is the one gate of both routes to Q: raises HypothesisError when the
+    residual exceeds GH_CONSTRAINT_TOL anywhere.
     """
-    Av = _move(values(cj.Ajet), 2)
-    gv = _move(values(cj.gjet), 2)
-    grad_g = _move(values(cj.scalar_grad_jets(s)), 1)
-    grad_h = _move(values(cj.scalar_grad_jets(h)), 1)
-    mism = np.einsum("...kj,...j->...k", Av, grad_g) + grad_h
+    mism = np.einsum("...kj,...j->...k", A, grad_s) + grad_h
 
     def gn(vec):
-        return np.sqrt(np.einsum("...i,...ij,...j->...", vec, gv, vec))
+        return np.sqrt(np.einsum("...i,...ij,...j->...", vec, g, vec))
 
-    scale = 1.0 + gn(grad_g) + gn(grad_h)
-    return gn(mism) / scale
+    resid = gn(mism) / (1.0 + gn(grad_s) + gn(grad_h))
+    worst = float(resid.max())
+    if worst > GH_CONSTRAINT_TOL:
+        raise HypothesisError(
+            "scalar pair violates the gradient constraint "
+            f"A(grad g) = -grad h: residual {worst:.3e} > {GH_CONSTRAINT_TOL}"
+        )
+    return resid
 
 
 def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
@@ -139,17 +178,12 @@ def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
     if isinstance(spec, GHPair):
         return q_from_scalar_jets(cj, *gh_pair_jets(cj, spec))[0]
     if isinstance(spec, Explicit):
-        if len(spec.entries) != n or any(len(r) != n for r in spec.entries):
-            raise ValueError(
-                f"explicit Q needs {n}x{n} entries, got "
-                f"{len(spec.entries)} rows"
-            )
+        asts = spec.asts(n)
         Q = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(n):
-                ast = exprmod.parse(spec.entries[i][j], n)
-                Q[i, j] = exprmod.eval_jet(ast, cj.u, cj.order - 2)
-        _check_explicit_self_adjoint(cj, Q)
+                Q[i, j] = exprmod.eval_jet(asts[i][j], cj.u, cj.order - 2)
+        _check_explicit_self_adjoint(_move(values(cj.gjet), 2), _move(values(Q), 2))
         return Q
     raise TypeError(f"unknown Codazzi spec {spec!r}")
 
@@ -162,13 +196,12 @@ def q_from_scalar_jets(
 
     Raises HypothesisError when the constraint fails; see ``GHPair``.
     """
-    field = gh_constraint_residual_field(cj, s, h)
-    worst = float(field.max())
-    if worst > GH_CONSTRAINT_TOL:
-        raise HypothesisError(
-            "scalar pair violates the gradient constraint "
-            f"A(grad g) = -grad h: residual {worst:.3e} > {GH_CONSTRAINT_TOL}"
-        )
+    gh_field = gh_constraint_residual_field(
+        _move(values(cj.Ajet), 2),
+        _move(values(cj.gjet), 2),
+        _move(values(cj.scalar_grad_jets(s)), 1),
+        _move(values(cj.scalar_grad_jets(h)), 1),
+    )
     n = cj.n
     hess = cj.scalar_hess_jets(s)
     ht = h.truncated(cj.order - 2)
@@ -177,19 +210,62 @@ def q_from_scalar_jets(
     for i in range(n):
         for j in range(n):
             Q[i, j] = hess[i, j] - ht * A[i, j]
-    return Q, field
+    return Q, gh_field
 
 
-def _check_explicit_self_adjoint(cj: ChartJets, Q: np.ndarray) -> None:
-    gv = _move(values(cj.gjet), 2)
-    Qv = _move(values(Q), 2)
-    gQ = np.einsum("...ik,...kj->...ij", gv, Qv)
+def _check_explicit_self_adjoint(g: np.ndarray, Q: np.ndarray) -> None:
+    """Raise HypothesisError unless the float stack Q is g-self-adjoint."""
+    gQ = np.einsum("...ik,...kj->...ij", g, Q)
     scale = max(1.0, float(np.abs(gQ).max()))
     worst = float(np.abs(gQ - gQ.swapaxes(-1, -2)).max())
     if worst > SELF_ADJOINT_TOL * scale:
         raise HypothesisError(
             f"explicit Q is not g-self-adjoint: |gQ - (gQ)^T| = {worst:.3e}"
         )
+
+
+# ------------------------------------------------------------ values only
+#
+# The path integrands need Q's values at each quadrature node and nothing
+# else.  These build them in floats from the chart's J and d2f, through the
+# same gates as ``q_jets``, with the same exception classes.
+
+
+def explicit_q_values(spec: Explicit, u: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Q (*batch, n, n) of an explicit spec at points u, by ``eval_value``,
+    gated on g-self-adjointness with g = J^T J."""
+    n = u.shape[-1]
+    asts = spec.asts(n)
+    Q = np.empty(u.shape[:-1] + (n, n))
+    for i in range(n):
+        for j in range(n):
+            Q[..., i, j] = exprmod.eval_value(asts[i][j], u)
+    _check_explicit_self_adjoint(np.einsum("...pi,...pj->...ij", J, J), Q)
+    return Q
+
+
+def q_from_scalar_values(
+    J: np.ndarray,
+    d2f: np.ndarray,
+    g: np.ndarray,
+    A: np.ndarray,
+    s: JetScalar,
+    h: JetScalar,
+) -> np.ndarray:
+    """Q = Hess(s) - h A (*batch, n, n) in floats, gated like the jet route.
+
+    Reads the values of ds, d2s, h and dh off the pair's jets; with
+    Gamma^k_ij = g^{kl} <d_l f, d_i d_j f>, Hess s = g^{-1}(d2s - Gamma.ds).
+    """
+    batch, n = J.shape[:-2], J.shape[-1]
+    ds, dh = np.moveaxis(jet_partials([s, h], 1, batch), -2, 0)
+    grads = solve(g, np.stack([ds, dh], axis=-1))
+    gh_constraint_residual_field(A, g, grads[..., 0], grads[..., 1])
+    Jd2f = np.einsum("...pl,...pij->...lij", J, d2f).reshape(batch + (n, n * n))
+    Gamma = solve(g, Jd2f).reshape(batch + (n, n, n))
+    d2s = jet_partials([s], 2, batch)[..., 0, :, :]
+    hess = solve(g, d2s - np.einsum("...mil,...m->...il", Gamma, ds))
+    return hess - jet_partials([h], 0, batch)[..., None] * A
 
 
 # ------------------------------------------------------- pointwise values

@@ -11,7 +11,11 @@ which this module pushes through the same jet pipeline as f itself, so
 every geometric quantity of F is computed from scratch rather than assumed.
 For an operator given only entrywise, F is instead recovered by integrating
 the 1-form omega = df o Q along staircase paths; the loop integrals of
-omega measure how far Q is from being integrable at all.
+omega measure how far Q is from being integrable at all.  A path integrand
+needs values only, so at each quadrature node it builds order-2 chart jets
+once, reads J and d2f off their coefficients, and forms Q (and F for the
+extraction covector J^T F) in float stack algebra, under the same gates as
+the jet route on the sample.
 
 ``verify_deformation`` checks the theory's claims about F pointwise on a
 sample: dF = df o Q, induced metric, shape operator A~ = sign(det Q) Q^-1 A
@@ -38,8 +42,10 @@ from .codazzi import (
     Parallel,
     codazzi_frame_from_jets,
     deformed_metric,
+    explicit_q_values,
     gh_pair_jets,
     q_from_scalar_jets,
+    q_from_scalar_values,
     q_jets,
 )
 from . import expr as exprmod
@@ -56,6 +62,8 @@ from .geometry import (
     fd_stencil,
     frame_from_jets,
     grid_axes,
+    jet_partials,
+    metric_normal_values,
 )
 from .jet import JetScalar, values
 from .linalg import (
@@ -162,13 +170,12 @@ def as_pair(source: PairSource) -> Optional[GHPairData]:
     if isinstance(source, MinusA):
         return gh_gauss_translation()
     if isinstance(source, GHPair):
-        g_src, h_src = source.g_source, source.h_source
 
         def g_fn(cj: ChartJets) -> JetScalar:
-            return exprmod.eval_jet(exprmod.parse(g_src, cj.n), cj.u, cj.order)
+            return exprmod.eval_jet(source.asts(cj.n)[0], cj.u, cj.order)
 
         def h_fn(cj: ChartJets) -> JetScalar:
-            return exprmod.eval_jet(exprmod.parse(h_src, cj.n), cj.u, cj.order)
+            return exprmod.eval_jet(source.asts(cj.n)[1], cj.u, cj.order)
 
         return GHPairData(g_fn, h_fn, label="scalar pair")
     if isinstance(source, Explicit):
@@ -203,32 +210,28 @@ def immersion_jets(cj: ChartJets, s: JetScalar, h: JetScalar) -> np.ndarray:
     return F
 
 
-def deformed_chart_jets(cj: ChartJets, source: PairSource) -> ChartJets:
-    """Re-enter the frame pipeline with F's component jets."""
-    pair = as_pair(source)
-    if pair is None:
-        raise ValueError(
-            "closed-form deformation needs a scalar pair; integrate the "
-            "1-form df o Q along paths for explicit operators"
-        )
-    s, h = _pair_jets(cj, pair)
-    return ChartJets(list(immersion_jets(cj, s, h)), cj.u)
-
-
 def closed_form_immersion(
     chart: Chart, source: PairSource
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Pointwise evaluator u -> F(u) for a pair-backed deformation."""
+) -> Callable[[Union[np.ndarray, ChartJets]], np.ndarray]:
+    """Evaluator of a pair-backed deformation's F, values only.
+
+    The evaluator maps points (*batch, n), or the chart's order-2 jets at
+    them when the caller has built those already, to F = J g^{-1} ds + h N
+    there, shape (*batch, dim), with no jet matrices.
+    """
     pair = as_pair(source)
     if pair is None:
         raise ValueError("closed-form evaluation needs a scalar pair source")
 
-    def F_fn(pts: np.ndarray) -> np.ndarray:
-        cj = chart_jets(chart, pts, order=2)
+    def F_fn(x: Union[np.ndarray, ChartJets]) -> np.ndarray:
+        cj = x if isinstance(x, ChartJets) else chart_jets(chart, x, order=2)
         s, h = _pair_jets(cj, pair)
-        Fj = immersion_jets(cj, s, h)
-        vals = values(Fj)  # (dim, *batch)
-        return np.moveaxis(vals, 0, -1)
+        batch = cj.batch_shape
+        J = jet_partials(cj.comps, 1, batch)
+        g, N = metric_normal_values(J)
+        grad = solve(g, jet_partials([s], 1, batch).swapaxes(-1, -2))[..., 0]
+        h_val = jet_partials([h], 0, batch)
+        return np.einsum("...pk,...k->...p", J, grad) + h_val * N
 
     return F_fn
 
@@ -477,15 +480,46 @@ def deformation_check_from_jets(
 # sample grid axis by axis.
 
 
+def _q_values(cj: ChartJets, J: np.ndarray, source: PairSource) -> np.ndarray:
+    """Q (*batch, n, n) of a source at the chart jets' points, values only.
+
+    Reads J (given) and d2f off the chart jets and builds Q in float stack
+    algebra: Id - t A, -A, the explicit entries by ``eval_value``, or
+    Hess s - h A from the pair's jets.  Every gate of ``source_jets`` holds
+    at every point, with the same exception class; on an exactly singular
+    metric that is NotSPDError or DegenerateJacobianError, where the jet
+    route's cofactor inverse raises JetDomainError.
+    """
+    if isinstance(source, Explicit):
+        return explicit_q_values(source, cj.u, J)
+    if isinstance(source, GHPair):
+        pair = gh_pair_jets(cj, source)
+    elif isinstance(source, GHPairData):
+        pair = _pair_jets(cj, source)
+    elif not isinstance(source, (Parallel, MinusA)):
+        raise TypeError(f"unknown deformation source {source!r}")
+    d2f = jet_partials(cj.comps, 2, cj.batch_shape)
+    g, N = metric_normal_values(J)
+    A = solve(g, np.einsum("...p,...pij->...ij", N, d2f))
+    if isinstance(source, Parallel):
+        return np.eye(cj.n) - source.t * A
+    if isinstance(source, MinusA):
+        return -A
+    return q_from_scalar_values(J, d2f, g, A, *pair)
+
+
 def _omega_values(
     chart: Chart, source: PairSource, pts: np.ndarray
 ) -> np.ndarray:
-    """Values of the 1-form omega = df o Q: shape (*batch, dim, n)."""
+    """Values of the 1-form omega = df o Q: shape (*batch, dim, n).
+
+    Values only: one build of order-2 chart jets per slice, whose
+    coefficients give J and d2f, then ``_q_values`` under the same gates as
+    the sample pass.
+    """
     cj = chart_jets(chart, pts, order=2)
-    Jv = np.moveaxis(values(cj.Jjet).astype(float), (0, 1), (-2, -1))
-    qj = source_jets(cj, source)[0]
-    Qv = np.moveaxis(values(qj).astype(float), (0, 1), (-2, -1))
-    return np.einsum("...pk,...kj->...pj", Jv, Qv)
+    J = jet_partials(cj.comps, 1, cj.batch_shape)
+    return np.einsum("...pk,...kj->...pj", J, _q_values(cj, J, source))
 
 
 def _leg_integrals(covector, starts, lengths, ax: int, tol: float) -> np.ndarray:
@@ -777,14 +811,16 @@ class GridPair:
 
 def extract_gh(
     chart: Chart,
-    F_fn: Callable[[np.ndarray], np.ndarray],
+    F_fn: Callable[[ChartJets], np.ndarray],
     res,
     tol: float = 1e-10,
 ) -> GridPair:
     """Recover the scalar pair of an immersion with dF = df o Q.
 
-    Decomposes F pointwise into df(Z) + h N, checks that the covector
-    field g(Z, .) is closed via rectangle loop integrals, and integrates
+    ``F_fn`` maps the chart's order-2 jets at a batch of points to F there,
+    as the evaluator of ``closed_form_immersion`` does.  Decomposes F
+    pointwise into df(Z) + h N, checks that the covector field
+    g(Z, .) = J^T F is closed via rectangle loop integrals, and integrates
     it along staircase paths to produce g with g(base corner) = 0.
     """
     axes = grid_axes(chart, res)
@@ -792,15 +828,14 @@ def extract_gh(
     n = chart.n
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     flat = mesh.reshape(-1, n)
-    frame = frame_from_jets(chart_jets(chart, flat, order=2))
-    Fv = F_fn(flat)
-    Z, h = decompose_ambient(frame, Fv)
+    cj = chart_jets(chart, flat, order=2)
+    Z, h = decompose_ambient(frame_from_jets(cj), F_fn(cj))
 
     def zeta_at(pts: np.ndarray) -> np.ndarray:
-        # the covector g(Z, .) as a one-row field, shape (m, 1, n)
-        fr = frame_from_jets(chart_jets(chart, pts, order=2))
-        Zp, _ = decompose_ambient(fr, F_fn(pts))
-        return np.einsum("...ij,...j->...i", fr.g, Zp)[..., None, :]
+        # g(Z, .) = J^T (F - h N) = J^T F as a one-row field, shape (m, 1, n)
+        cj = chart_jets(chart, pts, order=2)
+        J = jet_partials(cj.comps, 1, cj.batch_shape)
+        return np.einsum("...pk,...p->...k", J, F_fn(cj))[..., None, :]
 
     closed = max(
         float(np.abs(_circulation(zeta_at, rect, tol)).max())

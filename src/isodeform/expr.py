@@ -351,11 +351,28 @@ def eval_jet(node: ExprAst, point, order: int) -> JetScalar:
     return ev(node)
 
 
+def _require_positive(v, what: str, span) -> None:
+    """The jet evaluator's domain rule for log, sqrt and non-integer powers."""
+    v = np.asarray(v, dtype=float)
+    if np.any(v <= 0) or not np.all(np.isfinite(v)):
+        raise ExprEvalError(f"{what} of non-positive value {float(np.min(v))}", span)
+
+
+def _require_divisor(v, span) -> None:
+    """The jet evaluator's domain rule for division (and negative powers)."""
+    v = np.asarray(v, dtype=float)
+    if np.any(np.abs(v) <= jetmod.MIN_DIVISOR) or not np.all(np.isfinite(v)):
+        worst = v.flat[int(np.argmin(np.abs(v)))]
+        raise ExprEvalError(f"division by value {float(worst)}", span)
+
+
 def eval_value(node: ExprAst, point):
     """Value-only evaluation on floats or numpy arrays.
 
     Deliberately does not touch the jet machinery: this is the independent
-    route used by the finite-difference oracle.
+    route used by the finite-difference oracle and the path integrands.
+    Domain violations raise ExprEvalError under the jet evaluator's rules,
+    naming the worst offending value.
     """
     point = np.asarray(point, dtype=float)
 
@@ -370,8 +387,8 @@ def eval_value(node: ExprAst, point):
             return -ev(nd.child)
         if isinstance(nd, Call):
             v = ev(nd.arg)
-            if nd.name in ("log", "sqrt") and np.any(np.asarray(v) <= 0):
-                raise ExprEvalError(f"{nd.name} of non-positive value", nd.span)
+            if nd.name in ("log", "sqrt"):
+                _require_positive(v, nd.name, nd.span)
             return getattr(np, nd.name)(v)
         if isinstance(nd, BinOp):
             a = ev(nd.left)
@@ -383,16 +400,17 @@ def eval_value(node: ExprAst, point):
             if nd.op == "*":
                 return a * b
             if nd.op == "/":
-                if np.any(np.abs(np.asarray(b, dtype=float)) <= jetmod.MIN_DIVISOR):
-                    raise ExprEvalError("division by zero", nd.span)
+                _require_divisor(b, nd.span)
                 return a / b
             # ^
+            a = np.asarray(a, dtype=float)
             bb = np.asarray(b, dtype=float)
             if bb.ndim == 0 and float(bb).is_integer():
-                return np.asarray(a, dtype=float) ** int(bb)
-            if np.any(np.asarray(a, dtype=float) <= 0):
-                raise ExprEvalError("non-integer power of non-positive base", nd.span)
-            return np.asarray(a, dtype=float) ** bb
+                if bb < 0:
+                    _require_divisor(a, nd.span)
+                return a ** int(bb)
+            _require_positive(a, "non-integer power", nd.span)
+            return a ** bb
         raise TypeError(f"not an AST node: {nd!r}")
 
     out = ev(node)

@@ -31,8 +31,14 @@ from . import expr as exprmod
 from . import jet as jetmod
 from .errors import SceneError
 from .expr import ExprAst
-from .jet import JetScalar, d1_values, jet_space, mat_det, mat_inv, mat_mul, values
-from .linalg import DegenerateJacobianError, NotSPDError, cholesky_spd, svd_rank_kernel
+from .jet import JetScalar, d1_values, mat_det, mat_inv, mat_mul, values
+from .linalg import (
+    DegenerateJacobianError,
+    NotSPDError,
+    cholesky_spd,
+    svd_rank_kernel,
+    unit_normal,
+)
 
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
 CHUNK = 1024  # points per batched jet evaluation, which bounds memory
@@ -354,11 +360,9 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     """Extract the numeric frame from the jet pipeline, with validity checks."""
     if cj.order < 2:
         raise FrameError(f"jet order {cj.order} < 2 cannot produce a frame")
-    f = _move(values(np.array(cj.comps, dtype=object)), 1)
-    J = _move(values(cj.Jjet), 2)
+    f, J, d2f = (jet_partials(cj.comps, k, cj.batch_shape) for k in (0, 1, 2))
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(J))):
         raise FrameError("non-finite immersion values or Jacobian")
-    d2f = _move(values(cj.d2jet), 3)
     N = _move(values(cj.Njet), 1)
     dN = _move(d1_values(cj.Njet), 2)
     g = _move(values(cj.gjet), 2)
@@ -385,6 +389,39 @@ def frame_from_jets(cj: ChartJets) -> Frame:
         u=cj.u, order=cj.order, f=f, J=J, d2f=d2f, N=N, dN=dN,
         g=g, g_inv=g_inv, b=b, A=A, Gamma=Gamma, R=R, nablaA=nablaA,
     )
+
+
+# ---------------------------------------------------------------- values only
+#
+# What a path integrand needs at a quadrature node is values, not jets: the
+# partials of f read straight off its coefficients, then float stack algebra
+# through ``linalg`` under the jet pipeline's gates.
+
+
+def jet_partials(jets, k: int, batch_shape) -> np.ndarray:
+    """Order-k partials of scalar jets: floats (*batch_shape, len(jets), n, ...).
+
+    k is 0 (values), 1 or 2, read off the coefficients with no jet arithmetic.
+    A jet that is constant over the batch has batch axes of length 1; they
+    are broadcast to ``batch_shape``.
+    """
+    parts = []
+    for j in jets:
+        d = j.value if k == 0 else j.d1 if k == 1 else j.d2()
+        parts.append(np.broadcast_to(d, d.shape[:k] + tuple(batch_shape)))
+    return _move(np.stack(parts), k + 1)
+
+
+def metric_normal_values(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g = J^T J and the unit normal N from a float Jacobian stack.
+
+    Gated as the jet pipeline is: NotSPDError when g is not positive
+    definite, then DegenerateJacobianError when the normal degenerates.
+    """
+    g = np.einsum("...pi,...pj->...ij", J, J)
+    cholesky_spd(g)
+    return g, unit_normal(J)
+
 
 
 def chart_jets(chart: Chart, u, order: int = 3) -> ChartJets:

@@ -209,8 +209,12 @@ def svd_rank_kernel(A: np.ndarray, tol: float = RANK_RTOL):
     discarded sigmas: (n, n - rank), orthonormal, for one matrix.  Kernels
     are ragged across a stack, so a stack gets every right singular vector,
     (..., n, n) by descending sigma: matrix i's kernel is
-    kernel[i][:, rank[i]:].
+    kernel[i][:, rank[i]:].  Wide matrices (m < n) are refused: their SVD
+    holds only m right singular vectors, too few to span the kernel.
     """
+    shape = np.shape(A)
+    if len(shape) >= 2 and shape[-2] < shape[-1]:
+        raise LinalgError(f"rank and kernel need m >= n, got a wide matrix {shape}")
     _, s, Vt = jacobi_svd(A)
     rank = np.sum(s > tol * s[..., :1], axis=-1)
     V = np.swapaxes(Vt, -1, -2)

@@ -17,8 +17,7 @@ import numpy as np
 from .codazzi import Explicit
 from .deformation import closed_form_immersion, path_integral_immersion
 from .errors import SceneError
-from .geometry import GRID_SHRINK, chart_jets, grid_axes
-from .jet import values
+from .geometry import GRID_SHRINK, chart_jets, grid_axes, jet_partials
 from .scene import Scene
 
 
@@ -79,7 +78,7 @@ def _slice_grid(
 def _surface_values(scene: Scene, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     chart = scene.chart
     cj = chart_jets(chart, pts, order=2)
-    fv = np.moveaxis(values(np.array(cj.comps, dtype=object)), 0, -1)
+    fv = jet_partials(cj.comps, 0, cj.batch_shape)
     if scene.spec is None:
         raise SceneError("missing section: codazzi (mesh exports f and F)")
     if isinstance(scene.spec, Explicit):
@@ -89,7 +88,7 @@ def _surface_values(scene: Scene, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarr
         )
         Fv = path_integral_immersion(chart, scene.spec, base, pts)
     else:
-        Fv = closed_form_immersion(chart, scene.spec)(pts)
+        Fv = closed_form_immersion(chart, scene.spec)(cj)
     return fv, Fv
 
 

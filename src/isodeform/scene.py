@@ -200,7 +200,9 @@ def _parse_codazzi(body: Dict[str, str], chart: Chart) -> CodazziSpec:
         _require_keys("codazzi", body, {"variant", "g", "h"})
         _parse_dsl("codazzi", "g", body["g"], n)
         _parse_dsl("codazzi", "h", body["h"], n)
-        return GHPair(body["g"], body["h"])
+        spec = GHPair(body["g"], body["h"])
+        spec.asts(n)  # parsed here, so a run parses nothing
+        return spec
     if variant == "minusA":
         _require_keys("codazzi", body, {"variant"})
         return MinusA()
@@ -230,11 +232,11 @@ def _center_self_adjoint_warning(chart: Chart, spec: Explicit) -> Optional[str]:
     center = chart.center()
     fr = frame_at(chart, center, order=2)
     n = chart.n
+    asts = spec.asts(n)
     Q = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            ast = exprmod.parse(spec.entries[i][j], n)
-            Q[i, j] = exprmod.eval_value(ast, center)
+            Q[i, j] = exprmod.eval_value(asts[i][j], center)
     gQ = fr.g @ Q
     resid = np.abs(gQ - gQ.T).max()
     scale = max(1.0, np.abs(gQ).max())

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: exit-code contract, report output, JSON, mesh."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -151,6 +152,9 @@ def test_operator_domain_violation_in_mesh_exit_four(tmp_path):
     res = run_cli("mesh", str(p), "--out", str(tmp_path / "q.obj"))
     assert res.returncode == 4
     assert res.stderr.startswith("domain error: log")
+    # the message names the offending value, as a plain number
+    assert re.search(r"-\d+\.\d+", res.stderr)
+    assert "np.float64" not in res.stderr
 
 
 def test_point_mode(good_scene):

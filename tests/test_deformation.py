@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from isodeform import catalog, deformation as dfm
-from isodeform.codazzi import Explicit, Parallel
+from isodeform import catalog, codazzi, deformation as dfm
+from isodeform.codazzi import Explicit, GHPair, MinusA, Parallel
 from isodeform.deformation import (
     KernelMismatchError,
     LoopRect,
@@ -25,7 +25,9 @@ from isodeform.deformation import (
     verify_deformation,
 )
 from isodeform.errors import HypothesisError
-from isodeform.geometry import CHUNK, grid_points
+from isodeform.geometry import CHUNK, chart_jets, grid_points, make_chart
+from isodeform.jet import values
+from isodeform.linalg import DegenerateJacobianError, LinalgError
 
 
 def test_parallel_sphere_closed_form():
@@ -296,3 +298,114 @@ def test_immersion_frame_orders():
     chk = verify_deformation(ch, grid_points(ch, 2), Parallel(1.0), order=4)
     assert chk.frameF.order == 3
     assert chk.frameF.R is not None
+
+
+# ------------------------------------------------- value-only integrands
+
+_PHI = "u1^2 + 2*u2^2 + 3*u3^2"
+_W = "(sqrt(1 + 4*u1^2 + 16*u2^2 + 36*u3^2))"
+
+
+def _graph_explicit(t):
+    # Id - t A of the graph of _PHI, entrywise: the benchmark's explicit Q
+    grad, hess = ("(2*u1)", "(4*u2)", "(6*u3)"), ("2", "4", "6")
+    return Explicit(tuple(
+        tuple(
+            f"{int(k == j)} + {t}*({int(k == j)} - {grad[k]}*{grad[j]}/{_W}^2)"
+            f"*{hess[j]}/{_W}"
+            for j in range(3)
+        )
+        for k in range(3)
+    ))
+
+
+_VALUE_SOURCES = {
+    "parallel": Parallel(0.05),
+    "minusA": MinusA(),
+    "gh": GHPair(
+        f"0.5*(u1^2 + u2^2 + u3^2 + ({_PHI})^2)",
+        f"(2*u1^2 + 4*u2^2 + 6*u3^2 - ({_PHI}))/{_W} + 0.05",
+    ),
+    "parallel_offset": gh_parallel_offset(0.05),
+    "gauss_translation": gh_gauss_translation([0.3, -0.2, 0.5, 0.1]),
+    "explicit": _graph_explicit(0.05),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_SOURCES))
+def test_value_integrand_matches_jet_route(name):
+    # omega from values only must equal J Q with Q from the jet route
+    source = _VALUE_SOURCES[name]
+    ch = catalog.graph3()
+    pts = np.random.default_rng(7).uniform(-0.45, 0.45, (500, 3))
+    cj = chart_jets(ch, pts, order=2)
+    Jv = np.moveaxis(values(cj.Jjet), (0, 1), (-2, -1))
+    Qv = np.moveaxis(values(dfm.source_jets(cj, source)[0]), (0, 1), (-2, -1))
+    expected = np.einsum("...pk,...kj->...pj", Jv, Qv)
+    omega = dfm._omega_values(ch, source, pts)
+    assert omega.shape == (500, 4, 3)
+    assert np.abs(omega - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_value_integrand_keeps_the_gates():
+    # every gate of the jet route still fires at the quadrature nodes
+    plane = catalog.plane2()
+    with pytest.raises(HypothesisError, match="not g-self-adjoint"):
+        path_integral_immersion(
+            plane, Explicit((("1", "u1"), ("0", "1"))), [0.2, 0.2], [0.8, 0.8]
+        )
+    with pytest.raises(HypothesisError, match="gradient constraint"):
+        path_integral_immersion(
+            catalog.sphere3(2.0), GHPair("u1", "u2"), [0.6] * 3, [0.9] * 3
+        )
+    # J has rank 1 on u2 = 0, where the first leg runs
+    ch = make_chart(
+        ["u1 + 0.1*u2", "u1 + 0.1*u2 + u2^2", "u2^3"], [(0, 1), (-0.5, 1)]
+    )
+    with pytest.raises(DegenerateJacobianError):
+        path_integral_immersion(
+            ch, gh_parallel_offset(0.1), [0.5, 0.0], [1.0, 0.5]
+        )
+    for source in (Parallel(0.1), MinusA(), GHPair("0*u1", "1 + 0*u2")):
+        with pytest.raises(LinalgError):
+            path_integral_immersion(ch, source, [0.5, 0.0], [1.0, 0.5])
+
+
+def test_grid_integral_builds_no_q_jets(monkeypatch):
+    calls = []
+    build = codazzi.q_jets
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    for mod in (codazzi, dfm):
+        monkeypatch.setattr(mod, "q_jets", counting)
+    ch = catalog.graph3()
+    for source in (Parallel(0.05), _graph_explicit(0.05)):
+        path_integral_on_grid(ch, source, 3)
+    assert calls == []
+
+
+def test_extract_builds_chart_jets_once_per_slice(monkeypatch):
+    # one chart-jet build per evaluation of F: on the grid, and in every
+    # slice of the covector integrand
+    jets = []
+    build = dfm.chart_jets
+
+    def counting_jets(*args, **kwargs):
+        jets.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(dfm, "chart_jets", counting_jets)
+    ch = catalog.sphere3(2.0)
+    F_fn = closed_form_immersion(ch, Parallel(1.0))
+    slices = []
+
+    def counting_F(cj):
+        slices.append(1)
+        return F_fn(cj)
+
+    extract_gh(ch, counting_F, 3)
+    assert len(slices) > 1
+    assert len(jets) == len(slices)

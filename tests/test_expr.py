@@ -192,6 +192,29 @@ def test_eval_errors_carry_spans():
         eval_jet(ast, [-1.0], 2)
 
 
+@pytest.mark.parametrize(
+    "src,at,value",
+    [
+        ("log(u1)", [-3.0, 2.0], "-3.0"),
+        ("sqrt(u1 - 1)", [2.0, 0.5], "-0.5"),
+        ("u1^0.5", [-0.25, 4.0], "-0.25"),
+        ("1/(u1 - 1)", [1.0, 3.0], "0.0"),
+        ("(u1 - 1)^-2", [3.0, 1.0], "0.0"),
+    ],
+)
+def test_value_domain_errors_name_the_worst_value(src, at, value):
+    # the value evaluator refuses what the jet evaluator refuses, and names
+    # the offending value as a plain float
+    ast = parse(src, 1)
+    pts = np.array(at)[:, None]
+    with pytest.raises(ExprEvalError) as ev:
+        eval_value(ast, pts)
+    with pytest.raises(ExprEvalError):
+        eval_jet(ast, pts, 2)
+    assert f" {value} " in str(ev.value)
+    assert "float64" not in str(ev.value)
+
+
 def test_num_literal_nonnegative_invariant():
     with pytest.raises(ValueError):
         Num(-1.0)

@@ -84,6 +84,17 @@ def test_svd_rank_kernel():
     assert rank == 2
 
 
+def test_svd_rank_kernel_refuses_wide_matrices():
+    # [[1, 2, 3]] has a 2-dimensional kernel, but its SVD holds only one
+    # right singular vector, so neither one matrix nor a stack is answered
+    with pytest.raises(linalg.LinalgError, match=r"\(1, 3\)"):
+        svd_rank_kernel(np.array([[1.0, 2.0, 3.0]]))
+    with pytest.raises(linalg.LinalgError, match=r"\(4, 2, 3\)"):
+        svd_rank_kernel(np.ones((4, 2, 3)))
+    rank, kernel, _ = svd_rank_kernel(np.array([[1.0, 2.0, 3.0]]).T)
+    assert rank == 1 and kernel.shape == (1, 0)
+
+
 def test_generalized_cross_r3_matches_cross():
     rng = np.random.default_rng(3)
     for _ in range(20):

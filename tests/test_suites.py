@@ -8,7 +8,7 @@ import pytest
 from isodeform import codazzi, deformation, expr, geometry, suites
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.report import FAIL, PASS, SKIP
-from isodeform.scene import parse_scene
+from isodeform.scene import load_scene, parse_scene
 from isodeform.suites import DEFAULT_TOL, resolve_tolerances, run_suites
 
 SPHERE = """
@@ -276,3 +276,35 @@ def test_geometry_only_scene_does_not_build_q():
     assert [c.suite for c in rep.checks] == ["geometry"] * 6
     with pytest.raises(HypothesisError, match="not g-self-adjoint"):
         run_suites(dataclasses.replace(scene, suites=("geometry", "codazzi")))
+
+
+@pytest.mark.parametrize(
+    "codazzi_body",
+    [
+        "variant = explicit\nq11 = 1 + 0.05*u1\nq12 = 0\nq13 = 0\n"
+        "q21 = 0\nq22 = 1 + 0.05*u1\nq23 = 0\nq31 = 0\nq32 = 0\n"
+        "q33 = 1 + 0.05*u1\n",
+        "variant = gh\ng = 0*u1\nh = 1 + 0*u2\n",
+    ],
+    ids=["explicit", "gh"],
+)
+def test_run_parses_no_dsl_after_load(tmp_path, monkeypatch, codazzi_body):
+    # the spec keeps the ASTs parsed when the scene was loaded, so neither
+    # the sample pass nor any path integrand parses again
+    path = tmp_path / "scene.scene"
+    path.write_text(
+        f"[chart]\ncatalog = graph3\n[codazzi]\n{codazzi_body}"
+        "[run]\ngrid = 3\nsuites = codazzi, deformation\n"
+    )
+    scene = load_scene(str(path))
+    calls = []
+    parse = expr.parse
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(expr, "parse", counting)
+    rep = run_suites(scene)
+    assert "deformation" in {c.suite for c in rep.checks}
+    assert calls == []
