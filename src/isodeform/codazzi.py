@@ -53,7 +53,7 @@ from .geometry import (
     jet_partials,
 )
 from .expr import ExprAst
-from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
+from .jet import JetScalar, d1_values, mat_det, mat_inv, mat_mul, values
 from .linalg import NotSPDError, cholesky_spd, jacobi_svd, solve
 
 GH_CONSTRAINT_TOL = 1e-8
@@ -370,10 +370,10 @@ def deformed_metric_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
 def deformed_christoffel_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols of the deformed metric, from its jets."""
     gt = deformed_metric_jets(cj, qj)
-    gt_inv, det = mat_inv(gt)
+    det = mat_det(gt)
     if np.any(values(det) <= 0.0):
         raise HypothesisError("deformed metric is singular on the sample")
-    return christoffel_jets(gt, gt_inv)
+    return christoffel_jets(gt, mat_inv(gt, det)[0])
 
 
 def deformed_connection_residual_field(

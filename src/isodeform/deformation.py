@@ -98,12 +98,15 @@ class GHPairData:
     """A scalar pair given as jet-building callables.
 
     ``g_fn`` must return a jet at the chart jets' full order; ``h_fn`` at
-    order >= K-1.  ``label`` names the pair in reports.
+    order >= K-1.  ``label`` names the pair in reports.  ``h_value``, when
+    given, maps the chart jets and the float unit normal (*batch, dim) to
+    the values of h, so the closed-form F needs no jets of h.
     """
 
     g_fn: Callable[[ChartJets], JetScalar]
     h_fn: Callable[[ChartJets], JetScalar]
     label: str = "pair"
+    h_value: Optional[Callable[[ChartJets, np.ndarray], np.ndarray]] = None
 
 
 def gh_parallel_offset(t: float) -> GHPairData:
@@ -123,7 +126,11 @@ def gh_parallel_offset(t: float) -> GHPairData:
             acc = term if acc is None else acc + term
         return acc + t
 
-    return GHPairData(g_fn, h_fn, label=f"parallel-offset t={t:g}")
+    def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
+        f = jet_partials(cj.comps, 0, cj.batch_shape)
+        return np.einsum("...p,...p->...", f, N) + t
+
+    return GHPairData(g_fn, h_fn, label=f"parallel-offset t={t:g}", h_value=h_value)
 
 
 def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
@@ -154,8 +161,11 @@ def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
             acc = acc + Np * ai
         return acc + 1.0
 
+    def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
+        return N @ np.asarray(coeffs(cj)) + 1.0
+
     label = "gauss-translation" if avec is None else f"gauss-translation a={avec}"
-    return GHPairData(g_fn, h_fn, label=label)
+    return GHPairData(g_fn, h_fn, label=label, h_value=h_value)
 
 
 PairSource = Union[GHPairData, CodazziSpec]
@@ -225,12 +235,15 @@ def closed_form_immersion(
 
     def F_fn(x: Union[np.ndarray, ChartJets]) -> np.ndarray:
         cj = x if isinstance(x, ChartJets) else chart_jets(chart, x, order=2)
-        s, h = _pair_jets(cj, pair)
         batch = cj.batch_shape
         J = jet_partials(cj.comps, 1, batch)
         g, N = metric_normal_values(J)
-        grad = solve(g, jet_partials([s], 1, batch).swapaxes(-1, -2))[..., 0]
-        h_val = jet_partials([h], 0, batch)
+        ds = jet_partials([pair.g_fn(cj)], 1, batch)
+        grad = solve(g, ds.swapaxes(-1, -2))[..., 0]
+        if pair.h_value is not None:
+            h_val = pair.h_value(cj, N)[..., None]
+        else:
+            h_val = jet_partials([pair.h_fn(cj)], 0, batch)
         return np.einsum("...pk,...k->...p", J, grad) + h_val * N
 
     return F_fn

@@ -176,8 +176,8 @@ class ChartJets:
             raise DegenerateJacobianError(
                 f"normal norm {np.min(norm_val):.3e} below 1e-12 * column-norm product"
             )
-        norm = jetmod.sqrt(normsq)
-        return np.array([cross[k] / norm for k in range(self.n + 1)], dtype=object)
+        rnorm = jetmod.recip(jetmod.sqrt(normsq))
+        return np.array([cross[k] * rnorm for k in range(self.n + 1)], dtype=object)
 
     @cached_property
     def gjet(self):
@@ -192,15 +192,11 @@ class ChartJets:
         return g
 
     @cached_property
-    def _ginv_det(self):
-        inv, det = mat_inv(self.gjet)
+    def ginv_jet(self):
+        det = mat_det(self.gjet)
         if np.any(np.asarray(det.value) <= 0):
             raise NotSPDError(f"det g = {np.min(det.value):.3e} <= 0")
-        return inv, det
-
-    @property
-    def ginv_jet(self):
-        return self._ginv_det[0]
+        return mat_inv(self.gjet, det)[0]
 
     @cached_property
     def d2jet(self):

@@ -15,7 +15,10 @@ stored slot bit-identically.
 
 Coefficient slots are numpy arrays, so a single jet can carry any batch
 shape (e.g. every node of a sample grid at once); scalar use is the empty
-batch.  All operations are elementwise over the batch.
+batch.  All operations are elementwise over the batch.  A product adds the
+coefficient products of each target slot one at a time in a fixed pair
+order, independent of the batch, so each member of a batched product is
+bit-equal to the same product taken alone, broadcast axes included.
 """
 
 from __future__ import annotations
@@ -85,20 +88,29 @@ class JetSpace:
         # number of monomials of degree <= k, for truncation slicing
         self.sizes_by_order = [int(np.sum(self.degrees <= k)) for k in range(order + 1)]
 
-        # multiplication table: all (i, j) with deg_i + deg_j <= order,
-        # sorted by target index so np.add.reduceat does the accumulation
-        pairs = []
+        # multiplication table: all (i, j) with deg_i + deg_j <= order.  A
+        # target's pairs are ranked in (i, j) order; the table lists the
+        # rank-0 pair of every target, then the rank-1 pairs, and so on.
+        # Within a rank the targets run by descending pair count (stable),
+        # so the targets that have a rank-r pair are a prefix of that order.
+        by_target: list[list[tuple[int, int]]] = [[] for _ in range(self.size)]
         for i, a in enumerate(self.monomials):
             for j, b in enumerate(self.monomials):
                 if sum(a) + sum(b) <= order:
-                    tgt = self.index[tuple(x + y for x, y in zip(a, b))]
-                    pairs.append((tgt, i, j))
-        pairs.sort()
-        tgts = np.array([p[0] for p in pairs])
-        self._mul_ii = np.array([p[1] for p in pairs])
-        self._mul_jj = np.array([p[2] for p in pairs])
-        # every target occurs (pair (alpha, 0) always exists)
-        self._mul_starts = np.searchsorted(tgts, np.arange(self.size))
+                    by_target[self.index[tuple(x + y for x, y in zip(a, b))]].append((i, j))
+        counts = np.array([len(p) for p in by_target])
+        perm = np.argsort(-counts, kind="stable")
+        ranked = [
+            [by_target[t][r] for t in perm if counts[t] > r]
+            for r in range(int(counts.max()))
+        ]
+        flat = [p for rank in ranked for p in rank]
+        self._mul_ii = np.array([p[0] for p in flat])
+        self._mul_jj = np.array([p[1] for p in flat])
+        offsets = np.cumsum([len(rank) for rank in ranked])
+        # (start, length) of each rank r >= 1 in the table
+        self._mul_ranks = [(int(o), len(rank)) for o, rank in zip(offsets, ranked[1:])]
+        self._mul_unperm = np.argsort(perm)
 
         # differentiation tables: child coef[beta] = (beta_i+1) * coef[beta+e_i]
         self._diff_src = []
@@ -257,19 +269,23 @@ class JetScalar:
         if isinstance(other, JetScalar):
             self._check(other)
             sp = self.space
-            prod = self.coef[sp._mul_ii] * other.coef[sp._mul_jj]
-            return JetScalar(sp, np.add.reduceat(prod, sp._mul_starts, axis=0))
+            prod = self.coef.take(sp._mul_ii, axis=0) * other.coef.take(sp._mul_jj, axis=0)
+            # each coefficient is summed rank by rank, in pair order
+            out = prod[: sp.size]
+            for start, m in sp._mul_ranks:
+                out[:m] += prod[start : start + m]
+            return JetScalar(sp, out.take(sp._mul_unperm, axis=0))
         return JetScalar(self.space, self.coef * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, JetScalar):
-            return self * _recip(other)
+            return self * recip(other)
         return JetScalar(self.space, self.coef / other)
 
     def __rtruediv__(self, other):
-        return _recip(self) * other
+        return recip(self) * other
 
     def __pow__(self, e):
         if isinstance(e, (int, np.integer)) or (isinstance(e, float) and e.is_integer()):
@@ -300,7 +316,7 @@ def _compose(a: JetScalar, coeffs: list) -> JetScalar:
     return res
 
 
-def _recip(a: JetScalar) -> JetScalar:
+def recip(a: JetScalar) -> JetScalar:
     v = np.asarray(a.value)
     if np.any(np.abs(v) <= MIN_DIVISOR) or not np.all(np.isfinite(v)):
         bad = v.flat[int(np.argmin(np.abs(v)))] if v.size else v
@@ -313,7 +329,7 @@ def _recip(a: JetScalar) -> JetScalar:
 
 def _int_pow(a: JetScalar, e: int) -> JetScalar:
     if e < 0:
-        return _int_pow(_recip(a), -e)
+        return _int_pow(recip(a), -e)
     result = a.space.constant(1.0, batch_ndim=a.coef.ndim - 1)
     base = a
     while e:
@@ -398,18 +414,21 @@ def mat_det(M):
     return acc
 
 
-def mat_inv(M):
+def mat_inv(M, det=None):
     """Adjugate inverse (pivot-free, branch-free: safe for batched jets).
 
-    Returns (inverse, det).  Raising on a non-unit det is the caller's job;
-    division by the det jet already guards against exact underflow.
+    Returns (inverse, det).  A caller that gates det passes in its own
+    ``mat_det(M)`` so the gate runs before any division; the reciprocal of
+    det is formed once and each cofactor is multiplied by it.
     """
     M = np.asarray(M, dtype=object)
     n = M.shape[0]
-    det = mat_det(M)
+    if det is None:
+        det = mat_det(M)
+    rdet = recip(det) if isinstance(det, JetScalar) else 1.0 / det
     inv = np.empty((n, n), dtype=object)
     if n == 1:
-        inv[0, 0] = 1.0 / det if not isinstance(det, JetScalar) else _recip(det)
+        inv[0, 0] = rdet
         return inv, det
     for i in range(n):
         for j in range(n):
@@ -417,7 +436,7 @@ def mat_inv(M):
             cof = mat_det(minor)
             if (i + j) % 2:
                 cof = -cof
-            inv[j, i] = cof / det
+            inv[j, i] = cof * rdet
     return inv, det
 
 

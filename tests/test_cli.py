@@ -1,11 +1,18 @@
 """End-to-end CLI runs: exit-code contract, report output, JSON, mesh."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import isodeform
+
+# the CLI subprocess imports the same isodeform as this test run
+SRC = str(Path(isodeform.__file__).resolve().parents[1])
 
 GOOD = """
 [chart]
@@ -41,11 +48,13 @@ grid = 3
 
 
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
     return subprocess.run(
         [sys.executable, "-m", "isodeform.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")},
     )
 
 

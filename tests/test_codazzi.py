@@ -133,6 +133,11 @@ def test_singular_q_raises():
     qj = q_jets(cj, Parallel(-2.0))  # Id + 2A = 0 on the r=2 sphere
     with pytest.raises(HypothesisError, match="singular"):
         codazzi.codazzi_frame_from_jets(qj, frame)
+    # an exactly singular deformed metric meets its gate before any division
+    cj = chart_jets(catalog.plane2(), [0.3, 0.4], 3)
+    qj = q_jets(cj, Explicit((("1", "0"), ("0", "0"))))
+    with pytest.raises(HypothesisError, match="deformed metric is singular"):
+        codazzi.deformed_christoffel_jets(cj, qj)
 
 
 def test_explicit_rejects_non_self_adjoint():

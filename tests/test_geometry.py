@@ -7,6 +7,7 @@ from isodeform import catalog, expr as exprmod, geometry
 from isodeform.geometry import (
     ChartError,
     DomainError,
+    chart_jets,
     decompose_ambient,
     fd_oracle,
     frame_at,
@@ -16,7 +17,7 @@ from isodeform.geometry import (
     rank_A_field,
     scalar_grad_hess,
 )
-from isodeform.linalg import svd_rank_kernel
+from isodeform.linalg import NotSPDError, svd_rank_kernel
 
 
 # ------------------------------------------------------------ closed forms
@@ -291,6 +292,17 @@ def test_make_chart_rejects_bad_source():
 def test_make_chart_rejects_degenerate():
     with pytest.raises(ChartError):
         make_chart(["u1", "u1", "0"], [(0, 1), (0, 1)])
+
+
+def test_singular_metric_raises_not_spd():
+    # J has rank 1 on u2 = 0, so det g is exactly 0 there: the gate on det
+    # must fire before the cofactor inverse divides by it
+    ch = make_chart(
+        ["u1 + 0.1*u2", "u1 + 0.1*u2 + u2^2", "u2^3"], [(0, 1), (-0.5, 1)]
+    )
+    cj = chart_jets(ch, [[0.3, 0.0]], order=3)
+    with pytest.raises(NotSPDError, match="det g"):
+        cj.ginv_jet
 
 
 def test_make_chart_rejects_bad_domain():

@@ -257,7 +257,7 @@ def _random_jet(sp, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.integers(2, 4), st.integers(0, 10_000))
+@given(st.integers(1, 4), st.integers(2, 4), st.integers(0, 10_000))
 def test_ring_axioms(n, k, seed):
     rng = np.random.default_rng(seed)
     sp = jet_space(n, k)
@@ -291,15 +291,46 @@ def test_division_round_trip(n, seed):
 # ---------------------------------------------------------------- batching
 
 
-def test_batch_matches_scalar_loop_exactly():
-    pts = np.linspace(0.2, 1.4, 7)
-    sp = jet_space(1, 3)
-    xb = sp.variable(0, pts)
-    rb = jet.sin(xb) / (xb * xb + 0.5) + jet.sqrt(xb)
+def _batch_formula(xs):
+    acc = jet.sin(xs[0]) / (xs[-1] * xs[-1] + 0.5) + jet.sqrt(xs[0])
+    for x in xs[1:]:
+        acc = acc * x + jet.cos(x)
+    return acc
+
+
+def _pair_order_product(sp, a, b):
+    """Reference product: each slot summed over (i, j) in loop order."""
+    out = [None] * sp.size
+    for i, x in enumerate(sp.monomials):
+        for j, y in enumerate(sp.monomials):
+            t = sp.index.get(tuple(p + q for p, q in zip(x, y)))
+            if t is not None:
+                out[t] = a[i] * b[j] if out[t] is None else out[t] + a[i] * b[j]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (3, 2), (4, 3), (4, 4)])
+def test_batch_matches_scalar_loop_exactly(n, k):
+    # every member of a batched result is bit-equal to the scalar result,
+    # whatever the batch shape, including broadcast axes of length 1, and
+    # a product sums each slot in pair order
+    rng = np.random.default_rng(10 * n + k)
+    sp = jet_space(n, k)
+    pts = rng.uniform(0.2, 1.4, (7, n))
+    rb = _batch_formula([sp.variable(i, pts[:, i]) for i in range(n)])
     for m, p in enumerate(pts):
-        xs = sp.variable(0, p)
-        rs = jet.sin(xs) / (xs * xs + 0.5) + jet.sqrt(xs)
+        rs = _batch_formula([sp.variable(i, p[i]) for i in range(n)])
         assert np.array_equal(rb.coef[:, m], rs.coef)
+    a = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1, 1)))
+    b = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 3, 5)))
+    a0 = jet.JetScalar(sp, a.coef[:, 0, 0])
+    ab, ba = a * b, b * a
+    assert ab.coef.shape == ba.coef.shape == (sp.size, 3, 5)
+    for i, j in np.ndindex(3, 5):
+        bij = jet.JetScalar(sp, b.coef[:, i, j])
+        assert np.array_equal(ab.coef[:, i, j], (a0 * bij).coef)
+        assert np.array_equal(ba.coef[:, i, j], (bij * a0).coef)
+    assert np.array_equal(ab.coef[:, 0, 0], _pair_order_product(sp, a0.coef, b.coef[:, 0, 0]))
 
 
 def test_batch_domain_error_reports():
