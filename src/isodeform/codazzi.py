@@ -89,16 +89,16 @@ class MinusA:
 
 @dataclass(frozen=True)
 class Explicit:
-    """Q^k_j given entrywise; the entries are parsed once, when it is built."""
+    """Q^k_j given entrywise; the entries are parsed and interned once, when built."""
 
     entries: Tuple[Tuple[str, ...], ...]  # row k gives Q^k_1 .. Q^k_n
     _parsed: tuple = field(init=False, compare=False, repr=False)
+    shared: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.entries)
-        object.__setattr__(self, "_parsed", tuple(
-            tuple(exprmod.parse(e, n) for e in row) for row in self.entries
-        ))
+        parsed, shared = exprmod.intern(self.entries, len(self.entries))
+        object.__setattr__(self, "_parsed", parsed)
+        object.__setattr__(self, "shared", shared)
 
     def asts(self, n: int) -> Tuple[Tuple[ExprAst, ...], ...]:
         """The n x n entry ASTs; ValueError when the entries are not n x n."""
@@ -111,17 +111,6 @@ class Explicit:
 
 
 CodazziSpec = Union[Parallel, GHPair, MinusA, Explicit]
-
-
-def _identity_minus(cj: ChartJets, scale: float) -> np.ndarray:
-    """Jets of Id - scale * A at order K-2."""
-    n = cj.n
-    A = cj.Ajet
-    Q = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            Q[i, j] = (1.0 if i == j else 0.0) - scale * A[i, j]
-    return Q
 
 
 def gh_pair_jets(cj: ChartJets, spec: GHPair) -> Tuple[JetScalar, JetScalar]:
@@ -167,14 +156,12 @@ def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
     """
     n = cj.n
     if isinstance(spec, Parallel):
-        return _identity_minus(cj, spec.t)
-    if isinstance(spec, MinusA):
-        A = cj.Ajet
-        Q = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                Q[i, j] = -A[i, j]
+        A, Q = cj.Ajet, np.empty((n, n), dtype=object)
+        for i, j in np.ndindex(n, n):
+            Q[i, j] = float(i == j) - spec.t * A[i, j]
         return Q
+    if isinstance(spec, MinusA):
+        return -cj.Ajet
     if isinstance(spec, GHPair):
         return q_from_scalar_jets(cj, *gh_pair_jets(cj, spec))[0]
     if isinstance(spec, Explicit):
@@ -232,14 +219,15 @@ def _check_explicit_self_adjoint(g: np.ndarray, Q: np.ndarray) -> None:
 
 
 def explicit_q_values(spec: Explicit, u: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Q (*batch, n, n) of an explicit spec at points u, by ``eval_value``,
-    gated on g-self-adjointness with g = J^T J."""
+    """Q (*batch, n, n) of an explicit spec at points u, by ``eval_value``
+    with shared subtrees once, gated on g-self-adjointness with g = J^T J."""
     n = u.shape[-1]
     asts = spec.asts(n)
+    memo = {k: (uses, None) for k, uses in spec.shared.items()}
     Q = np.empty(u.shape[:-1] + (n, n))
     for i in range(n):
         for j in range(n):
-            Q[..., i, j] = exprmod.eval_value(asts[i][j], u)
+            Q[..., i, j] = exprmod.eval_value(asts[i][j], u, memo)
     _check_explicit_self_adjoint(np.einsum("...pi,...pj->...ij", J, J), Q)
     return Q
 
@@ -355,11 +343,7 @@ def deformed_metric_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
     n = cj.n
     order = qj[0, 0].space.order
     g = _trunc_mat(cj.gjet, order)
-    QT = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            QT[i, j] = qj[j, i]
-    gt = mat_mul(mat_mul(QT, g), qj)
+    gt = mat_mul(mat_mul(qj.T, g), qj)
     for i in range(n):
         for j in range(i + 1, n):
             m = (gt[i, j] + gt[j, i]) * 0.5

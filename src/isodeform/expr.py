@@ -25,7 +25,7 @@ nonnegative ``Num``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -366,17 +366,28 @@ def _require_divisor(v, span) -> None:
         raise ExprEvalError(f"division by value {float(worst)}", span)
 
 
-def eval_value(node: ExprAst, point):
+def eval_value(node: ExprAst, point, memo: dict | None = None):
     """Value-only evaluation on floats or numpy arrays.
 
     Deliberately does not touch the jet machinery: this is the independent
     route used by the finite-difference oracle and the path integrands.
     Domain violations raise ExprEvalError under the jet evaluator's rules,
-    naming the worst offending value.
+    naming the worst offending value.  ``memo`` (see ``intern``) maps node
+    ids to (uses left, value or None) and drops a value after its last use.
     """
     point = np.asarray(point, dtype=float)
 
     def ev(nd):
+        if memo is None or id(nd) not in memo:
+            return ev_node(nd)
+        uses, out = memo.pop(id(nd))
+        if out is None:
+            out = ev_node(nd)
+        if uses > 1:
+            memo[id(nd)] = (uses - 1, out)
+        return out
+
+    def ev_node(nd):
         if isinstance(nd, Num):
             return nd.value
         if isinstance(nd, Pi):
@@ -415,6 +426,25 @@ def eval_value(node: ExprAst, point):
 
     out = ev(node)
     return np.asarray(out, dtype=float) if np.ndim(out) else float(out)
+
+
+def intern(rows, n_vars: int):
+    """Parse rows of sources into ASTs whose equal subtrees (spans aside) are
+    one object, the first in evaluation order so errors keep their offsets;
+    and the use count by id of each non-leaf subtree that evaluating the rows
+    in order repeats."""
+    table, shared = {}, {}
+
+    def canon(nd):
+        slot = table.setdefault(nd, [])  # hashes the subtree once per visit
+        if not slot:
+            kids = {k: canon(v) for k, v in vars(nd).items() if isinstance(v, ExprAst)}
+            slot.append(replace(nd, **kids))
+        elif isinstance(slot[0], (Neg, BinOp, Call)):
+            shared[id(slot[0])] = shared.get(id(slot[0]), 1) + 1
+        return slot[0]
+
+    return tuple(tuple(canon(parse(e, n_vars)) for e in row) for row in rows), shared
 
 
 # AST builders (see the module docstring)

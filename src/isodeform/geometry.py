@@ -527,15 +527,6 @@ def decompose_ambient(frame: Frame, vec) -> tuple[np.ndarray, np.ndarray]:
     return Z, h
 
 
-def scalar_grad_hess(chart: Chart, u, s_ast: ExprAst, order: int = 3):
-    """Contravariant gradient and Hessian operator of a scalar DSL field."""
-    cj = chart_jets(chart, u, order)
-    s = exprmod.eval_jet(s_ast, cj.u, order)
-    grad = _move(values(cj.scalar_grad_jets(s)), 1)
-    hess = _move(values(cj.scalar_hess_jets(s)), 2)
-    return grad, hess
-
-
 def rank_A_field(frame: Frame, tol: float = 1e-9) -> np.ndarray:
     """Pointwise numerical rank of the shape operator."""
     return svd_rank_kernel(frame.A, tol)[0]

@@ -30,6 +30,20 @@ def setup_case(chart, u, spec, order=3):
     return cj, frame, qj, cf
 
 
+def test_parallel_and_minus_a_jets_are_entrywise_exact():
+    # q_jets builds Id - tA and -A (the latter by object-array negation)
+    # with each entry's own jet arithmetic, so the coefficients are equal
+    cj = chart_jets(catalog.graph3(), [[0.1, 0.2, -0.3], [0.2, 0.0, 0.1]], 3)
+    A = cj.Ajet
+    for spec, entry in (
+        (Parallel(0.3), lambda i, j: (1.0 if i == j else 0.0) - 0.3 * A[i, j]),
+        (MinusA(), lambda i, j: -A[i, j]),
+    ):
+        Q = q_jets(cj, spec)
+        for i, j in np.ndindex(3, 3):
+            assert np.array_equal(Q[i, j].coef, entry(i, j).coef)
+
+
 def test_parallel_on_sphere_is_scalar():
     # A = -Id/r, so Q = Id - tA = (1 + t/r) Id
     ch = catalog.sphere3(2.0)
@@ -200,3 +214,18 @@ def test_explicit_entry_shape_checked():
     cj = chart_jets(ch, [0.3, 0.4], 3)
     with pytest.raises(ValueError, match="entries"):
         q_jets(cj, Explicit((("1",),)))
+
+
+def test_explicit_shared_subtree_error_keeps_its_offset():
+    # log(u1 - 5) occurs in both diagonal entries, at offsets 6 and 0; once
+    # interned it is one node, and the error still names the first occurrence
+    # in evaluation order, as evaluating the entries one by one does
+    spec = Explicit((("1 + 2*log(u1 - 5)", "0"), ("0", "log(u1 - 5)")))
+    assert spec.asts(2)[0][0].right.right is spec.asts(2)[1][1]
+    u = np.array([[0.3, 0.4], [0.5, 0.6]])
+    with pytest.raises(exprmod.ExprEvalError) as alone:
+        exprmod.eval_value(exprmod.parse(spec.entries[0][0], 2), u)
+    with pytest.raises(exprmod.ExprEvalError) as shared:
+        codazzi.explicit_q_values(spec, u, np.tile(np.eye(3, 2), (2, 1, 1)))
+    assert shared.value.span == alone.value.span == (6, 17)
+    assert str(shared.value) == str(alone.value)

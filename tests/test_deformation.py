@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isodeform import catalog, codazzi, deformation as dfm
+from isodeform import catalog, codazzi, deformation as dfm, expr as exprmod
 from isodeform.codazzi import Explicit, GHPair, MinusA, Parallel
 from isodeform.deformation import (
     KernelMismatchError,
@@ -25,7 +25,7 @@ from isodeform.deformation import (
     verify_deformation,
 )
 from isodeform.errors import HypothesisError
-from isodeform.geometry import CHUNK, chart_jets, grid_points, make_chart
+from isodeform.geometry import CHUNK, chart_jets, grid_points, jet_partials, make_chart
 from isodeform.jet import values
 from isodeform.linalg import DegenerateJacobianError, LinalgError
 
@@ -409,3 +409,45 @@ def test_extract_builds_chart_jets_once_per_slice(monkeypatch):
     extract_gh(ch, counting_F, 3)
     assert len(slices) > 1
     assert len(jets) == len(slices)
+
+
+def test_sphere_grid_integral_takes_one_panel_per_segment(monkeypatch):
+    # omega is analytic on every leg, so each segment is accepted on the
+    # Legendre tail of its first 16-node panel
+    nodes = []
+    integrate = dfm.integrate_segment
+
+    def counting(fn, *args, **kwargs):
+        calls = []
+
+        def counted(t):
+            calls.append(len(t))
+            return fn(t)
+
+        out = integrate(counted, *args, **kwargs)
+        nodes.append(sum(calls))
+        return out
+
+    monkeypatch.setattr(dfm, "integrate_segment", counting)
+    path_integral_on_grid(catalog.sphere3(2.0), Parallel(1.0), 5)
+    assert len(nodes) == 3 and set(nodes) == {16}
+
+
+def test_explicit_values_share_subtrees_bit_identically():
+    source = _graph_explicit(0.05)
+    assert source.shared
+    ch = catalog.graph3()
+    pts = np.random.default_rng(3).uniform(-0.45, 0.45, (400, 3))
+    cj = chart_jets(ch, pts, order=2)
+    J = jet_partials(cj.comps, 1, cj.batch_shape)
+    Q = codazzi.explicit_q_values(source, pts, J)
+    for i, row in enumerate(source.entries):
+        for j, text in enumerate(row):
+            alone = exprmod.eval_value(exprmod.parse(text, 3), pts)
+            assert np.array_equal(Q[..., i, j], alone)
+    # the use counts are exact: each shared value is dropped after its last use
+    memo = {k: (uses, None) for k, uses in source.shared.items()}
+    for row in source.asts(3):
+        for ast in row:
+            exprmod.eval_value(ast, pts, memo)
+    assert memo == {}

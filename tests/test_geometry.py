@@ -15,8 +15,8 @@ from isodeform.geometry import (
     grid_points,
     make_chart,
     rank_A_field,
-    scalar_grad_hess,
 )
+from isodeform.jet import values
 from isodeform.linalg import NotSPDError, svd_rank_kernel
 
 
@@ -184,11 +184,19 @@ def test_decompose_ambient_batched():
     assert np.allclose(h, 1.0, atol=1e-12)
 
 
+def _scalar_grad_hess(chart, u, s_ast):
+    """Contravariant gradient and Hessian operator of a scalar DSL field at
+    one point, from order-3 chart jets."""
+    cj = chart_jets(chart, u, 3)
+    s = exprmod.eval_jet(s_ast, cj.u, 3)
+    return values(cj.scalar_grad_jets(s)), values(cj.scalar_hess_jets(s))
+
+
 def test_scalar_grad_hess_vs_hand_derivatives():
     ch = catalog.graph3()
     u = np.array([0.2, -0.1, 0.3])
     s_ast = exprmod.parse("u1^2*u2 + 0.3*u3", 3)
-    grad, hess = scalar_grad_hess(ch, u, s_ast)
+    grad, hess = _scalar_grad_hess(ch, u, s_ast)
     fr = frame_at(ch, u)
     ds = np.array([2 * u[0] * u[1], u[0] ** 2, 0.3])
     dds = np.array([[2 * u[1], 2 * u[0], 0], [2 * u[0], 0, 0], [0, 0, 0.0]])
@@ -209,7 +217,7 @@ def test_position_hessian_identity(chart, u):
         term = exprmod.mul(c, c)
         s_sum = term if s_sum is None else exprmod.add(s_sum, term)
     s_ast = exprmod.mul(exprmod.num(0.5), s_sum)
-    grad, hess = scalar_grad_hess(chart, u, s_ast)
+    grad, hess = _scalar_grad_hess(chart, u, s_ast)
     fr = frame_at(chart, np.asarray(u, dtype=float))
     Zf, hf = decompose_ambient(fr, fr.f)
     assert np.allclose(grad, Zf, atol=1e-11)
