@@ -53,7 +53,7 @@ from .geometry import (
     jet_partials,
 )
 from .expr import ExprAst
-from .jet import JetScalar, d1_values, mat_det, mat_inv, mat_mul, values
+from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
 from .linalg import NotSPDError, cholesky_spd, jacobi_svd, solve
 
 GH_CONSTRAINT_TOL = 1e-8
@@ -352,26 +352,32 @@ def deformed_metric_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
 
 
 def deformed_christoffel_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
-    """Levi-Civita symbols of the deformed metric, from its jets."""
+    """Levi-Civita symbols of the deformed metric, from its jets.
+
+    Build them once and pass them to both deformed residual fields.
+    """
     gt = deformed_metric_jets(cj, qj)
-    det = mat_det(gt)
-    if np.any(values(det) <= 0.0):
-        raise HypothesisError("deformed metric is singular on the sample")
-    return christoffel_jets(gt, mat_inv(gt, det)[0])
+
+    def gate(det):
+        if np.any(values(det) <= 0.0):
+            raise HypothesisError("deformed metric is singular on the sample")
+
+    return christoffel_jets(gt, mat_inv(gt, gate)[0])
 
 
 def deformed_connection_residual_field(
-    cj: ChartJets, frame: Frame, cf: CodazziFrame, qj: np.ndarray
+    cj: ChartJets, frame: Frame, cf: CodazziFrame, Gt: np.ndarray
 ) -> np.ndarray:
     """Two routes to the deformed connection must agree.
 
-    Route 1 differentiates the deformed metric (pure Riemannian geometry);
-    route 2 is the closed form Gamma~^k_ij = (Q^-1)^k_m (d_i Q^m_j +
-    Gamma^m_il Q^l_j) predicted for commuting Codazzi operators.
+    Route 1 differentiates the deformed metric (pure Riemannian geometry):
+    ``Gt`` is ``deformed_christoffel_jets(cj, qj)``.  Route 2 is the closed
+    form Gamma~^k_ij = (Q^-1)^k_m (d_i Q^m_j + Gamma^m_il Q^l_j) predicted
+    for commuting Codazzi operators.
     """
     if cj.order < 3:
         raise FrameError("deformed connection needs jet order >= 3")
-    G1 = _move(values(deformed_christoffel_jets(cj, qj)), 3)
+    G1 = _move(values(Gt), 3)
     dQ_kij = np.einsum("...kji->...kij", cf.dQ)
     term = dQ_kij + np.einsum("...mil,...lj->...mij", frame.Gamma, cf.Q)
     G2 = np.einsum("...km,...mij->...kij", cf.Q_inv, term)
@@ -383,17 +389,17 @@ def deformed_connection_residual_field(
 
 
 def deformed_curvature_residual_field(
-    cj: ChartJets, frame: Frame, cf: CodazziFrame, qj: np.ndarray
+    cj: ChartJets, frame: Frame, cf: CodazziFrame, Gt: np.ndarray
 ) -> np.ndarray:
     """|R~ - Q^-1 R(.,.) Q| per point, max over all components.
 
-    R~ comes from differentiating the deformed Christoffel symbols; the
-    conjugated tensor is the closed form the deformation theory predicts.
-    Needs jet order 4.
+    R~ comes from differentiating the deformed Christoffel symbols ``Gt``
+    (``deformed_christoffel_jets``); the conjugated tensor is the closed
+    form the deformation theory predicts.  Needs jet order 4.
     """
     if cj.order < 4:
         raise FrameError("deformed curvature needs jet order 4")
-    Rt = curvature_values(deformed_christoffel_jets(cj, qj))
+    Rt = curvature_values(Gt)
     conj = np.einsum(
         "...lm,...msij,...sk->...lkij", cf.Q_inv, frame.R, cf.Q
     )

@@ -31,10 +31,11 @@ from . import expr as exprmod
 from . import jet as jetmod
 from .errors import SceneError
 from .expr import ExprAst
-from .jet import JetScalar, d1_values, mat_det, mat_inv, mat_mul, values
+from .jet import JetScalar, cross_product, d1_values, mat_inv, mat_mul, values
 from .linalg import (
     DegenerateJacobianError,
     NotSPDError,
+    check_cross_norm,
     cholesky_spd,
     svd_rank_kernel,
     unit_normal,
@@ -161,21 +162,11 @@ class ChartJets:
     @cached_property
     def Njet(self):
         J = self.Jjet
-        cross = np.empty(self.n + 1, dtype=object)
-        for k in range(self.n + 1):
-            rows = [r for r in range(self.n + 1) if r != k]
-            d = mat_det(J[rows, :])
-            cross[k] = d if k % 2 == 0 else -d
+        cross = cross_product(lambda r, c: J[r, c], self.n)
         normsq = cross[0] * cross[0]
         for k in range(1, self.n + 1):
             normsq = normsq + cross[k] * cross[k]
-        norm_val = np.sqrt(np.asarray(normsq.value))
-        Jv = values(J)  # (n+1, n, *batch)
-        colnorm = np.prod(np.sqrt(np.sum(Jv * Jv, axis=0)), axis=0)
-        if np.any(norm_val <= 1e-12 * colnorm):
-            raise DegenerateJacobianError(
-                f"normal norm {np.min(norm_val):.3e} below 1e-12 * column-norm product"
-            )
+        check_cross_norm(np.sqrt(np.asarray(normsq.value)), _move(values(J), 2))
         rnorm = jetmod.recip(jetmod.sqrt(normsq))
         return np.array([cross[k] * rnorm for k in range(self.n + 1)], dtype=object)
 
@@ -193,32 +184,23 @@ class ChartJets:
 
     @cached_property
     def ginv_jet(self):
-        det = mat_det(self.gjet)
-        if np.any(np.asarray(det.value) <= 0):
-            raise NotSPDError(f"det g = {np.min(det.value):.3e} <= 0")
-        return mat_inv(self.gjet, det)[0]
+        def gate(det):
+            if np.any(np.asarray(det.value) <= 0):
+                raise NotSPDError(f"det g = {np.min(det.value):.3e} <= 0")
 
-    @cached_property
-    def d2jet(self):
-        """Second-derivative jets of the components, shape (n+1, n, n)."""
-        out = np.empty((self.n + 1, self.n, self.n), dtype=object)
-        for p in range(self.n + 1):
-            for i in range(self.n):
-                di = self.comps[p].diff(i)
-                for j in range(i, self.n):
-                    out[p, i, j] = out[p, j, i] = di.diff(j)
-        return out
+        return mat_inv(self.gjet, gate)[0]
 
     @cached_property
     def bjet(self):
-        Nt = [nj.truncated(self.order - 2) for nj in self.Njet]
-        d2 = self.d2jet
+        # the second derivatives d_i d_j f_p are read here only, so they are
+        # built per entry and not kept
+        J, Nt = self.Jjet, [nj.truncated(self.order - 2) for nj in self.Njet]
         b = np.empty((self.n, self.n), dtype=object)
         for i in range(self.n):
             for j in range(i, self.n):
-                acc = d2[0, i, j] * Nt[0]
+                acc = J[0, i].diff(j) * Nt[0]
                 for p in range(1, self.n + 1):
-                    acc = acc + d2[p, i, j] * Nt[p]
+                    acc = acc + J[p, i].diff(j) * Nt[p]
                 b[i, j] = b[j, i] = acc
         return b
 

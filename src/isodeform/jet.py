@@ -19,6 +19,21 @@ batch.  All operations are elementwise over the batch.  A product adds the
 coefficient products of each target slot one at a time in a fixed pair
 order, independent of the batch, so each member of a batched product is
 bit-equal to the same product taken alone, broadcast axes included.
+
+The product kernel has two paths with the same sums.  When the pair table
+times the batch size fits in GATHER_BUDGET doubles, both operands are
+gathered for the whole table at once and the ranks are added as slices of
+that one temporary.  Above the budget (order-3 and order-4 jets in four
+variables at a sample chunk of 1024 points), the pairs are gathered,
+multiplied and added one rank at a time, so no temporary grows past one
+rank: a temporary of many megabytes costs more than the extra numpy calls.
+
+Determinants, the adjugate inverse and the generalized cross product go
+through one memoized minor expansion (``minor_dets``): every minor is
+expanded along its first row, a sub-minor shared by several expansions is
+computed once and freed after its last read, and each result is bit-equal
+to the plain recursive expansion.  It works on any commutative ring, so
+the float normal in ``linalg`` uses it too.
 """
 
 from __future__ import annotations
@@ -29,6 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 MIN_DIVISOR = 1e-300  # underflow guard for division by a jet
+# doubles of coefficient products a jet product may gather at once (512 KB)
+GATHER_BUDGET = 2**16
 
 _MAX_ORDER = 4
 
@@ -110,6 +127,11 @@ class JetSpace:
         offsets = np.cumsum([len(rank) for rank in ranked])
         # (start, length) of each rank r >= 1 in the table
         self._mul_ranks = [(int(o), len(rank)) for o, rank in zip(offsets, ranked[1:])]
+        # the (i, j) index arrays of each rank, rank 0 first
+        self._mul_rank_pairs = [
+            (self._mul_ii[s : s + m], self._mul_jj[s : s + m])
+            for s, m in [(0, self.size)] + self._mul_ranks
+        ]
         self._mul_unperm = np.argsort(perm)
 
         # differentiation tables: child coef[beta] = (beta_i+1) * coef[beta+e_i]
@@ -269,11 +291,19 @@ class JetScalar:
         if isinstance(other, JetScalar):
             self._check(other)
             sp = self.space
-            prod = self.coef.take(sp._mul_ii, axis=0) * other.coef.take(sp._mul_jj, axis=0)
+            a, b = self.coef, other.coef
+            batch = (a.size if a.shape == b.shape else np.broadcast(a, b).size) // sp.size
             # each coefficient is summed rank by rank, in pair order
-            out = prod[: sp.size]
-            for start, m in sp._mul_ranks:
-                out[:m] += prod[start : start + m]
+            if len(sp._mul_ii) * batch <= GATHER_BUDGET:
+                prod = a.take(sp._mul_ii, axis=0) * b.take(sp._mul_jj, axis=0)
+                out = prod[: sp.size]
+                for start, m in sp._mul_ranks:
+                    out[:m] += prod[start : start + m]
+            else:
+                (ii, jj), *ranks = sp._mul_rank_pairs
+                out = a.take(ii, axis=0) * b.take(jj, axis=0)
+                for ii, jj in ranks:
+                    out[: len(ii)] += a.take(ii, axis=0) * b.take(jj, axis=0)
             return JetScalar(sp, out.take(sp._mul_unperm, axis=0))
         return JetScalar(self.space, self.coef * other)
 
@@ -392,39 +422,104 @@ def powf(a: JetScalar, r: float, _domain_checked: bool = False) -> JetScalar:
 # -- small matrix algebra over the jet ring ---------------------------------
 #
 # These work for any commutative-ring elements supporting + - * (and / for
-# the inverse), in particular plain floats and JetScalar, held in numpy
-# object arrays or nested lists.  Dimensions here are tiny (n <= 5), so
-# cofactor expansion is both exact and fast.
+# the inverse), in particular plain floats, float arrays and JetScalar, held
+# in numpy object arrays or nested lists.  Dimensions here are tiny (n <= 5),
+# so cofactor expansion is both exact and fast.
+
+
+@lru_cache(maxsize=None)
+def _minor_reads(targets: tuple) -> dict:
+    """How often ``minor_dets`` reads each minor of two rows or more."""
+    reads: dict = {}
+
+    def visit(rows, cols):
+        if len(rows) < 2:
+            return
+        reads[rows, cols] = reads.get((rows, cols), 0) + 1
+        if reads[rows, cols] == 1 and len(rows) > 2:
+            for j in range(len(cols)):
+                visit(rows[1:], cols[:j] + cols[j + 1 :])
+
+    for rows, cols in targets:
+        visit(rows, cols)
+    return reads
+
+
+def minor_dets(entry, targets: tuple):
+    """Yield the determinant of each minor in ``targets``, in order.
+
+    A minor is (row indices, column indices), both ascending, and ``entry(r,
+    c)`` gives the matrix entry.  Each minor is expanded along its first
+    row, so every determinant is bit-equal to ``mat_det`` of the minor taken
+    alone; a sub-minor shared by several expansions is computed once and
+    dropped after its last read.  The generator is lazy: a target's minors
+    are computed only when it is asked for.
+    """
+    uses = dict(_minor_reads(targets))
+    memo: dict = {}
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return entry(rows[0], cols[0])
+        key = (rows, cols)
+        out = memo.pop(key, None)
+        if out is None:
+            if len(rows) == 2:
+                (r, s), (a, b) = rows, cols
+                out = entry(r, a) * entry(s, b) - entry(r, b) * entry(s, a)
+            else:
+                for j, c in enumerate(cols):
+                    term = entry(rows[0], c) * det(rows[1:], cols[:j] + cols[j + 1 :])
+                    if j % 2:
+                        term = -term
+                    out = term if j == 0 else out + term
+        uses[key] -= 1
+        if uses[key]:
+            memo[key] = out
+        return out
+
+    for rows, cols in targets:
+        yield det(rows, cols)
+
+
+def _without(k: int, n: int) -> tuple:
+    return tuple(i for i in range(n) if i != k)
+
+
+def cross_product(entry, n: int) -> list:
+    """Generalized cross product of the n columns of an (n+1) x n matrix.
+
+    v_k = (-1)^k det(the matrix with row k deleted), 0-based k, with
+    ``entry`` as in ``minor_dets``: orthogonal to every column, with norm
+    sqrt(det(J^T J)).
+    """
+    cols = tuple(range(n))
+    dets = minor_dets(entry, tuple((_without(k, n + 1), cols) for k in range(n + 1)))
+    return [-d if k % 2 else d for k, d in enumerate(dets)]
 
 
 def mat_det(M):
     M = np.asarray(M, dtype=object)
-    n = M.shape[0]
-    if n == 1:
-        return M[0, 0]
-    if n == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    acc = None
-    for j in range(n):
-        minor = np.delete(np.delete(M, 0, axis=0), j, axis=1)
-        term = M[0, j] * mat_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    full = tuple(range(M.shape[0]))
+    return next(minor_dets(lambda r, c: M[r, c], ((full, full),)))
 
 
-def mat_inv(M, det=None):
+def mat_inv(M, gate=None):
     """Adjugate inverse (pivot-free, branch-free: safe for batched jets).
 
-    Returns (inverse, det).  A caller that gates det passes in its own
-    ``mat_det(M)`` so the gate runs before any division; the reciprocal of
-    det is formed once and each cofactor is multiplied by it.
+    Returns (inverse, det).  The cofactors share their minors with det.  A
+    caller that gates det passes ``gate``, which is called on det before any
+    division; the reciprocal of det is formed once and each cofactor is
+    multiplied by it.
     """
     M = np.asarray(M, dtype=object)
     n = M.shape[0]
-    if det is None:
-        det = mat_det(M)
+    full = tuple(range(n))
+    cofactors = tuple((_without(i, n), _without(j, n)) for i in range(n) for j in range(n))
+    dets = minor_dets(lambda r, c: M[r, c], ((full, full),) + (cofactors if n > 1 else ()))
+    det = next(dets)
+    if gate is not None:
+        gate(det)
     rdet = recip(det) if isinstance(det, JetScalar) else 1.0 / det
     inv = np.empty((n, n), dtype=object)
     if n == 1:
@@ -432,8 +527,7 @@ def mat_inv(M, det=None):
         return inv, det
     for i in range(n):
         for j in range(n):
-            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
-            cof = mat_det(minor)
+            cof = next(dets)
             if (i + j) % 2:
                 cof = -cof
             inv[j, i] = cof * rdet

@@ -14,13 +14,19 @@ storage and elementwise work, never for its linear algebra.
   column pair (p, q) is rotated in every member of the stack at once; a
   member whose pair is already orthogonal is left exactly as it is, and the
   sweeps stop when no member rotated.
-* The generalized (n-ary) cross product by cofactor expansion, and a
-  Cholesky factorization for the positive-definite gates.
+* The generalized (n-ary) cross product by the memoized first-row minor
+  expansion of ``jet.minor_dets`` (the sub-minors shared by the n + 1
+  minors are computed once), elementwise over the stack, so each member is
+  bit-equal to its own call.  ``check_cross_norm`` is the one
+  degenerate-normal gate, shared with the jet normal.  A Cholesky
+  factorization serves the positive-definite gates.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .jet import cross_product
 
 PIVOT_RTOL = 1e-12
 DET_RTOL = 1e-14
@@ -227,24 +233,30 @@ def generalized_cross(J: np.ndarray) -> np.ndarray:
     """Cross product of the n columns of an (n+1) x n matrix, per matrix.
 
     v_k = (-1)^(k+1) det(J with row k deleted), 1-based k: orthogonal to
-    every column, with norm = sqrt(det(J^T J)).  Raises when the result is
+    every column, with norm = sqrt(det(J^T J)).  The n x n minors share
+    their sub-minors (``jet.cross_product``).  Raises when the result is
     degenerate relative to the column norms (rank-deficient J).
     """
     J = np.asarray(J, dtype=float)
     _check_finite(J, "Jacobian")
     if J.ndim < 2 or J.shape[-2] != J.shape[-1] + 1:
         raise LinalgError(f"expected (n+1) x n, got {J.shape}")
-    rows = J.shape[-2]
-    minors = np.stack([np.delete(J, k, axis=-2) for k in range(rows)], axis=-3)
-    v = det(minors) * (-1) ** np.arange(rows)
+    Jt = np.moveaxis(J, (-2, -1), (0, 1)).copy()
+    v = np.stack(cross_product(lambda r, c: Jt[r, c], J.shape[-1]), axis=-1)
+    check_cross_norm(np.sqrt(_dot(v, v)), J)
+    return v
+
+
+def check_cross_norm(norm, J: np.ndarray) -> None:
+    """The one degenerate-normal gate: raises DegenerateJacobianError where
+    the cross-product norm is at or below CROSS_RTOL times the product of
+    the column norms of J (..., n+1, n)."""
     colnorm = np.prod(np.sqrt(np.sum(J * J, axis=-2)), axis=-1)
-    norm = np.sqrt(_dot(v, v))
     if np.any(norm <= CROSS_RTOL * colnorm):
         raise DegenerateJacobianError(
             f"cross product norm {np.min(norm):.3e} below {CROSS_RTOL:.0e} * "
             "column-norm product"
         )
-    return v
 
 
 def unit_normal(J: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .codazzi import (
     Explicit,
     Parallel,
     codazzi_frame_from_jets,
+    deformed_christoffel_jets,
     deformed_connection_residual_field,
     deformed_curvature_residual_field,
     q_jets,
@@ -166,8 +167,9 @@ def criterion_deformed_connection_curvature() -> Verdict:
     frame = frame_from_jets(cj)
     qj = q_jets(cj, spec)
     cf = codazzi_frame_from_jets(qj, frame)
-    conn = float(deformed_connection_residual_field(cj, frame, cf, qj).max())
-    curv = float(deformed_curvature_residual_field(cj, frame, cf, qj).max())
+    Gt = deformed_christoffel_jets(cj, qj)
+    conn = float(deformed_connection_residual_field(cj, frame, cf, Gt).max())
+    curv = float(deformed_curvature_residual_field(cj, frame, cf, Gt).max())
     ok = conn < 1e-7 and curv < 1e-6
     return ok, (
         f"connection residual {conn:.3e} (tol 1e-7), "

@@ -50,6 +50,7 @@ from .codazzi import (
     codazzi_frame_from_jets,
     codazzi_Q_residual_field,
     commutator_residual_field,
+    deformed_christoffel_jets,
     deformed_connection_residual_field,
     deformed_curvature_residual_field,
     deformed_metric,
@@ -210,11 +211,12 @@ def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
         fields["codazzi_Q"] = codazzi_Q_residual_field(fr, cf)
         if isinstance(spec, GHPair):
             fields["gh_constraint"] = gh_field
+        Gt = deformed_christoffel_jets(cj, qj)
         fields["deformed_connection"] = deformed_connection_residual_field(
-            cj, fr, cf, qj
+            cj, fr, cf, Gt
         )
         fields["deformed_curvature"] = deformed_curvature_residual_field(
-            cj, fr, cf, qj
+            cj, fr, cf, Gt
         )
     if "deformation" in suites:
         sign = global_det_sign(cf.Q)

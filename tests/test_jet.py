@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isodeform import jet
+from isodeform.geometry import ChartJets
+from isodeform.linalg import DegenerateJacobianError
 from isodeform.jet import (
     JetDomainError,
     JetMismatchError,
@@ -331,6 +333,15 @@ def test_batch_matches_scalar_loop_exactly(n, k):
         assert np.array_equal(ab.coef[:, i, j], (a0 * bij).coef)
         assert np.array_equal(ba.coef[:, i, j], (bij * a0).coef)
     assert np.array_equal(ab.coef[:, 0, 0], _pair_order_product(sp, a0.coef, b.coef[:, 0, 0]))
+    # at batch 1024, (4, 3) and (4, 4) gather more than GATHER_BUDGET doubles
+    # and take the per-rank path; (1, 3) and (3, 2) still gather whole
+    big = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1024)))
+    big2 = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1024)))
+    col = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1)))
+    assert (len(sp._mul_ii) * 1024 > jet.GATHER_BUDGET) == (n == 4)
+    for x, y in ((big, big2), (col, big), (big, col)):
+        expect = _pair_order_product(sp, x.coef, y.coef)
+        assert np.array_equal((x * y).coef, expect)
 
 
 def test_batch_domain_error_reports():
@@ -351,6 +362,92 @@ def test_mat_det_inv_on_floats():
         assert det == pytest.approx(np.linalg.det(M), rel=1e-10)
         inv, _ = mat_inv(M.astype(object))
         assert np.allclose(inv.astype(float), np.linalg.inv(M), atol=1e-12)
+
+
+def _ref_det(M):
+    """Plain recursive cofactor expansion along the first row."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    if n == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    acc = None
+    for j in range(n):
+        term = M[0][j] * _ref_det([row[:j] + row[j + 1 :] for row in M[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _drop(rows, i):
+    return rows[:i] + rows[i + 1 :]
+
+
+def _random_jets(sp, rng, shape, batch=3):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = jet.JetScalar(sp, rng.uniform(-1, 1, (sp.size, batch)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_shared_minors_match_plain_expansion_exactly(n):
+    # mat_det, mat_inv and Njet share minors, and each determinant is still
+    # the first-row expansion of its matrix, bit for bit
+    rng = np.random.default_rng(40 + n)
+    sp = jet_space(2, 2)
+    M = _random_jets(sp, rng, (n, n))
+    for i in range(n):
+        M[i, i] = M[i, i] + (n + 1.0)
+    rows = [list(M[i]) for i in range(n)]
+    det = _ref_det(rows)
+    assert np.array_equal(mat_det(M).coef, det.coef)
+    inv, det2 = mat_inv(M)
+    assert np.array_equal(det2.coef, det.coef)
+    rdet = jet.recip(det)
+    for i, j in np.ndindex(n, n):
+        cof = _ref_det([_drop(r, j) for r in _drop(rows, i)]) if n > 1 else 1.0
+        if (i + j) % 2:
+            cof = -cof
+        assert np.array_equal(inv[j, i].coef, (cof * rdet).coef)
+
+    comps = list(_random_jets(jet_space(n, 2), rng, (n + 1,)))
+    cj = ChartJets(comps, np.zeros((3, n)))
+    J = [[c.diff(k) for k in range(n)] for c in comps]
+    cross = [_ref_det(_drop(J, k)) for k in range(n + 1)]
+    cross = [-c if k % 2 else c for k, c in enumerate(cross)]
+    normsq = cross[0] * cross[0]
+    for c in cross[1:]:
+        normsq = normsq + c * c
+    rnorm = jet.recip(jet.sqrt(normsq))
+    for Nk, c in zip(cj.Njet, cross):
+        assert np.array_equal(Nk.coef, (c * rnorm).coef)
+
+
+def test_mat_inv_products(monkeypatch):
+    # a 4x4 inverse of order-3 jets: det, then the 16 cofactors from the
+    # shared minors.  Each minor computed on its own took 203 products.
+    count = [0]
+    mul = jet.JetScalar.__mul__
+
+    def counting(a, b):
+        count[0] += isinstance(b, jet.JetScalar)
+        return mul(a, b)
+
+    M = _random_jets(jet_space(4, 3), np.random.default_rng(7), (4, 4))
+    monkeypatch.setattr(jet.JetScalar, "__mul__", counting)
+    mat_inv(M)
+    assert count[0] == 107
+
+
+def test_njet_degenerate_normal_uses_the_cross_gate():
+    sp = jet_space(2, 1)
+    x, y = sp.variable(0, 0.3), sp.variable(1, 0.4)
+    # (u1 + u2, u1 + u2, 2 u1 + 2 u2): both tangents are parallel
+    cj = ChartJets([x + y, x + y, 2.0 * (x + y)], np.array([0.3, 0.4]))
+    with pytest.raises(DegenerateJacobianError, match="cross product norm"):
+        cj.Njet
 
 
 def test_mat_inv_over_jets():

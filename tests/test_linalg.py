@@ -126,6 +126,22 @@ def test_generalized_cross_orthogonality_r5():
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_generalized_cross_stack_matches_single_and_lu_route(n):
+    rng = np.random.default_rng(20 + n)
+    J = rng.uniform(-1, 1, (2, 3, n + 1, n))
+    V = generalized_cross(J)
+    assert V.shape == (2, 3, n + 1)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(V[idx], generalized_cross(J[idx]))
+    # the minors by pivoting LU, one determinant each
+    lu = np.stack(
+        [(-1) ** k * det(np.delete(J, k, axis=-2)) for k in range(n + 1)], axis=-1
+    )
+    err = np.abs(V - lu).max(axis=-1)
+    assert np.all(err <= 1e-14 * np.abs(lu).max(axis=-1))
+
+
 def test_generalized_cross_degenerate_raises():
     J = np.ones((3, 2))  # parallel columns
     with pytest.raises(DegenerateJacobianError):

@@ -225,6 +225,23 @@ def test_sample_pass_builds_jets_and_q_frame_once_per_chunk(monkeypatch):
     assert len(q_frames) == 3
 
 
+def test_sample_pass_builds_deformed_metric_once_per_chunk(monkeypatch):
+    # the deformed connection and curvature read one build of the deformed
+    # Christoffel jets; building them per field made this count 6
+    monkeypatch.setattr(suites, "CHUNK", 10)
+    calls = []
+    build = codazzi.deformed_metric_jets
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(codazzi, "deformed_metric_jets", counting)
+    rep = run_suites(parse_scene(SPHERE.replace("grid = 4", "grid = 3")))
+    assert not rep.failed
+    assert len(calls) == 3
+
+
 def test_sample_pass_evaluates_scalar_pair_once_per_chunk(monkeypatch):
     # Q, the gh_constraint field and F all read one evaluation of g and h
     g_ast, h_ast = expr.parse("0*u1", 3), expr.parse("1+0*u2", 3)
