@@ -186,8 +186,8 @@ def q_from_scalar_jets(
     gh_field = gh_constraint_residual_field(
         _move(values(cj.Ajet), 2),
         _move(values(cj.gjet), 2),
-        _move(values(cj.scalar_grad_jets(s)), 1),
-        _move(values(cj.scalar_grad_jets(h)), 1),
+        _move(values(cj.scalar_grad_jets(s.truncated(1))), 1),
+        _move(values(cj.scalar_grad_jets(h.truncated(1))), 1),
     )
     n = cj.n
     hess = cj.scalar_hess_jets(s)
@@ -354,7 +354,8 @@ def deformed_metric_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
 def deformed_christoffel_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
     """Levi-Civita symbols of the deformed metric, from its jets.
 
-    Build them once and pass them to both deformed residual fields.
+    g~ has order K-2; its inverse is built at K-3, the order the symbols
+    read.  Build them once and pass them to both deformed residual fields.
     """
     gt = deformed_metric_jets(cj, qj)
 
@@ -362,7 +363,7 @@ def deformed_christoffel_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
         if np.any(values(det) <= 0.0):
             raise HypothesisError("deformed metric is singular on the sample")
 
-    return christoffel_jets(gt, mat_inv(gt, gate)[0])
+    return christoffel_jets(gt, mat_inv(_trunc_mat(gt, gt[0, 0].order - 1), gate)[0])
 
 
 def deformed_connection_residual_field(

@@ -872,7 +872,7 @@ def pair_on_grid(chart: Chart, pair: GHPairData, res) -> GridPair:
     flat = mesh.reshape(-1, chart.n)
     cj = chart_jets(chart, flat, order=2)
     s, h = _pair_jets(cj, pair)
-    grad = values(cj.scalar_grad_jets(s)).astype(float)  # (n, m)
+    grad = values(cj.scalar_grad_jets(s.truncated(1))).astype(float)  # (n, m)
     return GridPair(
         points=mesh,
         g=np.asarray(s.value, dtype=float).reshape(shape),

@@ -133,6 +133,11 @@ class ChartJets:
     Construct via :func:`chart_jets` for a chart, or directly from component
     jets (this is how a deformed immersion is re-analyzed through the same
     code path).
+
+    J and g have order K-1; ``normal`` and ``ginv`` build at the order asked
+    for: K-2 for the frame, A, Gamma and Hessians, and K-1 (``Njet``,
+    ``ginv_jet``) only for a scalar pair's h, ``immersion_jets`` and
+    ``scalar_grad_jets`` of a full-order scalar.
     """
 
     def __init__(self, comps, u: np.ndarray):
@@ -150,6 +155,15 @@ class ChartJets:
             if c.space is not sp:
                 raise FrameError("component jets live in different jet spaces")
         self.order = sp.order
+        self._built = {}  # quantity -> (order, jets) of its highest build
+
+    def _memo(self, name, order, build):
+        """``build(order)`` kept at the highest order built: a lower order is
+        its truncation; a higher one drops the old build, then builds."""
+        if self._built.get(name, (-1,))[0] < order:
+            self._built.pop(name, None)
+            self._built[name] = (order, build(order))
+        return _trunc_mat(self._built[name][1], order)
 
     @cached_property
     def Jjet(self):
@@ -159,9 +173,12 @@ class ChartJets:
                 out[p, k] = self.comps[p].diff(k)
         return out
 
-    @cached_property
-    def Njet(self):
-        J = self.Jjet
+    def normal(self, order):
+        """Unit normal jets at ``order`` (at most K-1)."""
+        return self._memo("normal", order, self._normal)
+
+    def _normal(self, order):
+        J = _trunc_mat(self.Jjet, order)
         cross = cross_product(lambda r, c: J[r, c], self.n)
         normsq = cross[0] * cross[0]
         for k in range(1, self.n + 1):
@@ -169,6 +186,8 @@ class ChartJets:
         check_cross_norm(np.sqrt(np.asarray(normsq.value)), _move(values(J), 2))
         rnorm = jetmod.recip(jetmod.sqrt(normsq))
         return np.array([cross[k] * rnorm for k in range(self.n + 1)], dtype=object)
+
+    Njet = property(lambda self: self.normal(self.order - 1))
 
     @cached_property
     def gjet(self):
@@ -182,19 +201,24 @@ class ChartJets:
                 g[i, j] = g[j, i] = acc
         return g
 
-    @cached_property
-    def ginv_jet(self):
+    def ginv(self, order):
+        """Jets of g^{-1} at ``order`` (at most K-1)."""
+        return self._memo("ginv", order, self._ginv)
+
+    def _ginv(self, order):
         def gate(det):
             if np.any(np.asarray(det.value) <= 0):
                 raise NotSPDError(f"det g = {np.min(det.value):.3e} <= 0")
 
-        return mat_inv(self.gjet, gate)[0]
+        return mat_inv(_trunc_mat(self.gjet, order), gate)[0]
+
+    ginv_jet = property(lambda self: self.ginv(self.order - 1))
 
     @cached_property
     def bjet(self):
         # the second derivatives d_i d_j f_p are read here only, so they are
         # built per entry and not kept
-        J, Nt = self.Jjet, [nj.truncated(self.order - 2) for nj in self.Njet]
+        J, Nt = self.Jjet, self.normal(self.order - 2)
         b = np.empty((self.n, self.n), dtype=object)
         for i in range(self.n):
             for j in range(i, self.n):
@@ -206,22 +230,22 @@ class ChartJets:
 
     @cached_property
     def Ajet(self):
-        ginv2 = _trunc_mat(self.ginv_jet, self.order - 2)
-        return mat_mul(ginv2, self.bjet)
+        return mat_mul(self.ginv(self.order - 2), self.bjet)
 
     @cached_property
     def Gammajet(self):
-        return christoffel_jets(self.gjet, self.ginv_jet)
+        return christoffel_jets(self.gjet, self.ginv(self.order - 2))
 
     def scalar_grad_jets(self, s: JetScalar):
         """Contravariant gradient of a scalar jet.
 
         Entries have order min(K, order of s) - 1, so scalars built at a
-        lower order than the chart jets still work.
+        lower order than the chart jets still work; pass ``s.truncated(1)``
+        when only the gradient's values are read.
         """
         out = min(self.order, s.space.order) - 1
         ds = [s.diff(l).truncated(out) for l in range(self.n)]
-        ginv = _trunc_mat(self.ginv_jet, out)
+        ginv = self.ginv(out)
         return np.array(
             [_dotsum(ginv[k, :], ds) for k in range(self.n)], dtype=object
         )
@@ -236,7 +260,7 @@ class ChartJets:
             for l in range(i, self.n):
                 d2s[i, l] = d2s[l, i] = di.diff(l)
         G = self.Gammajet
-        ginv2 = _trunc_mat(self.ginv_jet, K - 2)
+        ginv2 = self.ginv(K - 2)
         H = np.empty((self.n, self.n), dtype=object)
         for k in range(self.n):
             for i in range(self.n):
@@ -265,13 +289,11 @@ def _dotsum(row, vec):
     return acc
 
 
-def christoffel_jets(gjet, ginv_jet):
+def christoffel_jets(gjet, ginv):
     """Gamma^k_{ij} = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), as jets
-    one order below the metric jets.  Shared by the base metric and any
-    deformed metric."""
+    one order below the metric jets; ``ginv`` is g^{-1} at that order.
+    Shared by the base metric and any deformed metric."""
     n = gjet.shape[0]
-    order = gjet[0, 0].order - 1
-    ginv = _trunc_mat(ginv_jet, order)
     dg = np.empty((n, n, n), dtype=object)  # dg[i,j,l] = d_l g_ij
     for i in range(n):
         for j in range(i, n):
@@ -341,10 +363,11 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     f, J, d2f = (jet_partials(cj.comps, k, cj.batch_shape) for k in (0, 1, 2))
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(J))):
         raise FrameError("non-finite immersion values or Jacobian")
-    N = _move(values(cj.Njet), 1)
-    dN = _move(d1_values(cj.Njet), 2)
+    Nj = cj.normal(max(cj.order - 2, 1))  # dN needs order 1
+    N = _move(values(Nj), 1)
+    dN = _move(d1_values(Nj), 2)
     g = _move(values(cj.gjet), 2)
-    g_inv = _move(values(cj.ginv_jet), 2)
+    g_inv = _move(values(cj.ginv(cj.order - 2)), 2)
     b = _move(values(cj.bjet), 2)
     A = _move(values(cj.Ajet), 2)
     cholesky_spd(g)  # raises NotSPDError when g is not positive definite

@@ -15,29 +15,31 @@ Four suites cover the deformation theory end to end:
 * ``roundtrip``: recovery of the scalar pair from F and the affine-gauge
   fit between recovered and original pairs.
 
-``run_suites`` certifies the rank hypothesis before running the
-deformation and roundtrip suites: a grid whose certified rank of A drops
-below 3 (below n for n < 3 charts, which get a warning instead) is
-refused with a HypothesisError, since the rigidity claims assume rank
-A >= 3.
-
 All pointwise work is one pass over the sample in CHUNK slices.  Each
 slice builds its chart jets and frame once, and the jets and frame of Q
 once when codazzi or deformation runs (with the jets of a scalar pair that
 defines Q, and its gradient-constraint field); the geometry, codazzi and
 deformation suites read those and put their fields into one name -> field
-table, from which the checks are made.  The jet order is 4 when codazzi
-or deformation runs and the scene order otherwise; geometry fields do not
-depend on it, and geometry skips its curvature checks when the scene order
-is below 3.  Grid path integrals, FD probes and the roundtrip suite run
-after the pass.  Reductions happen in index order so identical scenes
-produce identical reports.
+table, from which the checks are made.  The jet order K is 4 when codazzi
+or deformation runs, else the scene order when geometry runs, else 2;
+geometry fields do not depend on it, and geometry skips its curvature
+checks when the scene order is below 3.  The normal and g^{-1} are built
+at K-2 (the normal at least 1) and at K-1 only for a scalar pair's h and
+F; J and g at K-1; the deformed metric at K-2 and its inverse at K-3.
+
+Each slice certifies the rank hypothesis from its frame, before building
+Q: when deformation or roundtrip runs, a rank of A below 3 (below n for
+n < 3 charts, which get a warning instead) is refused with a
+HypothesisError, since the rigidity claims assume rank A >= 3.  Grid path
+integrals, FD probes and the roundtrip suite run after the pass.
+Reductions happen in index order so identical scenes produce identical
+reports.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -176,8 +178,6 @@ _DEFORMATION = {
 
 def _sample_pass(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
     """One pass over the sample: check name -> field over ``pts``."""
-    if not any(s in scene.suites for s in ("geometry", "codazzi", "deformation")):
-        return {}
     table: Dict[str, List[np.ndarray]] = {}
     for lo, hi in _chunks(len(pts)):
         for name, field in _chunk_fields(scene, pts[lo:hi]).items():
@@ -185,19 +185,33 @@ def _sample_pass(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
     return {name: np.concatenate(parts) for name, parts in table.items()}
 
 
+def _rank_range(fr, n: int, suites) -> np.ndarray:
+    """Rank of A over one chunk's frame, gated when a suite needs it >= 3."""
+    ranks = rank_A_field(fr)
+    gated = [s for s in suites if s in ("deformation", "roundtrip")]
+    if gated and ranks.min() < min(3, n):
+        raise HypothesisError(
+            f"rank A >= 3 violated: certified rank {ranks.min()} over the "
+            f"sample (required by suites: {', '.join(gated)})"
+        )
+    return ranks
+
+
 def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
     """Every pointwise field at one chunk, from one build of its jets.
 
-    See the module docstring for the jet order.  ``sign_Q`` holds one Q:
-    the chunk's sign(det Q) gate has made its sign uniform.  The jets die
-    on return, before the next chunk builds its own, which keeps the peak
-    memory at one chunk's jets.
+    See the module docstring for the jet order.  The rank of A is gated
+    right after the frame, before Q.  ``sign_Q`` holds one Q: the chunk's
+    sign(det Q) gate has made its sign uniform.  The jets die on return,
+    before the next chunk builds its own, which keeps the peak memory at
+    one chunk's jets.
     """
     chart, spec, suites = scene.chart, scene.spec, scene.suites
     needs_q = "codazzi" in suites or "deformation" in suites
-    cj = chart_jets(chart, pts, 4 if needs_q else scene.order)
+    order = 4 if needs_q else (scene.order if "geometry" in suites else 2)
+    cj = chart_jets(chart, pts, order)
     fr = frame_from_jets(cj)
-    fields: Dict[str, np.ndarray] = {}
+    fields: Dict[str, np.ndarray] = {"rank_A": _rank_range(fr, chart.n, suites)}
     if "geometry" in suites:
         for name, residual in _GEOMETRY.items():
             if scene.order >= 3 or name not in _CURVATURE:
@@ -503,15 +517,6 @@ def resolve_tolerances(overrides: Dict[str, float]) -> Dict[str, float]:
     return tol
 
 
-def _rank_range(chart, pts) -> Tuple[int, int]:
-    ranks = []
-    for lo, hi in _chunks(len(pts)):
-        fr = frame_from_jets(chart_jets(chart, pts[lo:hi], 2))
-        ranks.append(rank_A_field(fr))
-    ranks = np.concatenate(ranks)
-    return int(ranks.min()), int(ranks.max())
-
-
 def run_suites(
     scene: Scene, point: Optional[Sequence[float]] = None
 ) -> VerificationReport:
@@ -539,21 +544,12 @@ def run_suites(
         grid = scene.grid
         grid_mode = True
 
-    rank_min, rank_max = _rank_range(chart, pts)
-    gated = [s for s in scene.suites if s in ("deformation", "roundtrip")]
-    if gated:
-        if rank_min < min(3, chart.n):
-            raise HypothesisError(
-                f"rank A >= 3 violated: certified rank {rank_min} over the "
-                f"sample (required by suites: {', '.join(gated)})"
-            )
-        if chart.n < 3:
-            warnings.append(
-                "n=2 chart: rank A >= 3 cannot hold; deformation claims "
-                "are checked pedagogically only"
-            )
-
     fields = _sample_pass(scene, pts)
+    if chart.n < 3 and {"deformation", "roundtrip"} & set(scene.suites):
+        warnings.append(
+            "n=2 chart: rank A >= 3 cannot hold; deformation claims "
+            "are checked pedagogically only"
+        )
     sign: Optional[int] = None
     checks: List[CheckResult] = []
     for suite in scene.suites:
@@ -581,8 +577,8 @@ def run_suites(
         grid=tuple(grid),
         order=scene.order,
         suites=scene.suites,
-        rank_min=rank_min,
-        rank_max=rank_max,
+        rank_min=int(fields["rank_A"].min()),
+        rank_max=int(fields["rank_A"].max()),
         sign=sign,
         warnings=tuple(warnings),
         checks=checks,

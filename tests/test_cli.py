@@ -103,6 +103,15 @@ def test_rank_gate_exit_three(tmp_path):
     assert "rank A >= 3 violated" in res.stderr
 
 
+@pytest.mark.parametrize("suite", ["deformation", "roundtrip"])
+def test_rank_gate_exit_three_on_a_two_chunk_grid(tmp_path, suite):
+    p = tmp_path / "plane.scene"
+    p.write_text(PLANE.replace("suites = deformation", f"grid = 33\nsuites = {suite}"))
+    res = run_cli("verify", str(p))
+    assert res.returncode == 3
+    assert "rank A >= 3 violated: certified rank 0" in res.stderr
+
+
 def test_parse_error_exit_four(tmp_path):
     p = tmp_path / "bad.scene"
     p.write_text("[chart]\ncatalog = sphere3\nr = two\n")

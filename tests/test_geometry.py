@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isodeform import catalog, expr as exprmod, geometry
+from isodeform import catalog, codazzi, expr as exprmod, geometry
 from isodeform.geometry import (
     ChartError,
     DomainError,
@@ -16,7 +16,8 @@ from isodeform.geometry import (
     make_chart,
     rank_A_field,
 )
-from isodeform.jet import values
+from isodeform.geometry import _trunc_mat
+from isodeform.jet import mat_inv, values
 from isodeform.linalg import NotSPDError, svd_rank_kernel
 
 
@@ -300,6 +301,45 @@ def test_make_chart_rejects_bad_source():
 def test_make_chart_rejects_degenerate():
     with pytest.raises(ChartError):
         make_chart(["u1", "u1", "0"], [(0, 1), (0, 1)])
+
+
+_CHARTS_BY_N = {2: catalog.torus2, 3: catalog.sphere3, 4: catalog.sphcyl4}
+
+
+def _coefs_equal(trimmed, full, order):
+    return all(
+        np.array_equal(t.coef, f.truncated(order).coef)
+        for t, f in zip(np.ravel(trimmed), np.ravel(full))
+    )
+
+
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trimmed_builds_equal_truncated_full_builds(n, K):
+    # g^{-1} and N built at the order their readers ask for are, coefficient
+    # by coefficient, the truncations of the full order-(K-1) builds
+    chart = _CHARTS_BY_N[n]()
+    pts = grid_points(chart, 3)[::7]
+    full = chart_jets(chart, pts, K)
+    ginv_full, normal_full = full.ginv(K - 1), full.normal(K - 1)
+    trim = chart_jets(chart, pts, K)
+    assert _coefs_equal(trim.ginv(K - 2), ginv_full, K - 2)
+    assert _coefs_equal(trim.normal(max(K - 2, 1)), normal_full, max(K - 2, 1))
+    # a gradient read for its values alone may come from the order-1 scalar
+    s = exprmod.eval_jet(exprmod.parse("u1^2*u2 + sin(u1)", n), pts, K)
+    assert np.array_equal(
+        values(trim.scalar_grad_jets(s.truncated(1))),
+        values(full.scalar_grad_jets(s)),
+    )
+    if K >= 3:
+        # the deformed metric (order K-2) is inverted at K-3 for its symbols
+        qj = codazzi.q_jets(full, codazzi.Parallel(0.1))
+        gt = codazzi.deformed_metric_jets(full, qj)
+        gt_inv = mat_inv(gt)[0]
+        assert _coefs_equal(mat_inv(_trunc_mat(gt, K - 3))[0], gt_inv, K - 3)
+        Gt = codazzi.deformed_christoffel_jets(full, qj)
+        ref = geometry.christoffel_jets(gt, _trunc_mat(gt_inv, K - 3))
+        assert _coefs_equal(Gt, ref, K - 3)
 
 
 def test_singular_metric_raises_not_spd():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isodeform import codazzi, deformation, expr, geometry, suites
+from isodeform import codazzi, deformation, expr, geometry, jet, suites
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.report import FAIL, PASS, SKIP
 from isodeform.scene import load_scene, parse_scene
@@ -262,6 +262,96 @@ def test_sample_pass_evaluates_scalar_pair_once_per_chunk(monkeypatch):
     assert not rep.failed
     assert "gh_constraint" in [c.name for c in rep.checks]
     assert calls == {"g": 1, "h": 1}
+
+
+def _count_jet_builds(monkeypatch):
+    """Record the order of every chart jet, normal and inverse built."""
+    built = {"chart": [], "normal": [], "inverse": []}
+    build_jets = geometry.chart_jets
+    build_normal = geometry.ChartJets._normal
+    inverse = geometry.mat_inv
+
+    def counting_jets(chart, u, order=3):
+        built["chart"].append(order)
+        return build_jets(chart, u, order)
+
+    def counting_normal(cj, order):
+        # the lower-order build is dropped before a higher one is made
+        assert "normal" not in cj._built
+        built["normal"].append(order)
+        return build_normal(cj, order)
+
+    def counting_inverse(M, gate=None):
+        built["inverse"].append(M[0, 0].order)
+        return inverse(M, gate)
+
+    for mod in (suites, deformation):
+        monkeypatch.setattr(mod, "chart_jets", counting_jets)
+    monkeypatch.setattr(geometry.ChartJets, "_normal", counting_normal)
+    for mod in (geometry, codazzi):
+        monkeypatch.setattr(mod, "mat_inv", counting_inverse)
+    return built
+
+
+def test_sample_pass_builds_jets_at_the_order_read(monkeypatch):
+    # order-4 chart jets on a 4-dim chart: the pass reads the normal and
+    # g^{-1} at order 2 and the deformed inverse at order 1, so nothing of
+    # order 3 is built, and the rank of A comes from the same frame
+    scene = parse_scene(
+        "[chart]\ncatalog = sphcyl4\n[codazzi]\nvariant = parallel\nt = 0.2\n"
+        "[run]\ngrid = 3\norder = 4\nsuites = geometry, codazzi\n"
+    )
+    monkeypatch.setattr(suites, "CHUNK", 30)
+    built = _count_jet_builds(monkeypatch)
+    products = [0]
+    mul = jet.JetScalar.__mul__
+
+    def counting_mul(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(jet.JetScalar, "__mul__", counting_mul)
+    monkeypatch.setattr(jet.JetScalar, "__rmul__", counting_mul)
+    rep = run_suites(scene)
+    assert not rep.failed
+    assert rep.rank_min == rep.rank_max == 3
+    assert built["chart"] == [4, 4, 4]
+    assert built["normal"] == [2, 2, 2]
+    assert sorted(set(built["inverse"])) == [1, 2]
+    # 3264 products; 5112 with the normal and g^{-1} at order 3, the
+    # deformed inverse at order 2 and a separate order-2 rank pass
+    assert products[0] <= 3264
+
+
+def test_pair_scene_builds_the_full_order_normal_once_per_chunk(monkeypatch):
+    # the pair's h and F read the normal at K-1 = 3: one build per chunk,
+    # made after the frame's order-2 build is dropped
+    scene = parse_scene(
+        SPHERE.replace("grid = 4", "grid = 3\nsuites = geometry, codazzi, deformation")
+    )
+    monkeypatch.setattr(suites, "CHUNK", 10)
+    built = _count_jet_builds(monkeypatch)
+    rep = run_suites(scene)
+    assert not rep.failed
+    assert built["chart"].count(4) == 3
+    assert built["normal"].count(3) == 3
+
+
+@pytest.mark.parametrize("suite", ["deformation", "roundtrip"])
+def test_rank_gate_fires_inside_the_pass(monkeypatch, suite):
+    # 1089 points make two chunks; the first one's frame trips the gate, and
+    # a roundtrip-only scene builds nothing but the order-2 frame for it
+    scene = parse_scene(
+        "[chart]\ncatalog = plane2\n[codazzi]\nvariant = parallel\nt = 0.5\n"
+        f"[run]\ngrid = 33\nsuites = {suite}\n"
+    )
+    built = _count_jet_builds(monkeypatch)
+    with pytest.raises(HypothesisError) as exc:
+        run_suites(scene)
+    msg = str(exc.value)
+    assert "rank A >= 3 violated" in msg
+    assert "certified rank 0" in msg
+    assert built["chart"] == [4 if suite == "deformation" else 2]
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
