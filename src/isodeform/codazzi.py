@@ -165,11 +165,9 @@ def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
     if isinstance(spec, GHPair):
         return q_from_scalar_jets(cj, *gh_pair_jets(cj, spec))[0]
     if isinstance(spec, Explicit):
-        asts = spec.asts(n)
+        row = [a for entries in spec.asts(n) for a in entries]
         Q = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                Q[i, j] = exprmod.eval_jet(asts[i][j], cj.u, cj.order - 2)
+        Q.flat[:] = exprmod.eval_jets(row, cj.u, cj.order - 2, spec.shared)
         _check_explicit_self_adjoint(_move(values(cj.gjet), 2), _move(values(Q), 2))
         return Q
     raise TypeError(f"unknown Codazzi spec {spec!r}")
@@ -401,7 +399,8 @@ def deformed_curvature_residual_field(
     if cj.order < 4:
         raise FrameError("deformed curvature needs jet order 4")
     Rt = curvature_values(Gt)
+    # pairwise contraction: a single three-operand loop is about 4x slower
     conj = np.einsum(
-        "...lm,...msij,...sk->...lkij", cf.Q_inv, frame.R, cf.Q
+        "...lm,...msij,...sk->...lkij", cf.Q_inv, frame.R, cf.Q, optimize=True
     )
     return np.abs(Rt - conj).max(axis=(-1, -2, -3, -4))

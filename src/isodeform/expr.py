@@ -14,8 +14,17 @@ u1=3), and ``2^-3`` parses as ``2^(-3)``.  There is no implicit
 multiplication.  Variables are ``u1`` .. ``un`` (1-based in the source
 text, 0-based in the AST).  Functions: sin, cos, exp, log, sqrt.
 
-Integer exponents evaluate by repeated multiplication (any base);
-non-integer or non-constant exponents require a positive base.
+Integer exponents evaluate by binary powering (any base; a negative one
+powers the reciprocal); non-integer or non-constant exponents require a
+positive base.
+
+Two evaluators share these rules.  ``eval_value`` works on floats and
+arrays.  ``eval_jets`` turns a row of ASTs (a chart's components, the
+entries of an explicit Q) into Taylor jets: a subtree the row repeats, as
+``intern`` finds it, is evaluated once; literals stay floats that scale or
+shift a jet's coefficients; and sin, cos, exp, log, sqrt of a bare
+coordinate, and its square, are written from their univariate Taylor
+coefficients without a jet product.  ``eval_jet`` is a row of one.
 
 ``num``, ``add`` and ``mul`` build ASTs in code, e.g. |f|^2 / 2 from the
 parsed chart components; ``num`` writes a negative value as ``Neg`` of a
@@ -283,72 +292,130 @@ def to_string(node: ExprAst) -> str:
 
 # ------------------------------------------------------------------- eval
 
-_JET_FUNCS = {
-    "sin": jetmod.sin,
-    "cos": jetmod.cos,
-    "exp": jetmod.exp,
-    "log": jetmod.log,
-    "sqrt": jetmod.sqrt,
-}
+
+def _memo_reader(ev_node, memo: dict | None):
+    """``ev_node`` behind ``memo`` (see ``intern``), which maps the id of each
+    shared node to (uses left, value or None): a shared node is evaluated
+    once and its value dropped after its last read."""
+
+    def ev(nd):
+        if memo is None or id(nd) not in memo:
+            return ev_node(nd)
+        uses, out = memo.pop(id(nd))
+        if out is None:
+            out = ev_node(nd)
+        if uses > 1:
+            memo[id(nd)] = (uses - 1, out)
+        return out
+
+    return ev
 
 
-def eval_jet(node: ExprAst, point, order: int) -> JetScalar:
-    """Evaluate to a jet of the given order at `point` (shape (*batch, n))."""
+def eval_jets(nodes, point, order: int, shared: dict | None = None) -> list[JetScalar]:
+    """Evaluate a row of ASTs to jets of the given order at `point`, shape
+    (*batch, n).
+
+    ``shared`` is the use count by id that ``intern`` gives for the row: a
+    subtree the row repeats is evaluated once.  Literals and ``pi`` stay
+    floats, so ``c*x``, ``x + c``, ``x - c`` and ``c - x`` scale or shift the
+    coefficients of x, and ``x/c`` multiplies them by 1/c; a row root that
+    is a float becomes a constant jet.  A function of a bare coordinate u_i,
+    and u_i^2, is written from its univariate Taylor coefficients into the
+    pure-power slots of u_i (``JetSpace.univariate``); any other argument is
+    composed (``jet._compose``).  Each rule gives the coefficients plain jet
+    arithmetic gives, up to the sign of a zero, under the same domain rules.
+    """
     point = np.asarray(point, dtype=float)
     n_vars = point.shape[-1]
     sp = jet_space(n_vars, order)
     batch_ndim = point.ndim - 1
-    seeds = [sp.variable(i, np.moveaxis(point, -1, 0)[i]) for i in range(n_vars)]
+    seeds: dict = {}
 
-    def ev(nd) -> JetScalar:
+    def coord(nd: Var):
+        if nd.index >= n_vars:
+            raise ExprEvalError(
+                f"variable u{nd.index + 1} exceeds point dimension {n_vars}", nd.span
+            )
+        return point[..., nd.index]
+
+    def seed(nd: Var) -> JetScalar:
+        if nd.index not in seeds:
+            seeds[nd.index] = sp.variable(nd.index, coord(nd))
+        return seeds[nd.index]
+
+    def ev_node(nd):
         if isinstance(nd, Num):
-            return sp.constant(nd.value, batch_ndim)
+            return nd.value
         if isinstance(nd, Pi):
-            return sp.constant(np.pi, batch_ndim)
+            return np.pi
         if isinstance(nd, Var):
-            if nd.index >= n_vars:
-                raise ExprEvalError(
-                    f"variable u{nd.index + 1} exceeds point dimension {n_vars}", nd.span
-                )
-            return seeds[nd.index]
+            return seed(nd)
         if isinstance(nd, Neg):
             return -ev(nd.child)
-        if isinstance(nd, Call):
-            try:
-                return _JET_FUNCS[nd.name](ev(nd.arg))
-            except JetDomainError as e:
-                raise ExprEvalError(str(e), nd.span) from e
-        if isinstance(nd, BinOp):
-            a = ev(nd.left)
-            if nd.op == "^":
-                return _eval_pow(a, nd)
-            b = ev(nd.right)
-            try:
-                if nd.op == "+":
-                    return a + b
-                if nd.op == "-":
-                    return a - b
-                if nd.op == "*":
-                    return a * b
-                return a / b
-            except JetDomainError as e:
-                raise ExprEvalError(str(e), nd.span) from e
-        raise TypeError(f"not an AST node: {nd!r}")
-
-    def _eval_pow(a: JetScalar, nd: BinOp) -> JetScalar:
-        b = ev(nd.right)
-        nonconst = np.any(b.coef[1:] != 0)
         try:
-            if not nonconst:
-                r = float(np.asarray(b.value).flat[0])
-                if float(r).is_integer():
-                    return a ** int(r)
-                return jetmod.powf(a, r)
-            return jetmod.exp(b * jetmod.log(a))
+            if isinstance(nd, Call):
+                taylor = jetmod.TAYLOR[nd.name]
+                if isinstance(nd.arg, Var):
+                    return sp.univariate(nd.arg.index, taylor(coord(nd.arg), order))
+                a = ev(nd.arg)
+                if isinstance(a, JetScalar):
+                    return jetmod._compose(a, taylor(a.value, order))
+                return float(taylor(a, 0)[0])
+            if isinstance(nd, BinOp):
+                if nd.op == "^":
+                    return ev_pow(nd)
+                return _arith(nd.op, ev(nd.left), ev(nd.right))
         except JetDomainError as e:
             raise ExprEvalError(str(e), nd.span) from e
+        raise TypeError(f"not an AST node: {nd!r}")
 
-    return ev(node)
+    def ev_pow(nd: BinOp) -> JetScalar:
+        if isinstance(nd.left, Var):
+            x = coord(nd.left)
+            b = ev(nd.right)
+            if not isinstance(b, JetScalar) and b == 2:
+                return sp.univariate(nd.left.index, [x * x, 2 * x, 1.0])
+            a = seed(nd.left)
+        else:
+            a, b = ev(nd.left), ev(nd.right)
+            if not isinstance(a, JetScalar):
+                a = sp.constant(a, batch_ndim)
+        if isinstance(b, JetScalar):
+            v = np.asarray(b.value)
+            if np.any(b.coef[1:] != 0) or np.any(v != v.flat[0]):
+                return jetmod.exp(b * jetmod.log(a))
+            b = v.flat[0]  # the same number at every point
+        b = float(b)
+        return a ** int(b) if b.is_integer() else jetmod.powf(a, b)
+
+    ev = _memo_reader(ev_node, {k: (uses, None) for k, uses in (shared or {}).items()})
+    out = [ev(nd) for nd in nodes]
+    return [v if isinstance(v, JetScalar) else sp.constant(v, batch_ndim) for v in out]
+
+
+def eval_jet(node: ExprAst, point, order: int) -> JetScalar:
+    """One AST as a row of its own; see ``eval_jets``."""
+    return eval_jets((node,), point, order)[0]
+
+
+def _arith(op: str, a, b):
+    """a op b for + - * /, each a jet or a float.  A float divisor is gated
+    as a jet divisor is, and x/c is x*(1/c) as for a constant jet.  Each
+    float is applied to the coefficients of a jet (the jet operand first,
+    so numpy scalars never take the jet as an array)."""
+    if op == "/":
+        if isinstance(b, JetScalar):
+            return a / b if isinstance(a, JetScalar) else jetmod.recip(b) * a
+        op, b = "*", float(jetmod.reciprocal(b))
+    if not isinstance(a, JetScalar) and isinstance(b, JetScalar):
+        if op == "-":
+            return -b + a
+        a, b = b, a
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    return a * b
 
 
 def _require_positive(v, what: str, span) -> None:
@@ -376,16 +443,6 @@ def eval_value(node: ExprAst, point, memo: dict | None = None):
     ids to (uses left, value or None) and drops a value after its last use.
     """
     point = np.asarray(point, dtype=float)
-
-    def ev(nd):
-        if memo is None or id(nd) not in memo:
-            return ev_node(nd)
-        uses, out = memo.pop(id(nd))
-        if out is None:
-            out = ev_node(nd)
-        if uses > 1:
-            memo[id(nd)] = (uses - 1, out)
-        return out
 
     def ev_node(nd):
         if isinstance(nd, Num):
@@ -424,15 +481,16 @@ def eval_value(node: ExprAst, point, memo: dict | None = None):
             return a ** bb
         raise TypeError(f"not an AST node: {nd!r}")
 
+    ev = _memo_reader(ev_node, memo)
     out = ev(node)
     return np.asarray(out, dtype=float) if np.ndim(out) else float(out)
 
 
 def intern(rows, n_vars: int):
-    """Parse rows of sources into ASTs whose equal subtrees (spans aside) are
-    one object, the first in evaluation order so errors keep their offsets;
-    and the use count by id of each non-leaf subtree that evaluating the rows
-    in order repeats."""
+    """Parse rows of sources (or take ASTs) into ASTs whose equal subtrees
+    (spans aside) are one object, the first in evaluation order so errors
+    keep their offsets; and the use count by id of each non-leaf subtree
+    that evaluating the rows in order repeats."""
     table, shared = {}, {}
 
     def canon(nd):
@@ -444,7 +502,10 @@ def intern(rows, n_vars: int):
             shared[id(slot[0])] = shared.get(id(slot[0]), 1) + 1
         return slot[0]
 
-    return tuple(tuple(canon(parse(e, n_vars)) for e in row) for row in rows), shared
+    def ast(e):
+        return e if isinstance(e, ExprAst) else parse(e, n_vars)
+
+    return tuple(tuple(canon(ast(e)) for e in row) for row in rows), shared
 
 
 # AST builders (see the module docstring)

@@ -22,7 +22,7 @@ cross-product normal; it is a checked residual, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,13 +60,18 @@ class FrameError(ValueError):
 
 @dataclass(frozen=True)
 class Chart:
-    """An immersion f: box in R^n -> R^{n+1} with DSL components."""
+    """An immersion f: box in R^n -> R^{n+1} with DSL components.
+
+    ``shared`` is the use count by id of each subtree the components repeat
+    (``expr.intern``), so ``chart_jets`` evaluates it once.
+    """
 
     n: int
     components: tuple[ExprAst, ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     label: str = "chart"
+    shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -85,9 +90,9 @@ class Chart:
 def make_chart(component_sources, domain, label="chart") -> Chart:
     """Parse and validate a chart.
 
-    component_sources: n+1 DSL strings (or pre-built ASTs);
-    domain: n pairs (lo, hi).  Validation checks the box is nondegenerate
-    and the Jacobian has full rank at the box center.
+    component_sources: n+1 DSL strings (or pre-built ASTs), interned as one
+    row; domain: n pairs (lo, hi).  Validation checks the box is
+    nondegenerate and the Jacobian has full rank at the box center.
     """
     n = len(domain)
     if len(component_sources) != n + 1:
@@ -109,7 +114,8 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
     for a, b in zip(lo, hi):
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ChartError(f"{label}: bad domain interval ({a}, {b})")
-    chart = Chart(n, tuple(comps), lo, hi, label)
+    (comps,), shared = exprmod.intern((comps,), n)
+    chart = Chart(n, comps, lo, hi, label, shared)
     try:
         fr = frame_at(chart, chart.center(), order=2)
     except (exprmod.ExprEvalError, DegenerateJacobianError, NotSPDError, FrameError) as e:
@@ -439,8 +445,7 @@ def chart_jets(chart: Chart, u, order: int = 3) -> ChartJets:
             f"point outside domain of {chart.label}: first offender index "
             f"{tuple(bad[0])}"
         )
-    comps = [exprmod.eval_jet(c, u, order) for c in chart.components]
-    return ChartJets(comps, u)
+    return ChartJets(exprmod.eval_jets(chart.components, u, order, chart.shared), u)
 
 
 def frame_at(chart: Chart, u, order: int = 3) -> Frame:

@@ -104,6 +104,11 @@ class JetSpace:
         self.degrees = np.array([sum(m) for m in self.monomials])
         # number of monomials of degree <= k, for truncation slicing
         self.sizes_by_order = [int(np.sum(self.degrees <= k)) for k in range(order + 1)]
+        # slot of the pure power k e_i, by variable i and k = 0..order
+        self._pure = [
+            [self.index[tuple(k * (v == i) for v in range(n_vars))] for k in range(order + 1)]
+            for i in range(n_vars)
+        ]
 
         # multiplication table: all (i, j) with deg_i + deg_j <= order.  A
         # target's pairs are ranked in (i, j) order; the table lists the
@@ -182,13 +187,19 @@ class JetSpace:
         """
         if not 0 <= i < self.n_vars:
             raise JetError(f"variable index {i} out of range for n_vars={self.n_vars}")
-        if self.order < 1:
-            return self.constant(np.asarray(at, dtype=float))
-        at = np.asarray(at, dtype=float)
-        coef = np.zeros((self.size,) + at.shape)
-        coef[0] = at
-        e_i = tuple(1 if v == i else 0 for v in range(self.n_vars))
-        coef[self.index[e_i]] = 1.0
+        return self.univariate(i, [np.asarray(at, dtype=float), 1.0])
+
+    def univariate(self, i: int, coeffs) -> "JetScalar":
+        """The jet of g(u_i) from the Taylor coefficients of g at u_i.
+
+        coeffs[k] (a float or an array of the batch shape of coeffs[0]) goes
+        to the pure-power slot k e_i, for k up to the order; every other slot
+        is zero.  This is what composing g with the seeded u_i gives, without
+        the products.
+        """
+        coef = np.zeros((self.size,) + np.shape(coeffs[0]))
+        for slot, c in zip(self._pure[i], coeffs):
+            coef[slot] = c
         return JetScalar(self, coef)
 
 
@@ -346,12 +357,18 @@ def _compose(a: JetScalar, coeffs: list) -> JetScalar:
     return res
 
 
-def recip(a: JetScalar) -> JetScalar:
-    v = np.asarray(a.value)
+def reciprocal(v):
+    """1/v for the value(s) of a divisor, under the rule of division by a jet."""
+    v = np.asarray(v)
     if np.any(np.abs(v) <= MIN_DIVISOR) or not np.all(np.isfinite(v)):
         bad = v.flat[int(np.argmin(np.abs(v)))] if v.size else v
         raise JetDomainError(f"division by a jet with value {float(bad)}")
-    coeffs = [1.0 / v]
+    return 1.0 / v
+
+
+def recip(a: JetScalar) -> JetScalar:
+    v = np.asarray(a.value)
+    coeffs = [reciprocal(v)]
     for _ in range(a.order):
         coeffs.append(-coeffs[-1] / v)
     return _compose(a, coeffs)
@@ -370,53 +387,84 @@ def _int_pow(a: JetScalar, e: int) -> JetScalar:
     return result
 
 
-def sin(a: JetScalar) -> JetScalar:
-    v = a.value
-    table = [np.sin(v), np.cos(v), -np.sin(v), -np.cos(v)]
-    coeffs = [table[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-    return _compose(a, coeffs)
+# Univariate Taylor coefficients g^(k)(v) / k!, k = 0..order, of each DSL
+# function at the value(s) v; log and sqrt raise JetDomainError off their
+# domain.  A jet function composes them with its argument; the DSL evaluator
+# also writes them straight into the slots of a bare coordinate.
 
 
-def cos(a: JetScalar) -> JetScalar:
-    v = a.value
-    table = [np.cos(v), -np.sin(v), -np.cos(v), np.sin(v)]
-    coeffs = [table[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-    return _compose(a, coeffs)
+def _sin_taylor(v, order: int, shift: int = 0) -> list:
+    s, c = np.sin(v), np.cos(v)
+    table = [s, c, -s, -c]  # the derivatives of sin; cos starts one later
+    return [table[(k + shift) % 4] / math.factorial(k) for k in range(order + 1)]
 
 
-def exp(a: JetScalar) -> JetScalar:
-    ev = np.exp(a.value)
-    coeffs = [ev / math.factorial(k) for k in range(a.order + 1)]
-    return _compose(a, coeffs)
+def _cos_taylor(v, order: int) -> list:
+    return _sin_taylor(v, order, 1)
 
 
-def log(a: JetScalar) -> JetScalar:
-    v = np.asarray(a.value)
+def _exp_taylor(v, order: int) -> list:
+    ev = np.exp(v)
+    return [ev / math.factorial(k) for k in range(order + 1)]
+
+
+def _log_taylor(v, order: int) -> list:
+    v = np.asarray(v)
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
         raise JetDomainError(f"log of a jet with value {float(np.min(v))}")
     coeffs = [np.log(v)]
-    for k in range(1, a.order + 1):
+    for k in range(1, order + 1):
         coeffs.append((-1.0) ** (k - 1) / (k * v**k))
-    return _compose(a, coeffs)
+    return coeffs
+
+
+def _pow_taylor(v, r: float, order: int, what: str = "non-integer power") -> list:
+    v = np.asarray(v)
+    if np.any(v <= 0) or not np.all(np.isfinite(v)):
+        raise JetDomainError(f"{what} of a jet with value {float(np.min(v))}")
+    # c_k = binom(r, k) v^(r-k), built by the recurrence c_k = c_{k-1}(r-k+1)/(k v)
+    coeffs = [v**r]
+    for k in range(1, order + 1):
+        coeffs.append(coeffs[-1] * (r - k + 1) / (k * v))
+    return coeffs
+
+
+def _sqrt_taylor(v, order: int) -> list:
+    return _pow_taylor(v, 0.5, order, "sqrt")
+
+
+TAYLOR = {
+    "sin": _sin_taylor,
+    "cos": _cos_taylor,
+    "exp": _exp_taylor,
+    "log": _log_taylor,
+    "sqrt": _sqrt_taylor,
+}
+
+
+def sin(a: JetScalar) -> JetScalar:
+    return _compose(a, _sin_taylor(a.value, a.order))
+
+
+def cos(a: JetScalar) -> JetScalar:
+    return _compose(a, _cos_taylor(a.value, a.order))
+
+
+def exp(a: JetScalar) -> JetScalar:
+    return _compose(a, _exp_taylor(a.value, a.order))
+
+
+def log(a: JetScalar) -> JetScalar:
+    return _compose(a, _log_taylor(a.value, a.order))
 
 
 def sqrt(a: JetScalar) -> JetScalar:
-    v = np.asarray(a.value)
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise JetDomainError(f"sqrt of a jet with value {float(np.min(v))}")
-    return powf(a, 0.5, _domain_checked=True)
+    return _compose(a, _sqrt_taylor(a.value, a.order))
 
 
-def powf(a: JetScalar, r: float, _domain_checked: bool = False) -> JetScalar:
+def powf(a: JetScalar, r: float) -> JetScalar:
     """a**r for non-integer real r; requires the jet value to be positive."""
-    v = np.asarray(a.value)
-    if not _domain_checked and (np.any(v <= 0) or not np.all(np.isfinite(v))):
-        raise JetDomainError(f"non-integer power of a jet with value {float(np.min(v))}")
-    # c_k = binom(r, k) v^(r-k), built by the recurrence c_k = c_{k-1}(r-k+1)/(k v)
-    coeffs = [v**r]
-    for k in range(1, a.order + 1):
-        coeffs.append(coeffs[-1] * (r - k + 1) / (k * v))
-    return _compose(a, coeffs)
+    return _compose(a, _pow_taylor(a.value, r, a.order))
 
 
 # -- small matrix algebra over the jet ring ---------------------------------

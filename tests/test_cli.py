@@ -159,6 +159,29 @@ def test_expression_domain_violation_exit_four(tmp_path):
     assert len(res.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "f3,domain1,stderr",
+    [
+        ("log(u1)", "-0.5,1", "domain error: log of a jet with value -0.47 (at offset 0)"),
+        ("sqrt(u1)", "-0.5,1", "domain error: sqrt of a jet with value -0.47 (at offset 0)"),
+        ("u1^-2", "-1,1", "division by a jet with value 0.0 (at offset 0)"),
+        ("u1/0", "0,1", "division by a jet with value 0.0 (at offset 0)"),
+        ("u1/(2-2)", "0,1", "division by a jet with value 0.0 (at offset 0)"),
+    ],
+)
+def test_chart_domain_rules_exit_four(tmp_path, f3, domain1, stderr):
+    # log and sqrt fail on the grid; the divisions already at the box center
+    p = tmp_path / "dom.scene"
+    p.write_text(
+        f"[chart]\nn = 2\nf1 = u1\nf2 = u2\nf3 = {f3}\ndomain1 = {domain1}\n"
+        "domain2 = -1,1\n[run]\ngrid = 3\nsuites = geometry\n"
+    )
+    res = run_cli("verify", str(p))
+    assert res.returncode == 4
+    assert res.stderr.rstrip().endswith(stderr)
+    assert len(res.stderr.splitlines()) == 1
+
+
 def test_operator_domain_violation_in_mesh_exit_four(tmp_path):
     # q11 is undefined at quadrature nodes of the path-integrated mesh
     p = tmp_path / "qlog.scene"

@@ -232,3 +232,7 @@ def test_explicit_shared_subtree_error_keeps_its_offset():
         codazzi.explicit_q_values(spec, u, np.tile(np.eye(3, 2), (2, 1, 1)))
     assert shared.value.span == alone.value.span == (6, 17)
     assert str(shared.value) == str(alone.value)
+    # the jet row reads the same shared node
+    with pytest.raises(exprmod.ExprEvalError) as jets:
+        q_jets(chart_jets(catalog.plane2(), u, 3), spec)
+    assert jets.value.span == (6, 17)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import fd_grad, fd_hess, random_ast
 
-from isodeform import expr
+from isodeform import expr, jet
 from isodeform.expr import (
     BinOp,
     Call,
@@ -17,6 +17,7 @@ from isodeform.expr import (
     Pi,
     Var,
     eval_jet,
+    eval_jets,
     eval_value,
     parse,
     to_string,
@@ -228,3 +229,113 @@ def test_eval_jet_batched_matches_pointwise():
     for m in range(3):
         js = eval_jet(ast, pts[m], 3)
         assert np.array_equal(jb.coef[:, m], js.coef)
+
+
+def test_order_zero_exponent_is_read_at_every_point():
+    # at order 0 a jet has no derivatives to tell a varying exponent from a
+    # constant one, so its values must decide
+    pts = np.array([[2.0, 1.0], [2.0, 3.0]])
+    for order in (0, 1, 2):
+        assert np.allclose(eval_jet(parse("u1^u2", 2), pts, order).value, [2.0, 8.0])
+    # a constant exponent still allows a negative base
+    j = eval_jet(parse("u1^(u2 - u2 + 2)", 2), np.array([[-2.0, 1.0], [-3.0, 3.0]]), 0)
+    assert np.array_equal(j.value, [4.0, 9.0])
+
+
+# ------------------------------------------------------------------ rows
+
+
+def _forbid(*_):
+    raise AssertionError("composed a function of a bare coordinate")
+
+
+@pytest.mark.parametrize("name", [*jet.TAYLOR, "square"])
+def test_seeded_coordinate_functions_equal_composition(name, monkeypatch):
+    # f(u_i) and u_i^2 are written from their Taylor coefficients, and give
+    # the coefficients composing with (or squaring) the seeded u_i gives
+    rng = np.random.default_rng(11)
+    for n in range(1, 5):
+        for batch in ((), (5,), (5, 1)):
+            pt = rng.uniform(0.3, 1.7, batch + (n,))
+            for order in range(5):
+                sp = jet.jet_space(n, order)
+                for i in range(n):
+                    x = sp.variable(i, pt[..., i])
+                    if name == "square":
+                        src, want = f"u{i + 1}^2", jet._int_pow(x, 2)
+                    else:
+                        src, want = f"{name}(u{i + 1})", getattr(jet, name)(x)
+                    with monkeypatch.context() as m:
+                        m.setattr(jet, "_compose", _forbid)
+                        m.setattr(jet, "_int_pow", _forbid)
+                        got = eval_jet(parse(src, n), pt, order)
+                    assert got.space is sp
+                    assert np.array_equal(got.coef, want.coef), (src, batch, order)
+
+
+ROW = (
+    "2*sin(u1)*cos(u2)",
+    "2*sin(u1)*sin(u2)*u3",
+    "3 - u1*u2 + pi",
+    "u1*u2/4 + sin(u1)",
+    "(2*sin(u1)*sin(u2))^2 - 1/u3",
+    "0",
+    "2^u2 - u3^3 + 2^3",
+    "exp(u1 - 1)*(u1*u2) - sqrt(2)",
+)
+
+
+def test_row_with_shared_subtrees_matches_each_ast_alone():
+    (asts,), shared = expr.intern((ROW,), 3)
+    assert shared
+    pts = np.random.default_rng(5).uniform(0.4, 1.4, (4, 3))
+    for order in (0, 2, 4):
+        row = eval_jets(asts, pts, order, shared)
+        for src, got in zip(ROW, row):
+            alone = eval_jet(parse(src, 3), pts, order)
+            assert got.space is alone.space
+            assert np.array_equal(got.coef, alone.coef), (src, order)
+
+
+def test_literals_act_on_coefficients_as_constant_jets_do():
+    # a literal stays a float; each rule gives what the constant jet gives
+    pts = np.random.default_rng(6).uniform(0.4, 1.4, (4, 2))
+    x = eval_jet(parse("sin(u1)*u2", 2), pts, 3)
+    c = jet.jet_space(2, 3).constant(0.37, 1)
+    cases = {
+        "0.37*X": c * x,
+        "X*0.37": x * c,
+        "X + 0.37": x + c,
+        "0.37 + X": c + x,
+        "X - 0.37": x - c,
+        "0.37 - X": c - x,
+        "X/0.37": x / c,
+        "0.37/X": c / x,
+        "-0.37*X": -c * x,
+    }
+    for src, want in cases.items():
+        got = eval_jet(parse(src.replace("X", "(sin(u1)*u2)"), 2), pts, 3)
+        assert np.array_equal(got.coef, want.coef), src
+
+
+@pytest.mark.parametrize(
+    "src,at,message,span",
+    [
+        ("log(u1)", [0.5, -0.25, 0.0], "log of a jet with value -0.25", (0, 7)),
+        ("log(u1)", [0.0], "log of a jet with value 0.0", (0, 7)),
+        ("1 + 3*log(u1)", [0.0], "log of a jet with value 0.0", (6, 13)),
+        ("sqrt(u1)", [0.5, 0.0, -2.0], "sqrt of a jet with value -2.0", (0, 8)),
+        ("sqrt(u1)", [0.0], "sqrt of a jet with value 0.0", (0, 8)),
+        ("u1^-2", [0.5, 0.0], "division by a jet with value 0.0", (0, 5)),
+        ("u1/0", [0.5], "division by a jet with value 0.0", (0, 4)),
+        ("u1/(2-2)", [0.5], "division by a jet with value 0.0", (0, 7)),
+    ],
+)
+def test_jet_domain_rules_keep_message_and_offset(src, at, message, span):
+    # seeded functions, float divisors and folded constants are gated as
+    # the jets they replace are
+    for pts in (np.array(at)[:, None], np.array(at)[:, None, None]):
+        for order in (0, 2, 4):
+            with pytest.raises(ExprEvalError) as ei:
+                eval_jet(parse(src, 1), pts, order)
+            assert (ei.value.message, ei.value.span) == (message, span)
