@@ -33,6 +33,7 @@ nonnegative ``Num``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -345,7 +346,7 @@ def eval_jets(nodes, point, order: int, shared: dict | None = None) -> list[JetS
 
     def ev_node(nd):
         if isinstance(nd, Num):
-            return nd.value
+            return float(nd.value)
         if isinstance(nd, Pi):
             return np.pi
         if isinstance(nd, Var):
@@ -398,24 +399,16 @@ def eval_jet(node: ExprAst, point, order: int) -> JetScalar:
     return eval_jets((node,), point, order)[0]
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
 def _arith(op: str, a, b):
-    """a op b for + - * /, each a jet or a float.  A float divisor is gated
-    as a jet divisor is, and x/c is x*(1/c) as for a constant jet.  Each
-    float is applied to the coefficients of a jet (the jet operand first,
-    so numpy scalars never take the jet as an array)."""
-    if op == "/":
-        if isinstance(b, JetScalar):
-            return a / b if isinstance(a, JetScalar) else jetmod.recip(b) * a
+    """a op b for + - * /, each a jet or a Python float (a jet's reflected
+    methods apply a float to its coefficients).  A float divisor is gated as
+    a jet divisor is, and x/c is x*(1/c) as for a constant jet."""
+    if op == "/" and not isinstance(b, JetScalar):
         op, b = "*", float(jetmod.reciprocal(b))
-    if not isinstance(a, JetScalar) and isinstance(b, JetScalar):
-        if op == "-":
-            return -b + a
-        a, b = b, a
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    return a * b
+    return _ARITH[op](a, b)
 
 
 def _require_positive(v, what: str, span) -> None:

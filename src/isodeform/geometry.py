@@ -62,8 +62,9 @@ class FrameError(ValueError):
 class Chart:
     """An immersion f: box in R^n -> R^{n+1} with DSL components.
 
-    ``shared`` is the use count by id of each subtree the components repeat
-    (``expr.intern``), so ``chart_jets`` evaluates it once.
+    The components are interned as one row when the chart is built
+    (``expr.intern``); ``shared`` is the use count by id of each subtree they
+    repeat, so ``chart_jets`` evaluates it once.
     """
 
     n: int
@@ -71,7 +72,12 @@ class Chart:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
     label: str = "chart"
-    shared: dict = field(default_factory=dict, compare=False, repr=False)
+    shared: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        (comps,), shared = exprmod.intern((self.components,), self.n)
+        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "shared", shared)
 
     @property
     def ambient_dim(self) -> int:
@@ -90,9 +96,9 @@ class Chart:
 def make_chart(component_sources, domain, label="chart") -> Chart:
     """Parse and validate a chart.
 
-    component_sources: n+1 DSL strings (or pre-built ASTs), interned as one
-    row; domain: n pairs (lo, hi).  Validation checks the box is
-    nondegenerate and the Jacobian has full rank at the box center.
+    component_sources: n+1 DSL strings (or pre-built ASTs);
+    domain: n pairs (lo, hi).  Validation checks the box is nondegenerate
+    and the Jacobian has full rank at the box center.
     """
     n = len(domain)
     if len(component_sources) != n + 1:
@@ -114,8 +120,7 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
     for a, b in zip(lo, hi):
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ChartError(f"{label}: bad domain interval ({a}, {b})")
-    (comps,), shared = exprmod.intern((comps,), n)
-    chart = Chart(n, comps, lo, hi, label, shared)
+    chart = Chart(n, tuple(comps), lo, hi, label)
     try:
         fr = frame_at(chart, chart.center(), order=2)
     except (exprmod.ExprEvalError, DegenerateJacobianError, NotSPDError, FrameError) as e:
