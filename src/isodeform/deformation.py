@@ -488,9 +488,10 @@ def deformation_check_from_jets(
 #
 # Every path integral goes through one leg kernel, ``_leg_integrals``: a
 # covector field callback pts (m, n) -> (m, d, n) integrated along a batch
-# of axis-parallel legs in one quadrature call.  ``_point_staircase`` chains
-# legs from a base point to a batch of targets, ``_grid_staircase`` fills a
-# sample grid axis by axis.
+# of straight legs in one quadrature call, each leg retired once it has
+# converged.  ``_staircase`` chains axis-parallel legs from a batch of starts
+# to a batch of targets, each path with its own axis order, in one kernel
+# call; ``_grid_staircase`` fills a sample grid from one kernel call.
 
 
 def _q_values(cj: ChartJets, J: np.ndarray, source: PairSource) -> np.ndarray:
@@ -535,45 +536,54 @@ def _omega_values(
     return np.einsum("...pk,...kj->...pj", J, _q_values(cj, J, source))
 
 
-def _leg_integrals(covector, starts, lengths, ax: int, tol: float) -> np.ndarray:
-    """Integrals of covector[..., ax] along legs starts -> starts + lengths e_ax.
+def _leg_integrals(covector, starts, steps, tol: float) -> np.ndarray:
+    """Integrals of the covector along the legs starts -> starts + steps.
 
-    Returns shape (L, d) for L legs.  With t = t0 + s length every leg runs
-    over s in [0, 1], its integrand scaled by its length, so the batch is one
-    quadrature call whose convergence is the max norm over all legs, each
-    held to the same absolute ``tol``.  The covector is evaluated in slices
+    ``starts`` and ``steps`` are (L, n); returns shape (L, d).  With
+    t = start + s step every leg runs over s in [0, 1], its integrand the
+    covector contracted with its step, so the batch is one quadrature call
+    in which each leg is held to the same absolute ``tol`` and is no longer
+    evaluated once it has converged.  The covector is evaluated in slices
     of ``CHUNK`` points to bound memory.
     """
-    L, n = starts.shape
+    legs = [starts, steps]
 
     def fn(s: np.ndarray) -> np.ndarray:
-        m = len(s)
-        pts = np.repeat(starts[None, :, :], m, axis=0)
-        pts[:, :, ax] += s[:, None] * lengths
-        pts = pts.reshape(-1, n)
-        cov = np.concatenate([
-            covector(pts[lo:lo + CHUNK])[..., ax]
+        a, v = legs
+        pts = (a + s[:, None, None] * v).reshape(-1, a.shape[1])
+        vs = np.broadcast_to(v, (len(s),) + v.shape).reshape(pts.shape)
+        return np.concatenate([
+            np.einsum("pdn,pn->pd", covector(pts[lo:lo + CHUNK]), vs[lo:lo + CHUNK])
             for lo in range(0, len(pts), CHUNK)
-        ])
-        return (cov.reshape(m, L, -1) * lengths[:, None]).reshape(m, -1)
+        ]).reshape(len(s), len(a), -1)
 
-    return integrate_segment(fn, 0.0, 1.0, tol=tol).reshape(L, -1)
+    def retire(keep: np.ndarray) -> None:
+        legs[:] = legs[0][keep], legs[1][keep]
+
+    return integrate_segment(fn, 0.0, 1.0, tol=tol, retire=retire)
 
 
-def _point_staircase(covector, base, X, order, tol: float) -> np.ndarray:
-    """Integral of the covector from ``base`` (n,) to each row of X (K, n).
+def _staircase(covector, starts, X, orders, tol: float) -> np.ndarray:
+    """Integral of the covector from each row of ``starts`` (P, n) to the
+    same row of X along the axes orders[i] in turn: (P, d).
 
-    The path moves along the axes in ``order``; the legs of all targets on
-    one axis are one kernel call, and a zero-length leg contributes exactly
-    0.  Returns shape (K, d), or (K, 1) zeros when no leg has length.
+    Zero-length legs are dropped and the rest are one kernel call, each
+    added to its path's sum in axis order; (P, 1) zeros when no leg moves.
     """
-    cur = np.repeat(base[None, :], len(X), axis=0)
-    total = np.zeros((len(X), 1))
-    for ax in order:
-        length = X[:, ax] - cur[:, ax]
-        if np.any(length != 0):
-            total = total + _leg_integrals(covector, cur, length, ax, tol)
-        cur[:, ax] = X[:, ax]
+    cur = np.array(starts, dtype=float)
+    legs = []
+    for ax in np.transpose(orders):
+        on = np.arange(X.shape[1]) == ax[:, None]  # each path's axis, (P, n)
+        step = np.where(on, X - cur, 0.0)
+        moved = step.any(axis=1)
+        legs.append((cur[moved], step[moved], np.flatnonzero(moved)))
+        cur = np.where(on, X, cur)
+    a, v, owner = (np.concatenate(part) for part in zip(*legs))
+    if not len(owner):
+        return np.zeros((len(X), 1))
+    seg = _leg_integrals(covector, a, v, tol)
+    total = np.zeros((len(X), seg.shape[1]))
+    np.add.at(total, owner, seg)
     return total
 
 
@@ -581,23 +591,25 @@ def _grid_staircase(covector, axes, start, order, tol: float) -> np.ndarray:
     """``start`` (d,) plus the covector's integral from the first point of
     the grid with per-axis samples ``axes`` to every grid point: (*res, d).
 
-    Per axis, every step of every line through the block already filled is
-    one leg of a single kernel call; a cumulative sum along the axis then
-    chains the steps.
+    Axis by axis, every step of every line through the block already filled
+    is one leg; the legs of all axes are one kernel call, and a cumulative
+    sum along each axis in turn then chains the steps.
     """
     n = len(axes)
-    F = np.reshape(start, (1,) * n + (-1,))
-    for ax in order:
-        line_axes = [a[:F.shape[j]] for j, a in enumerate(axes)]
+    blocks, legs = [], []
+    for i, ax in enumerate(order):
+        line_axes = [a if j in order[:i] else a[:1] for j, a in enumerate(axes)]
         line_axes[ax] = axes[ax][:-1]
         starts = np.stack(np.meshgrid(*line_axes, indexing="ij"), axis=-1)
-        block = starts.shape[:-1]
-        steps = np.diff(axes[ax]).reshape([-1 if j == ax else 1 for j in range(n)])
-        lengths = np.broadcast_to(steps, block).reshape(-1)
-        seg = _leg_integrals(covector, starts.reshape(-1, n), lengths, ax, tol)
-        F = np.cumsum(
-            np.concatenate([F, seg.reshape(block + (-1,))], axis=ax), axis=ax
-        )
+        steps = np.zeros(starts.shape)
+        steps[..., ax] = np.diff(axes[ax]).reshape([-1 if j == ax else 1 for j in range(n)])
+        blocks.append(starts.shape[:-1])
+        legs.append((starts.reshape(-1, n), steps.reshape(-1, n)))
+    seg = _leg_integrals(covector, *(np.concatenate(p) for p in zip(*legs)), tol)
+    F = np.reshape(start, (1,) * n + (-1,))
+    bounds = np.cumsum([np.prod(b, dtype=int) for b in blocks])[:-1]
+    for ax, block, part in zip(order, blocks, np.split(seg, bounds)):
+        F = np.cumsum(np.concatenate([F, part.reshape(block + (-1,))], axis=ax), axis=ax)
     return F
 
 
@@ -620,26 +632,29 @@ class LoopRect:
     base: Tuple[float, ...]
 
 
-def _circulation(covector, rect: LoopRect, tol: float) -> np.ndarray:
-    """Clockwise circulation of the covector around the rectangle: (d,)."""
-    start = np.array(rect.base, dtype=float)
-    end = start.copy()
-    start[[rect.axis_a, rect.axis_b]] = rect.a0, rect.b0
-    end[[rect.axis_a, rect.axis_b]] = rect.a1, rect.b1
-    b_first = _point_staircase(
-        covector, start, end[None], (rect.axis_b, rect.axis_a), tol
-    )
-    a_first = _point_staircase(
-        covector, start, end[None], (rect.axis_a, rect.axis_b), tol
-    )
-    return (b_first - a_first)[0]
+def _circulation(covector, rects: Sequence[LoopRect], tol: float) -> np.ndarray:
+    """Clockwise circulation of the covector around each rectangle: (R, d).
+
+    The b-first and a-first staircases of every rectangle are one
+    ``_staircase`` call, so all loops share one quadrature call.
+    """
+    corners = np.array([(r.base, r.base) for r in rects], dtype=float)  # (R, 2, n)
+    for c, r in zip(corners, rects):
+        c[:, [r.axis_a, r.axis_b]] = (r.a0, r.b0), (r.a1, r.b1)
+    starts, ends = np.concatenate([corners, corners]).transpose(1, 0, 2)
+    orders = [(r.axis_b, r.axis_a) for r in rects] + [(r.axis_a, r.axis_b) for r in rects]
+    paths = _staircase(covector, starts, ends, np.array(orders), tol)
+    return paths[:len(rects)] - paths[len(rects):]
 
 
 def omega_loop_integral(
-    chart: Chart, source: PairSource, rect: LoopRect, tol: float = 1e-10
+    chart: Chart, source: PairSource, rect, tol: float = 1e-10
 ) -> np.ndarray:
-    """Clockwise circulation of omega around the rectangle, in R^dim."""
-    return _circulation(lambda p: _omega_values(chart, source, p), rect, tol)
+    """Clockwise circulation of omega around ``rect``: shape (dim,) for one
+    LoopRect, (R, dim) for a sequence of R, all in one quadrature call."""
+    rects = [rect] if isinstance(rect, LoopRect) else rect
+    loops = _circulation(lambda p: _omega_values(chart, source, p), rects, tol)
+    return loops[0] if isinstance(rect, LoopRect) else loops
 
 
 def default_loop_rects(chart: Chart, margin: float = 0.02) -> List[LoopRect]:
@@ -680,7 +695,7 @@ def omega_loop_residual(
     """Worst loop-integral magnitude over the rectangles, plus each loop."""
     if rects is None:
         rects = default_loop_rects(chart)
-    loops = [omega_loop_integral(chart, source, r, tol) for r in rects]
+    loops = list(omega_loop_integral(chart, source, rects, tol))
     worst = max(float(np.abs(v).max()) for v in loops)
     return worst, loops
 
@@ -697,9 +712,9 @@ def path_integral_immersion(
     """F at each target by integrating omega along axis-ordered staircases.
 
     ``targets`` is one point, shape (n,), giving F with shape (dim,), or a
-    batch, shape (K, n), giving shape (K, dim).  Each staircase leg of the
-    whole batch is one quadrature call, every target held to the same
-    absolute ``tol``.
+    batch, shape (K, n), giving shape (K, dim).  The staircase legs of every
+    target and axis are one quadrature call, each leg held to the same
+    absolute ``tol`` on its own; a target on the base gives exactly F0.
     """
     base = np.asarray(base, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -708,8 +723,9 @@ def path_integral_immersion(
     if F0 is not None:
         F += np.asarray(F0, dtype=float)
     order = range(X.shape[1]) if axis_order is None else axis_order
-    F += _point_staircase(
-        lambda p: _omega_values(chart, source, p), base, X, order, tol
+    F += _staircase(
+        lambda p: _omega_values(chart, source, p), np.broadcast_to(base, X.shape),
+        X, np.broadcast_to(order, (len(X), len(order))), tol,
     )
     return F if targets.ndim > 1 else F[0]
 
@@ -725,8 +741,9 @@ def path_integral_on_grid(
     """F on the whole sample grid by shared-prefix staircase integration.
 
     Returns (mesh points with shape (*res, n), F values with shape
-    (*res, dim)).  All steps along one axis share one adaptive quadrature
-    call, and a cumulative sum chains them.
+    (*res, dim)).  The steps along every axis share one adaptive quadrature
+    call, each accepted on its own, and a cumulative sum per axis chains
+    them.
     """
     axes = grid_axes(chart, res)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -777,8 +794,8 @@ def fd_deformed_frame(
     """Finite-difference frame of the staircase-integrated immersion.
 
     The Richardson stencil around ``u`` is collected first and integrated
-    in one batched ``path_integral_immersion`` call, whose convergence is
-    the max norm over all stencil points.
+    in one batched ``path_integral_immersion`` call, one quadrature call in
+    which every staircase leg is held to ``tol`` on its own.
     """
     if base is None:
         lo = np.asarray(chart.lo)
@@ -850,10 +867,7 @@ def extract_gh(
         J = jet_partials(cj.comps, 1, cj.batch_shape)
         return np.einsum("...pk,...p->...k", J, F_fn(cj))[..., None, :]
 
-    closed = max(
-        float(np.abs(_circulation(zeta_at, rect, tol)).max())
-        for rect in default_loop_rects(chart)
-    )
+    closed = float(np.abs(_circulation(zeta_at, default_loop_rects(chart), tol)).max())
     g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(n), tol)
     return GridPair(
         points=mesh,

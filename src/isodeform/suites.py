@@ -271,20 +271,15 @@ def _codazzi_suite(fields, spec, pts, tol) -> List[CheckResult]:
 
 def _loop_check(chart, spec, tol) -> CheckResult:
     rects = default_loop_rects(chart)
-    residuals = []
-    centers = []
-    for rect in rects:
-        loop = omega_loop_integral(chart, spec, rect)
-        residuals.append(float(np.abs(loop).max()))
-        center = np.array(rect.base, dtype=float)
-        center[rect.axis_a] = 0.5 * (rect.a0 + rect.a1)
-        center[rect.axis_b] = 0.5 * (rect.b0 + rect.b1)
-        centers.append(center)
+    loops = omega_loop_integral(chart, spec, rects)
+    centers = np.array([r.base for r in rects], dtype=float)
+    for c, r in zip(centers, rects):
+        c[[r.axis_a, r.axis_b]] = 0.5 * (r.a0 + r.a1), 0.5 * (r.b0 + r.b1)
     return check_from_field(
         "deformation",
         "loop",
-        np.array(residuals),
-        np.array(centers),
+        np.abs(loops).max(axis=1),
+        centers,
         tol["loop"],
         note="worst point is the center of the worst rectangle",
     )

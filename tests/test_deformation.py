@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from isodeform import catalog, codazzi, deformation as dfm, expr as exprmod
+from isodeform import catalog, codazzi, deformation as dfm, expr as exprmod, suites
 from isodeform.codazzi import Explicit, GHPair, MinusA, Parallel
 from isodeform.deformation import (
     KernelMismatchError,
     LoopRect,
     closed_form_immersion,
+    default_loop_rects,
     extract_gh,
     fd_deformed_frame,
     gauge_fit,
@@ -412,8 +413,9 @@ def test_extract_builds_chart_jets_once_per_slice(monkeypatch):
 
 
 def test_sphere_grid_integral_takes_one_panel_per_segment(monkeypatch):
-    # omega is analytic on every leg, so each segment is accepted on the
-    # Legendre tail of its first 16-node panel
+    # omega is analytic on every leg, so each leg is accepted on the
+    # Legendre tail of its first 16-node panel: the whole grid is one
+    # quadrature call that evaluates the integrand once, at 16 parameters
     nodes = []
     integrate = dfm.integrate_segment
 
@@ -425,12 +427,86 @@ def test_sphere_grid_integral_takes_one_panel_per_segment(monkeypatch):
             return fn(t)
 
         out = integrate(counted, *args, **kwargs)
-        nodes.append(sum(calls))
+        nodes.append(calls)
         return out
 
     monkeypatch.setattr(dfm, "integrate_segment", counting)
     path_integral_on_grid(catalog.sphere3(2.0), Parallel(1.0), 5)
-    assert len(nodes) == 3 and set(nodes) == {16}
+    assert nodes == [[16]]
+
+
+@pytest.mark.parametrize("case", ["parallel", "explicit", "non_integrable"])
+def test_batched_loops_match_one_rectangle_at_a_time(case):
+    ch, source = {
+        "parallel": (catalog.graph3(), Parallel(0.05)),
+        "explicit": (catalog.graph3(), _graph_explicit(0.3)),
+        # symmetric, so self-adjoint for the plane's flat metric
+        "non_integrable": (catalog.plane2(), Explicit(
+            (("1 + u2^2", "0.3*u1"), ("0.3*u1", "1 + sin(2*u1)"))
+        )),
+    }[case]
+    rects = default_loop_rects(ch)
+    batch = omega_loop_integral(ch, source, rects)
+    assert batch.shape == (len(rects), ch.ambient_dim)
+    single = np.array([omega_loop_integral(ch, source, r) for r in rects])
+    assert np.abs(batch - single).max() <= 1e-12
+    if case == "non_integrable":
+        assert np.abs(batch).max() > 0.1
+
+
+def test_staircase_targets_on_base_lines_give_f0_exactly():
+    # targets share one or two coordinates with the base, so some of their
+    # legs have zero length; the base itself has no leg at all
+    ch = catalog.graph3()
+    source = _graph_explicit(0.3)
+    base = np.array([-0.2, 0.1, 0.3])
+    F0 = np.array([1.0, -2.0, 0.5, 3.0])
+    targets = np.array([
+        [0.4, 0.1, 0.3], [-0.2, -0.4, 0.3], [-0.2, 0.1, -0.1],
+        [0.4, -0.4, 0.3], base, [0.4, 0.2, -0.3], base,
+    ])
+    F = path_integral_immersion(ch, source, base, targets, F0=F0)
+    np.testing.assert_array_equal(F[4], F0)
+    np.testing.assert_array_equal(F[6], F0)
+    np.testing.assert_array_equal(path_integral_immersion(ch, source, base, base, F0=F0), F0)
+    for x, row in zip(targets, F):
+        single = path_integral_immersion(ch, source, base, x, F0=F0)
+        assert np.abs(row - single).max() <= 1e-13
+
+
+def test_one_quadrature_call_per_path_family(monkeypatch):
+    calls = []
+    integrate = dfm.integrate_segment
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    def count(run) -> int:
+        before = len(calls)
+        run()
+        return len(calls) - before
+
+    monkeypatch.setattr(dfm, "integrate_segment", counting)
+    ch = catalog.graph3()
+    source = _graph_explicit(0.3)
+    targets = grid_points(ch, 3)
+    assert count(lambda: path_integral_immersion(ch, source, targets[0], targets)) == 1
+    assert count(lambda: path_integral_on_grid(ch, source, 4)) == 1
+    assert count(lambda: suites._loop_check(ch, source, suites.DEFAULT_TOL)) == 1
+    assert count(lambda: fd_deformed_frame(ch, source, [0.1, 0.0, -0.1])) == 1
+
+    circulation = dfm._circulation
+    inside = []
+
+    def counted_circulation(*args, **kwargs):
+        out = []
+        inside.append(count(lambda: out.append(circulation(*args, **kwargs))))
+        return out[0]
+
+    monkeypatch.setattr(dfm, "_circulation", counted_circulation)
+    extract_gh(ch, closed_form_immersion(ch, Parallel(0.05)), 3)
+    assert inside == [1]
 
 
 def test_explicit_values_share_subtrees_bit_identically():

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodeform.quadrature import DEFAULT_TOL, QuadratureError, integrate_segment
+from isodeform.quadrature import (
+    DEFAULT_TOL,
+    GL_NODES,
+    GL_WEIGHTS,
+    LEGENDRE_TRANSFORM,
+    QuadratureError,
+    _legendre,
+    integrate_segment,
+)
 
 
 def test_polynomial_exact():
@@ -91,3 +99,65 @@ def test_damped_cosine_matches_closed_form(a, b, lo, hi):
     out = integrate_segment(lambda t: np.exp(a * t) * np.cos(b * t), lo, hi)
     scale = abs(hi - lo) * np.exp(abs(a) * max(abs(lo), abs(hi)))
     assert abs(out - exact) <= DEFAULT_TOL + 16 * np.finfo(float).eps * scale
+
+
+def _legs(rows):
+    """An integrand over the rows still running, the rows each call saw, and
+    the retire callback that drops accepted rows."""
+    live = list(range(len(rows)))
+    seen = []
+
+    def fn(t):
+        seen.append(list(live))
+        return np.stack([rows[i](t) for i in live], axis=1)
+
+    def retire(keep):
+        live[:] = [i for i, k in zip(live, keep) if k]
+
+    return fn, seen, retire
+
+
+def test_accepted_row_is_not_evaluated_again():
+    fn, seen, retire = _legs([np.cos, lambda t: np.sin(40 * t)])
+    out = integrate_segment(fn, 0.0, 1.0, retire=retire)
+    assert seen[0] == [0, 1]
+    assert len(seen) > 1 and all(rows == [1] for rows in seen[1:])
+    assert np.allclose(out, [np.sin(1.0), (1 - np.cos(40)) / 40], atol=1e-11)
+
+
+def test_each_row_matches_its_own_integral():
+    rows = [
+        lambda t: np.stack([np.cos(t), np.exp(3 * t)], axis=-1),
+        lambda t: np.stack([np.sin(40 * t), t**3], axis=-1),
+        lambda t: np.stack([1 / (1 + 25 * t**2), np.sqrt(t + 1)], axis=-1),
+    ]
+    fn, _, retire = _legs(rows)
+    out = integrate_segment(fn, -0.5, 1.5, retire=retire)
+    assert out.shape == (3, 2)
+    for row, got in zip(rows, out):
+        alone = integrate_segment(row, -0.5, 1.5)
+        scale = 2.0 * np.abs(row(np.linspace(-0.5, 1.5, 201))).max()
+        assert np.abs(got - alone).max() <= 1e-15 * scale
+
+
+def test_unconverged_row_names_the_legs_still_running():
+    rng = np.random.default_rng(0)
+    fn, seen, retire = _legs([np.cos, lambda t: rng.standard_normal(t.shape)])
+    with pytest.raises(
+        QuadratureError,
+        match=r"1 of 2 legs above tol, last error estimate \S+ at level 4",
+    ):
+        integrate_segment(fn, 0.0, 1.0, tol=1e-14, max_levels=4, retire=retire)
+    assert seen[-1] == [1]
+
+
+def test_node_table_matches_numpy_legendre():
+    from numpy.polynomial.legendre import leggauss, legvander
+
+    x, w = leggauss(16)
+    assert np.array_equal(GL_NODES, x)
+    assert np.abs(GL_WEIGHTS - w).max() <= 4e-16
+    assert np.array_equal(_legendre(x, 15), legvander(x, 15).T)
+    want = (np.arange(16) + 0.5)[:, None] * legvander(x, 15).T * w
+    # the weights' last-bit differences, scaled by k + 1/2 <= 15.5
+    assert np.abs(LEGENDRE_TRANSFORM - want).max() <= 1e-14
