@@ -168,7 +168,8 @@ def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
         row = [a for entries in spec.asts(n) for a in entries]
         Q = np.empty((n, n), dtype=object)
         Q.flat[:] = exprmod.eval_jets(row, cj.u, cj.order - 2, spec.shared)
-        _check_explicit_self_adjoint(_move(values(cj.gjet), 2), _move(values(Q), 2))
+        g = _move(values(cj.metric(0)), 2)
+        _check_explicit_self_adjoint(g, _move(values(Q), 2))
         return Q
     raise TypeError(f"unknown Codazzi spec {spec!r}")
 
@@ -183,7 +184,7 @@ def q_from_scalar_jets(
     """
     gh_field = gh_constraint_residual_field(
         _move(values(cj.Ajet), 2),
-        _move(values(cj.gjet), 2),
+        _move(values(cj.metric(0)), 2),
         _move(values(cj.scalar_grad_jets(s.truncated(1))), 1),
         _move(values(cj.scalar_grad_jets(h.truncated(1))), 1),
     )
@@ -340,8 +341,7 @@ def deformed_metric_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
     """Jets of g~ = Q^T g Q at order K-2, symmetrized structurally."""
     n = cj.n
     order = qj[0, 0].space.order
-    g = _trunc_mat(cj.gjet, order)
-    gt = mat_mul(mat_mul(qj.T, g), qj)
+    gt = mat_mul(mat_mul(qj.T, cj.metric(order)), qj)
     for i in range(n):
         for j in range(i + 1, n):
             m = (gt[i, j] + gt[j, i]) * 0.5

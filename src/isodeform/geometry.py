@@ -145,10 +145,13 @@ class ChartJets:
     jets (this is how a deformed immersion is re-analyzed through the same
     code path).
 
-    J and g have order K-1; ``normal`` and ``ginv`` build at the order asked
-    for: K-2 for the frame, A, Gamma and Hessians, and K-1 (``Njet``,
-    ``ginv_jet``) only for a scalar pair's h, ``immersion_jets`` and
-    ``scalar_grad_jets`` of a full-order scalar.
+    J has order K-1.  ``normal``, ``metric``, ``ginv`` and ``christoffel``
+    build at the order asked for.  The frame and A read the normal, g and
+    g^{-1} at K-2 and Gamma at min(K-2, 1), whose build reads g one order
+    higher and g^{-1} at its own order; a scalar's Hessian reads Gamma at
+    K-2.  Only a scalar pair's h, ``immersion_jets`` and ``scalar_grad_jets``
+    of a full-order scalar read the normal and g^{-1} (``Njet``,
+    ``ginv_jet``), and so g, at K-1.
     """
 
     def __init__(self, comps, u: np.ndarray):
@@ -200,9 +203,12 @@ class ChartJets:
 
     Njet = property(lambda self: self.normal(self.order - 1))
 
-    @cached_property
-    def gjet(self):
-        J = self.Jjet
+    def metric(self, order):
+        """Jets of g at ``order`` (at most K-1)."""
+        return self._memo("metric", order, self._metric)
+
+    def _metric(self, order):
+        J = _trunc_mat(self.Jjet, order)
         g = np.empty((self.n, self.n), dtype=object)
         for i in range(self.n):
             for j in range(i, self.n):
@@ -221,7 +227,7 @@ class ChartJets:
             if np.any(np.asarray(det.value) <= 0):
                 raise NotSPDError(f"det g = {np.min(det.value):.3e} <= 0")
 
-        return mat_inv(_trunc_mat(self.gjet, order), gate)[0]
+        return mat_inv(self.metric(order), gate)[0]
 
     ginv_jet = property(lambda self: self.ginv(self.order - 1))
 
@@ -243,9 +249,12 @@ class ChartJets:
     def Ajet(self):
         return mat_mul(self.ginv(self.order - 2), self.bjet)
 
-    @cached_property
-    def Gammajet(self):
-        return christoffel_jets(self.gjet, self.ginv(self.order - 2))
+    def christoffel(self, order):
+        """Christoffel symbol jets at ``order`` (at most K-2)."""
+        return self._memo("christoffel", order, self._christoffel)
+
+    def _christoffel(self, order):
+        return christoffel_jets(self.metric(order + 1), self.ginv(order))
 
     def scalar_grad_jets(self, s: JetScalar):
         """Contravariant gradient of a scalar jet.
@@ -270,7 +279,7 @@ class ChartJets:
             di = s.diff(i)
             for l in range(i, self.n):
                 d2s[i, l] = d2s[l, i] = di.diff(l)
-        G = self.Gammajet
+        G = self.christoffel(K - 2)
         ginv2 = self.ginv(K - 2)
         H = np.empty((self.n, self.n), dtype=object)
         for k in range(self.n):
@@ -377,7 +386,10 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     Nj = cj.normal(max(cj.order - 2, 1))  # dN needs order 1
     N = _move(values(Nj), 1)
     dN = _move(d1_values(Nj), 2)
-    g = _move(values(cj.gjet), 2)
+    # R reads Gamma's first derivatives; Gamma reads g one order higher, so
+    # g is built first at the highest order read, and never twice
+    go = min(cj.order - 2, 1)
+    g = _move(values(cj.metric(max(cj.order - 2, go + 1))), 2)
     g_inv = _move(values(cj.ginv(cj.order - 2)), 2)
     b = _move(values(cj.bjet), 2)
     A = _move(values(cj.Ajet), 2)
@@ -387,9 +399,10 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     if np.abs(gA - gA.swapaxes(-1, -2)).max() > SELF_ADJOINT_TOL * scale:
         raise FrameError("shape operator lost g-self-adjointness")
     R = nablaA = None
-    Gamma = _move(values(cj.Gammajet), 3)
+    Gj = cj.christoffel(go)
+    Gamma = _move(values(Gj), 3)
     if cj.order >= 3:
-        R = curvature_values(cj.Gammajet)
+        R = curvature_values(Gj)
         dA = _move(d1_values(cj.Ajet), 3)  # (*b, k, j, i) = d_i A^k_j
         Gv = Gamma
         nablaA = (

@@ -23,9 +23,11 @@ deformation suites read those and put their fields into one name -> field
 table, from which the checks are made.  The jet order K is 4 when codazzi
 or deformation runs, else the scene order when geometry runs, else 2;
 geometry fields do not depend on it, and geometry skips its curvature
-checks when the scene order is below 3.  The normal and g^{-1} are built
-at K-2 (the normal at least 1) and at K-1 only for a scalar pair's h and
-F; J and g at K-1; the deformed metric at K-2 and its inverse at K-3.
+checks when the scene order is below 3.  J is built at K-1; the normal,
+g and g^{-1} at K-2 (the normal at least 1) and the Christoffel symbols
+at min(K-2, 1), which reads g one order higher.  A scalar pair's Hessian
+reads the symbols at K-2, and its h and F the normal and g^{-1} at K-1.
+The deformed metric is built at K-2 and its inverse at K-3.
 
 Each slice certifies the rank hypothesis from its frame, before building
 Q: when deformation or roundtrip runs, a rank of A below 3 (below n for

@@ -197,7 +197,7 @@ def test_noncommuting_control_detected():
     frame = frame_from_jets(cj)
     qj = q_jets(cj, Explicit(entries))  # self-adjointness check passes
     cf = codazzi.codazzi_frame_from_jets(qj, frame)
-    gv = geometry._move(values(cj.gjet), 2)
+    gv = geometry._move(values(cj.metric(0)), 2)
     gQ = np.einsum("...ik,...kj->...ij", gv, cf.Q)
     assert np.abs(gQ - np.diag(S)).max() < 1e-12
     assert commutator_residual_field(frame, cf).max() > 1e-3

@@ -335,15 +335,20 @@ def _coefs_equal(trimmed, full, order):
 @pytest.mark.parametrize("K", [2, 3, 4])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_trimmed_builds_equal_truncated_full_builds(n, K):
-    # g^{-1} and N built at the order their readers ask for are, coefficient
-    # by coefficient, the truncations of the full order-(K-1) builds
+    # g, g^{-1}, N and Gamma built at the order their readers ask for are,
+    # coefficient by coefficient, the truncations of the full builds: order
+    # K-1 for g, g^{-1} and N, and K-2 for Gamma
     chart = _CHARTS_BY_N[n]()
     pts = grid_points(chart, 3)[::7]
     full = chart_jets(chart, pts, K)
     ginv_full, normal_full = full.ginv(K - 1), full.normal(K - 1)
+    metric_full, gamma_full = full.metric(K - 1), full.christoffel(K - 2)
     trim = chart_jets(chart, pts, K)
     assert _coefs_equal(trim.ginv(K - 2), ginv_full, K - 2)
     assert _coefs_equal(trim.normal(max(K - 2, 1)), normal_full, max(K - 2, 1))
+    assert _coefs_equal(trim.metric(K - 2), metric_full, K - 2)
+    go = min(K - 2, 1)
+    assert _coefs_equal(trim.christoffel(go), gamma_full, go)
     # a gradient read for its values alone may come from the order-1 scalar
     s = exprmod.eval_jet(exprmod.parse("u1^2*u2 + sin(u1)", n), pts, K)
     assert np.array_equal(

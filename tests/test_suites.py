@@ -265,21 +265,24 @@ def test_sample_pass_evaluates_scalar_pair_once_per_chunk(monkeypatch):
 
 
 def _count_jet_builds(monkeypatch):
-    """Record the order of every chart jet, normal and inverse built."""
-    built = {"chart": [], "normal": [], "inverse": []}
+    """Record the order of every chart jet, normal, metric, Christoffel and
+    inverse built."""
+    built = {"chart": [], "normal": [], "metric": [], "christoffel": [], "inverse": []}
     build_jets = geometry.chart_jets
-    build_normal = geometry.ChartJets._normal
     inverse = geometry.mat_inv
 
     def counting_jets(chart, u, order=3):
         built["chart"].append(order)
         return build_jets(chart, u, order)
 
-    def counting_normal(cj, order):
-        # the lower-order build is dropped before a higher one is made
-        assert "normal" not in cj._built
-        built["normal"].append(order)
-        return build_normal(cj, order)
+    def counting(name, build):
+        def counting_build(cj, order):
+            # the lower-order build is dropped before a higher one is made
+            assert name not in cj._built
+            built[name].append(order)
+            return build(cj, order)
+
+        return counting_build
 
     def counting_inverse(M, gate=None):
         built["inverse"].append(M[0, 0].order)
@@ -287,16 +290,20 @@ def _count_jet_builds(monkeypatch):
 
     for mod in (suites, deformation):
         monkeypatch.setattr(mod, "chart_jets", counting_jets)
-    monkeypatch.setattr(geometry.ChartJets, "_normal", counting_normal)
+    for name in ("normal", "metric", "christoffel"):
+        attr = "_" + name
+        build = getattr(geometry.ChartJets, attr)
+        monkeypatch.setattr(geometry.ChartJets, attr, counting(name, build))
     for mod in (geometry, codazzi):
         monkeypatch.setattr(mod, "mat_inv", counting_inverse)
     return built
 
 
 def test_sample_pass_builds_jets_at_the_order_read(monkeypatch):
-    # order-4 chart jets on a 4-dim chart: the pass reads the normal and
-    # g^{-1} at order 2 and the deformed inverse at order 1, so nothing of
-    # order 3 is built, and the rank of A comes from the same frame
+    # order-4 chart jets on a 4-dim chart: the pass reads the normal, g and
+    # g^{-1} at order 2, the Christoffel symbols at order 1 and the deformed
+    # inverse at order 1, so nothing of order 3 is built, and the rank of A
+    # comes from the same frame
     scene = parse_scene(
         "[chart]\ncatalog = sphcyl4\n[codazzi]\nvariant = parallel\nt = 0.2\n"
         "[run]\ngrid = 3\norder = 4\nsuites = geometry, codazzi\n"
@@ -316,7 +323,8 @@ def test_sample_pass_builds_jets_at_the_order_read(monkeypatch):
     assert not rep.failed
     assert rep.rank_min == rep.rank_max == 3
     assert built["chart"] == [4, 4, 4]
-    assert built["normal"] == [2, 2, 2]
+    assert built["normal"] == built["metric"] == [2, 2, 2]
+    assert built["christoffel"] == [1, 1, 1]
     assert sorted(set(built["inverse"])) == [1, 2]
     # 3264 products; 5112 with the normal and g^{-1} at order 3, the
     # deformed inverse at order 2 and a separate order-2 rank pass
@@ -324,8 +332,9 @@ def test_sample_pass_builds_jets_at_the_order_read(monkeypatch):
 
 
 def test_pair_scene_builds_the_full_order_normal_once_per_chunk(monkeypatch):
-    # the pair's h and F read the normal at K-1 = 3: one build per chunk,
-    # made after the frame's order-2 build is dropped
+    # the pair's h and F read the normal and g at K-1 = 3, and its Hessian
+    # the Christoffel symbols at K-2 = 2: one build of each per chunk, made
+    # after the frame's lower-order build is dropped
     scene = parse_scene(
         SPHERE.replace("grid = 4", "grid = 3\nsuites = geometry, codazzi, deformation")
     )
@@ -334,7 +343,8 @@ def test_pair_scene_builds_the_full_order_normal_once_per_chunk(monkeypatch):
     rep = run_suites(scene)
     assert not rep.failed
     assert built["chart"].count(4) == 3
-    assert built["normal"].count(3) == 3
+    assert built["normal"].count(3) == built["metric"].count(3) == 3
+    assert built["christoffel"].count(2) == 3
 
 
 @pytest.mark.parametrize("suite", ["deformation", "roundtrip"])
