@@ -97,11 +97,12 @@ class Explicit:
 
     def __post_init__(self):
         parsed, shared = exprmod.intern(self.entries, len(self.entries))
-        object.__setattr__(self, "_parsed", parsed)
+        object.__setattr__(self, "_parsed", tuple(a for row in parsed for a in row))
         object.__setattr__(self, "shared", shared)
 
-    def asts(self, n: int) -> Tuple[Tuple[ExprAst, ...], ...]:
-        """The n x n entry ASTs; ValueError when the entries are not n x n."""
+    def asts(self, n: int) -> Tuple[ExprAst, ...]:
+        """The n x n entry ASTs row by row, the order ``shared`` counts their
+        uses in; ValueError when the entries are not n x n."""
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise ValueError(
                 f"explicit Q needs {n}x{n} entries, got "
@@ -165,9 +166,8 @@ def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
     if isinstance(spec, GHPair):
         return q_from_scalar_jets(cj, *gh_pair_jets(cj, spec))[0]
     if isinstance(spec, Explicit):
-        row = [a for entries in spec.asts(n) for a in entries]
         Q = np.empty((n, n), dtype=object)
-        Q.flat[:] = exprmod.eval_jets(row, cj.u, cj.order - 2, spec.shared)
+        Q.flat[:] = exprmod.eval_jets(spec.asts(n), cj.u, cj.order - 2, spec.shared)
         g = _move(values(cj.metric(0)), 2)
         _check_explicit_self_adjoint(g, _move(values(Q), 2))
         return Q
@@ -201,7 +201,7 @@ def q_from_scalar_jets(
 
 def _check_explicit_self_adjoint(g: np.ndarray, Q: np.ndarray) -> None:
     """Raise HypothesisError unless the float stack Q is g-self-adjoint."""
-    gQ = np.einsum("...ik,...kj->...ij", g, Q)
+    gQ = g @ Q
     scale = max(1.0, float(np.abs(gQ).max()))
     worst = float(np.abs(gQ - gQ.swapaxes(-1, -2)).max())
     if worst > SELF_ADJOINT_TOL * scale:
@@ -218,16 +218,15 @@ def _check_explicit_self_adjoint(g: np.ndarray, Q: np.ndarray) -> None:
 
 
 def explicit_q_values(spec: Explicit, u: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Q (*batch, n, n) of an explicit spec at points u, by ``eval_value``
-    with shared subtrees once, gated on g-self-adjointness with g = J^T J."""
+    """Q (*batch, n, n) of an explicit spec at points u, by one
+    ``eval_values`` call on its entries (shared subtrees and their domain
+    gates once), gated on g-self-adjointness with g = J^T J."""
     n = u.shape[-1]
-    asts = spec.asts(n)
-    memo = {k: (uses, None) for k, uses in spec.shared.items()}
-    Q = np.empty(u.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(n):
-            Q[..., i, j] = exprmod.eval_value(asts[i][j], u, memo)
-    _check_explicit_self_adjoint(np.einsum("...pi,...pj->...ij", J, J), Q)
+    Q = np.empty(u.shape[:-1] + (n * n,))
+    for k, v in enumerate(exprmod.eval_values(spec.asts(n), u, spec.shared)):
+        Q[..., k] = v
+    Q = Q.reshape(u.shape[:-1] + (n, n))
+    _check_explicit_self_adjoint(J.swapaxes(-1, -2) @ J, Q)
     return Q
 
 

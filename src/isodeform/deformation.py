@@ -491,15 +491,19 @@ def deformation_check_from_jets(
 # of straight legs in one quadrature call, each leg retired once it has
 # converged.  ``_staircase`` chains axis-parallel legs from a batch of starts
 # to a batch of targets, each path with its own axis order, in one kernel
-# call; ``_grid_staircase`` fills a sample grid from one kernel call.
+# call that integrates each distinct (start, step) leg once, however many
+# paths share it; ``_grid_staircase`` fills a sample grid from one kernel
+# call.  A leg's integral does not depend on the batch it runs in: the
+# integrand is evaluated point by point (stacked products by matmul), and
+# each leg is accepted on its own test.
 
 
 def _q_values(cj: ChartJets, J: np.ndarray, source: PairSource) -> np.ndarray:
     """Q (*batch, n, n) of a source at the chart jets' points, values only.
 
     Reads J (given) and d2f off the chart jets and builds Q in float stack
-    algebra: Id - t A, -A, the explicit entries by ``eval_value``, or
-    Hess s - h A from the pair's jets.  Every gate of ``source_jets`` holds
+    algebra: Id - t A, -A, the explicit entries by one ``eval_values`` row,
+    or Hess s - h A from the pair's jets.  Every gate of ``source_jets`` holds
     at every point, with the same exception class; on an exactly singular
     metric that is NotSPDError or DegenerateJacobianError, where the jet
     route's cofactor inverse raises JetDomainError.
@@ -533,7 +537,7 @@ def _omega_values(
     """
     cj = chart_jets(chart, pts, order=2)
     J = jet_partials(cj.comps, 1, cj.batch_shape)
-    return np.einsum("...pk,...kj->...pj", J, _q_values(cj, J, source))
+    return J @ _q_values(cj, J, source)
 
 
 def _leg_integrals(covector, starts, steps, tol: float) -> np.ndarray:
@@ -567,8 +571,10 @@ def _staircase(covector, starts, X, orders, tol: float) -> np.ndarray:
     """Integral of the covector from each row of ``starts`` (P, n) to the
     same row of X along the axes orders[i] in turn: (P, d).
 
-    Zero-length legs are dropped and the rest are one kernel call, each
-    added to its path's sum in axis order; (P, 1) zeros when no leg moves.
+    Zero-length legs are dropped, and each distinct (start, step) leg of
+    the rest is integrated once, in one kernel call; every path adds the
+    integral of each of its legs to its sum in axis order.  (P, 1) zeros
+    when no leg moves.
     """
     cur = np.array(starts, dtype=float)
     legs = []
@@ -581,9 +587,11 @@ def _staircase(covector, starts, X, orders, tol: float) -> np.ndarray:
     a, v, owner = (np.concatenate(part) for part in zip(*legs))
     if not len(owner):
         return np.zeros((len(X), 1))
-    seg = _leg_integrals(covector, a, v, tol)
+    n = X.shape[1]
+    distinct, leg = np.unique(np.hstack([a, v]), axis=0, return_inverse=True)
+    seg = _leg_integrals(covector, distinct[:, :n], distinct[:, n:], tol)
     total = np.zeros((len(X), seg.shape[1]))
-    np.add.at(total, owner, seg)
+    np.add.at(total, owner, seg[leg.reshape(-1)])  # numpy 2.0 gives leg 2-D
     return total
 
 

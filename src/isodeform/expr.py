@@ -18,13 +18,15 @@ Integer exponents evaluate by binary powering (any base; a negative one
 powers the reciprocal); non-integer or non-constant exponents require a
 positive base.
 
-Two evaluators share these rules.  ``eval_value`` works on floats and
-arrays.  ``eval_jets`` turns a row of ASTs (a chart's components, the
-entries of an explicit Q) into Taylor jets: a subtree the row repeats, as
-``intern`` finds it, is evaluated once; literals stay floats that scale or
-shift a jet's coefficients; and sin, cos, exp, log, sqrt of a bare
-coordinate, and its square, are written from their univariate Taylor
-coefficients without a jet product.  ``eval_jet`` is a row of one.
+Two row evaluators share these rules, each taking a row of ASTs (a
+chart's components, the entries of an explicit Q) and evaluating a subtree
+the row repeats, as ``intern`` finds it, once.  ``eval_values`` works on
+floats and arrays, and runs each domain rule once per row on an operand
+node, so a shared divisor is gated once.  ``eval_jets`` turns the row into
+Taylor jets: literals stay floats that scale or shift a jet's
+coefficients, and sin, cos, exp, log, sqrt of a bare coordinate, and its
+square, are written from their univariate Taylor coefficients without a
+jet product.  ``eval_value`` and ``eval_jet`` are rows of one.
 
 ``num``, ``add`` and ``mul`` build ASTs in code, e.g. |f|^2 / 2 from the
 parsed chart components; ``num`` writes a negative value as ``Neg`` of a
@@ -294,13 +296,13 @@ def to_string(node: ExprAst) -> str:
 # ------------------------------------------------------------------- eval
 
 
-def _memo_reader(ev_node, memo: dict | None):
+def _memo_reader(ev_node, memo: dict):
     """``ev_node`` behind ``memo`` (see ``intern``), which maps the id of each
     shared node to (uses left, value or None): a shared node is evaluated
     once and its value dropped after its last read."""
 
     def ev(nd):
-        if memo is None or id(nd) not in memo:
+        if id(nd) not in memo:
             return ev_node(nd)
         uses, out = memo.pop(id(nd))
         if out is None:
@@ -426,16 +428,28 @@ def _require_divisor(v, span) -> None:
         raise ExprEvalError(f"division by value {float(worst)}", span)
 
 
-def eval_value(node: ExprAst, point, memo: dict | None = None):
-    """Value-only evaluation on floats or numpy arrays.
+def eval_values(nodes, point, shared: dict | None = None) -> list:
+    """Evaluate a row of ASTs on floats or numpy arrays at `point`, shape
+    (*batch, n): a float for an entry constant over the batch, else an
+    array (*batch).
 
     Deliberately does not touch the jet machinery: this is the independent
     route used by the finite-difference oracle and the path integrands.
-    Domain violations raise ExprEvalError under the jet evaluator's rules,
-    naming the worst offending value.  ``memo`` (see ``intern``) maps node
-    ids to (uses left, value or None) and drops a value after its last use.
+    ``shared`` is the use count by id that ``intern`` gives for the row, as
+    for ``eval_jets``: a subtree the row repeats is evaluated once.  Domain
+    violations raise ExprEvalError under the jet evaluator's rules, naming
+    the worst offending value; each rule runs once per row on an operand
+    node, so a shared divisor is gated at its first division only, which is
+    also where it would raise.
     """
     point = np.asarray(point, dtype=float)
+    gated = set()
+
+    def gate(rule, operand, v, *args) -> None:
+        key = (rule, id(operand))
+        if key not in gated:
+            rule(v, *args)
+            gated.add(key)
 
     def ev_node(nd):
         if isinstance(nd, Num):
@@ -449,7 +463,7 @@ def eval_value(node: ExprAst, point, memo: dict | None = None):
         if isinstance(nd, Call):
             v = ev(nd.arg)
             if nd.name in ("log", "sqrt"):
-                _require_positive(v, nd.name, nd.span)
+                gate(_require_positive, nd.arg, v, nd.name, nd.span)
             return getattr(np, nd.name)(v)
         if isinstance(nd, BinOp):
             a = ev(nd.left)
@@ -461,22 +475,27 @@ def eval_value(node: ExprAst, point, memo: dict | None = None):
             if nd.op == "*":
                 return a * b
             if nd.op == "/":
-                _require_divisor(b, nd.span)
+                gate(_require_divisor, nd.right, b, nd.span)
                 return a / b
             # ^
             a = np.asarray(a, dtype=float)
             bb = np.asarray(b, dtype=float)
             if bb.ndim == 0 and float(bb).is_integer():
                 if bb < 0:
-                    _require_divisor(a, nd.span)
+                    gate(_require_divisor, nd.left, a, nd.span)
                 return a ** int(bb)
-            _require_positive(a, "non-integer power", nd.span)
+            gate(_require_positive, nd.left, a, "non-integer power", nd.span)
             return a ** bb
         raise TypeError(f"not an AST node: {nd!r}")
 
-    ev = _memo_reader(ev_node, memo)
-    out = ev(node)
-    return np.asarray(out, dtype=float) if np.ndim(out) else float(out)
+    ev = _memo_reader(ev_node, {k: (uses, None) for k, uses in (shared or {}).items()})
+    out = [ev(nd) for nd in nodes]
+    return [np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in out]
+
+
+def eval_value(node: ExprAst, point):
+    """One AST as a row of its own; see ``eval_values``."""
+    return eval_values((node,), point)[0]
 
 
 def intern(rows, n_vars: int):

@@ -443,7 +443,7 @@ def metric_normal_values(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Gated as the jet pipeline is: NotSPDError when g is not positive
     definite, then DegenerateJacobianError when the normal degenerates.
     """
-    g = np.einsum("...pi,...pj->...ij", J, J)
+    g = J.swapaxes(-1, -2) @ J
     cholesky_spd(g)
     return g, unit_normal(J)
 
@@ -612,7 +612,7 @@ def fd_oracle(chart: Chart, u, step: float = 1e-5):
     """
 
     def fval(x):
-        return np.array([exprmod.eval_value(c, x) for c in chart.components])
+        return np.array(exprmod.eval_values(chart.components, x, chart.shared))
 
     return fd_stencil(chart, fval, u, step, 100 * step)
 

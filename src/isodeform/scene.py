@@ -232,11 +232,7 @@ def _center_self_adjoint_warning(chart: Chart, spec: Explicit) -> Optional[str]:
     center = chart.center()
     fr = frame_at(chart, center, order=2)
     n = chart.n
-    asts = spec.asts(n)
-    Q = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            Q[i, j] = exprmod.eval_value(asts[i][j], center)
+    Q = np.reshape(exprmod.eval_values(spec.asts(n), center, spec.shared), (n, n))
     gQ = fr.g @ Q
     resid = np.abs(gQ - gQ.T).max()
     scale = max(1.0, np.abs(gQ).max())

@@ -224,7 +224,7 @@ def test_explicit_shared_subtree_error_keeps_its_offset():
     # interned it is one node, and the error still names the first occurrence
     # in evaluation order, as evaluating the entries one by one does
     spec = Explicit((("1 + 2*log(u1 - 5)", "0"), ("0", "log(u1 - 5)")))
-    assert spec.asts(2)[0][0].right.right is spec.asts(2)[1][1]
+    assert spec.asts(2)[0].right.right is spec.asts(2)[3]
     u = np.array([[0.3, 0.4], [0.5, 0.6]])
     with pytest.raises(exprmod.ExprEvalError) as alone:
         exprmod.eval_value(exprmod.parse(spec.entries[0][0], 2), u)

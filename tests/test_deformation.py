@@ -26,7 +26,15 @@ from isodeform.deformation import (
     verify_deformation,
 )
 from isodeform.errors import HypothesisError
-from isodeform.geometry import CHUNK, chart_jets, grid_points, jet_partials, make_chart
+from isodeform.geometry import (
+    CHUNK,
+    GRID_SHRINK,
+    chart_jets,
+    grid_axes,
+    grid_points,
+    jet_partials,
+    make_chart,
+)
 from isodeform.jet import values
 from isodeform.linalg import DegenerateJacobianError, LinalgError
 
@@ -509,7 +517,7 @@ def test_one_quadrature_call_per_path_family(monkeypatch):
     assert inside == [1]
 
 
-def test_explicit_values_share_subtrees_bit_identically():
+def test_explicit_values_share_subtrees_bit_identically(monkeypatch):
     source = _graph_explicit(0.05)
     assert source.shared
     ch = catalog.graph3()
@@ -522,8 +530,109 @@ def test_explicit_values_share_subtrees_bit_identically():
             alone = exprmod.eval_value(exprmod.parse(text, 3), pts)
             assert np.array_equal(Q[..., i, j], alone)
     # the use counts are exact: each shared value is dropped after its last use
-    memo = {k: (uses, None) for k, uses in source.shared.items()}
-    for row in source.asts(3):
-        for ast in row:
-            exprmod.eval_value(ast, pts, memo)
-    assert memo == {}
+    memos = []
+    reader = exprmod._memo_reader
+
+    def recorded(ev_node, memo):
+        memos.append(memo)
+        return reader(ev_node, memo)
+
+    monkeypatch.setattr(exprmod, "_memo_reader", recorded)
+    exprmod.eval_values(source.asts(3), pts, source.shared)
+    assert memos == [{}]
+
+
+def _staircase_legs(base, targets):
+    """The (start, step) rows of the axis-order staircases base -> targets
+    with a nonzero step, as a set."""
+    rows = set()
+    for x in targets:
+        cur = np.array(base, dtype=float)
+        for k in range(len(cur)):
+            if x[k] != cur[k]:
+                step = np.zeros(len(cur))
+                step[k] = x[k] - cur[k]
+                rows.add(tuple(cur) + tuple(step))
+                cur[k] = x[k]
+    return rows
+
+
+def test_staircase_integrates_each_distinct_leg_once(monkeypatch):
+    legs = []
+    integrals = dfm._leg_integrals
+
+    def recording(covector, starts, steps, tol):
+        legs.append(np.hstack([starts, steps]))
+        return integrals(covector, starts, steps, tol)
+
+    monkeypatch.setattr(dfm, "_leg_integrals", recording)
+    ch = catalog.graph3()
+    source = _graph_explicit(0.05)
+    base = np.asarray(ch.lo) + GRID_SHRINK * (np.asarray(ch.hi) - np.asarray(ch.lo))
+    # an FD stencil, and a mesh slice at u3 = 0.1: many paths share legs
+    fd_deformed_frame(ch, source, [0.1, 0.0, -0.1])
+    stencil = legs.pop()
+    axes = grid_axes(ch, 5)
+    a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
+    grid = np.stack([a.ravel(), b.ravel(), np.full(a.size, 0.1)], axis=-1)
+    path_integral_immersion(ch, source, base, grid)
+    (mesh,) = legs
+    assert len(mesh) == len(_staircase_legs(base, grid)) < 2 * len(grid)
+    assert set(map(tuple, mesh)) == _staircase_legs(base, grid)
+    assert len(np.unique(stencil, axis=0)) == len(stencil)
+
+
+def test_shared_legs_integrate_bit_identically_to_single_targets():
+    ch = catalog.graph3()
+    source = _graph_explicit(0.05)
+    base = np.array([-0.3, -0.2, 0.1])
+    axes = grid_axes(ch, 3)
+    a, b = np.meshgrid(axes[0], axes[1], indexing="ij")
+    targets = np.stack([a.ravel(), b.ravel(), np.full(a.size, 0.1)], axis=-1)
+    F = path_integral_immersion(ch, source, base, targets)
+    for x, row in zip(targets, F):
+        np.testing.assert_array_equal(row, path_integral_immersion(ch, source, base, x))
+
+
+@pytest.mark.parametrize(
+    "source", [Parallel(0.05), gh_parallel_offset(0.05), _graph_explicit(0.05)],
+    ids=["parallel", "parallel_offset", "explicit"],
+)
+def test_omega_values_do_not_depend_on_the_batch(source):
+    # a leg integrated once for every path that shares it relies on this
+    ch = catalog.graph3()
+    pts = np.random.default_rng(5).uniform(-0.45, 0.45, (CHUNK + 100, 3))
+    whole = dfm._omega_values(ch, source, pts)
+    rev = pts[::-1]
+    parts = [dfm._omega_values(ch, source, rev[:CHUNK]),
+             dfm._omega_values(ch, source, rev[CHUNK:])]
+    np.testing.assert_array_equal(np.concatenate(parts)[::-1], whole)
+
+
+def test_shared_divisor_is_gated_once_per_slice(monkeypatch):
+    source = _graph_explicit(0.05)
+    divisors = set()
+
+    def walk(nd):
+        if isinstance(nd, exprmod.BinOp) and nd.op == "/":
+            divisors.add(id(nd.right))
+        for kid in vars(nd).values():
+            if isinstance(kid, exprmod.ExprAst):
+                walk(kid)
+
+    for ast in source.asts(3):
+        walk(ast)
+    assert len(divisors) == 2  # W^2 and W, each shared by all nine entries
+    calls = []
+    require = exprmod._require_divisor
+
+    def counting(*args):
+        calls.append(1)
+        return require(*args)
+
+    monkeypatch.setattr(exprmod, "_require_divisor", counting)
+    ch = catalog.graph3()
+    pts = np.random.default_rng(3).uniform(-0.45, 0.45, (50, 3))
+    cj = chart_jets(ch, pts, order=2)
+    codazzi.explicit_q_values(source, pts, jet_partials(cj.comps, 1, cj.batch_shape))
+    assert len(calls) == len(divisors)

@@ -19,6 +19,8 @@ from isodeform.expr import (
     eval_jet,
     eval_jets,
     eval_value,
+    eval_values,
+    intern,
     parse,
     to_string,
 )
@@ -339,3 +341,21 @@ def test_jet_domain_rules_keep_message_and_offset(src, at, message, span):
             with pytest.raises(ExprEvalError) as ei:
                 eval_jet(parse(src, 1), pts, order)
             assert (ei.value.message, ei.value.span) == (message, span)
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_shared_divisor_error_names_the_first_division(first):
+    # the shared divisor u1 - 0.5 is gated once, at its first division in
+    # evaluation order, which raises as that entry alone does
+    texts = ["1/(u1 - 0.5)", "u2 + 2/(u1 - 0.5)"]
+    texts = texts[first:] + texts[:first]
+    (row,), shared = intern([texts], 2)
+    assert shared
+    pts = np.array([[0.3, 0.1], [0.5, 0.2], [0.7, 0.3]])
+    with pytest.raises(ExprEvalError) as alone:
+        eval_value(parse(texts[0], 2), pts)
+    with pytest.raises(ExprEvalError) as err:
+        eval_values(row, pts, shared)
+    assert err.value.span == alone.value.span
+    assert err.value.span[0] == (0 if first == 0 else 5)
+    assert str(err.value) == str(alone.value)
