@@ -2,20 +2,25 @@
 Codazzi tensor and verify every structural identity numerically.
 
 The high-level entry points are re-exported here: build a chart (from the
-catalog or DSL components), pick a Codazzi operator spec, and either call
+catalog or DSL components), pick a deformation source, and either call
 ``verify_deformation`` directly or drive everything through a scene file
 with ``parse_scene`` + ``run_suites``.
 """
 
 from .catalog import CATALOG, build
-from .codazzi import Explicit, GHPair, MinusA, Parallel
-from .deformation import (
+from .codazzi import (
+    Explicit,
+    GHPair,
     GHPairData,
+    MinusA,
+    Parallel,
+    gh_gauss_translation,
+    gh_parallel_offset,
+)
+from .deformation import (
     closed_form_immersion,
     extract_gh,
     gauge_fit,
-    gh_gauss_translation,
-    gh_parallel_offset,
     verify_deformation,
 )
 from .errors import HypothesisError, SceneError

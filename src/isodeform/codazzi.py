@@ -6,36 +6,43 @@ with the shape operator A and to satisfy the same Codazzi identity A does:
 
     (nabla_X Q) Y = (nabla_Y Q) X.
 
-Four ways to specify Q are supported:
+A deformation source gives Q.  Every source answers the three calls of the
+``Source`` protocol, so no caller tests which kind it holds:
 
-* ``Parallel(t)``: Q = Id - t A (the operator of the parallel surface at
-  distance t).
-* ``GHPair(g_source, h_source)``: Q = Hess(g) - h A for scalar DSL fields
-  g, h.  Such a Q is automatically Codazzi and commuting provided the pair
-  satisfies the gradient constraint A(grad g) = -grad h, which is verified
-  numerically here.
-* ``MinusA()``: Q = -A.
+* ``q_jets(cj)``: Q's jets at order K-2, plus the pair's jets and the
+  gradient-constraint field when Q is built from a scalar pair (else None);
+* ``q_values(cj, J)``: Q in floats for the path integrands, behind the
+  same gates as ``q_jets``;
+* ``pair()``: the scalar pair (g, h) whose closed form F = df(grad g) + h N
+  realizes Q, or None when F exists only as the path integral of df o Q.
+
+The five sources:
+
+* ``Parallel(t)``: Q = Id - t A, the operator of the parallel hypersurface
+  at distance t; its pair is ``gh_parallel_offset(t)``.
+* ``MinusA()``: Q = -A; its pair is ``gh_gauss_translation()``.
+* ``GHPair(g_source, h_source)`` for scalar DSL fields, and ``GHPairData``
+  for jet-building callables: Q = Hess(g) - h A.  Such a Q is Codazzi and
+  commuting exactly when the pair satisfies the gradient constraint
+  A(grad g) = -grad h, which both routes to Q gate on.
 * ``Explicit(entries)``: an n x n matrix of DSL sources giving the
-  components Q^k_j(u).  Only g-self-adjointness is checked at construction;
+  components Q^k_j(u), with no pair.  Only g-self-adjointness is gated;
   commutation and the Codazzi identity are reported as residuals so that
   broken inputs can be detected by the verification suites.
 
-The DSL specs parse their sources once and keep the ASTs.  Q is built as
-jets by ``q_jets`` for the sample, or as values by ``explicit_q_values``
-and ``q_from_scalar_values`` for the path integrands; both routes share one
-g-self-adjointness gate and one gradient-constraint gate.
+The DSL sources parse once and keep the ASTs.
 
 ``codazzi_frame_from_jets`` extracts pointwise values (Q, its inverse,
-covariant derivative) from the jets of ``q_jets`` with a nonsingularity
-gate, and the ``deformed_*`` functions build the metric g~ = g(Q., Q.),
-its Levi-Civita connection, and its curvature, each compared against the
-closed-form route the deformation theory predicts.
+covariant derivative) from the jets of ``q_jets`` with a finiteness and a
+nonsingularity gate, and the ``deformed_*`` functions build the metric
+g~ = g(Q., Q.), its Levi-Civita connection, and its curvature, each
+compared against the closed-form route the deformation theory predicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +58,7 @@ from .geometry import (
     christoffel_jets,
     curvature_values,
     jet_partials,
+    metric_normal_values,
 )
 from .expr import ExprAst
 from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
@@ -59,14 +67,110 @@ from .linalg import NotSPDError, cholesky_spd, jacobi_svd, solve
 GH_CONSTRAINT_TOL = 1e-8
 Q_RANK_RTOL = 1e-9
 
+PairJets = Tuple[JetScalar, JetScalar]
+QJets = Tuple[np.ndarray, Optional[PairJets], Optional[np.ndarray]]
+
+
+class Source(Protocol):
+    """What every deformation source answers; see the module docstring."""
+
+    def q_jets(self, cj: ChartJets) -> QJets: ...
+
+    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray: ...
+
+    def pair(self) -> Optional["GHPairData"]: ...
+
+
+def q_jets(cj: ChartJets, source: Source) -> QJets:
+    """``source.q_jets(cj)``, gated where construction allows; commutation
+    and the Codazzi identity are left to the residual functions below.
+    The suites and ``verify_deformation`` build Q through this name, which
+    the layer trace in ``perfbench/layertrace.py`` times."""
+    return source.q_jets(cj)
+
+
+def _shape_values(cj: ChartJets, J: np.ndarray):
+    """(d2f, g, A) in floats at the chart jets' points, J given."""
+    d2f = jet_partials(cj.comps, 2, cj.batch_shape)
+    g, N = metric_normal_values(J)
+    return d2f, g, solve(g, np.einsum("...p,...pij->...ij", N, d2f))
+
+
+class _Direct:
+    """A source whose Q is one expression ``_q`` in A, which serves the
+    n x n object array of A's jets and a float stack of A alike."""
+
+    def q_jets(self, cj: ChartJets) -> QJets:
+        return self._q(cj.Ajet), None, None
+
+    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
+        return self._q(_shape_values(cj, J)[2])
+
 
 @dataclass(frozen=True)
-class Parallel:
+class Parallel(_Direct):
     t: float
 
+    def _q(self, A: np.ndarray) -> np.ndarray:
+        return np.eye(A.shape[-1]) - self.t * A
+
+    def pair(self) -> "GHPairData":
+        return gh_parallel_offset(self.t)
+
 
 @dataclass(frozen=True)
-class GHPair:
+class MinusA(_Direct):
+    def _q(self, A: np.ndarray) -> np.ndarray:
+        return -A
+
+    def pair(self) -> "GHPairData":
+        return gh_gauss_translation()
+
+
+class _FromPair:
+    """A source whose Q = Hess(s) - h A comes from its scalar pair."""
+
+    def q_jets(self, cj: ChartJets) -> QJets:
+        """Q from the pair's jets (s at full order, h at K-1), and the
+        gradient-constraint field it was gated on."""
+        s, h = pair = pair_jets(cj, self.pair())
+        gh_field = gh_constraint_residual_field(
+            _move(values(cj.Ajet), 2),
+            _move(values(cj.metric(0)), 2),
+            _move(values(cj.scalar_grad_jets(s.truncated(1))), 1),
+            _move(values(cj.scalar_grad_jets(h.truncated(1))), 1),
+        )
+        n = cj.n
+        hess = cj.scalar_hess_jets(s)
+        ht = h.truncated(cj.order - 2)
+        A = cj.Ajet
+        Q = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                Q[i, j] = hess[i, j] - ht * A[i, j]
+        return Q, pair, gh_field
+
+    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
+        """Hess s - h A (*batch, n, n) in floats, gated like the jet route.
+
+        Reads the values of ds, d2s, h and dh off the pair's jets; with
+        Gamma^k_ij = g^{kl} <d_l f, d_i d_j f>, Hess s = g^{-1}(d2s - Gamma.ds).
+        """
+        s, h = pair_jets(cj, self.pair())
+        d2f, g, A = _shape_values(cj, J)
+        batch, n = cj.batch_shape, cj.n
+        ds, dh = np.moveaxis(jet_partials([s, h], 1, batch), -2, 0)
+        grads = solve(g, np.stack([ds, dh], axis=-1))
+        gh_constraint_residual_field(A, g, grads[..., 0], grads[..., 1])
+        Jd2f = np.einsum("...pl,...pij->...lij", J, d2f).reshape(batch + (n, n * n))
+        Gamma = solve(g, Jd2f).reshape(batch + (n, n, n))
+        d2s = jet_partials([s], 2, batch)[..., 0, :, :]
+        hess = solve(g, d2s - np.einsum("...mil,...m->...il", Gamma, ds))
+        return hess - jet_partials([h], 0, batch)[..., None] * A
+
+
+@dataclass(frozen=True)
+class GHPair(_FromPair):
     """Q = Hess(g) - h A from DSL sources; ``asts(n)`` parses them once per n."""
 
     g_source: str
@@ -81,10 +185,101 @@ class GHPair:
             )
         return self._parsed[n]
 
+    def pair(self) -> "GHPairData":
+        def g_fn(cj: ChartJets) -> JetScalar:
+            return exprmod.eval_jet(self.asts(cj.n)[0], cj.u, cj.order)
+
+        def h_fn(cj: ChartJets) -> JetScalar:
+            return exprmod.eval_jet(self.asts(cj.n)[1], cj.u, cj.order)
+
+        return GHPairData(g_fn, h_fn, label="scalar pair")
+
 
 @dataclass(frozen=True)
-class MinusA:
-    pass
+class GHPairData(_FromPair):
+    """A scalar pair given as jet-building callables.
+
+    ``g_fn`` must return a jet at the chart jets' full order; ``h_fn`` at
+    order >= K-1.  ``label`` names the pair.  ``h_value``, when given, maps
+    the chart jets and the float unit normal (*batch, dim) to the values of
+    h, so the closed-form F needs no jets of h.
+    """
+
+    g_fn: Callable[[ChartJets], JetScalar]
+    h_fn: Callable[[ChartJets], JetScalar]
+    label: str = "pair"
+    h_value: Optional[Callable[[ChartJets, np.ndarray], np.ndarray]] = None
+
+    def pair(self) -> "GHPairData":
+        return self
+
+
+def pair_jets(cj: ChartJets, pair: GHPairData) -> PairJets:
+    """The pair's jets: s at the chart jets' full order, h at K-1."""
+    s = pair.g_fn(cj)
+    h = pair.h_fn(cj)
+    if h.space.order > cj.order - 1:
+        h = h.truncated(cj.order - 1)
+    return s, h
+
+
+def gh_parallel_offset(t: float) -> GHPairData:
+    """The pair (|f|^2/2, <f, N> + t), whose operator is Id - t A."""
+
+    def g_fn(cj: ChartJets) -> JetScalar:
+        acc = None
+        for c in cj.comps:
+            term = c * c
+            acc = term if acc is None else acc + term
+        return acc * 0.5
+
+    def h_fn(cj: ChartJets) -> JetScalar:
+        acc = None
+        for c, Np in zip(cj.comps, cj.Njet):
+            term = c.truncated(cj.order - 1) * Np
+            acc = term if acc is None else acc + term
+        return acc + t
+
+    def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
+        f = jet_partials(cj.comps, 0, cj.batch_shape)
+        return np.einsum("...p,...p->...", f, N) + t
+
+    return GHPairData(g_fn, h_fn, label=f"parallel-offset t={t:g}", h_value=h_value)
+
+
+def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
+    """The pair (<f, a>, <N, a> + 1), whose operator is -A and F = a + N."""
+    avec = None if a is None else [float(x) for x in a]
+
+    def coeffs(cj: ChartJets) -> List[float]:
+        if avec is None:
+            return [0.0] * len(cj.comps)
+        if len(avec) != len(cj.comps):
+            raise ValueError(
+                f"translation vector length {len(avec)} != ambient "
+                f"dimension {len(cj.comps)}"
+            )
+        return avec
+
+    def g_fn(cj: ChartJets) -> JetScalar:
+        cs = coeffs(cj)
+        acc = cj.comps[0] * cs[0]
+        for c, ai in zip(cj.comps[1:], cs[1:]):
+            acc = acc + c * ai
+        return acc
+
+    def h_fn(cj: ChartJets) -> JetScalar:
+        cs = coeffs(cj)
+        acc = cj.Njet[0] * cs[0]
+        for Np, ai in zip(cj.Njet[1:], cs[1:]):
+            acc = acc + Np * ai
+        return acc + 1.0
+
+    def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
+        return N @ np.asarray(coeffs(cj)) + 1.0
+
+    label = "gauss-translation" if avec is None else f"gauss-translation a={avec}"
+    return GHPairData(g_fn, h_fn, label=label, h_value=h_value)
 
 
 @dataclass(frozen=True)
@@ -110,17 +305,27 @@ class Explicit:
             )
         return self._parsed
 
+    def q_jets(self, cj: ChartJets) -> QJets:
+        n = cj.n
+        Q = np.empty((n, n), dtype=object)
+        Q.flat[:] = exprmod.eval_jets(self.asts(n), cj.u, cj.order - 2, self.shared)
+        g = _move(values(cj.metric(0)), 2)
+        _check_explicit_self_adjoint(g, _move(values(Q), 2))
+        return Q, None, None
 
-CodazziSpec = Union[Parallel, GHPair, MinusA, Explicit]
+    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
+        """Q by one ``eval_values`` call on the entries (shared subtrees and
+        their domain gates once), gated on g-self-adjointness with g = J^T J."""
+        u, n = cj.u, cj.n
+        Q = np.empty(u.shape[:-1] + (n * n,))
+        for k, v in enumerate(exprmod.eval_values(self.asts(n), u, self.shared)):
+            Q[..., k] = v
+        Q = Q.reshape(u.shape[:-1] + (n, n))
+        _check_explicit_self_adjoint(J.swapaxes(-1, -2) @ J, Q)
+        return Q
 
-
-def gh_pair_jets(cj: ChartJets, spec: GHPair) -> Tuple[JetScalar, JetScalar]:
-    """Evaluate the scalar pair at full jet order."""
-    g_ast, h_ast = spec.asts(cj.n)
-    return (
-        exprmod.eval_jet(g_ast, cj.u, cj.order),
-        exprmod.eval_jet(h_ast, cj.u, cj.order),
-    )
+    def pair(self) -> None:
+        return None
 
 
 def gh_constraint_residual_field(
@@ -130,8 +335,8 @@ def gh_constraint_residual_field(
 
     Float stacks: A and g (*b, n, n), the contravariant gradients (*b, n).
     The pair induces a Codazzi, commuting Q exactly when this vanishes, so
-    it is the one gate of both routes to Q: raises HypothesisError when the
-    residual exceeds GH_CONSTRAINT_TOL anywhere.
+    it is the one gate of both routes to Q: raises HypothesisError unless
+    the residual is within GH_CONSTRAINT_TOL everywhere (NaN is not).
     """
     mism = np.einsum("...kj,...j->...k", A, grad_s) + grad_h
 
@@ -140,7 +345,7 @@ def gh_constraint_residual_field(
 
     resid = gn(mism) / (1.0 + gn(grad_s) + gn(grad_h))
     worst = float(resid.max())
-    if worst > GH_CONSTRAINT_TOL:
+    if not worst <= GH_CONSTRAINT_TOL:
         raise HypothesisError(
             "scalar pair violates the gradient constraint "
             f"A(grad g) = -grad h: residual {worst:.3e} > {GH_CONSTRAINT_TOL}"
@@ -148,110 +353,23 @@ def gh_constraint_residual_field(
     return resid
 
 
-def q_jets(cj: ChartJets, spec: CodazziSpec) -> np.ndarray:
-    """Jets of Q at order K-2, hypothesis-checked where construction allows.
-
-    GHPair verifies the gradient constraint; Explicit verifies
-    g-self-adjointness.  Commutation with A and the Codazzi identity are
-    *not* checked here; use the residual functions below.
-    """
-    n = cj.n
-    if isinstance(spec, Parallel):
-        A, Q = cj.Ajet, np.empty((n, n), dtype=object)
-        for i, j in np.ndindex(n, n):
-            Q[i, j] = float(i == j) - spec.t * A[i, j]
-        return Q
-    if isinstance(spec, MinusA):
-        return -cj.Ajet
-    if isinstance(spec, GHPair):
-        return q_from_scalar_jets(cj, *gh_pair_jets(cj, spec))[0]
-    if isinstance(spec, Explicit):
-        Q = np.empty((n, n), dtype=object)
-        Q.flat[:] = exprmod.eval_jets(spec.asts(n), cj.u, cj.order - 2, spec.shared)
-        g = _move(values(cj.metric(0)), 2)
-        _check_explicit_self_adjoint(g, _move(values(Q), 2))
-        return Q
-    raise TypeError(f"unknown Codazzi spec {spec!r}")
-
-
-def q_from_scalar_jets(
-    cj: ChartJets, s: JetScalar, h: JetScalar
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Q = Hess(s) - h A from scalar jets (s at full order, h at >= K-2),
-    and the gradient-constraint field it was gated on.
-
-    Raises HypothesisError when the constraint fails; see ``GHPair``.
-    """
-    gh_field = gh_constraint_residual_field(
-        _move(values(cj.Ajet), 2),
-        _move(values(cj.metric(0)), 2),
-        _move(values(cj.scalar_grad_jets(s.truncated(1))), 1),
-        _move(values(cj.scalar_grad_jets(h.truncated(1))), 1),
-    )
-    n = cj.n
-    hess = cj.scalar_hess_jets(s)
-    ht = h.truncated(cj.order - 2)
-    A = cj.Ajet
-    Q = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            Q[i, j] = hess[i, j] - ht * A[i, j]
-    return Q, gh_field
+def self_adjoint_violation(
+    g: np.ndarray, Q: np.ndarray, tol: float
+) -> Optional[float]:
+    """|gQ - (gQ)^T| over the float stacks g, Q, unless it is within
+    tol * max(1, |gQ|) (max norms), in which case None.  NaN is never within."""
+    gQ = g @ Q
+    worst = float(np.abs(gQ - gQ.swapaxes(-1, -2)).max())
+    return None if worst <= tol * max(1.0, float(np.abs(gQ).max())) else worst
 
 
 def _check_explicit_self_adjoint(g: np.ndarray, Q: np.ndarray) -> None:
     """Raise HypothesisError unless the float stack Q is g-self-adjoint."""
-    gQ = g @ Q
-    scale = max(1.0, float(np.abs(gQ).max()))
-    worst = float(np.abs(gQ - gQ.swapaxes(-1, -2)).max())
-    if worst > SELF_ADJOINT_TOL * scale:
+    worst = self_adjoint_violation(g, Q, SELF_ADJOINT_TOL)
+    if worst is not None:
         raise HypothesisError(
             f"explicit Q is not g-self-adjoint: |gQ - (gQ)^T| = {worst:.3e}"
         )
-
-
-# ------------------------------------------------------------ values only
-#
-# The path integrands need Q's values at each quadrature node and nothing
-# else.  These build them in floats from the chart's J and d2f, through the
-# same gates as ``q_jets``, with the same exception classes.
-
-
-def explicit_q_values(spec: Explicit, u: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Q (*batch, n, n) of an explicit spec at points u, by one
-    ``eval_values`` call on its entries (shared subtrees and their domain
-    gates once), gated on g-self-adjointness with g = J^T J."""
-    n = u.shape[-1]
-    Q = np.empty(u.shape[:-1] + (n * n,))
-    for k, v in enumerate(exprmod.eval_values(spec.asts(n), u, spec.shared)):
-        Q[..., k] = v
-    Q = Q.reshape(u.shape[:-1] + (n, n))
-    _check_explicit_self_adjoint(J.swapaxes(-1, -2) @ J, Q)
-    return Q
-
-
-def q_from_scalar_values(
-    J: np.ndarray,
-    d2f: np.ndarray,
-    g: np.ndarray,
-    A: np.ndarray,
-    s: JetScalar,
-    h: JetScalar,
-) -> np.ndarray:
-    """Q = Hess(s) - h A (*batch, n, n) in floats, gated like the jet route.
-
-    Reads the values of ds, d2s, h and dh off the pair's jets; with
-    Gamma^k_ij = g^{kl} <d_l f, d_i d_j f>, Hess s = g^{-1}(d2s - Gamma.ds).
-    """
-    batch, n = J.shape[:-2], J.shape[-1]
-    ds, dh = np.moveaxis(jet_partials([s, h], 1, batch), -2, 0)
-    grads = solve(g, np.stack([ds, dh], axis=-1))
-    gh_constraint_residual_field(A, g, grads[..., 0], grads[..., 1])
-    Jd2f = np.einsum("...pl,...pij->...lij", J, d2f).reshape(batch + (n, n * n))
-    Gamma = solve(g, Jd2f).reshape(batch + (n, n, n))
-    d2s = jet_partials([s], 2, batch)[..., 0, :, :]
-    hess = solve(g, d2s - np.einsum("...mil,...m->...il", Gamma, ds))
-    return hess - jet_partials([h], 0, batch)[..., None] * A
 
 
 # ------------------------------------------------------- pointwise values
@@ -279,14 +397,20 @@ def codazzi_frame_from_jets(
 ) -> CodazziFrame:
     """Extract Q values from its jets, with the nonsingularity gate.
 
-    Raises HypothesisError when Q is numerically singular anywhere in the
-    batch; the deformation theory needs an invertible operator.
+    Raises HypothesisError when Q, or a singular value of it, is not finite,
+    or when Q is numerically singular anywhere in the batch; the
+    deformation theory needs an invertible operator.
     """
     if qj[0, 0].space.order < 1:
         raise FrameError("Q jets need order >= 1 for covariant derivatives")
     Qv = _move(values(qj), 2)
     dQ = _move(d1_values(qj), 3)
     _, sig, _ = jacobi_svd(Qv)
+    if not (np.isfinite(Qv).all() and np.isfinite(sig).all()):
+        raise HypothesisError(
+            "deformation operator is not finite: its entries or singular "
+            "values overflow or are NaN"
+        )
     smin, smax = sig[..., -1], sig[..., 0]
     # floor the scale at 1 so a uniformly tiny Q counts as singular too
     if np.any(smin <= rank_rtol * np.maximum(smax, 1.0)):

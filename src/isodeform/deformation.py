@@ -2,20 +2,21 @@
 
 Given a chart f and a commuting Codazzi operator Q, the deformation theory
 produces a second immersion F of the same domain with dF = df o Q, inducing
-the metric g~(X, Y) = g(QX, QY).  When Q = Hess(g) - h A comes from a
-scalar pair, F has the closed form
+the metric g~(X, Y) = g(QX, QY).  When the deformation source has a scalar
+pair (``source.pair()`` is not None), Q = Hess(g) - h A and F has the
+closed form
 
     F = df(grad g) + h N,
 
 which this module pushes through the same jet pipeline as f itself, so
 every geometric quantity of F is computed from scratch rather than assumed.
-For an operator given only entrywise, F is instead recovered by integrating
-the 1-form omega = df o Q along staircase paths; the loop integrals of
-omega measure how far Q is from being integrable at all.  A path integrand
-needs values only, so at each quadrature node it builds order-2 chart jets
-once, reads J and d2f off their coefficients, and forms Q (and F for the
-extraction covector J^T F) in float stack algebra, under the same gates as
-the jet route on the sample.
+For a source with no pair, F is instead recovered by integrating the
+1-form omega = df o Q along staircase paths; the loop integrals of omega
+measure how far Q is from being integrable at all.  A path integrand needs
+values only, so at each quadrature node it builds order-2 chart jets once,
+reads J off their coefficients, and has ``source.q_values`` form Q (and F
+for the extraction covector J^T F) in float stack algebra, under the same
+gates as the jet route on the sample.
 
 ``verify_deformation`` checks the theory's claims about F pointwise on a
 sample: dF = df o Q, induced metric, shape operator A~ = sign(det Q) Q^-1 A
@@ -35,20 +36,13 @@ import numpy as np
 
 from .codazzi import (
     CodazziFrame,
-    CodazziSpec,
-    Explicit,
-    GHPair,
-    MinusA,
-    Parallel,
+    GHPairData,
+    Source,
     codazzi_frame_from_jets,
     deformed_metric,
-    explicit_q_values,
-    gh_pair_jets,
-    q_from_scalar_jets,
-    q_from_scalar_values,
+    pair_jets,
     q_jets,
 )
-from . import expr as exprmod
 from .errors import HypothesisError
 from .geometry import (
     CHUNK,
@@ -90,117 +84,6 @@ class KernelMismatchError(ValueError):
         )
 
 
-# ------------------------------------------------------------ scalar pairs
-
-
-@dataclass(frozen=True)
-class GHPairData:
-    """A scalar pair given as jet-building callables.
-
-    ``g_fn`` must return a jet at the chart jets' full order; ``h_fn`` at
-    order >= K-1.  ``label`` names the pair in reports.  ``h_value``, when
-    given, maps the chart jets and the float unit normal (*batch, dim) to
-    the values of h, so the closed-form F needs no jets of h.
-    """
-
-    g_fn: Callable[[ChartJets], JetScalar]
-    h_fn: Callable[[ChartJets], JetScalar]
-    label: str = "pair"
-    h_value: Optional[Callable[[ChartJets, np.ndarray], np.ndarray]] = None
-
-
-def gh_parallel_offset(t: float) -> GHPairData:
-    """The pair (|f|^2/2, <f, N> + t), whose operator is Id - t A."""
-
-    def g_fn(cj: ChartJets) -> JetScalar:
-        acc = None
-        for c in cj.comps:
-            term = c * c
-            acc = term if acc is None else acc + term
-        return acc * 0.5
-
-    def h_fn(cj: ChartJets) -> JetScalar:
-        acc = None
-        for c, Np in zip(cj.comps, cj.Njet):
-            term = c.truncated(cj.order - 1) * Np
-            acc = term if acc is None else acc + term
-        return acc + t
-
-    def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
-        f = jet_partials(cj.comps, 0, cj.batch_shape)
-        return np.einsum("...p,...p->...", f, N) + t
-
-    return GHPairData(g_fn, h_fn, label=f"parallel-offset t={t:g}", h_value=h_value)
-
-
-def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
-    """The pair (<f, a>, <N, a> + 1), whose operator is -A and F = a + N."""
-    avec = None if a is None else [float(x) for x in a]
-
-    def coeffs(cj: ChartJets) -> List[float]:
-        if avec is None:
-            return [0.0] * len(cj.comps)
-        if len(avec) != len(cj.comps):
-            raise ValueError(
-                f"translation vector length {len(avec)} != ambient "
-                f"dimension {len(cj.comps)}"
-            )
-        return avec
-
-    def g_fn(cj: ChartJets) -> JetScalar:
-        cs = coeffs(cj)
-        acc = cj.comps[0] * cs[0]
-        for c, ai in zip(cj.comps[1:], cs[1:]):
-            acc = acc + c * ai
-        return acc
-
-    def h_fn(cj: ChartJets) -> JetScalar:
-        cs = coeffs(cj)
-        acc = cj.Njet[0] * cs[0]
-        for Np, ai in zip(cj.Njet[1:], cs[1:]):
-            acc = acc + Np * ai
-        return acc + 1.0
-
-    def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
-        return N @ np.asarray(coeffs(cj)) + 1.0
-
-    label = "gauss-translation" if avec is None else f"gauss-translation a={avec}"
-    return GHPairData(g_fn, h_fn, label=label, h_value=h_value)
-
-
-PairSource = Union[GHPairData, CodazziSpec]
-
-
-def as_pair(source: PairSource) -> Optional[GHPairData]:
-    """The scalar pair realizing a spec's closed-form F, if one exists."""
-    if isinstance(source, GHPairData):
-        return source
-    if isinstance(source, Parallel):
-        return gh_parallel_offset(source.t)
-    if isinstance(source, MinusA):
-        return gh_gauss_translation()
-    if isinstance(source, GHPair):
-
-        def g_fn(cj: ChartJets) -> JetScalar:
-            return exprmod.eval_jet(source.asts(cj.n)[0], cj.u, cj.order)
-
-        def h_fn(cj: ChartJets) -> JetScalar:
-            return exprmod.eval_jet(source.asts(cj.n)[1], cj.u, cj.order)
-
-        return GHPairData(g_fn, h_fn, label="scalar pair")
-    if isinstance(source, Explicit):
-        return None
-    raise TypeError(f"unknown deformation source {source!r}")
-
-
-def _pair_jets(cj: ChartJets, pair: GHPairData) -> Tuple[JetScalar, JetScalar]:
-    s = pair.g_fn(cj)
-    h = pair.h_fn(cj)
-    if h.space.order > cj.order - 1:
-        h = h.truncated(cj.order - 1)
-    return s, h
-
-
 # ------------------------------------------------------- closed-form F
 
 
@@ -221,7 +104,7 @@ def immersion_jets(cj: ChartJets, s: JetScalar, h: JetScalar) -> np.ndarray:
 
 
 def closed_form_immersion(
-    chart: Chart, source: PairSource
+    chart: Chart, source: Source
 ) -> Callable[[Union[np.ndarray, ChartJets]], np.ndarray]:
     """Evaluator of a pair-backed deformation's F, values only.
 
@@ -229,7 +112,7 @@ def closed_form_immersion(
     them when the caller has built those already, to F = J g^{-1} ds + h N
     there, shape (*batch, dim), with no jet matrices.
     """
-    pair = as_pair(source)
+    pair = source.pair()
     if pair is None:
         raise ValueError("closed-form evaluation needs a scalar pair source")
 
@@ -381,25 +264,8 @@ def kernel_angle_field(
     return out.reshape(frame.A.shape[:-2])
 
 
-def source_jets(cj: ChartJets, source: PairSource):
-    """(Q jets, pair jets, gradient-constraint field) of a deformation source.
-
-    When Q is built from a scalar pair (GHPair, GHPairData), the pair's jets
-    (s, h) and the constraint field Q was gated on come with it, each built
-    once; for any other source both are None.
-    """
-    if isinstance(source, GHPair):
-        pair = gh_pair_jets(cj, source)
-    elif isinstance(source, GHPairData):
-        pair = _pair_jets(cj, source)
-    else:
-        return q_jets(cj, source), None, None
-    qj, field = q_from_scalar_jets(cj, *pair)
-    return qj, pair, field
-
-
 def verify_deformation(
-    chart: Chart, pts: np.ndarray, source: PairSource, order: int = 4
+    chart: Chart, pts: np.ndarray, source: Source, order: int = 4
 ) -> DeformationCheck:
     """Build F in closed form and check every pointwise claim about it.
 
@@ -409,7 +275,7 @@ def verify_deformation(
     """
     cj = chart_jets(chart, pts, order)
     frame = frame_from_jets(cj)
-    qj, pair, _ = source_jets(cj, source)
+    qj, pair, _ = q_jets(cj, source)
     cf = codazzi_frame_from_jets(qj, frame)
     return deformation_check_from_jets(
         cj, frame, cf, global_det_sign(cf.Q), source, pair
@@ -421,30 +287,27 @@ def deformation_check_from_jets(
     frame: Frame,
     cf: CodazziFrame,
     sign: int,
-    source: PairSource,
+    source: Source,
     pair: Optional[Tuple[JetScalar, JetScalar]],
 ) -> DeformationCheck:
     """Every pointwise claim about the closed-form F, from built jets.
 
     ``cf`` is the Q frame of ``source`` on ``frame`` and ``sign`` its
     sign(det Q), already checked uniform on the batch.  ``pair`` is the
-    scalar pair's jets when ``source_jets`` built Q from them; otherwise
-    (None) they are built here.
+    scalar pair's jets when ``q_jets`` built Q from them, and then
+    ``pair_q_residual`` is 0.  Otherwise (None) Q was direct: the jets of
+    ``source.pair()`` are built here, and ``pair_q_residual`` compares Q
+    with the operator they induce.
     """
+    pair_q_residual = 0.0
     if pair is None:
-        pair_data = as_pair(source)
+        pair_data = source.pair()
         if pair_data is None:
             raise ValueError("verify_deformation needs a scalar pair source")
-        pair = _pair_jets(cj, pair_data)
-    s, h = pair
-    if isinstance(source, (Parallel, MinusA)):
-        # the direct operator against the one the scalar pair induces
-        q_par = np.moveaxis(
-            values(q_from_scalar_jets(cj, s, h)[0]).astype(float), (0, 1), (-2, -1)
-        )
+        q_par, pair, _ = pair_data.q_jets(cj)
+        q_par = np.moveaxis(values(q_par).astype(float), (0, 1), (-2, -1))
         pair_q_residual = float(np.abs(cf.Q - q_par).max())
-    else:
-        pair_q_residual = 0.0
+    s, h = pair
 
     cjF = ChartJets(list(immersion_jets(cj, s, h)), cj.u)
     frameF = frame_from_jets(cjF)
@@ -498,46 +361,20 @@ def deformation_check_from_jets(
 # each leg is accepted on its own test.
 
 
-def _q_values(cj: ChartJets, J: np.ndarray, source: PairSource) -> np.ndarray:
-    """Q (*batch, n, n) of a source at the chart jets' points, values only.
-
-    Reads J (given) and d2f off the chart jets and builds Q in float stack
-    algebra: Id - t A, -A, the explicit entries by one ``eval_values`` row,
-    or Hess s - h A from the pair's jets.  Every gate of ``source_jets`` holds
-    at every point, with the same exception class; on an exactly singular
-    metric that is NotSPDError or DegenerateJacobianError, where the jet
-    route's cofactor inverse raises JetDomainError.
-    """
-    if isinstance(source, Explicit):
-        return explicit_q_values(source, cj.u, J)
-    if isinstance(source, GHPair):
-        pair = gh_pair_jets(cj, source)
-    elif isinstance(source, GHPairData):
-        pair = _pair_jets(cj, source)
-    elif not isinstance(source, (Parallel, MinusA)):
-        raise TypeError(f"unknown deformation source {source!r}")
-    d2f = jet_partials(cj.comps, 2, cj.batch_shape)
-    g, N = metric_normal_values(J)
-    A = solve(g, np.einsum("...p,...pij->...ij", N, d2f))
-    if isinstance(source, Parallel):
-        return np.eye(cj.n) - source.t * A
-    if isinstance(source, MinusA):
-        return -A
-    return q_from_scalar_values(J, d2f, g, A, *pair)
-
-
 def _omega_values(
-    chart: Chart, source: PairSource, pts: np.ndarray
+    chart: Chart, source: Source, pts: np.ndarray
 ) -> np.ndarray:
     """Values of the 1-form omega = df o Q: shape (*batch, dim, n).
 
     Values only: one build of order-2 chart jets per slice, whose
-    coefficients give J and d2f, then ``_q_values`` under the same gates as
-    the sample pass.
+    coefficients give J here and d2f to ``source.q_values``, under the same
+    gates as the sample pass.  On an exactly singular metric those raise
+    NotSPDError or DegenerateJacobianError, where the jet route's cofactor
+    inverse raises JetDomainError.
     """
     cj = chart_jets(chart, pts, order=2)
     J = jet_partials(cj.comps, 1, cj.batch_shape)
-    return J @ _q_values(cj, J, source)
+    return J @ source.q_values(cj, J)
 
 
 def _leg_integrals(covector, starts, steps, tol: float) -> np.ndarray:
@@ -656,7 +493,7 @@ def _circulation(covector, rects: Sequence[LoopRect], tol: float) -> np.ndarray:
 
 
 def omega_loop_integral(
-    chart: Chart, source: PairSource, rect, tol: float = 1e-10
+    chart: Chart, source: Source, rect, tol: float = 1e-10
 ) -> np.ndarray:
     """Clockwise circulation of omega around ``rect``: shape (dim,) for one
     LoopRect, (R, dim) for a sequence of R, all in one quadrature call."""
@@ -696,7 +533,7 @@ def default_loop_rects(chart: Chart, margin: float = 0.02) -> List[LoopRect]:
 
 def omega_loop_residual(
     chart: Chart,
-    source: PairSource,
+    source: Source,
     rects: Optional[Sequence[LoopRect]] = None,
     tol: float = 1e-10,
 ) -> Tuple[float, List[np.ndarray]]:
@@ -710,7 +547,7 @@ def omega_loop_residual(
 
 def path_integral_immersion(
     chart: Chart,
-    source: PairSource,
+    source: Source,
     base: Sequence[float],
     targets: Sequence[float],
     F0: Optional[Sequence[float]] = None,
@@ -740,7 +577,7 @@ def path_integral_immersion(
 
 def path_integral_on_grid(
     chart: Chart,
-    source: PairSource,
+    source: Source,
     res,
     F0: Optional[Sequence[float]] = None,
     axis_order: Optional[Sequence[int]] = None,
@@ -764,7 +601,7 @@ def path_integral_on_grid(
 
 
 def path_dependence_residual(
-    chart: Chart, source: PairSource, res, tol: float = 1e-10
+    chart: Chart, source: Source, res, tol: float = 1e-10
 ) -> float:
     """max |F_forward - F_reversed| over the grid; zero iff omega is exact."""
     _, F1 = path_integral_on_grid(chart, source, res, tol=tol)
@@ -793,7 +630,7 @@ class FDFrame:
 
 def fd_deformed_frame(
     chart: Chart,
-    source: PairSource,
+    source: Source,
     u: Sequence[float],
     step: float = 1e-3,
     tol: float = 1e-12,
@@ -893,7 +730,7 @@ def pair_on_grid(chart: Chart, pair: GHPairData, res) -> GridPair:
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     flat = mesh.reshape(-1, chart.n)
     cj = chart_jets(chart, flat, order=2)
-    s, h = _pair_jets(cj, pair)
+    s, h = pair_jets(cj, pair)
     grad = values(cj.scalar_grad_jets(s.truncated(1))).astype(float)  # (n, m)
     return GridPair(
         points=mesh,

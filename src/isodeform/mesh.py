@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codazzi import Explicit
 from .deformation import closed_form_immersion, path_integral_immersion
 from .errors import SceneError
 from .geometry import GRID_SHRINK, chart_jets, grid_axes, jet_partials
@@ -81,7 +80,7 @@ def _surface_values(scene: Scene, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     fv = jet_partials(cj.comps, 0, cj.batch_shape)
     if scene.spec is None:
         raise SceneError("missing section: codazzi (mesh exports f and F)")
-    if isinstance(scene.spec, Explicit):
+    if scene.spec.pair() is None:
         # no closed form: integrate the 1-form df o Q to all vertices at once
         base = np.asarray(chart.lo) + GRID_SHRINK * (
             np.asarray(chart.hi) - np.asarray(chart.lo)

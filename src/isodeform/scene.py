@@ -37,7 +37,7 @@ import numpy as np
 
 from . import expr as exprmod
 from .catalog import build as build_catalog
-from .codazzi import CodazziSpec, Explicit, GHPair, MinusA, Parallel
+from .codazzi import Explicit, GHPair, MinusA, Parallel, Source, self_adjoint_violation
 from .errors import SceneError
 from .geometry import Chart, frame_at, make_chart
 
@@ -59,7 +59,7 @@ class Scene:
     """A parsed, validated verification run description."""
 
     chart: Chart
-    spec: Optional[CodazziSpec]
+    spec: Optional[Source]
     grid: Tuple[int, ...]
     order: int
     suites: Tuple[str, ...]
@@ -188,7 +188,7 @@ def _require_keys(section: str, body: Dict[str, str], keys: set) -> None:
             raise SceneError(f"unknown key in [{section}]: {key}")
 
 
-def _parse_codazzi(body: Dict[str, str], chart: Chart) -> CodazziSpec:
+def _parse_codazzi(body: Dict[str, str], chart: Chart, warnings: list) -> Source:
     if "variant" not in body:
         raise SceneError("missing key in [codazzi]: variant")
     variant = body["variant"]
@@ -211,37 +211,26 @@ def _parse_codazzi(body: Dict[str, str], chart: Chart) -> CodazziSpec:
         _require_keys("codazzi", body, {"variant"} | keys)
         for key in sorted(keys):
             _parse_dsl("codazzi", key, body[key], n)
-        entries = tuple(
+        spec = Explicit(tuple(
             tuple(body[f"q{i}{j}"] for j in range(1, n + 1))
             for i in range(1, n + 1)
-        )
-        return Explicit(entries)
+        ))
+        # only a warning: the grid run performs the full check and errors
+        # out, but a plainly asymmetric operator is caught at load time
+        center = chart.center()
+        Q = np.reshape(exprmod.eval_values(spec.asts(n), center, spec.shared), (n, n))
+        g = frame_at(chart, center, order=2).g
+        resid = self_adjoint_violation(g, Q, _CENTER_SELF_ADJOINT_TOL)
+        if resid is not None:
+            warnings.append(
+                f"explicit Q is not g-self-adjoint at the domain center "
+                f"(residual {resid:.3e}); the grid run will reject it"
+            )
+        return spec
     raise SceneError(
         f"[codazzi] variant must be parallel, gh, minusA or explicit, "
         f"got {variant!r}"
     )
-
-
-def _center_self_adjoint_warning(chart: Chart, spec: Explicit) -> Optional[str]:
-    """Evaluate explicit entries at the box center and test g-self-adjointness.
-
-    A failure here is only a warning: the grid run still performs the full
-    check and errors out, but catching a plainly asymmetric operator at load
-    time is friendlier.
-    """
-    center = chart.center()
-    fr = frame_at(chart, center, order=2)
-    n = chart.n
-    Q = np.reshape(exprmod.eval_values(spec.asts(n), center, spec.shared), (n, n))
-    gQ = fr.g @ Q
-    resid = np.abs(gQ - gQ.T).max()
-    scale = max(1.0, np.abs(gQ).max())
-    if resid > _CENTER_SELF_ADJOINT_TOL * scale:
-        return (
-            f"explicit Q is not g-self-adjoint at the domain center "
-            f"(residual {resid:.3e}); the grid run will reject it"
-        )
-    return None
 
 
 def _parse_grid(value: str, n: int) -> Tuple[int, ...]:
@@ -337,13 +326,9 @@ def parse_scene(text: str) -> Scene:
     chart = _parse_chart(sections["chart"])
 
     warnings: list = []
-    spec: Optional[CodazziSpec] = None
+    spec: Optional[Source] = None
     if "codazzi" in sections:
-        spec = _parse_codazzi(sections["codazzi"], chart)
-        if isinstance(spec, Explicit):
-            warning = _center_self_adjoint_warning(chart, spec)
-            if warning is not None:
-                warnings.append(warning)
+        spec = _parse_codazzi(sections["codazzi"], chart, warnings)
 
     grid, order, suites, tol, project = _parse_run(
         sections.get("run", {}), chart

@@ -15,6 +15,12 @@ Four suites cover the deformation theory end to end:
 * ``roundtrip``: recovery of the scalar pair from F and the affine-gauge
   fit between recovered and original pairs.
 
+The suites ask the deformation source what it offers (see ``codazzi``).
+``gh_constraint`` is reported when Q came with a gradient-constraint
+field, ``pair_q`` when a direct Q was compared with its pair's Q.  With no
+pair, F exists only through quadrature: loops, path order and FD probes
+check it, and the roundtrip is skipped.
+
 All pointwise work is one pass over the sample in CHUNK slices.  Each
 slice builds its chart jets and frame once, and the jets and frame of Q
 once when codazzi or deformation runs (with the jets of a scalar pair that
@@ -47,10 +53,6 @@ import numpy as np
 
 from . import geometry as geo
 from .codazzi import (
-    Explicit,
-    GHPair,
-    MinusA,
-    Parallel,
     codazzi_frame_from_jets,
     codazzi_Q_residual_field,
     commutator_residual_field,
@@ -61,7 +63,6 @@ from .codazzi import (
     q_jets,
 )
 from .deformation import (
-    as_pair,
     closed_form_immersion,
     default_loop_rects,
     deformation_check_from_jets,
@@ -74,7 +75,6 @@ from .deformation import (
     pair_on_grid,
     path_dependence_residual,
     path_integral_on_grid,
-    source_jets,
 )
 from .errors import HypothesisError, SceneError
 from .geometry import CHUNK, chart_jets, frame_from_jets, grid_points, rank_A_field
@@ -220,12 +220,12 @@ def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
                 fields[name] = residual(fr)
     if not needs_q:
         return fields
-    qj, pair, gh_field = source_jets(cj, spec)
+    qj, pair, gh_field = q_jets(cj, spec)
     cf = codazzi_frame_from_jets(qj, fr)
     if "codazzi" in suites:
         fields["commutator"] = commutator_residual_field(fr, cf)
         fields["codazzi_Q"] = codazzi_Q_residual_field(fr, cf)
-        if isinstance(spec, GHPair):
+        if gh_field is not None:
             fields["gh_constraint"] = gh_field
         Gt = deformed_christoffel_jets(cj, qj)
         fields["deformed_connection"] = deformed_connection_residual_field(
@@ -237,9 +237,10 @@ def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
     if "deformation" in suites:
         sign = global_det_sign(cf.Q)
         fields["sign_Q"] = cf.Q.reshape(-1, chart.n, chart.n)[:1]
-        if not isinstance(spec, Explicit):
+        if spec.pair() is not None:
             chk = deformation_check_from_jets(cj, fr, cf, sign, spec, pair)
-            fields["pair_q"] = np.array([chk.pair_q_residual])
+            if pair is None:  # a direct Q, compared with its pair's
+                fields["pair_q"] = np.array([chk.pair_q_residual])
             for name, attr in _DEFORMATION.items():
                 fields[name] = getattr(chk, attr)
     return fields
@@ -257,9 +258,9 @@ def _geometry_suite(fields, pts, order, tol) -> List[CheckResult]:
     return checks
 
 
-def _codazzi_suite(fields, spec, pts, tol) -> List[CheckResult]:
+def _codazzi_suite(fields, pts, tol) -> List[CheckResult]:
     names = ["commutator", "codazzi_Q"]
-    if isinstance(spec, GHPair):
+    if "gh_constraint" in fields:
         names.append("gh_constraint")
     names += ["deformed_connection", "deformed_curvature"]
     return [
@@ -313,7 +314,7 @@ def _deformation_pair_suite(
     chart, spec, fields, pts, grid, tol, grid_mode
 ) -> List[CheckResult]:
     checks = []
-    if isinstance(spec, (Parallel, MinusA)):
+    if "pair_q" in fields:
         checks.append(
             _scalar_check(
                 "deformation",
@@ -391,8 +392,7 @@ def _deformation_explicit_suite(
     probes = _fd_probe_points(chart, grid, pts, grid_mode)
     cj = chart_jets(chart, probes, 3)
     fr = frame_from_jets(cj)
-    qj = q_jets(cj, spec)
-    cf = codazzi_frame_from_jets(qj, fr)
+    cf = codazzi_frame_from_jets(q_jets(cj, spec)[0], fr)
     gt = deformed_metric(fr, cf)
     JQ = np.einsum("...pk,...kj->...pj", fr.J, cf.Q)
     QinvA = np.einsum("...km,...mj->...kj", cf.Q_inv, fr.A)
@@ -437,7 +437,8 @@ def _deformation_explicit_suite(
 
 def _roundtrip_suite(chart, spec, grid, tol, grid_mode) -> List[CheckResult]:
     names = ("extract_closedness", "roundtrip_gauge", "gauge_recovery")
-    if isinstance(spec, Explicit):
+    pair = spec.pair()
+    if pair is None:
         return [
             check_skipped(
                 "roundtrip", n, tol[n], "explicit operators carry no scalar pair"
@@ -448,7 +449,6 @@ def _roundtrip_suite(chart, spec, grid, tol, grid_mode) -> List[CheckResult]:
         return [
             check_skipped("roundtrip", n, tol[n], _NO_GRID_NOTE) for n in names
         ]
-    pair = as_pair(spec)
     ext = extract_gh(chart, closed_form_immersion(chart, spec), grid)
     true = pair_on_grid(chart, pair, grid)
     fit = gauge_fit(chart, ext, true)
@@ -553,10 +553,10 @@ def run_suites(
         if suite == "geometry":
             checks += _geometry_suite(fields, pts, scene.order, tol)
         elif suite == "codazzi":
-            checks += _codazzi_suite(fields, spec, pts, tol)
+            checks += _codazzi_suite(fields, pts, tol)
         elif suite == "deformation":
             sign = global_det_sign(fields["sign_Q"])
-            if isinstance(spec, Explicit):
+            if spec.pair() is None:
                 checks += _deformation_explicit_suite(
                     chart, spec, pts, grid, tol, grid_mode, sign
                 )

@@ -112,6 +112,14 @@ def test_rank_gate_exit_three_on_a_two_chunk_grid(tmp_path, suite):
     assert "rank A >= 3 violated: certified rank 0" in res.stderr
 
 
+def test_overflowed_q_exit_three(tmp_path):
+    p = tmp_path / "huge.scene"
+    p.write_text(GOOD.replace("t = 1", "t = 1e308"))
+    res = run_cli("verify", str(p))
+    assert res.returncode == 3
+    assert "deformation operator is not finite" in res.stderr
+
+
 def test_parse_error_exit_four(tmp_path):
     p = tmp_path / "bad.scene"
     p.write_text("[chart]\ncatalog = sphere3\nr = two\n")

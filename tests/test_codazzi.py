@@ -1,5 +1,8 @@
 """Deformation-operator tests against closed forms and negative controls."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from isodeform.jet import values
 def setup_case(chart, u, spec, order=3):
     cj = chart_jets(chart, u, order)
     frame = frame_from_jets(cj)
-    qj = q_jets(cj, spec)
+    qj = q_jets(cj, spec)[0]
     cf = codazzi.codazzi_frame_from_jets(qj, frame)
     return cj, frame, qj, cf
 
@@ -39,7 +42,7 @@ def test_parallel_and_minus_a_jets_are_entrywise_exact():
         (Parallel(0.3), lambda i, j: (1.0 if i == j else 0.0) - 0.3 * A[i, j]),
         (MinusA(), lambda i, j: -A[i, j]),
     ):
-        Q = q_jets(cj, spec)
+        Q = q_jets(cj, spec)[0]
         for i, j in np.ndindex(3, 3):
             assert np.array_equal(Q[i, j].coef, entry(i, j).coef)
 
@@ -74,9 +77,9 @@ def test_gauss_translation_pair_gives_minus_A():
     u = np.array([0.7, 0.8, 0.9])
     cj = chart_jets(ch, u, 3)
     frame = frame_from_jets(cj)
-    qj = q_jets(cj, GHPair(g_src, h_src))
+    qj = q_jets(cj, GHPair(g_src, h_src))[0]
     assert np.allclose(geometry._move(values(qj), 2), -frame.A, atol=1e-10)
-    qj2 = q_jets(cj, MinusA())
+    qj2 = q_jets(cj, MinusA())[0]
     assert np.allclose(
         geometry._move(values(qj), 2), geometry._move(values(qj2), 2), atol=1e-10
     )
@@ -88,8 +91,8 @@ def test_constant_pair_matches_parallel_on_sphere():
     ch = catalog.sphere3(2.0)
     u = np.array([0.7, 0.8, 0.9])
     cj = chart_jets(ch, u, 3)
-    q_gh = geometry._move(values(q_jets(cj, GHPair("2", "3"))), 2)
-    q_par = geometry._move(values(q_jets(cj, Parallel(1.0))), 2)
+    q_gh = geometry._move(values(q_jets(cj, GHPair("2", "3"))[0]), 2)
+    q_par = geometry._move(values(q_jets(cj, Parallel(1.0))[0]), 2)
     assert np.allclose(q_gh, q_par, atol=1e-12)
     assert np.allclose(q_gh, 1.5 * np.eye(3), atol=1e-12)
 
@@ -105,7 +108,7 @@ def test_graph_parallel_pair_from_dsl_fields():
     pts = grid_points(ch, 3)
     cj = chart_jets(ch, pts, 3)
     frame = frame_from_jets(cj)
-    qv = geometry._move(values(q_jets(cj, GHPair(g_src, h_src))), 2)
+    qv = geometry._move(values(q_jets(cj, GHPair(g_src, h_src))[0]), 2)
     expected = np.eye(3) - 0.05 * frame.A
     assert np.abs(qv - expected).max() < 1e-11
 
@@ -130,7 +133,7 @@ def test_deformed_geometry_identities_on_grid(chart, spec, order):
     pts = grid_points(chart, 3)
     cj = chart_jets(chart, pts, order)
     frame = frame_from_jets(cj)
-    qj = q_jets(cj, spec)
+    qj = q_jets(cj, spec)[0]
     cf = codazzi.codazzi_frame_from_jets(qj, frame)
     assert commutator_residual_field(frame, cf).max() < 1e-12
     assert codazzi_Q_residual_field(frame, cf).max() < 1e-9
@@ -146,12 +149,12 @@ def test_singular_q_raises():
     ch = catalog.sphere3(2.0)
     cj = chart_jets(ch, [0.7, 0.8, 0.9], 3)
     frame = frame_from_jets(cj)
-    qj = q_jets(cj, Parallel(-2.0))  # Id + 2A = 0 on the r=2 sphere
+    qj = q_jets(cj, Parallel(-2.0))[0]  # Id + 2A = 0 on the r=2 sphere
     with pytest.raises(HypothesisError, match="singular"):
         codazzi.codazzi_frame_from_jets(qj, frame)
     # an exactly singular deformed metric meets its gate before any division
     cj = chart_jets(catalog.plane2(), [0.3, 0.4], 3)
-    qj = q_jets(cj, Explicit((("1", "0"), ("0", "0"))))
+    qj = q_jets(cj, Explicit((("1", "0"), ("0", "0"))))[0]
     with pytest.raises(HypothesisError, match="deformed metric is singular"):
         codazzi.deformed_christoffel_jets(cj, qj)
 
@@ -169,7 +172,7 @@ def test_explicit_diagonal_plane_breaks_codazzi():
     ch = catalog.plane2()
     cj = chart_jets(ch, [0.3, 0.4], 3)
     frame = frame_from_jets(cj)
-    qj = q_jets(cj, Explicit((("1", "0"), ("0", "1 + u1"))))
+    qj = q_jets(cj, Explicit((("1", "0"), ("0", "1 + u1"))))[0]
     cf = codazzi.codazzi_frame_from_jets(qj, frame)
     assert commutator_residual_field(frame, cf).max() < 1e-15
     assert codazzi_Q_residual_field(frame, cf).max() == pytest.approx(1.0)
@@ -195,7 +198,7 @@ def test_noncommuting_control_detected():
     pts = grid_points(ch, 3)
     cj = chart_jets(ch, pts, 3)
     frame = frame_from_jets(cj)
-    qj = q_jets(cj, Explicit(entries))  # self-adjointness check passes
+    qj = q_jets(cj, Explicit(entries))[0]  # self-adjointness check passes
     cf = codazzi.codazzi_frame_from_jets(qj, frame)
     gv = geometry._move(values(cj.metric(0)), 2)
     gQ = np.einsum("...ik,...kj->...ij", gv, cf.Q)
@@ -228,11 +231,69 @@ def test_explicit_shared_subtree_error_keeps_its_offset():
     u = np.array([[0.3, 0.4], [0.5, 0.6]])
     with pytest.raises(exprmod.ExprEvalError) as alone:
         exprmod.eval_value(exprmod.parse(spec.entries[0][0], 2), u)
+    cj = chart_jets(catalog.plane2(), u, 2)
     with pytest.raises(exprmod.ExprEvalError) as shared:
-        codazzi.explicit_q_values(spec, u, np.tile(np.eye(3, 2), (2, 1, 1)))
+        spec.q_values(cj, np.tile(np.eye(3, 2), (2, 1, 1)))
     assert shared.value.span == alone.value.span == (6, 17)
     assert str(shared.value) == str(alone.value)
     # the jet row reads the same shared node
     with pytest.raises(exprmod.ExprEvalError) as jets:
         q_jets(chart_jets(catalog.plane2(), u, 3), spec)
     assert jets.value.span == (6, 17)
+
+
+_NAN = "u1*(exp(800) - exp(800))"  # inf - inf: NaN at every point
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            Explicit(((_NAN, "0", "0"), ("0", "1", "0"), ("0", "0", "1"))),
+            "not g-self-adjoint",
+        ),
+        (GHPair(_NAN, "1"), "gradient constraint"),
+    ],
+    ids=["explicit", "gh"],
+)
+def test_q_gates_refuse_nan(spec, message):
+    # a NaN residual is not within any tolerance
+    cj = chart_jets(catalog.sphere3(2.0), [[0.7, 0.8, 0.9]], 3)
+    with pytest.raises(HypothesisError, match=message):
+        q_jets(cj, spec)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_q_is_not_called_singular():
+    # Q = Id - tA is finite at t = 1e308, but its singular values overflow
+    cj = chart_jets(catalog.sphere3(), [0.7, 0.8, 0.9], 3)
+    qj = q_jets(cj, Parallel(1e308))[0]
+    assert np.isfinite(geometry._move(values(qj), 2)).all()
+    with pytest.raises(HypothesisError, match="not finite"):
+        codazzi.codazzi_frame_from_jets(qj, frame_from_jets(cj))
+
+
+def test_only_codazzi_tests_the_type_of_a_source():
+    # callers ask a source for its Q and its pair; they never test its type
+    sources = {
+        name for name, obj in vars(codazzi).items()
+        if isinstance(obj, type) and hasattr(obj, "q_values")
+    }
+    assert {"Parallel", "MinusA", "GHPair", "GHPairData", "Explicit"} <= sources
+    offenders = []
+    for path in sorted(Path(codazzi.__file__).parent.rglob("*.py")):
+        if path.name == "codazzi.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", None) != "isinstance":
+                continue
+            named = {
+                getattr(n, "id", getattr(n, "attr", None))
+                for n in ast.walk(node.args[1])
+            }
+            if named & sources:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

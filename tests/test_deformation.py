@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from isodeform import catalog, codazzi, deformation as dfm, expr as exprmod, suites
-from isodeform.codazzi import Explicit, GHPair, MinusA, Parallel
+from isodeform.codazzi import (
+    Explicit,
+    GHPair,
+    MinusA,
+    Parallel,
+    gh_gauss_translation,
+    gh_parallel_offset,
+)
 from isodeform.deformation import (
     KernelMismatchError,
     LoopRect,
@@ -13,8 +20,6 @@ from isodeform.deformation import (
     extract_gh,
     fd_deformed_frame,
     gauge_fit,
-    gh_gauss_translation,
-    gh_parallel_offset,
     global_det_sign,
     kernel_angle_field,
     omega_loop_integral,
@@ -349,7 +354,7 @@ def test_value_integrand_matches_jet_route(name):
     pts = np.random.default_rng(7).uniform(-0.45, 0.45, (500, 3))
     cj = chart_jets(ch, pts, order=2)
     Jv = np.moveaxis(values(cj.Jjet), (0, 1), (-2, -1))
-    Qv = np.moveaxis(values(dfm.source_jets(cj, source)[0]), (0, 1), (-2, -1))
+    Qv = np.moveaxis(values(codazzi.q_jets(cj, source)[0]), (0, 1), (-2, -1))
     expected = np.einsum("...pk,...kj->...pj", Jv, Qv)
     omega = dfm._omega_values(ch, source, pts)
     assert omega.shape == (500, 4, 3)
@@ -382,16 +387,15 @@ def test_value_integrand_keeps_the_gates():
 
 def test_grid_integral_builds_no_q_jets(monkeypatch):
     calls = []
-    build = codazzi.q_jets
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
-
-    for mod in (codazzi, dfm):
-        monkeypatch.setattr(mod, "q_jets", counting)
     ch = catalog.graph3()
-    for source in (Parallel(0.05), _graph_explicit(0.05)):
+    for source in (Parallel(0.05), GHPair("0*u1", "1 + 0*u2"), _graph_explicit(0.05)):
+        build = type(source).q_jets
+
+        def counting(*args, build=build, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(type(source), "q_jets", counting)
         path_integral_on_grid(ch, source, 3)
     assert calls == []
 
@@ -524,7 +528,7 @@ def test_explicit_values_share_subtrees_bit_identically(monkeypatch):
     pts = np.random.default_rng(3).uniform(-0.45, 0.45, (400, 3))
     cj = chart_jets(ch, pts, order=2)
     J = jet_partials(cj.comps, 1, cj.batch_shape)
-    Q = codazzi.explicit_q_values(source, pts, J)
+    Q = source.q_values(cj, J)
     for i, row in enumerate(source.entries):
         for j, text in enumerate(row):
             alone = exprmod.eval_value(exprmod.parse(text, 3), pts)
@@ -634,5 +638,5 @@ def test_shared_divisor_is_gated_once_per_slice(monkeypatch):
     ch = catalog.graph3()
     pts = np.random.default_rng(3).uniform(-0.45, 0.45, (50, 3))
     cj = chart_jets(ch, pts, order=2)
-    codazzi.explicit_q_values(source, pts, jet_partials(cj.comps, 1, cj.batch_shape))
+    source.q_values(cj, jet_partials(cj.comps, 1, cj.batch_shape))
     assert len(calls) == len(divisors)

@@ -425,3 +425,58 @@ def test_run_parses_no_dsl_after_load(tmp_path, monkeypatch, codazzi_body):
     rep = run_suites(scene)
     assert "deformation" in {c.suite for c in rep.checks}
     assert calls == []
+
+
+_W = "(sqrt(1 + 4*u1^2 + 16*u2^2 + 36*u3^2))"
+_GRAD, _HESS = ("(2*u1)", "(4*u2)", "(6*u3)"), ("2", "4", "6")
+# Id - 0.05 A of graph3, entrywise
+_GRAPH_EXPLICIT = "".join(
+    f"q{k + 1}{j + 1} = {int(k == j)} + 0.05*({int(k == j)} - "
+    f"{_GRAD[k]}*{_GRAD[j]}/{_W}^2)*{_HESS[j]}/{_W}\n"
+    for k in range(3)
+    for j in range(3)
+)
+_CODAZZI = [("codazzi", n, PASS) for n in ("commutator", "codazzi_Q")]
+_CURVED = [("codazzi", n, PASS) for n in ("deformed_connection", "deformed_curvature")]
+_POINTWISE = [
+    ("deformation", n, PASS)
+    for n in ("dF", "metric", "shape", "selfadjoint_At", "codazzi_At",
+              "gauss_congruence", "wedge", "kernel_angle", "loop",
+              "path_vs_closed", "path_order_swap")
+]
+_ROUNDTRIP = ("extract_closedness", "roundtrip_gauge", "gauge_recovery")
+_PAIR_CHECKS = [("deformation", "pair_q", PASS)] + _POINTWISE
+_VARIANT_CHECKS = {
+    "parallel": (
+        "sphere3\nr = 2\n[codazzi]\nvariant = parallel\nt = 1\n",
+        _CODAZZI + _CURVED + _PAIR_CHECKS,
+    ),
+    "minusA": (
+        "sphere3\n[codazzi]\nvariant = minusA\n",
+        _CODAZZI + _CURVED + _PAIR_CHECKS,
+    ),
+    "gh": (
+        "sphere3\n[codazzi]\nvariant = gh\ng = 0*u1\nh = 1 + 0*u2\n",
+        _CODAZZI + [("codazzi", "gh_constraint", PASS)] + _CURVED + _POINTWISE,
+    ),
+    "explicit": (
+        "graph3\n[codazzi]\nvariant = explicit\n" + _GRAPH_EXPLICIT,
+        _CODAZZI + _CURVED
+        + [("deformation", n, PASS) for n in ("loop", "path_order_swap", "fd_jacobian",
+                                             "fd_metric", "fd_gauss", "fd_shape")],
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", list(_VARIANT_CHECKS))
+def test_each_variant_reports_its_own_check_list(variant):
+    # pair_q only where a direct Q has a pair, gh_constraint only where Q
+    # came from a pair, and a roundtrip only where there is a pair at all
+    body, expected = _VARIANT_CHECKS[variant]
+    rep = run_suites(parse_scene(
+        f"[chart]\ncatalog = {body}[run]\ngrid = 3\n"
+        "suites = codazzi, deformation, roundtrip\n"
+    ))
+    roundtrip = SKIP if variant == "explicit" else PASS
+    expected = expected + [("roundtrip", n, roundtrip) for n in _ROUNDTRIP]
+    assert [(c.suite, c.name, c.verdict) for c in rep.checks] == expected
