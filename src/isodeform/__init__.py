@@ -23,7 +23,7 @@ from .deformation import (
     gauge_fit,
     verify_deformation,
 )
-from .errors import HypothesisError, SceneError
+from .errors import HypothesisError, SceneError, VerificationError
 from .geometry import Chart, chart_jets, frame_at, frame_from_jets, make_chart
 from .mesh import export_mesh
 from .report import VerificationReport
@@ -43,6 +43,7 @@ __all__ = [
     "Parallel",
     "Scene",
     "SceneError",
+    "VerificationError",
     "VerificationReport",
     "build",
     "chart_jets",

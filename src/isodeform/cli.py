@@ -8,9 +8,12 @@ Subcommands:
   Wavefront OBJ file, slicing down to two free coordinates if needed.
 * ``selftest`` runs the built-in acceptance suite, one line per criterion.
 
-Exit codes: 0 all checks pass, 2 verification failure, 3 hypothesis
-violation (rank or numerical singularity), 4 scene or argument parse error,
-or an expression evaluated outside its domain.
+Exit codes: 0 when every check passes, 2 when one FAILs; otherwise the code
+of the error kind raised (``ERROR_KINDS``), whose message goes to stderr as
+one line after its prefix: 2 ``verification failure:``, 3 ``hypothesis
+violated:``, 4 ``scene error:`` (usage errors included).  Numpy's
+floating-point warnings are off while a command runs: the gates refuse
+non-finite values themselves.
 """
 
 from __future__ import annotations
@@ -20,25 +23,31 @@ import dataclasses
 import json
 import sys
 
-from .deformation import KernelMismatchError
-from .errors import HypothesisError, SceneError
-from .expr import ExprEvalError
-from .geometry import DomainError, FrameError
-from .jet import JetError
-from .linalg import LinalgError
+import numpy as np
+
+from .errors import HypothesisError, SceneError, VerificationError
 from .mesh import export_mesh
-from .quadrature import QuadratureError
-from .scene import _parse_project, load_scene
+from .scene import _parse_project, load_scene, write_output
 from .suites import run_suites
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
-EXIT_HYPOTHESIS = 3
-EXIT_PARSE = 4
+
+# each error kind: its exit code and stderr prefix
+ERROR_KINDS = (
+    (VerificationError, EXIT_FAIL, "verification failure"),
+    (HypothesisError, 3, "hypothesis violated"),
+    (SceneError, 4, "scene error"),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is unusable input
+        raise SceneError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isodeform",
         description="verify Codazzi-operator metric deformations of hypersurfaces",
     )
@@ -123,9 +132,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suites(scene, point=point)
     sys.stdout.write(report.to_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        blob = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+        write_output(args.json, blob + "\n")
     return EXIT_PASS if not report.failed else EXIT_FAIL
 
 
@@ -146,25 +154,14 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except SceneError as exc:
-        print(f"scene error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except HypothesisError as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (LinalgError, FrameError, JetError) as exc:
-        print(f"numerical degeneracy: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (DomainError, ExprEvalError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (KernelMismatchError, QuadratureError) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        args = _build_parser().parse_args(argv)
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except tuple(kind for kind, _, _ in ERROR_KINDS) as exc:
+        code, prefix = next((c, p) for k, c, p in ERROR_KINDS if isinstance(exc, k))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

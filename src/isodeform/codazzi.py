@@ -51,7 +51,6 @@ from .errors import HypothesisError
 from .geometry import (
     ChartJets,
     Frame,
-    FrameError,
     _move,
     _trunc_mat,
     SELF_ADJOINT_TOL,
@@ -62,7 +61,7 @@ from .geometry import (
 )
 from .expr import ExprAst
 from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
-from .linalg import NotSPDError, cholesky_spd, jacobi_svd, solve
+from .linalg import cholesky_spd, jacobi_svd, solve
 
 GH_CONSTRAINT_TOL = 1e-8
 Q_RANK_RTOL = 1e-9
@@ -160,7 +159,9 @@ class _FromPair:
         d2f, g, A = _shape_values(cj, J)
         batch, n = cj.batch_shape, cj.n
         ds, dh = np.moveaxis(jet_partials([s, h], 1, batch), -2, 0)
-        grads = solve(g, np.stack([ds, dh], axis=-1))
+        dsh = np.stack([ds, dh], axis=-1)
+        # a non-finite gradient is the gate's to refuse, not solve's
+        grads = solve(g, dsh) if np.isfinite(dsh).all() else np.full(dsh.shape, np.nan)
         gh_constraint_residual_field(A, g, grads[..., 0], grads[..., 1])
         Jd2f = np.einsum("...pl,...pij->...lij", J, d2f).reshape(batch + (n, n * n))
         Gamma = solve(g, Jd2f).reshape(batch + (n, n, n))
@@ -192,7 +193,7 @@ class GHPair(_FromPair):
         def h_fn(cj: ChartJets) -> JetScalar:
             return exprmod.eval_jet(self.asts(cj.n)[1], cj.u, cj.order)
 
-        return GHPairData(g_fn, h_fn, label="scalar pair")
+        return GHPairData(g_fn, h_fn)
 
 
 @dataclass(frozen=True)
@@ -200,14 +201,13 @@ class GHPairData(_FromPair):
     """A scalar pair given as jet-building callables.
 
     ``g_fn`` must return a jet at the chart jets' full order; ``h_fn`` at
-    order >= K-1.  ``label`` names the pair.  ``h_value``, when given, maps
-    the chart jets and the float unit normal (*batch, dim) to the values of
-    h, so the closed-form F needs no jets of h.
+    order >= K-1.  ``h_value``, when given, maps the chart jets and the
+    float unit normal (*batch, dim) to the values of h, so the closed-form
+    F needs no jets of h.
     """
 
     g_fn: Callable[[ChartJets], JetScalar]
     h_fn: Callable[[ChartJets], JetScalar]
-    label: str = "pair"
     h_value: Optional[Callable[[ChartJets, np.ndarray], np.ndarray]] = None
 
     def pair(self) -> "GHPairData":
@@ -244,7 +244,7 @@ def gh_parallel_offset(t: float) -> GHPairData:
         f = jet_partials(cj.comps, 0, cj.batch_shape)
         return np.einsum("...p,...p->...", f, N) + t
 
-    return GHPairData(g_fn, h_fn, label=f"parallel-offset t={t:g}", h_value=h_value)
+    return GHPairData(g_fn, h_fn, h_value=h_value)
 
 
 def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
@@ -278,8 +278,7 @@ def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
     def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
         return N @ np.asarray(coeffs(cj)) + 1.0
 
-    label = "gauss-translation" if avec is None else f"gauss-translation a={avec}"
-    return GHPairData(g_fn, h_fn, label=label, h_value=h_value)
+    return GHPairData(g_fn, h_fn, h_value=h_value)
 
 
 @dataclass(frozen=True)
@@ -402,7 +401,7 @@ def codazzi_frame_from_jets(
     deformation theory needs an invertible operator.
     """
     if qj[0, 0].space.order < 1:
-        raise FrameError("Q jets need order >= 1 for covariant derivatives")
+        raise ValueError("Q jets need order >= 1 for covariant derivatives")
     Qv = _move(values(qj), 2)
     dQ = _move(d1_values(qj), 3)
     _, sig, _ = jacobi_svd(Qv)
@@ -455,7 +454,7 @@ def deformed_metric(frame: Frame, cf: CodazziFrame) -> np.ndarray:
     gt = 0.5 * (gt + gt.swapaxes(-1, -2))
     try:
         cholesky_spd(gt)
-    except NotSPDError as e:
+    except HypothesisError as e:
         raise HypothesisError(f"deformed metric is not positive definite: {e}")
     return gt
 
@@ -498,7 +497,7 @@ def deformed_connection_residual_field(
     for commuting Codazzi operators.
     """
     if cj.order < 3:
-        raise FrameError("deformed connection needs jet order >= 3")
+        raise ValueError("deformed connection needs jet order >= 3")
     G1 = _move(values(Gt), 3)
     dQ_kij = np.einsum("...kji->...kij", cf.dQ)
     term = dQ_kij + np.einsum("...mil,...lj->...mij", frame.Gamma, cf.Q)
@@ -520,7 +519,7 @@ def deformed_curvature_residual_field(
     form the deformation theory predicts.  Needs jet order 4.
     """
     if cj.order < 4:
-        raise FrameError("deformed curvature needs jet order 4")
+        raise ValueError("deformed curvature needs jet order 4")
     Rt = curvature_values(Gt)
     # pairwise contraction: a single three-operand loop is about 4x slower
     conj = np.einsum(

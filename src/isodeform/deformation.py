@@ -43,7 +43,7 @@ from .codazzi import (
     pair_jets,
     q_jets,
 )
-from .errors import HypothesisError
+from .errors import HypothesisError, VerificationError
 from .geometry import (
     CHUNK,
     GRID_SHRINK,
@@ -71,17 +71,7 @@ from .linalg import (
 )
 from .quadrature import integrate_segment
 
-
-class KernelMismatchError(ValueError):
-    """Ranks of A and the deformed shape operator disagree."""
-
-    def __init__(self, rank_A: int, rank_At: int, u: Sequence[float]):
-        self.rank_A = rank_A
-        self.rank_At = rank_At
-        super().__init__(
-            f"kernel dimensions differ at u = {','.join(f'{x:.6f}' for x in u)}: "
-            f"rank A = {rank_A}, rank deformed A = {rank_At}"
-        )
+FD_STEP = 1e-3  # difference step of F; second differences use 10 * FD_STEP
 
 
 # ------------------------------------------------------- closed-form F
@@ -247,7 +237,7 @@ def kernel_angle_field(
 ) -> np.ndarray:
     """Largest principal angle between ker A and ker A~ per point.
 
-    Raises KernelMismatchError, naming the first such point by its chart
+    Raises VerificationError, naming the first such point by its chart
     coordinates, when the numerical ranks disagree anywhere.
     """
     n = frame.n
@@ -256,7 +246,11 @@ def kernel_angle_field(
     bad = np.flatnonzero(r1 != r2)
     if bad.size:
         m = bad[0]
-        raise KernelMismatchError(int(r1[m]), int(r2[m]), frame.u.reshape(-1, n)[m])
+        raise VerificationError(
+            "kernel dimensions differ at u = "
+            f"{','.join(f'{x:.6f}' for x in frame.u.reshape(-1, n)[m])}: "
+            f"rank A = {int(r1[m])}, rank deformed A = {int(r2[m])}"
+        )
     out = np.empty(len(r1))
     for r in set(r1.tolist()):  # kernels of one rank form a stack
         at = r1 == r
@@ -368,9 +362,8 @@ def _omega_values(
 
     Values only: one build of order-2 chart jets per slice, whose
     coefficients give J here and d2f to ``source.q_values``, under the same
-    gates as the sample pass.  On an exactly singular metric those raise
-    NotSPDError or DegenerateJacobianError, where the jet route's cofactor
-    inverse raises JetDomainError.
+    gates as the sample pass: on an exactly singular metric they raise
+    HypothesisError, as the jet route does.
     """
     cj = chart_jets(chart, pts, order=2)
     J = jet_partials(cj.comps, 1, cj.batch_shape)
@@ -632,7 +625,7 @@ def fd_deformed_frame(
     chart: Chart,
     source: Source,
     u: Sequence[float],
-    step: float = 1e-3,
+    step: float = FD_STEP,
     tol: float = 1e-12,
     base: Optional[Sequence[float]] = None,
 ) -> FDFrame:
@@ -732,10 +725,11 @@ def pair_on_grid(chart: Chart, pair: GHPairData, res) -> GridPair:
     cj = chart_jets(chart, flat, order=2)
     s, h = pair_jets(cj, pair)
     grad = values(cj.scalar_grad_jets(s.truncated(1))).astype(float)  # (n, m)
+    gh = jet_partials([s, h], 0, cj.batch_shape)  # a constant is broadcast
     return GridPair(
         points=mesh,
-        g=np.asarray(s.value, dtype=float).reshape(shape),
-        h=np.asarray(h.value, dtype=float).reshape(shape),
+        g=gh[:, 0].reshape(shape),
+        h=gh[:, 1].reshape(shape),
         grad_g=np.moveaxis(grad, 0, -1).reshape(shape + (chart.n,)),
         closed_residual=0.0,
     )

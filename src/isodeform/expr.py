@@ -43,24 +43,19 @@ from functools import lru_cache
 import numpy as np
 
 from . import jet as jetmod
-from .jet import JetDomainError, JetScalar, jet_space
+from .errors import HypothesisError, SceneError
+from .jet import JetScalar, jet_space
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 
-class ExprError(ValueError):
+class ExprError(SceneError):
+    """A source that does not parse, or a value outside an operation's domain."""
+
     def __init__(self, message: str, span: tuple[int, int]):
         super().__init__(f"{message} (at offset {span[0]})")
         self.message = message
         self.span = span
-
-
-class ExprSyntaxError(ExprError):
-    pass
-
-
-class ExprEvalError(ExprError):
-    pass
 
 
 # ------------------------------------------------------------------- AST
@@ -132,7 +127,7 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
+            raise ExprError(f"unexpected character {text[pos]!r}", (pos, pos + 1))
         if m.lastgroup != "ws":
             tokens.append((m.lastgroup, m.group(), pos))
         pos = m.end()
@@ -161,14 +156,14 @@ class _Parser:
     def expect_op(self, op):
         kind, text, pos = self.peek()
         if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected {op!r}", (pos, pos + 1))
+            raise ExprError(f"expected {op!r}", (pos, pos + 1))
         return self.advance()
 
     def parse(self) -> ExprAst:
         node = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
-            raise ExprSyntaxError(f"unexpected {text!r}", (pos, pos + len(text)))
+            raise ExprError(f"unexpected {text!r}", (pos, pos + len(text)))
         return node
 
     def expr(self) -> ExprAst:
@@ -227,16 +222,16 @@ class _Parser:
             if m:
                 idx = int(m.group(1))
                 if not 1 <= idx <= self.n_vars:
-                    raise ExprSyntaxError(
+                    raise ExprError(
                         f"variable {text} out of range (n_vars={self.n_vars})", span
                     )
                 return Var(idx - 1, span)
-            raise ExprSyntaxError(f"unknown identifier {text!r}", span)
+            raise ExprError(f"unknown identifier {text!r}", span)
         if kind == "op" and text == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input",
+        raise ExprError(f"unexpected {text!r}" if text else "unexpected end of input",
                               (pos, pos + max(1, len(text))))
 
 
@@ -336,7 +331,7 @@ def eval_jets(nodes, point, order: int, shared: dict | None = None) -> list[JetS
 
     def coord(nd: Var):
         if nd.index >= n_vars:
-            raise ExprEvalError(
+            raise ExprError(
                 f"variable u{nd.index + 1} exceeds point dimension {n_vars}", nd.span
             )
         return point[..., nd.index]
@@ -368,8 +363,8 @@ def eval_jets(nodes, point, order: int, shared: dict | None = None) -> list[JetS
                 if nd.op == "^":
                     return ev_pow(nd)
                 return _arith(nd.op, ev(nd.left), ev(nd.right))
-        except JetDomainError as e:
-            raise ExprEvalError(str(e), nd.span) from e
+        except HypothesisError as e:  # a jet domain rule: name the node
+            raise ExprError(str(e), nd.span) from e
         raise TypeError(f"not an AST node: {nd!r}")
 
     def ev_pow(nd: BinOp) -> JetScalar:
@@ -417,7 +412,7 @@ def _require_positive(v, what: str, span) -> None:
     """The jet evaluator's domain rule for log, sqrt and non-integer powers."""
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise ExprEvalError(f"{what} of non-positive value {float(np.min(v))}", span)
+        raise ExprError(f"{what} of non-positive value {float(np.min(v))}", span)
 
 
 def _require_divisor(v, span) -> None:
@@ -425,7 +420,7 @@ def _require_divisor(v, span) -> None:
     v = np.asarray(v, dtype=float)
     if np.any(np.abs(v) <= jetmod.MIN_DIVISOR) or not np.all(np.isfinite(v)):
         worst = v.flat[int(np.argmin(np.abs(v)))]
-        raise ExprEvalError(f"division by value {float(worst)}", span)
+        raise ExprError(f"division by value {float(worst)}", span)
 
 
 def eval_values(nodes, point, shared: dict | None = None) -> list:
@@ -437,7 +432,7 @@ def eval_values(nodes, point, shared: dict | None = None) -> list:
     route used by the finite-difference oracle and the path integrands.
     ``shared`` is the use count by id that ``intern`` gives for the row, as
     for ``eval_jets``: a subtree the row repeats is evaluated once.  Domain
-    violations raise ExprEvalError under the jet evaluator's rules, naming
+    violations raise ExprError under the jet evaluator's rules, naming
     the worst offending value; each rule runs once per row on an operand
     node, so a shared divisor is gated at its first division only, which is
     also where it would raise.

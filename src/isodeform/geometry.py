@@ -29,33 +29,14 @@ import numpy as np
 
 from . import expr as exprmod
 from . import jet as jetmod
-from .errors import SceneError
+from .errors import HypothesisError, SceneError
 from .expr import ExprAst
 from .jet import JetScalar, cross_product, d1_values, mat_inv, mat_mul, values
-from .linalg import (
-    DegenerateJacobianError,
-    NotSPDError,
-    check_cross_norm,
-    cholesky_spd,
-    svd_rank_kernel,
-    unit_normal,
-)
+from .linalg import check_cross_norm, cholesky_spd, svd_rank_kernel, unit_normal
 
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
 CHUNK = 1024  # points per batched jet evaluation, which bounds memory
 SELF_ADJOINT_TOL = 1e-10
-
-
-class ChartError(SceneError):
-    pass
-
-
-class DomainError(ValueError):
-    pass
-
-
-class FrameError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -102,7 +83,7 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
     """
     n = len(domain)
     if len(component_sources) != n + 1:
-        raise ChartError(
+        raise SceneError(
             f"{label}: need {n + 1} components for an n={n} chart, got "
             f"{len(component_sources)}"
         )
@@ -111,22 +92,22 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
         if isinstance(src, str):
             try:
                 comps.append(exprmod.parse(src, n))
-            except exprmod.ExprSyntaxError as e:
-                raise ChartError(f"{label}: component {k + 1}: {e}") from e
+            except exprmod.ExprError as e:
+                raise SceneError(f"{label}: component {k + 1}: {e}") from e
         else:
             comps.append(src)
     lo = tuple(float(a) for a, _ in domain)
     hi = tuple(float(b) for _, b in domain)
     for a, b in zip(lo, hi):
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
-            raise ChartError(f"{label}: bad domain interval ({a}, {b})")
+            raise SceneError(f"{label}: bad domain interval ({a}, {b})")
     chart = Chart(n, tuple(comps), lo, hi, label)
     try:
         fr = frame_at(chart, chart.center(), order=2)
-    except (exprmod.ExprEvalError, DegenerateJacobianError, NotSPDError, FrameError) as e:
-        raise ChartError(f"{label}: degenerate at box center: {e}") from e
+    except (exprmod.ExprError, HypothesisError) as e:
+        raise SceneError(f"{label}: degenerate at box center: {e}") from e
     if not np.all(np.isfinite(fr.J)):
-        raise ChartError(f"{label}: non-finite Jacobian at box center")
+        raise SceneError(f"{label}: non-finite Jacobian at box center")
     return chart
 
 
@@ -161,13 +142,13 @@ class ChartJets:
         self.batch_shape = self.u.shape[:-1]
         self.batch_ndim = len(self.batch_shape)
         if len(self.comps) != self.n + 1:
-            raise FrameError(
+            raise ValueError(
                 f"need {self.n + 1} component jets, got {len(self.comps)}"
             )
         sp = self.comps[0].space
         for c in self.comps:
             if c.space is not sp:
-                raise FrameError("component jets live in different jet spaces")
+                raise ValueError("component jets live in different jet spaces")
         self.order = sp.order
         self._built = {}  # quantity -> (order, jets) of its highest build
 
@@ -225,7 +206,7 @@ class ChartJets:
     def _ginv(self, order):
         def gate(det):
             if np.any(np.asarray(det.value) <= 0):
-                raise NotSPDError(f"det g = {np.min(det.value):.3e} <= 0")
+                raise HypothesisError(f"det g = {np.min(det.value):.3e} <= 0")
 
         return mat_inv(self.metric(order), gate)[0]
 
@@ -379,10 +360,10 @@ class Frame:
 def frame_from_jets(cj: ChartJets) -> Frame:
     """Extract the numeric frame from the jet pipeline, with validity checks."""
     if cj.order < 2:
-        raise FrameError(f"jet order {cj.order} < 2 cannot produce a frame")
+        raise ValueError(f"jet order {cj.order} < 2 cannot produce a frame")
     f, J, d2f = (jet_partials(cj.comps, k, cj.batch_shape) for k in (0, 1, 2))
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(J))):
-        raise FrameError("non-finite immersion values or Jacobian")
+        raise HypothesisError("non-finite immersion values or Jacobian")
     Nj = cj.normal(max(cj.order - 2, 1))  # dN needs order 1
     N = _move(values(Nj), 1)
     dN = _move(d1_values(Nj), 2)
@@ -393,11 +374,11 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     g_inv = _move(values(cj.ginv(cj.order - 2)), 2)
     b = _move(values(cj.bjet), 2)
     A = _move(values(cj.Ajet), 2)
-    cholesky_spd(g)  # raises NotSPDError when g is not positive definite
+    cholesky_spd(g)  # raises HypothesisError when g is not positive definite
     gA = np.einsum("...ij,...jk->...ik", g, A)
     scale = np.maximum(1.0, np.abs(gA).max())
     if np.abs(gA - gA.swapaxes(-1, -2)).max() > SELF_ADJOINT_TOL * scale:
-        raise FrameError("shape operator lost g-self-adjointness")
+        raise HypothesisError("shape operator lost g-self-adjointness")
     R = nablaA = None
     Gj = cj.christoffel(go)
     Gamma = _move(values(Gj), 3)
@@ -440,8 +421,8 @@ def jet_partials(jets, k: int, batch_shape) -> np.ndarray:
 def metric_normal_values(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """g = J^T J and the unit normal N from a float Jacobian stack.
 
-    Gated as the jet pipeline is: NotSPDError when g is not positive
-    definite, then DegenerateJacobianError when the normal degenerates.
+    Gated as the jet pipeline is: HypothesisError when g is not positive
+    definite, then when the normal degenerates.
     """
     g = J.swapaxes(-1, -2) @ J
     cholesky_spd(g)
@@ -452,14 +433,14 @@ def metric_normal_values(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def chart_jets(chart: Chart, u, order: int = 3) -> ChartJets:
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != chart.n:
-        raise DomainError(f"point dimension {u.shape[-1]} != chart n={chart.n}")
+        raise SceneError(f"point dimension {u.shape[-1]} != chart n={chart.n}")
     if order not in (2, 3, 4):
         raise ValueError(f"jet order must be 2, 3 or 4, got {order}")
     lo = np.asarray(chart.lo)
     hi = np.asarray(chart.hi)
     if np.any(u < lo) or np.any(u > hi):
         bad = np.argwhere((u < lo) | (u > hi))
-        raise DomainError(
+        raise SceneError(
             f"point outside domain of {chart.label}: first offender index "
             f"{tuple(bad[0])}"
         )
@@ -488,7 +469,7 @@ def gauss_residual_field(frame: Frame) -> np.ndarray:
     """Gauss equation: R(e_i,e_j)e_k = <Ae_j,e_k> Ae_i - <Ae_i,e_k> Ae_j,
     residual in the g-norm, maxed over i,j,k."""
     if frame.R is None:
-        raise FrameError("curvature needs jet order >= 3")
+        raise ValueError("curvature needs jet order >= 3")
     gA = np.einsum("...ij,...jk->...ik", frame.g, frame.A)
     rhs = np.einsum("...kj,...li->...lkij", gA, frame.A) - np.einsum(
         "...ki,...lj->...lkij", gA, frame.A
@@ -503,7 +484,7 @@ def gauss_residual_field(frame: Frame) -> np.ndarray:
 def codazzi_A_residual_field(frame: Frame) -> np.ndarray:
     """| (nabla_i A) e_j - (nabla_j A) e_i |_g maxed over i,j."""
     if frame.nablaA is None:
-        raise FrameError("nabla A needs jet order >= 3")
+        raise ValueError("nabla A needs jet order >= 3")
     D = frame.nablaA - np.einsum("...ikj->...jki", frame.nablaA)
     norms = np.sqrt(np.abs(np.einsum("...ikj,...kl,...ilj->...ij", D, frame.g, D)))
     return norms.max(axis=(-1, -2))
@@ -524,7 +505,7 @@ def metric_compat_residual_field(frame: Frame) -> np.ndarray:
 def bianchi_first_residual_field(frame: Frame) -> np.ndarray:
     """R^l_{kij} + R^l_{ijk} + R^l_{jki} = 0."""
     if frame.R is None:
-        raise FrameError("curvature needs jet order >= 3")
+        raise ValueError("curvature needs jet order >= 3")
     R = frame.R
     cyc = R + np.einsum("...lkij->...ljki", R) + np.einsum("...lkij->...lijk", R)
     return np.abs(cyc).max(axis=(-1, -2, -3, -4))
@@ -560,6 +541,13 @@ def rank_A_field(frame: Frame, tol: float = 1e-9) -> np.ndarray:
     return svd_rank_kernel(frame.A, tol)[0]
 
 
+def stencil_fits(chart: Chart, u, h2: float):
+    """Per point of u (..., n): whether it sits at least 2*h2 inside the
+    chart box, as ``fd_stencil`` with second-derivative step h2 needs."""
+    lo, hi = np.asarray(chart.lo), np.asarray(chart.hi)
+    return np.all((u - lo >= 2 * h2) & (hi - u >= 2 * h2), axis=-1)
+
+
 def fd_stencil(chart: Chart, F, u, step: float, h2: float):
     """Richardson central differences (F(u), dF (d, n), d2F (d, n, n)).
 
@@ -569,9 +557,8 @@ def fd_stencil(chart: Chart, F, u, step: float, h2: float):
     the chart box.
     """
     u = np.asarray(u, dtype=float)
-    lo, hi = np.asarray(chart.lo), np.asarray(chart.hi)
-    if np.any(u - lo < 2 * h2) or np.any(hi - u < 2 * h2):
-        raise DomainError(f"point too close to the boundary for step {step}")
+    if not stencil_fits(chart, u, h2):
+        raise SceneError(f"point too close to the boundary for step {step}")
     n = len(u)
     f = F(u)
 

@@ -43,23 +43,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import HypothesisError
+
 MIN_DIVISOR = 1e-300  # underflow guard for division by a jet
 # doubles of coefficient products a jet product may gather at once (512 KB)
 GATHER_BUDGET = 2**16
 
 _MAX_ORDER = 4
-
-
-class JetError(ValueError):
-    pass
-
-
-class JetMismatchError(JetError):
-    """Raised when jets from different spaces (n_vars, order) are mixed."""
-
-
-class JetDomainError(JetError):
-    """Raised on a domain violation (division by ~0, log/sqrt of non-positive)."""
 
 
 def _monomials(n_vars: int, order: int) -> list[tuple[int, ...]]:
@@ -93,9 +83,9 @@ class JetSpace:
 
     def __init__(self, n_vars: int, order: int):
         if n_vars < 1:
-            raise JetError(f"n_vars must be >= 1, got {n_vars}")
+            raise ValueError(f"n_vars must be >= 1, got {n_vars}")
         if not (0 <= order <= _MAX_ORDER):
-            raise JetError(f"order must be in 0..{_MAX_ORDER}, got {order}")
+            raise ValueError(f"order must be in 0..{_MAX_ORDER}, got {order}")
         self.n_vars = n_vars
         self.order = order
         self.monomials = _monomials(n_vars, order)
@@ -186,7 +176,7 @@ class JetSpace:
         survives.
         """
         if not 0 <= i < self.n_vars:
-            raise JetError(f"variable index {i} out of range for n_vars={self.n_vars}")
+            raise ValueError(f"variable index {i} out of range for n_vars={self.n_vars}")
         return self.univariate(i, [np.asarray(at, dtype=float), 1.0])
 
     def univariate(self, i: int, coeffs) -> "JetScalar":
@@ -234,7 +224,7 @@ class JetScalar:
 
     def _full(self, k: int):
         if k > self.order:
-            raise JetError(f"derivative order {k} exceeds jet order {self.order}")
+            raise ValueError(f"derivative order {k} exceeds jet order {self.order}")
         idx, fac = self.space._deriv_tables[k]
         return self.coef[idx] * fac.reshape(fac.shape + (1,) * (self.coef.ndim - 1))
 
@@ -251,7 +241,7 @@ class JetScalar:
     def diff(self, i: int) -> "JetScalar":
         """The jet of the partial derivative d/du_i (order drops by one)."""
         if self.order < 1:
-            raise JetError("cannot differentiate an order-0 jet")
+            raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
         child = jet_space(sp.n_vars, sp.order - 1)
         fac = sp._diff_fac[i].reshape((child.size,) + (1,) * (self.coef.ndim - 1))
@@ -262,7 +252,7 @@ class JetScalar:
         if order == self.order:
             return self
         if order > self.order:
-            raise JetError(f"cannot raise jet order {self.order} -> {order}")
+            raise ValueError(f"cannot raise jet order {self.order} -> {order}")
         child = jet_space(self.n_vars, order)
         return JetScalar(child, self.coef[: child.size])
 
@@ -270,9 +260,7 @@ class JetScalar:
 
     def _check(self, other: "JetScalar"):
         if self.space is not other.space:
-            raise JetMismatchError(
-                f"mixed jets: {self.space} vs {other.space}"
-            )
+            raise ValueError(f"mixed jets: {self.space} vs {other.space}")
 
     def __add__(self, other):
         if isinstance(other, JetScalar):
@@ -362,7 +350,7 @@ def reciprocal(v):
     v = np.asarray(v)
     if np.any(np.abs(v) <= MIN_DIVISOR) or not np.all(np.isfinite(v)):
         bad = v.flat[int(np.argmin(np.abs(v)))] if v.size else v
-        raise JetDomainError(f"division by a jet with value {float(bad)}")
+        raise HypothesisError(f"division by a jet with value {float(bad)}")
     return 1.0 / v
 
 
@@ -388,8 +376,9 @@ def _int_pow(a: JetScalar, e: int) -> JetScalar:
 
 
 # Univariate Taylor coefficients g^(k)(v) / k!, k = 0..order, of each DSL
-# function at the value(s) v; log and sqrt raise JetDomainError off their
-# domain.  A jet function composes them with its argument; the DSL evaluator
+# function at the value(s) v; log and sqrt raise HypothesisError off their
+# domain, which the DSL evaluator turns into an ExprError at the offending
+# node.  A jet function composes them with its argument; the DSL evaluator
 # also writes them straight into the slots of a bare coordinate.
 
 
@@ -411,7 +400,7 @@ def _exp_taylor(v, order: int) -> list:
 def _log_taylor(v, order: int) -> list:
     v = np.asarray(v)
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise JetDomainError(f"log of a jet with value {float(np.min(v))}")
+        raise HypothesisError(f"log of a jet with value {float(np.min(v))}")
     coeffs = [np.log(v)]
     for k in range(1, order + 1):
         coeffs.append((-1.0) ** (k - 1) / (k * v**k))
@@ -421,7 +410,7 @@ def _log_taylor(v, order: int) -> list:
 def _pow_taylor(v, r: float, order: int, what: str = "non-integer power") -> list:
     v = np.asarray(v)
     if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise JetDomainError(f"{what} of a jet with value {float(np.min(v))}")
+        raise HypothesisError(f"{what} of a jet with value {float(np.min(v))}")
     # c_k = binom(r, k) v^(r-k), built by the recurrence c_k = c_{k-1}(r-k+1)/(k v)
     coeffs = [v**r]
     for k in range(1, order + 1):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import HypothesisError
 from .jet import cross_product
 
 PIVOT_RTOL = 1e-12
@@ -35,25 +36,9 @@ RANK_RTOL = 1e-9
 CROSS_RTOL = 1e-12
 
 
-class LinalgError(ValueError):
-    pass
-
-
-class SingularMatrixError(LinalgError):
-    pass
-
-
-class DegenerateJacobianError(LinalgError):
-    pass
-
-
-class NotSPDError(LinalgError):
-    pass
-
-
 def _check_finite(A, what):
     if not np.all(np.isfinite(A)):
-        raise LinalgError(f"{what} contains non-finite entries")
+        raise HypothesisError(f"{what} contains non-finite entries")
 
 
 def _stack(A, square: bool = False):
@@ -62,7 +47,7 @@ def _stack(A, square: bool = False):
     _check_finite(A, "matrix")
     if A.ndim < 2 or (square and A.shape[-1] != A.shape[-2]):
         kind = "square matrix" if square else "matrix"
-        raise LinalgError(f"expected a {kind} or a stack of them, got {A.shape}")
+        raise ValueError(f"expected a {kind} or a stack of them, got {A.shape}")
     return A.reshape((-1,) + A.shape[-2:]), A.shape[:-2]
 
 
@@ -106,8 +91,8 @@ def _eliminate(A: np.ndarray, rtol: float):
 def lu_factor(A: np.ndarray):
     """PA = LU with partial pivoting; returns (LU packed, perm) per matrix.
 
-    Raises SingularMatrixError, naming the first offending matrix of a
-    stack and its column, when a pivot falls at or below
+    Raises HypothesisError, naming the first offending matrix of a stack
+    and its column, when a pivot falls at or below
     PIVOT_RTOL * max|A| of its matrix.
     """
     LU, batch = _stack(A, square=True)
@@ -117,7 +102,7 @@ def lu_factor(A: np.ndarray):
     if bad.size:
         at = tuple(int(x) for x in np.unravel_index(bad[0], batch))
         which = f" of matrix {at}" if batch else ""
-        raise SingularMatrixError(
+        raise HypothesisError(
             f"pivot at column {fail[bad[0]]}{which} at or below {PIVOT_RTOL:.0e}*max|A|"
         )
     return _unstack(LU, batch), _unstack(perm, batch)
@@ -135,10 +120,10 @@ def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     _check_finite(B, "right-hand side")
     single = B.ndim == 1
     if single and LU.ndim > 2:
-        raise LinalgError("a 1-d right-hand side needs one matrix, not a stack")
+        raise ValueError("a 1-d right-hand side needs one matrix, not a stack")
     X = B[:, None] if single else B
     if X.ndim < 2 or X.shape[-2] != n:
-        raise LinalgError(f"right-hand side of shape {B.shape} for {n} x {n} matrices")
+        raise ValueError(f"right-hand side of shape {B.shape} for {n} x {n} matrices")
     X = np.broadcast_to(X, LU.shape[:-2] + X.shape[-2:])
     X = np.take_along_axis(X, perm[..., None], axis=-2)
     for k in range(n):  # forward: L y = P b
@@ -220,7 +205,7 @@ def svd_rank_kernel(A: np.ndarray, tol: float = RANK_RTOL):
     """
     shape = np.shape(A)
     if len(shape) >= 2 and shape[-2] < shape[-1]:
-        raise LinalgError(f"rank and kernel need m >= n, got a wide matrix {shape}")
+        raise ValueError(f"rank and kernel need m >= n, got a wide matrix {shape}")
     _, s, Vt = jacobi_svd(A)
     rank = np.sum(s > tol * s[..., :1], axis=-1)
     V = np.swapaxes(Vt, -1, -2)
@@ -240,7 +225,7 @@ def generalized_cross(J: np.ndarray) -> np.ndarray:
     J = np.asarray(J, dtype=float)
     _check_finite(J, "Jacobian")
     if J.ndim < 2 or J.shape[-2] != J.shape[-1] + 1:
-        raise LinalgError(f"expected (n+1) x n, got {J.shape}")
+        raise ValueError(f"expected (n+1) x n, got {J.shape}")
     Jt = np.moveaxis(J, (-2, -1), (0, 1)).copy()
     v = np.stack(cross_product(lambda r, c: Jt[r, c], J.shape[-1]), axis=-1)
     check_cross_norm(np.sqrt(_dot(v, v)), J)
@@ -248,12 +233,12 @@ def generalized_cross(J: np.ndarray) -> np.ndarray:
 
 
 def check_cross_norm(norm, J: np.ndarray) -> None:
-    """The one degenerate-normal gate: raises DegenerateJacobianError where
+    """The one degenerate-normal gate: raises HypothesisError where
     the cross-product norm is at or below CROSS_RTOL times the product of
     the column norms of J (..., n+1, n)."""
     colnorm = np.prod(np.sqrt(np.sum(J * J, axis=-2)), axis=-1)
     if np.any(norm <= CROSS_RTOL * colnorm):
-        raise DegenerateJacobianError(
+        raise HypothesisError(
             f"cross product norm {np.min(norm):.3e} below {CROSS_RTOL:.0e} * "
             "column-norm product"
         )
@@ -267,7 +252,8 @@ def unit_normal(J: np.ndarray) -> np.ndarray:
 def cholesky_spd(g: np.ndarray) -> np.ndarray:
     """Lower-triangular L with g = L L^T; batched over leading axes.
 
-    Raises NotSPDError if any pivot is non-positive anywhere in the batch.
+    Raises HypothesisError if any pivot is non-positive or non-finite
+    anywhere in the batch.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
@@ -275,7 +261,7 @@ def cholesky_spd(g: np.ndarray) -> np.ndarray:
     for j in range(n):
         d = g[..., j, j] - np.sum(L[..., j, :j] ** 2, axis=-1)
         if np.any(d <= 0) or not np.all(np.isfinite(d)):
-            raise NotSPDError(f"cholesky pivot {np.min(d):.3e} at column {j}")
+            raise HypothesisError(f"cholesky pivot {np.min(d):.3e} at column {j}")
         L[..., j, j] = np.sqrt(d)
         for i in range(j + 1, n):
             L[..., i, j] = (
@@ -291,7 +277,7 @@ def max_principal_angle(B1: np.ndarray, B2: np.ndarray):
     B1 = np.asarray(B1, dtype=float)
     B2 = np.asarray(B2, dtype=float)
     if B1.shape != B2.shape:
-        raise LinalgError(f"subspace dimensions differ: {B1.shape} vs {B2.shape}")
+        raise ValueError(f"subspace dimensions differ: {B1.shape} vs {B2.shape}")
     if B1.shape[-1] == 0:
         return np.zeros(B1.shape[:-2])[()]
     _, s, _ = jacobi_svd(np.swapaxes(B1, -1, -2) @ B2)

@@ -17,7 +17,7 @@ import numpy as np
 from .deformation import closed_form_immersion, path_integral_immersion
 from .errors import SceneError
 from .geometry import GRID_SHRINK, chart_jets, grid_axes, jet_partials
-from .scene import Scene
+from .scene import Scene, write_output
 
 
 def parse_slice(spec: str, n: int) -> Dict[int, float]:
@@ -135,6 +135,5 @@ def export_mesh(
                 v11 = v10 + 1
                 lines.append(f"f {v00} {v10} {v11} {v01}")
         offset += len(verts)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_output(out_path, "\n".join(lines) + "\n")
     return ra * rb, (ra - 1) * (rb - 1)

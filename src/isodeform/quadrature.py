@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import VerificationError
+
 
 def _legendre(x: np.ndarray, k: int) -> np.ndarray:
     """P_0 .. P_k at x, shape (k + 1, *x.shape), by the three-term recurrence."""
@@ -42,8 +44,8 @@ DEFAULT_TOL = 1e-10
 MAX_LEVELS = 12
 
 
-class QuadratureError(RuntimeError):
-    pass
+class QuadratureError(VerificationError):
+    """A path integral that does not converge: F cannot be certified."""
 
 
 def integrate_segment(fn, a: float, b: float, tol: float = DEFAULT_TOL,

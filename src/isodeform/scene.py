@@ -360,3 +360,12 @@ def load_scene(path: str) -> Scene:
     except OSError as e:
         raise SceneError(f"cannot read scene file {path}: {e}") from e
     return parse_scene(text)
+
+
+def write_output(path: str, text: str) -> None:
+    """Write a report or mesh; an unwritable path is unusable input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SceneError(f"cannot write output file {path}: {e}") from e

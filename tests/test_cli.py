@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import isodeform
+from isodeform import cli
 
 # the CLI subprocess imports the same isodeform as this test run
 SRC = str(Path(isodeform.__file__).resolve().parents[1])
@@ -117,7 +118,9 @@ def test_overflowed_q_exit_three(tmp_path):
     p.write_text(GOOD.replace("t = 1", "t = 1e308"))
     res = run_cli("verify", str(p))
     assert res.returncode == 3
-    assert "deformation operator is not finite" in res.stderr
+    # numpy's overflow warnings stay off stderr: the verdict is its one line
+    assert res.stderr.startswith("hypothesis violated: deformation operator is not finite")
+    assert len(res.stderr.splitlines()) == 1
 
 
 def test_parse_error_exit_four(tmp_path):
@@ -162,7 +165,7 @@ def test_expression_domain_violation_exit_four(tmp_path):
     res = run_cli("verify", str(p))
     assert res.returncode == 4
     assert "Traceback" not in res.stderr
-    assert res.stderr.startswith("domain error: log")
+    assert res.stderr.startswith("scene error: log")
     assert "np.float64" not in res.stderr
     assert len(res.stderr.splitlines()) == 1
 
@@ -170,8 +173,8 @@ def test_expression_domain_violation_exit_four(tmp_path):
 @pytest.mark.parametrize(
     "f3,domain1,stderr",
     [
-        ("log(u1)", "-0.5,1", "domain error: log of a jet with value -0.47 (at offset 0)"),
-        ("sqrt(u1)", "-0.5,1", "domain error: sqrt of a jet with value -0.47 (at offset 0)"),
+        ("log(u1)", "-0.5,1", "scene error: log of a jet with value -0.47 (at offset 0)"),
+        ("sqrt(u1)", "-0.5,1", "scene error: sqrt of a jet with value -0.47 (at offset 0)"),
         ("u1^-2", "-1,1", "division by a jet with value 0.0 (at offset 0)"),
         ("u1/0", "0,1", "division by a jet with value 0.0 (at offset 0)"),
         ("u1/(2-2)", "0,1", "division by a jet with value 0.0 (at offset 0)"),
@@ -200,7 +203,7 @@ def test_operator_domain_violation_in_mesh_exit_four(tmp_path):
     )
     res = run_cli("mesh", str(p), "--out", str(tmp_path / "q.obj"))
     assert res.returncode == 4
-    assert res.stderr.startswith("domain error: log")
+    assert res.stderr.startswith("scene error: log")
     # the message names the offending value, as a plain number
     assert re.search(r"-\d+\.\d+", res.stderr)
     assert "np.float64" not in res.stderr
@@ -277,3 +280,47 @@ def test_geometry_only_scene_with_non_self_adjoint_q_exit_zero(tmp_path):
     assert res.returncode == 0, res.stderr
     assert "result: pass" in res.stdout
     assert "check: weingarten" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["verify"], "the following arguments are required: scene"),
+        (["verify", "s.scene", "--grid", "abc"], "invalid int value: 'abc'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ],
+    ids=["no_command", "no_scene", "bad_grid", "unknown_command"],
+)
+def test_usage_error_exit_four(capsys, argv, message):
+    # a usage error is unusable input; exit 2 belongs to a failed claim
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("scene error: isodeform")
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "mesh"])
+def test_unwritable_output_exit_four(capsys, tmp_path, command):
+    p = tmp_path / "torus.scene"
+    p.write_text(TORUS.replace("grid = 3", "grid = 3\nsuites = geometry"))
+    out = str(tmp_path / "missing" / "out")
+    flag = "--json" if command == "verify" else "--out"
+    assert cli.main([command, str(p), flag, out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"scene error: cannot write output file {out}: ")
+    assert "No such file or directory" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_nan_scalar_pair_exit_three_without_warnings(tmp_path):
+    # inf - inf makes g NaN; numpy's warnings about it stay off stderr, and
+    # the gradient-constraint gate refuses the pair
+    p = tmp_path / "nan.scene"
+    pair = "variant = gh\ng = u1*(exp(800) - exp(800))\nh = 1"
+    p.write_text(GOOD.replace("variant = parallel\nt = 1", pair))
+    res = run_cli("verify", str(p))
+    assert res.returncode == 3
+    assert res.stderr.startswith("hypothesis violated: scalar pair violates the gradient")
+    assert len(res.stderr.splitlines()) == 1

@@ -10,8 +10,7 @@ from isodeform import expr, jet
 from isodeform.expr import (
     BinOp,
     Call,
-    ExprEvalError,
-    ExprSyntaxError,
+    ExprError,
     Neg,
     Num,
     Pi,
@@ -73,28 +72,28 @@ def test_number_formats():
 
 
 def test_no_implicit_multiplication():
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprError, match="unexpected 'u1'"):
         parse("2 u1", 1)
 
 
 def test_syntax_error_offsets():
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExprError, match="unexpected character '@'") as ei:
         parse("u1 + @", 1)
     assert ei.value.span[0] == 5
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExprError, match="expected '\\)'") as ei:
         parse("sin(u1", 1)
     assert "expected ')'" in str(ei.value)
-    with pytest.raises(ExprSyntaxError) as ei:
+    with pytest.raises(ExprError, match="unexpected 'u2'") as ei:
         parse("u1 u2", 2)
     assert ei.value.span[0] == 3
 
 
 def test_unknown_identifier_and_var_range():
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprError, match="unknown identifier 'x1'"):
         parse("x1", 1)
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprError, match="variable u3 out of range"):
         parse("u3", 2)
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprError, match="unknown identifier 'tan'"):
         parse("tan(u1)", 1)
 
 
@@ -182,16 +181,16 @@ def test_eval_jet_integer_power_negative_base():
 
 def test_eval_errors_carry_spans():
     ast = parse("1/(u1 - 1)", 1)
-    with pytest.raises(ExprEvalError) as ei:
+    with pytest.raises(ExprError, match="division by a jet with value 0.0") as ei:
         eval_jet(ast, [1.0], 2)
     assert ei.value.span[0] == 0 and ei.value.span[1] >= 9
     ast = parse("log(u1)", 1)
-    with pytest.raises(ExprEvalError):
+    with pytest.raises(ExprError, match="log of a jet with value -3.0"):
         eval_jet(ast, [-3.0], 2)
-    with pytest.raises(ExprEvalError):
+    with pytest.raises(ExprError, match="log of non-positive value -3.0"):
         eval_value(ast, [-3.0])
     ast = parse("u1^0.5", 1)
-    with pytest.raises(ExprEvalError):
+    with pytest.raises(ExprError, match="power of a jet with value -1.0"):
         eval_jet(ast, [-1.0], 2)
 
 
@@ -210,9 +209,9 @@ def test_value_domain_errors_name_the_worst_value(src, at, value):
     # the offending value as a plain float
     ast = parse(src, 1)
     pts = np.array(at)[:, None]
-    with pytest.raises(ExprEvalError) as ev:
+    with pytest.raises(ExprError, match=r"(of non-positive|division by) value") as ev:
         eval_value(ast, pts)
-    with pytest.raises(ExprEvalError):
+    with pytest.raises(ExprError, match=r"(of|division by) a jet with value"):
         eval_jet(ast, pts, 2)
     assert f" {value} " in str(ev.value)
     assert "float64" not in str(ev.value)
@@ -338,7 +337,7 @@ def test_jet_domain_rules_keep_message_and_offset(src, at, message, span):
     # the jets they replace are
     for pts in (np.array(at)[:, None], np.array(at)[:, None, None]):
         for order in (0, 2, 4):
-            with pytest.raises(ExprEvalError) as ei:
+            with pytest.raises(ExprError, match=r"(of|division by) a jet with value") as ei:
                 eval_jet(parse(src, 1), pts, order)
             assert (ei.value.message, ei.value.span) == (message, span)
 
@@ -352,9 +351,9 @@ def test_shared_divisor_error_names_the_first_division(first):
     (row,), shared = intern([texts], 2)
     assert shared
     pts = np.array([[0.3, 0.1], [0.5, 0.2], [0.7, 0.3]])
-    with pytest.raises(ExprEvalError) as alone:
+    with pytest.raises(ExprError, match="division by value 0.0") as alone:
         eval_value(parse(texts[0], 2), pts)
-    with pytest.raises(ExprEvalError) as err:
+    with pytest.raises(ExprError, match="division by value 0.0") as err:
         eval_values(row, pts, shared)
     assert err.value.span == alone.value.span
     assert err.value.span[0] == (0 if first == 0 else 5)

@@ -14,11 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isodeform import jet
+from isodeform.errors import HypothesisError
 from isodeform.geometry import ChartJets
-from isodeform.linalg import DegenerateJacobianError
 from isodeform.jet import (
-    JetDomainError,
-    JetMismatchError,
     jet_space,
     mat_det,
     mat_inv,
@@ -71,7 +69,7 @@ def test_constant_seed():
 
 def test_variable_index_out_of_range():
     sp = jet_space(2, 2)
-    with pytest.raises(jet.JetError):
+    with pytest.raises(ValueError, match="variable index 2 out of range"):
         sp.variable(2, 0.0)
 
 
@@ -234,20 +232,20 @@ def test_mixed_space_error():
     b = jet_space(2, 2).variable(0, 1.0)
     c = jet_space(3, 3).variable(0, 1.0)
     for other in (b, c):
-        with pytest.raises(JetMismatchError):
+        with pytest.raises(ValueError, match="mixed jets"):
             _ = a + other
 
 
 def test_domain_errors():
     sp = jet_space(1, 2)
     x = sp.variable(0, 0.0)
-    with pytest.raises(JetDomainError):
+    with pytest.raises(HypothesisError, match="division by a jet with value 0.0"):
         _ = 1.0 / x
-    with pytest.raises(JetDomainError):
+    with pytest.raises(HypothesisError, match="log of a jet with value 0.0"):
         jet.log(x)
-    with pytest.raises(JetDomainError):
+    with pytest.raises(HypothesisError, match="sqrt of a jet with value -2.0"):
         jet.sqrt(sp.variable(0, -2.0))
-    with pytest.raises(JetDomainError):
+    with pytest.raises(HypothesisError, match="power of a jet with value -2.0"):
         jet.powf(sp.variable(0, -2.0), 0.5)
 
 
@@ -347,7 +345,7 @@ def test_batch_matches_scalar_loop_exactly(n, k):
 def test_batch_domain_error_reports():
     sp = jet_space(1, 2)
     x = sp.variable(0, np.array([1.0, 0.0, 2.0]))
-    with pytest.raises(JetDomainError):
+    with pytest.raises(HypothesisError, match="division by a jet with value 0.0"):
         _ = 1.0 / x
 
 
@@ -446,7 +444,7 @@ def test_njet_degenerate_normal_uses_the_cross_gate():
     x, y = sp.variable(0, 0.3), sp.variable(1, 0.4)
     # (u1 + u2, u1 + u2, 2 u1 + 2 u2): both tangents are parallel
     cj = ChartJets([x + y, x + y, 2.0 * (x + y)], np.array([0.3, 0.4]))
-    with pytest.raises(DegenerateJacobianError, match="cross product norm"):
+    with pytest.raises(HypothesisError, match="cross product norm"):
         cj.Njet
 
 

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from isodeform import linalg
+from isodeform.errors import HypothesisError
 from isodeform.linalg import (
-    DegenerateJacobianError,
-    NotSPDError,
-    SingularMatrixError,
     cholesky_spd,
     det,
     generalized_cross,
@@ -44,9 +42,9 @@ def test_solve_requires_pivoting():
 
 def test_solve_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(HypothesisError, match="pivot at column 1 at or below"):
         solve(A, np.array([1.0, 1.0]))
-    with pytest.raises(linalg.LinalgError):
+    with pytest.raises(HypothesisError, match="matrix contains non-finite entries"):
         solve(np.array([[np.nan, 0], [0, 1.0]]), np.array([1.0, 1.0]))
 
 
@@ -87,9 +85,9 @@ def test_svd_rank_kernel():
 def test_svd_rank_kernel_refuses_wide_matrices():
     # [[1, 2, 3]] has a 2-dimensional kernel, but its SVD holds only one
     # right singular vector, so neither one matrix nor a stack is answered
-    with pytest.raises(linalg.LinalgError, match=r"\(1, 3\)"):
+    with pytest.raises(ValueError, match=r"wide matrix \(1, 3\)"):
         svd_rank_kernel(np.array([[1.0, 2.0, 3.0]]))
-    with pytest.raises(linalg.LinalgError, match=r"\(4, 2, 3\)"):
+    with pytest.raises(ValueError, match=r"wide matrix \(4, 2, 3\)"):
         svd_rank_kernel(np.ones((4, 2, 3)))
     rank, kernel, _ = svd_rank_kernel(np.array([[1.0, 2.0, 3.0]]).T)
     assert rank == 1 and kernel.shape == (1, 0)
@@ -144,7 +142,7 @@ def test_generalized_cross_stack_matches_single_and_lu_route(n):
 
 def test_generalized_cross_degenerate_raises():
     J = np.ones((3, 2))  # parallel columns
-    with pytest.raises(DegenerateJacobianError):
+    with pytest.raises(HypothesisError, match="cross product norm"):
         generalized_cross(J)
 
 
@@ -163,7 +161,7 @@ def test_cholesky_batched_vs_numpy():
     L = cholesky_spd(g)
     assert np.allclose(np.einsum("bij,bkj->bik", L, L), g, atol=1e-12)
     assert np.allclose(L, np.linalg.cholesky(g), atol=1e-12)
-    with pytest.raises(NotSPDError):
+    with pytest.raises(HypothesisError, match="cholesky pivot"):
         cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
@@ -176,7 +174,7 @@ def test_max_principal_angle():
     assert max_principal_angle(B1, B3) == pytest.approx(th, abs=1e-12)
     empty = np.zeros((3, 0))
     assert max_principal_angle(empty, empty) == 0.0
-    with pytest.raises(linalg.LinalgError):
+    with pytest.raises(ValueError, match="subspace dimensions differ"):
         max_principal_angle(B1, np.zeros((3, 1)))
 
 
@@ -211,7 +209,7 @@ def test_lu_solve_det_on_stacks(n):
         assert np.array_equal(X[i], solve(A[i], B[i]))
         assert np.array_equal(shared[i], solve(A[i], B[0]))
     assert np.allclose(X, np.linalg.solve(A, B), atol=1e-12)
-    with pytest.raises(linalg.LinalgError, match="1-d right-hand side"):
+    with pytest.raises(ValueError, match="1-d right-hand side"):
         solve(A, B[0, :, 0])
 
     S = _mixed_stack(rng, n)  # members 1..n are singular, the rest not
@@ -225,17 +223,17 @@ def test_lu_solve_det_on_stacks(n):
     assert np.allclose(
         np.delete(d, singular), np.delete(np.linalg.det(S), singular), rtol=1e-10
     )
-    with pytest.raises(SingularMatrixError, match=r"column \d of matrix \(1,\)"):
+    with pytest.raises(HypothesisError, match=r"column \d of matrix \(1,\)"):
         linalg.lu_factor(S)
     # the first failing column is named, also when max|A| dwarfs 1
     big = 1e13 * A[0]
     big[:, 0] = 0.0
-    with pytest.raises(SingularMatrixError, match="pivot at column 0 at or below"):
+    with pytest.raises(HypothesisError, match="pivot at column 0 at or below"):
         linalg.lu_factor(big)
     S[singular] = np.eye(n)
     S[10, :, -1] = S[10, :, 0]
     where = rf"column {n - 1} of matrix \(1, 4\)"
-    with pytest.raises(SingularMatrixError, match=where):
+    with pytest.raises(HypothesisError, match=where):
         solve(S.reshape(2, 6, n, n), np.eye(n))
 
 

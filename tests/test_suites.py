@@ -172,6 +172,62 @@ grid = 3
     assert rep.find("roundtrip_gauge").verdict == SKIP
 
 
+IDENTITY_Q = """
+[chart]
+catalog = sphere3
+[codazzi]
+variant = explicit
+q11 = 1
+q12 = 0
+q13 = 0
+q21 = 0
+q22 = 1
+q23 = 0
+q31 = 0
+q32 = 0
+q33 = 1
+[run]
+grid = 3
+suites = deformation
+"""
+
+
+def test_fd_probe_too_close_to_the_boundary_is_skipped():
+    # the FD stencil of F needs 2*h2 = 0.02 of room; 0.405 is 0.005 inside
+    rep = run_suites(parse_scene(IDENTITY_Q), point=(0.405, 0.8, 0.9))
+    for name in ("fd_jacobian", "fd_metric", "fd_gauss", "fd_shape"):
+        check = rep.find(name)
+        assert check.verdict == SKIP
+        assert check.note == (
+            "no interior probe point: point too close to the boundary for step 0.001"
+        )
+    inside = run_suites(parse_scene(IDENTITY_Q), point=(0.6, 0.8, 0.9))
+    assert inside.find("fd_metric").verdict == PASS
+
+
+def test_expression_error_in_the_fd_frame_propagates(monkeypatch):
+    # only a probe too close to the boundary skips the FD checks; an
+    # expression evaluated outside its domain is a scene error, not a skip
+    def broken(*args, **kwargs):
+        raise expr.ExprError("log of non-positive value -1.0", (0, 7))
+
+    monkeypatch.setattr(suites, "fd_deformed_frame", broken)
+    with pytest.raises(expr.ExprError, match="log of non-positive value"):
+        run_suites(parse_scene(IDENTITY_Q))
+
+
+def test_constant_scalar_pair_runs_every_suite():
+    # g = 0.5, h = 1 gives Q = -A; a constant expression's jet has batch
+    # axes of length 1, which the roundtrip's grid sample broadcasts
+    scene = parse_scene(
+        "[chart]\ncatalog = sphere3\n[codazzi]\nvariant = gh\ng = 0.5\nh = 1\n"
+        "[run]\ngrid = 3\n"
+    )
+    rep = run_suites(scene)
+    assert not rep.failed
+    assert rep.find("roundtrip_gauge").verdict == PASS
+
+
 def test_worst_point_is_reproducible(sphere_report):
     # rerunning at the reported worst point reproduces the residual scale
     chk = sphere_report.find("metric")
