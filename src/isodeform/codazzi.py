@@ -61,7 +61,7 @@ from .geometry import (
 )
 from .expr import ExprAst
 from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
-from .linalg import cholesky_spd, jacobi_svd, solve
+from .linalg import cholesky_spd, gram, jacobi_svd, solve
 
 GH_CONSTRAINT_TOL = 1e-8
 Q_RANK_RTOL = 1e-9
@@ -320,7 +320,7 @@ class Explicit:
         for k, v in enumerate(exprmod.eval_values(self.asts(n), u, self.shared)):
             Q[..., k] = v
         Q = Q.reshape(u.shape[:-1] + (n, n))
-        _check_explicit_self_adjoint(J.swapaxes(-1, -2) @ J, Q)
+        _check_explicit_self_adjoint(gram(J), Q)
         return Q
 
     def pair(self) -> None:

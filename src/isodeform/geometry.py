@@ -32,7 +32,7 @@ from . import jet as jetmod
 from .errors import HypothesisError, SceneError
 from .expr import ExprAst
 from .jet import JetScalar, cross_product, d1_values, mat_inv, mat_mul, values
-from .linalg import check_cross_norm, cholesky_spd, svd_rank_kernel, unit_normal
+from .linalg import check_cross_norm, cholesky_spd, gram, svd_rank_kernel, unit_normal
 
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
 CHUNK = 1024  # points per batched jet evaluation, which bounds memory
@@ -78,8 +78,9 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
     """Parse and validate a chart.
 
     component_sources: n+1 DSL strings (or pre-built ASTs);
-    domain: n pairs (lo, hi).  Validation checks the box is nondegenerate
-    and the Jacobian has full rank at the box center.
+    domain: n pairs (lo, hi).  Validation checks the box is nondegenerate,
+    and that the chart is defined and its Jacobian has full rank at the box
+    center.
     """
     n = len(domain)
     if len(component_sources) != n + 1:
@@ -104,7 +105,9 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
     chart = Chart(n, tuple(comps), lo, hi, label)
     try:
         fr = frame_at(chart, chart.center(), order=2)
-    except (exprmod.ExprError, HypothesisError) as e:
+    except exprmod.ExprError as e:
+        raise SceneError(f"{label}: not defined at box center: {e}") from e
+    except HypothesisError as e:
         raise SceneError(f"{label}: degenerate at box center: {e}") from e
     if not np.all(np.isfinite(fr.J)):
         raise SceneError(f"{label}: non-finite Jacobian at box center")
@@ -424,7 +427,7 @@ def metric_normal_values(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Gated as the jet pipeline is: HypothesisError when g is not positive
     definite, then when the normal degenerates.
     """
-    g = J.swapaxes(-1, -2) @ J
+    g = gram(J)
     cholesky_spd(g)
     return g, unit_normal(J)
 

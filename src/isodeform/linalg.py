@@ -6,20 +6,13 @@ axes.  Everything is hand-rolled so the singularity and rank semantics are
 explicit and identical across platforms; numpy is used only for array
 storage and elementwise work, never for its linear algebra.
 
-* One partial-pivoting elimination with two gates: ``lu_factor`` refuses a
-  stack in which any pivot falls at or below PIVOT_RTOL * max|A| of its
-  matrix, naming the matrix and column, and ``det`` gives exactly 0.0 to
-  the members whose pivot falls at or below DET_RTOL * max|A|.
-* One-sided Jacobi SVD iterated to a fixed off-diagonal threshold.  Each
-  column pair (p, q) is rotated in every member of the stack at once; a
-  member whose pair is already orthogonal is left exactly as it is, and the
-  sweeps stop when no member rotated.
-* The generalized (n-ary) cross product by the memoized first-row minor
-  expansion of ``jet.minor_dets`` (the sub-minors shared by the n + 1
-  minors are computed once), elementwise over the stack, so each member is
-  bit-equal to its own call.  ``check_cross_norm`` is the one
-  degenerate-normal gate, shared with the jet normal.  A Cholesky
-  factorization serves the positive-definite gates.
+Inside, a stack is batch-last, (m, n, S): entry (i, j) of all members is one
+contiguous row, and each step is an elementwise pass over such rows, unrolled
+over the matrix indices.  Sums over a matrix index run in index order
+(``_sum``), so a member is bit-equal to its own call.  LU, solve, det,
+Cholesky and the Jacobi rotations keep the stack-first arithmetic bit for
+bit; J^T J (``gram``), the Jacobi dot products and the cross-product norms,
+once BLAS dot products, may move in the last bit.
 """
 
 from __future__ import annotations
@@ -37,66 +30,68 @@ CROSS_RTOL = 1e-12
 
 
 def _check_finite(A, what):
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise HypothesisError(f"{what} contains non-finite entries")
 
 
 def _stack(A, square: bool = False):
-    """A as a float stack (S, m, n), and the caller's stack shape."""
+    """A as a float stack (m, n, S) in a copy, and the caller's stack shape."""
     A = np.asarray(A, dtype=float)
     _check_finite(A, "matrix")
     if A.ndim < 2 or (square and A.shape[-1] != A.shape[-2]):
         kind = "square matrix" if square else "matrix"
         raise ValueError(f"expected a {kind} or a stack of them, got {A.shape}")
-    return A.reshape((-1,) + A.shape[-2:]), A.shape[:-2]
+    return A.reshape((-1,) + A.shape[-2:]).transpose(1, 2, 0).copy(), A.shape[:-2]
 
 
 def _unstack(x: np.ndarray, batch: tuple):
-    """x (S, ...) back on the caller's stack axes; a scalar for one matrix."""
-    return x.reshape(batch + x.shape[1:])[()]
+    """x (..., S) back on the caller's stack axes; a scalar for one matrix."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).reshape(batch + x.shape[:-1])[()]
 
 
-def _dot(x: np.ndarray, y: np.ndarray):
-    """Dot product over the last axis, one per stack member."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+def _batch_last(J) -> np.ndarray:
+    """J (..., m, n) as a contiguous float (m, n, ...) to read; J if it is one."""
+    J = np.asarray(J, dtype=float)
+    return np.ascontiguousarray(J.transpose(-2, -1, *range(J.ndim - 2)))
+
+
+def _sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum of a C-ordered x over `axis` in index order: numpy's reduce sums an
+    axis that is innermost in memory, as of one matrix, pairwise from 8 terms."""
+    if x.strides[axis] > x.itemsize:
+        return np.add.reduce(x, axis)
+    return np.add.accumulate(x, axis).take(-1, axis)
 
 
 def _eliminate(A: np.ndarray, rtol: float):
-    """Partial-pivoting elimination of a float stack (S, n, n), in place.
-
-    Returns (perm, sign, fail).  fail[i] is the first column at which the
-    pivot of matrix i falls at or below rtol * max|A_i| (column 0 for a zero
-    matrix), or -1.  A failed matrix goes on as the identity, so it cannot
-    disturb the others.
-    """
-    S, n, _ = A.shape
-    scale = np.abs(A).max(axis=(1, 2))
-    perm = np.tile(np.arange(n), (S, 1))
-    sign = np.ones(S)
-    fail = np.full(S, -1)
-    i = np.arange(S)
+    """Partial-pivoting elimination of a float stack (n, n, S), in place:
+    (perm (n, S), sign, fail), fail[i] the first column whose pivot is at or
+    below rtol * max|A_i| (0 for a zero matrix), or -1.  A failed matrix goes
+    on as the identity, so it cannot disturb the others."""
+    n, _, S = A.shape
+    floor = rtol * np.abs(A).max(axis=(0, 1))
+    perm, sign, fail = np.arange(n)[:, None].repeat(S, 1), np.ones(S), np.full(S, -1)
     for k in range(n):
-        p = k + np.argmax(np.abs(A[:, k:, k]), axis=1)
-        bad = np.abs(A[i, p, k]) <= rtol * scale
+        col = np.abs(A[k:, k])
+        p, top = np.full(S, k), col[0]
+        for r in range(k + 1, n):  # strict >: the first maximal |entry| wins
+            more = col[r - k] > top
+            p, top = np.where(more, r, p), np.where(more, col[r - k], top)
+        bad = top <= floor
         fail[bad & (fail < 0)] = k
-        A[bad], p[bad] = np.eye(n), k
-        A[i, k], A[i, p] = A[i, p], A[i, k]
-        perm[i, k], perm[i, p] = perm[i, p], perm[i, k]
-        sign[p != k] *= -1
-        A[:, k + 1 :, k] /= A[:, k, k, None]
-        A[:, k + 1 :, k + 1 :] -= A[:, k + 1 :, k, None] * A[:, None, k, k + 1 :]
+        A[..., bad], p[bad] = np.eye(n)[..., None], k
+        for r in range(k + 1, n):  # swap rows k and r where p == r
+            s, rows, at = p == r, A[k : r + 1 : r - k], perm[k : r + 1 : r - k]
+            rows[:], at[:] = np.where(s, rows[::-1], rows), np.where(s, at[::-1], at)
+            sign = np.where(s, -sign, sign)
+        A[k + 1 :, k] /= A[k, k]
+        A[k + 1 :, k + 1 :] -= A[k + 1 :, k, None] * A[k, k + 1 :]
     return perm, sign, fail
 
 
-def lu_factor(A: np.ndarray):
-    """PA = LU with partial pivoting; returns (LU packed, perm) per matrix.
-
-    Raises HypothesisError, naming the first offending matrix of a stack
-    and its column, when a pivot falls at or below
-    PIVOT_RTOL * max|A| of its matrix.
-    """
+def _lu(A: np.ndarray):
+    """(LU (n, n, S), perm (n, S), stack shape), gated as ``lu_factor``."""
     LU, batch = _stack(A, square=True)
-    LU = LU.copy()
     perm, _, fail = _eliminate(LU, PIVOT_RTOL)
     bad = np.flatnonzero(fail >= 0)
     if bad.size:
@@ -105,6 +100,14 @@ def lu_factor(A: np.ndarray):
         raise HypothesisError(
             f"pivot at column {fail[bad[0]]}{which} at or below {PIVOT_RTOL:.0e}*max|A|"
         )
+    return LU, perm, batch
+
+
+def lu_factor(A: np.ndarray):
+    """PA = LU with partial pivoting: (LU packed, perm) per matrix.  Raises
+    HypothesisError, naming the first offending matrix of a stack and its
+    column, when a pivot is at or below PIVOT_RTOL * max|A| of its matrix."""
+    LU, perm, batch = _lu(A)
     return _unstack(LU, batch), _unstack(perm, batch)
 
 
@@ -114,82 +117,73 @@ def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B is one vector (n,), for one matrix only, or right-hand sides
     (..., n, k) on the stack's axes, where an (n, k) B serves every matrix.
     """
-    LU, perm = lu_factor(A)
-    n = LU.shape[-1]
+    LU, perm, batch = _lu(A)
+    n, _, S = LU.shape
     B = np.asarray(B, dtype=float)
     _check_finite(B, "right-hand side")
     single = B.ndim == 1
-    if single and LU.ndim > 2:
+    if single and batch:
         raise ValueError("a 1-d right-hand side needs one matrix, not a stack")
     X = B[:, None] if single else B
     if X.ndim < 2 or X.shape[-2] != n:
         raise ValueError(f"right-hand side of shape {B.shape} for {n} x {n} matrices")
-    X = np.broadcast_to(X, LU.shape[:-2] + X.shape[-2:])
-    X = np.take_along_axis(X, perm[..., None], axis=-2)
-    for k in range(n):  # forward: L y = P b
-        X[..., k + 1 :, :] -= LU[..., k + 1 :, k, None] * X[..., k, None, :]
-    for k in range(n - 1, -1, -1):  # backward: U x = y
-        X[..., k, :] /= LU[..., k, k, None]
-        X[..., :k, :] -= LU[..., :k, k, None] * X[..., k, None, :]
-    return X[:, 0] if single else X
+    k = X.shape[-1]
+    at = perm * k + np.arange(0, S * n * k, n * k)  # P B: row perm[r, s] of B_s
+    X = np.broadcast_to(X, batch + (n, k)).take(at[:, None] + np.arange(k)[:, None])
+    for j in range(n - 1):  # forward: L y = P b
+        X[j + 1 :] -= LU[j + 1 :, j, None] * X[j]
+    for j in range(n - 1, -1, -1):  # backward: U x = y
+        X[j] /= LU[j, j]
+        X[:j] -= LU[:j, j, None] * X[j]
+    return _unstack(X[:, 0] if single else X, batch)
 
 
 def det(A: np.ndarray):
-    """Determinant via LU; exactly 0.0 for the numerically singular members."""
+    """Determinant via LU; exactly 0.0 where a pivot is at or below DET_RTOL*max|A|."""
     LU, batch = _stack(A, square=True)
-    LU = LU.copy()
-    _, d, fail = _eliminate(LU, DET_RTOL)
-    for k in range(LU.shape[-1]):
-        d *= LU[:, k, k]
-    d[fail >= 0] = 0.0
-    return _unstack(d, batch)
+    _, sign, fail = _eliminate(LU, DET_RTOL)
+    d = sign * np.multiply.reduce(LU.diagonal(), -1)  # times +-1: exact
+    return _unstack(np.where(fail >= 0, 0.0, d), batch)
 
 
 def jacobi_svd(A: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
-    """One-sided Jacobi SVD: A = U diag(s) V^T with s descending.
-
-    Iterates plane rotations on column pairs until every pair of every
-    matrix is orthogonal to relative tolerance `tol`.  For m < n the
-    transposes are factored and the roles of U and V swapped back.
-    """
+    """One-sided Jacobi SVD: A = U diag(s) V^T with s descending.  Plane
+    rotations on column pairs run until every pair of every matrix is
+    orthogonal to relative tolerance `tol`.  For m < n the transposes are
+    factored and the roles of U and V swapped back."""
     A = np.asarray(A, dtype=float)
     if A.ndim >= 2 and A.shape[-2] < A.shape[-1]:
         V, s, Ut = jacobi_svd(np.swapaxes(A, -1, -2), tol, max_sweeps)
         return np.swapaxes(Ut, -1, -2), s, np.swapaxes(V, -1, -2)
     W, batch = _stack(A)
-    S, m, n = W.shape
-    # W on top of V, so one rotation of the columns turns both
-    WV = np.concatenate([W, np.broadcast_to(np.eye(n), (S, n, n))], axis=1)
+    m, n, S = W.shape
+    # column j of W on top of column j of V: one rotation of a pair turns both
+    WV = np.concatenate([W.transpose(1, 0, 2), np.eye(n)[..., None].repeat(S, 2)], 1)
     W = WV[:, :m]
     for _ in range(max_sweeps):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                app = _dot(W[..., p], W[..., p])
-                aqq = _dot(W[..., q], W[..., q])
-                apq = _dot(W[..., p], W[..., q])
+                app, aqq, apq = _sum(W[p] * W[p]), _sum(W[q] * W[q]), _sum(W[p] * W[q])
                 denom = np.sqrt(app * aqq)
-                r = np.flatnonzero((denom > 0) & (np.abs(apq) > tol * denom))
-                if r.size == 0:
+                r = (denom > 0) & (np.abs(apq) > tol * denom)
+                if not r.any():
                     continue
-                rotated = True
+                rotated, r = True, np.flatnonzero(r)
                 tau = (aqq[r] - app[r]) / (2 * apq[r])
                 t = np.sign(tau) / (np.abs(tau) + np.sqrt(1 + tau * tau))
                 t[tau == 0] = 1.0
                 c = 1 / np.sqrt(1 + t * t)
-                c, s_ = c[:, None], (c * t)[:, None]
-                Cp, Cq = WV[r, :, p], WV[r, :, q]
-                WV[r, :, p], WV[r, :, q] = c * Cp - s_ * Cq, s_ * Cp + c * Cq
+                s_ = c * t
+                Cp, Cq = WV[p][:, r], WV[q][:, r]
+                WV[p][:, r], WV[q][:, r] = c * Cp - s_ * Cq, s_ * Cp + c * Cq
         if not rotated:
             break
-    sig = np.sqrt(np.sum(W * W, axis=1))
-    order = np.argsort(-sig, axis=-1, kind="stable")
-    sig = np.take_along_axis(sig, order, axis=-1)
-    WV = np.take_along_axis(WV, order[:, None, :], axis=-1)
-    W, V = WV[:, :m], WV[:, m:]
-    pos = sig[:, None, :] > 0
-    U = np.divide(W, sig[:, None, :], out=np.zeros_like(W), where=pos)
-    return tuple(_unstack(x, batch) for x in (U, sig, np.swapaxes(V, 1, 2)))
+    sig = np.sqrt(_sum(W * W, 1))
+    order = (-sig).argsort(axis=0, kind="stable")
+    sig, WV = -np.sort(-sig, axis=0), np.take_along_axis(WV, order[:, None], 0)
+    U = np.divide(WV[:, :m], sig[:, None], out=np.zeros_like(W), where=sig[:, None] > 0)
+    return tuple(_unstack(x, batch) for x in (U.transpose(1, 0, 2), sig, WV[:, m:]))
 
 
 def svd_rank_kernel(A: np.ndarray, tol: float = RANK_RTOL):
@@ -214,30 +208,44 @@ def svd_rank_kernel(A: np.ndarray, tol: float = RANK_RTOL):
     return rank, V, s
 
 
+def gram(J: np.ndarray) -> np.ndarray:
+    """J^T J per member of a stack (..., m, n), summing rows in row order."""
+    return _atb(J, J)
+
+
+def _atb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^T B per member of stacks (..., m, n) and (..., m, k)."""
+    g = _sum(_batch_last(A)[:, :, None] * _batch_last(B)[:, None])
+    return np.ascontiguousarray(g.transpose(*range(2, g.ndim), 0, 1))
+
+
 def generalized_cross(J: np.ndarray) -> np.ndarray:
     """Cross product of the n columns of an (n+1) x n matrix, per matrix.
 
     v_k = (-1)^(k+1) det(J with row k deleted), 1-based k: orthogonal to
     every column, with norm = sqrt(det(J^T J)).  The n x n minors share
     their sub-minors (``jet.cross_product``).  Raises when the result is
-    degenerate relative to the column norms (rank-deficient J).
-    """
-    J = np.asarray(J, dtype=float)
+    degenerate relative to the column norms (rank-deficient J)."""
+    return _cross(J)[0]
+
+
+def _cross(J: np.ndarray):
+    """The cross product (..., n+1) of J and its norm, a sum in index order."""
     _check_finite(J, "Jacobian")
-    if J.ndim < 2 or J.shape[-2] != J.shape[-1] + 1:
-        raise ValueError(f"expected (n+1) x n, got {J.shape}")
-    Jt = np.moveaxis(J, (-2, -1), (0, 1)).copy()
-    v = np.stack(cross_product(lambda r, c: Jt[r, c], J.shape[-1]), axis=-1)
-    check_cross_norm(np.sqrt(_dot(v, v)), J)
-    return v
+    if np.ndim(J) < 2 or np.shape(J)[-2] != np.shape(J)[-1] + 1:
+        raise ValueError(f"expected (n+1) x n, got {np.shape(J)}")
+    Jt = _batch_last(J)
+    v = cross_product(lambda r, c: Jt[r, c], len(Jt[0]))
+    norm = np.sqrt(sum(x * x for x in v))
+    check_cross_norm(norm, Jt.transpose(*range(2, Jt.ndim), 0, 1))
+    return np.stack(v, axis=-1), norm
 
 
 def check_cross_norm(norm, J: np.ndarray) -> None:
-    """The one degenerate-normal gate: raises HypothesisError where
-    the cross-product norm is at or below CROSS_RTOL times the product of
-    the column norms of J (..., n+1, n)."""
-    colnorm = np.prod(np.sqrt(np.sum(J * J, axis=-2)), axis=-1)
-    if np.any(norm <= CROSS_RTOL * colnorm):
+    """The one degenerate-normal gate for J (..., n+1, n): raises HypothesisError
+    where the norm is at or below CROSS_RTOL times J's column-norm product."""
+    colnorm = np.multiply.reduce(np.sqrt(_sum(_batch_last(J) ** 2)))
+    if (norm <= CROSS_RTOL * colnorm).any():
         raise HypothesisError(
             f"cross product norm {np.min(norm):.3e} below {CROSS_RTOL:.0e} * "
             "column-norm product"
@@ -245,40 +253,32 @@ def check_cross_norm(norm, J: np.ndarray) -> None:
 
 
 def unit_normal(J: np.ndarray) -> np.ndarray:
-    v = generalized_cross(J)
-    return v / np.sqrt(_dot(v, v))[..., None]
+    v, norm = _cross(J)
+    return v / norm[..., None]
 
 
 def cholesky_spd(g: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with g = L L^T; batched over leading axes.
-
-    Raises HypothesisError if any pivot is non-positive or non-finite
-    anywhere in the batch.
-    """
-    g = np.asarray(g, dtype=float)
-    n = g.shape[-1]
-    L = np.zeros_like(g)
-    for j in range(n):
-        d = g[..., j, j] - np.sum(L[..., j, :j] ** 2, axis=-1)
-        if np.any(d <= 0) or not np.all(np.isfinite(d)):
-            raise HypothesisError(f"cholesky pivot {np.min(d):.3e} at column {j}")
-        L[..., j, j] = np.sqrt(d)
-        for i in range(j + 1, n):
-            L[..., i, j] = (
-                g[..., i, j] - np.sum(L[..., i, :j] * L[..., j, :j], axis=-1)
-            ) / L[..., j, j]
-    return L
+    """Lower-triangular L with g = L L^T; batched over leading axes.  Raises
+    HypothesisError if any pivot is non-positive or non-finite in the batch."""
+    G = _batch_last(g)
+    L = np.zeros(G.shape)
+    for j in range(len(G)):
+        v = G[j:, j] - (L[j:, :j] * L[j, :j]).sum(1)  # v[0] is the pivot
+        if (v[0] <= 0).any() or not np.isfinite(v[0]).all():
+            raise HypothesisError(f"cholesky pivot {np.min(v[0]):.3e} at column {j}")
+        L[j, j] = np.sqrt(v[0])
+        L[j + 1 :, j] = v[1:] / L[j, j]
+    return np.ascontiguousarray(L.transpose(*range(2, L.ndim), 0, 1))
 
 
 def max_principal_angle(B1: np.ndarray, B2: np.ndarray):
     """Largest principal angle (radians) between equal-dimension subspaces
     given by orthonormal-column bases (..., n, k), per stack member.  Two
     empty bases agree: angle 0."""
-    B1 = np.asarray(B1, dtype=float)
-    B2 = np.asarray(B2, dtype=float)
+    B1, B2 = np.asarray(B1, dtype=float), np.asarray(B2, dtype=float)
     if B1.shape != B2.shape:
         raise ValueError(f"subspace dimensions differ: {B1.shape} vs {B2.shape}")
     if B1.shape[-1] == 0:
         return np.zeros(B1.shape[:-2])[()]
-    _, s, _ = jacobi_svd(np.swapaxes(B1, -1, -2) @ B2)
+    _, s, _ = jacobi_svd(_atb(B1, B2))
     return np.arccos(np.clip(s[..., -1], -1.0, 1.0))

@@ -178,6 +178,12 @@ def test_expression_domain_violation_exit_four(tmp_path):
         ("u1^-2", "-1,1", "division by a jet with value 0.0 (at offset 0)"),
         ("u1/0", "0,1", "division by a jet with value 0.0 (at offset 0)"),
         ("u1/(2-2)", "0,1", "division by a jet with value 0.0 (at offset 0)"),
+        (
+            "log(u1)",
+            "-1,1",
+            "scene error: chart: not defined at box center: "
+            "log of a jet with value 0.0 (at offset 0)",
+        ),
     ],
 )
 def test_chart_domain_rules_exit_four(tmp_path, f3, domain1, stderr):

@@ -321,6 +321,15 @@ def test_make_chart_rejects_degenerate():
         make_chart(["u1", "u1", "0"], [(0, 1), (0, 1)])
 
 
+def test_make_chart_names_a_domain_violation_at_the_center():
+    # log(u1) leaves its domain at the center u1 = 0; nothing is degenerate
+    with pytest.raises(SceneError) as info:
+        make_chart(["u1", "u2", "log(u1)"], [(-1, 1), (-1, 1)])
+    assert str(info.value) == (
+        "chart: not defined at box center: log of a jet with value 0.0 (at offset 0)"
+    )
+
+
 _CHARTS_BY_N = {2: catalog.torus2, 3: catalog.sphere3, 4: catalog.sphcyl4}
 
 

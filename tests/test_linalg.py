@@ -1,17 +1,22 @@
-"""Linear algebra tests; numpy's LAPACK routines serve as the independent
-oracle (the shipped code never calls them for these decisions)."""
+"""Linear algebra tests; numpy's LAPACK routines and a plain-Python
+elimination serve as the independent oracles (the shipped code never calls
+either for these decisions)."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isodeform import linalg
 from isodeform.errors import HypothesisError
 from isodeform.linalg import (
+    check_cross_norm,
     cholesky_spd,
     det,
     generalized_cross,
+    gram,
     jacobi_svd,
     max_principal_angle,
     solve,
@@ -240,8 +245,20 @@ def test_lu_solve_det_on_stacks(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("dm", [-1, 0, 1])
 def test_jacobi_svd_on_stacks(n, dm):
-    rng = np.random.default_rng(20 + n)
-    A = _mixed_stack(rng, n, m=n + dm)
+    _check_svd_stack(_mixed_stack(np.random.default_rng(20 + n), n, m=n + dm))
+
+
+@pytest.mark.parametrize("m, n", [(9, 8), (9, 1), (16, 3)])
+def test_tall_stack_members_match_single_calls(m, n):
+    # numpy's reduce adds 8 or more contiguous terms, as of one matrix, pairwise
+    A = _mixed_stack(np.random.default_rng(70 + m + n), n, m=m)
+    _check_svd_stack(A)
+    G = gram(A)
+    for i in range(len(A)):
+        assert np.array_equal(G[i], gram(A[i]))
+
+
+def _check_svd_stack(A):
     U, s, Vt = jacobi_svd(A)
     for i in range(len(A)):
         u, si, vt = jacobi_svd(A[i])
@@ -290,3 +307,194 @@ def test_library_never_calls_numpy_linalg():
         if "numpy.linalg" in p.read_text() or "np.linalg" in p.read_text()
     ]
     assert offenders == []
+
+
+# ------------------------------------------------- plain-Python reference
+
+
+def _reference_eliminate(A, rtol):
+    """Partial pivoting on one matrix in plain Python loops: the first
+    maximal |entry| of a column wins, rows swap, and the first pivot at or
+    below rtol * max|A| ends it.  Returns (LU rows, perm, det, failed
+    column or -1); det is exactly 0.0 for a failed matrix."""
+    a = [[float(x) for x in row] for row in A]
+    n = len(a)
+    floor = rtol * max(abs(x) for row in a for x in row)
+    perm, d = list(range(n)), 1.0
+    for k in range(n):
+        p = k
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > abs(a[p][k]):
+                p = r
+        if abs(a[p][k]) <= floor:
+            return None, None, 0.0, k
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            d = -d
+        for r in range(k + 1, n):
+            a[r][k] /= a[k][k]
+            for c in range(k + 1, n):
+                a[r][c] -= a[r][k] * a[k][c]
+    for k in range(n):
+        d *= a[k][k]
+    return a, perm, d, -1
+
+
+def _reference_substitute(lu, perm, B):
+    """Solve L U X = P B column by column in plain Python, in the order of
+    ``solve``: forward by columns of L, then backward by columns of U."""
+    X = [[float(x) for x in B[p]] for p in perm]
+    n = len(lu)
+    for j in range(n):
+        for i in range(j + 1, n):
+            X[i] = [x - lu[i][j] * y for x, y in zip(X[i], X[j])]
+    for j in range(n - 1, -1, -1):
+        X[j] = [x / lu[j][j] for x in X[j]]
+        for i in range(j):
+            X[i] = [x - lu[i][j] * y for x, y in zip(X[i], X[j])]
+    return np.array(X)
+
+
+# few distinct magnitudes, so column maxima tie and members come out singular
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 0.5]),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _square_stacks(draw):
+    """A stack (S, n, n) whose members are random, or have a zero column, a
+    repeated row (exactly singular) or a column equal to another's negative."""
+    n, size = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    A = np.array(draw(st.lists(_ENTRY, min_size=size * n * n, max_size=size * n * n)))
+    A = A.reshape(size, n, n)
+    for M in A:
+        kind = draw(st.sampled_from(["random", "zero column", "repeated row", "tied"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "zero column":
+            M[:, j] = 0.0
+        elif kind == "repeated row" and i != j:
+            M[i] = M[j]
+        elif kind == "tied" and i != j:
+            M[:, i] = -M[:, j]
+    return A
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_square_stacks())
+def test_elimination_matches_a_plain_python_reference(A):
+    refs = [_reference_eliminate(M, linalg.PIVOT_RTOL) for M in A]
+    d = det(A)
+    for i, M in enumerate(A):
+        want = _reference_eliminate(M, linalg.DET_RTOL)[2]
+        assert d[i] == want and det(M) == want  # bit-equal, the exact 0.0 too
+        assert np.signbit(d[i]) == np.signbit(want)
+        lu, perm, _, fail = refs[i]
+        if fail >= 0:
+            with pytest.raises(HypothesisError, match=f"pivot at column {fail} at"):
+                linalg.lu_factor(M)
+        else:
+            LU, p = linalg.lu_factor(M)
+            assert np.array_equal(LU, lu) and p.tolist() == perm
+    failed = [i for i, ref in enumerate(refs) if ref[3] >= 0]
+    if failed:
+        where = rf"pivot at column {refs[failed[0]][3]} of matrix \({failed[0]},\) "
+        with pytest.raises(HypothesisError, match=where):
+            linalg.lu_factor(A)
+    else:
+        LU, perm = linalg.lu_factor(A)
+        for i, (lu, p, _, _) in enumerate(refs):
+            assert np.array_equal(LU[i], lu) and perm[i].tolist() == p
+        # members that swap rows and members that do not, in one stack
+        B = np.cumsum(A, axis=-1)
+        X = solve(A, B)
+        for i, (lu, p, _, _) in enumerate(refs):
+            assert np.array_equal(X[i], _reference_substitute(lu, p, B[i]))
+            assert np.array_equal(X[i], solve(A[i], B[i]))
+
+
+# ------------------------------------------------------- the other kernels
+
+
+def test_cholesky_stack_members_match_single_calls():
+    rng = np.random.default_rng(40)
+    for n in range(1, 9):
+        M = rng.uniform(-1, 1, (2, 3, n, n))
+        g = np.einsum("...ij,...kj->...ik", M, M) + 0.1 * np.eye(n)
+        L = cholesky_spd(g)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(L[idx], cholesky_spd(g[idx]))
+
+
+def test_cholesky_gate_names_the_failing_column():
+    with pytest.raises(HypothesisError, match=r"cholesky pivot -1\.000e\+00 at column 2$"):
+        cholesky_spd(np.diag([1.0, 2.0, -1.0, 4.0]))
+    # the first column at which any member fails, with the smallest pivot there
+    g = np.stack([np.diag([1.0, 1.0, 1.0, -3.0]), np.diag([1.0, -2.0, 1.0, 1.0])])
+    with pytest.raises(HypothesisError, match=r"pivot -2\.000e\+00 at column 1$"):
+        cholesky_spd(g)
+    with pytest.raises(HypothesisError, match=r"pivot nan at column 0$"):
+        cholesky_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_jacobi_svd_of_one_tall_matrix():
+    # the gauge fit's shape: 2 * 729 rows, five columns, with a column of ones
+    rng = np.random.default_rng(41)
+    D = np.zeros((1458, 5))
+    D[:729, :4] = rng.uniform(-2, 2, (729, 4))
+    D[:729, 4] = 1.0
+    D[729:, :4] = rng.uniform(-1, 1, (729, 4))
+    _, s, _ = jacobi_svd(D)
+    ref = np.linalg.svd(D, compute_uv=False)
+    assert np.all(np.abs(s - ref) <= 1e-12 * ref)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gram_vs_numpy(n):
+    rng = np.random.default_rng(50 + n)
+    J = rng.uniform(-1, 1, (2, 3, n + 1, n))
+    G, ref = gram(J), np.swapaxes(J, -1, -2) @ J
+    assert G.shape == ref.shape
+    assert np.all(np.abs(G - ref) <= 1e-15 * np.abs(ref).max())
+    assert np.array_equal(G, np.swapaxes(G, -1, -2))
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(G[idx], gram(J[idx]))
+
+
+def _library_calls(rng, n=3):
+    """(routine, arguments) for every public routine, on one matrix each."""
+    A = rng.uniform(-1, 1, (n, n)) + n * np.eye(n)
+    J = rng.uniform(-1, 1, (n + 1, n))
+    B1 = np.linalg.qr(rng.uniform(-1, 1, (n, n)))[0][:, :2]
+    B2 = np.linalg.qr(rng.uniform(-1, 1, (n, n)))[0][:, :2]
+    return [
+        (linalg.lu_factor, (A,)),
+        (solve, (A, rng.uniform(-1, 1, (n, 2)))),
+        (det, (A,)),
+        (jacobi_svd, (J,)),
+        (jacobi_svd, (J.T,)),
+        (svd_rank_kernel, (J,)),
+        (generalized_cross, (J,)),
+        (unit_normal, (J,)),
+        (check_cross_norm, (np.ones(()), J)),
+        (cholesky_spd, (J.T @ J,)),
+        (gram, (J,)),
+        (max_principal_angle, (B1, B2)),
+    ]
+
+
+@pytest.mark.parametrize("stack", [(), (1,)], ids=["single", "one-member stack"])
+def test_no_routine_writes_into_its_arguments(stack):
+    # moving (1, n, n) to (n, n, 1) gives an array that is already
+    # contiguous, so a routine that writes must copy, not only reorder
+    for routine, args in _library_calls(np.random.default_rng(60)):
+        args = tuple(np.array(np.broadcast_to(a, stack + a.shape)) for a in args)
+        before = [a.copy() for a in args]
+        out = routine(*args)
+        for x in out if isinstance(out, tuple) else (out,):
+            if isinstance(x, np.ndarray) and x.flags.writeable:
+                x[...] = 7.0  # an output sharing memory with an argument shows below
+        for a, b in zip(args, before):
+            assert np.array_equal(a, b), routine.__name__
