@@ -21,6 +21,7 @@ from .deformation import (
     closed_form_immersion,
     extract_gh,
     gauge_fit,
+    grid_frame,
     verify_deformation,
 )
 from .errors import HypothesisError, SceneError, VerificationError
@@ -53,6 +54,7 @@ __all__ = [
     "frame_at",
     "frame_from_jets",
     "gauge_fit",
+    "grid_frame",
     "gh_gauss_translation",
     "gh_parallel_offset",
     "load_scene",

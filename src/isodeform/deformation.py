@@ -677,27 +677,31 @@ class GridPair:
     closed_residual: float
 
 
+def grid_frame(chart: Chart, res) -> Frame:
+    """The chart's order-2 frame on the sample grid, with batch shape
+    ``res`` (the mesh (*res, n) is its ``u``): what ``extract_gh``,
+    ``pair_on_grid`` and ``gauge_fit`` read."""
+    mesh = np.stack(np.meshgrid(*grid_axes(chart, res), indexing="ij"), axis=-1)
+    return frame_from_jets(chart_jets(chart, mesh, order=2))
+
+
 def extract_gh(
     chart: Chart,
     F_fn: Callable[[ChartJets], np.ndarray],
-    res,
+    frame: Frame,
     tol: float = 1e-10,
 ) -> GridPair:
     """Recover the scalar pair of an immersion with dF = df o Q.
 
-    ``F_fn`` maps the chart's order-2 jets at a batch of points to F there,
-    as the evaluator of ``closed_form_immersion`` does.  Decomposes F
-    pointwise into df(Z) + h N, checks that the covector field
-    g(Z, .) = J^T F is closed via rectangle loop integrals, and integrates
-    it along staircase paths to produce g with g(base corner) = 0.
+    ``frame`` is the chart's ``grid_frame`` and ``F_fn`` maps the chart's
+    order-2 jets at a batch of points to F there, as the evaluator of
+    ``closed_form_immersion`` does.  Decomposes F on the grid into
+    df(Z) + h N, checks that the covector field g(Z, .) = J^T F is closed
+    via rectangle loop integrals, and integrates it along staircase paths
+    to produce g with g(base corner) = 0.
     """
-    axes = grid_axes(chart, res)
-    shape = tuple(len(ax) for ax in axes)
-    n = chart.n
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    flat = mesh.reshape(-1, n)
-    cj = chart_jets(chart, flat, order=2)
-    Z, h = decompose_ambient(frame_from_jets(cj), F_fn(cj))
+    mesh = frame.u
+    Z, h = decompose_ambient(frame, F_fn(frame.jets))
 
     def zeta_at(pts: np.ndarray) -> np.ndarray:
         # g(Z, .) = J^T (F - h N) = J^T F as a one-row field, shape (m, 1, n)
@@ -706,31 +710,25 @@ def extract_gh(
         return np.einsum("...pk,...p->...k", J, F_fn(cj))[..., None, :]
 
     closed = float(np.abs(_circulation(zeta_at, default_loop_rects(chart), tol)).max())
-    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(n), tol)
+    axes = grid_axes(chart, mesh.shape[:-1])
+    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(chart.n), tol)
     return GridPair(
-        points=mesh,
-        g=g_grid[..., 0],
-        h=h.reshape(shape),
-        grad_g=Z.reshape(shape + (n,)),
-        closed_residual=closed,
+        points=mesh, g=g_grid[..., 0], h=h, grad_g=Z, closed_residual=closed
     )
 
 
-def pair_on_grid(chart: Chart, pair: GHPairData, res) -> GridPair:
-    """Sample a pair's (g, h, grad g) on the grid, for gauge comparison."""
-    axes = grid_axes(chart, res)
-    shape = tuple(len(ax) for ax in axes)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    flat = mesh.reshape(-1, chart.n)
-    cj = chart_jets(chart, flat, order=2)
+def pair_on_grid(pair: GHPairData, frame: Frame) -> GridPair:
+    """Sample a pair's (g, h, grad g) on the chart's ``grid_frame``, for
+    gauge comparison."""
+    cj = frame.jets
     s, h = pair_jets(cj, pair)
-    grad = values(cj.scalar_grad_jets(s.truncated(1))).astype(float)  # (n, m)
+    grad = values(cj.scalar_grad_jets(s.truncated(1))).astype(float)  # (n, *res)
     gh = jet_partials([s, h], 0, cj.batch_shape)  # a constant is broadcast
     return GridPair(
-        points=mesh,
-        g=gh[:, 0].reshape(shape),
-        h=gh[:, 1].reshape(shape),
-        grad_g=np.moveaxis(grad, 0, -1).reshape(shape + (chart.n,)),
+        points=frame.u,
+        g=gh[..., 0],
+        h=gh[..., 1],
+        grad_g=np.moveaxis(grad, 0, -1),
         closed_residual=0.0,
     )
 
@@ -745,23 +743,21 @@ class GaugeFit:
     cond: float
 
 
-def gauge_fit(chart: Chart, pair1: GridPair, pair2: GridPair) -> GaugeFit:
+def gauge_fit(frame: Frame, pair1: GridPair, pair2: GridPair) -> GaugeFit:
     """Least-squares gauge between two sampled pairs on the same grid.
 
-    Solves for (a, c) minimizing the joint residual of
-    g2 = g1 + <f, a> + c and h2 = h1 + <N, a> over all sample points.
+    ``frame`` is the chart's ``grid_frame`` on that grid.  Solves for
+    (a, c) minimizing the joint residual of g2 = g1 + <f, a> + c and
+    h2 = h1 + <N, a> over all sample points.
     """
-    if pair1.points.shape != pair2.points.shape:
+    if not pair1.points.shape == pair2.points.shape == frame.u.shape:
         raise ValueError("pairs sampled on different grids")
-    n = chart.n
-    flat = pair1.points.reshape(-1, n)
-    frame = frame_from_jets(chart_jets(chart, flat, order=2))
-    dim = chart.ambient_dim
-    m = flat.shape[0]
+    dim = frame.f.shape[-1]
+    m = frame.f.size // dim
     D = np.zeros((2 * m, dim + 1))
-    D[:m, :dim] = frame.f
+    D[:m, :dim] = frame.f.reshape(m, dim)
     D[:m, dim] = 1.0
-    D[m:, :dim] = frame.N
+    D[m:, :dim] = frame.N.reshape(m, dim)
     rhs = np.concatenate(
         [
             (pair2.g - pair1.g).reshape(-1),

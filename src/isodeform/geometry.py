@@ -131,11 +131,12 @@ class ChartJets:
 
     J has order K-1.  ``normal``, ``metric``, ``ginv`` and ``christoffel``
     build at the order asked for.  The frame and A read the normal, g and
-    g^{-1} at K-2 and Gamma at min(K-2, 1), whose build reads g one order
-    higher and g^{-1} at its own order; a scalar's Hessian reads Gamma at
-    K-2.  Only a scalar pair's h, ``immersion_jets`` and ``scalar_grad_jets``
-    of a full-order scalar read the normal and g^{-1} (``Njet``,
-    ``ginv_jet``), and so g, at K-1.
+    g^{-1} at K-2, the normal and g at least at 1, and Gamma one order
+    below g, since its build reads g one order higher and g^{-1} at its
+    own order; the frame's R, when read, reads Gamma at 1, and a scalar's
+    Hessian at K-2.  Only a scalar pair's h, ``immersion_jets`` and
+    ``scalar_grad_jets`` of a full-order scalar read the normal and g^{-1}
+    (``Njet``, ``ginv_jet``), and so g, at K-1.
     """
 
     def __init__(self, comps, u: np.ndarray):
@@ -336,8 +337,9 @@ def curvature_values(Gamma_jets) -> np.ndarray:
 class Frame:
     """Numeric first/second-order data at a point or batch of points.
 
-    Batch axes (if any) lead; tensor indices trail.  R and nablaA are None
-    when the jet order was 2.
+    Batch axes (if any) lead; tensor indices trail.  nablaA is None when
+    the jet order was 2.  ``jets`` are the chart jets the frame was read
+    from; R is built from them when first read.
     """
 
     u: np.ndarray
@@ -351,13 +353,20 @@ class Frame:
     g_inv: np.ndarray
     b: np.ndarray
     A: np.ndarray
-    Gamma: np.ndarray | None  # (*b, k, i, j)
-    R: np.ndarray | None      # (*b, l, k, i, j)
+    Gamma: np.ndarray   # (*b, k, i, j)
     nablaA: np.ndarray | None  # (*b, i, k, j)
+    jets: ChartJets = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.J.shape[-1]
+
+    @cached_property
+    def R(self) -> np.ndarray | None:
+        """R (*b, l, k, i, j), or None when the jet order was 2.  It reads
+        Gamma at order 1, and so g at order 2, which only the curvature
+        checks need: below jet order 4 they are built when R is first read."""
+        return curvature_values(self.jets.christoffel(1)) if self.order >= 3 else None
 
 
 def frame_from_jets(cj: ChartJets) -> Frame:
@@ -370,10 +379,11 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     Nj = cj.normal(max(cj.order - 2, 1))  # dN needs order 1
     N = _move(values(Nj), 1)
     dN = _move(d1_values(Nj), 2)
-    # R reads Gamma's first derivatives; Gamma reads g one order higher, so
-    # g is built first at the highest order read, and never twice
-    go = min(cj.order - 2, 1)
-    g = _move(values(cj.metric(max(cj.order - 2, go + 1))), 2)
+    # g is read at K-2, at least 1 for Gamma, which is built at the order
+    # that g affords; R reads Gamma at 1, so a frame below order 4 builds
+    # g and Gamma again if R is read
+    go = max(cj.order - 3, 0)
+    g = _move(values(cj.metric(go + 1)), 2)
     g_inv = _move(values(cj.ginv(cj.order - 2)), 2)
     b = _move(values(cj.bjet), 2)
     A = _move(values(cj.Ajet), 2)
@@ -382,21 +392,18 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     scale = np.maximum(1.0, np.abs(gA).max())
     if np.abs(gA - gA.swapaxes(-1, -2)).max() > SELF_ADJOINT_TOL * scale:
         raise HypothesisError("shape operator lost g-self-adjointness")
-    R = nablaA = None
-    Gj = cj.christoffel(go)
-    Gamma = _move(values(Gj), 3)
+    Gamma = _move(values(cj.christoffel(go)), 3)
+    nablaA = None
     if cj.order >= 3:
-        R = curvature_values(Gj)
         dA = _move(d1_values(cj.Ajet), 3)  # (*b, k, j, i) = d_i A^k_j
-        Gv = Gamma
         nablaA = (
             np.einsum("...kji->...ikj", dA)
-            + np.einsum("...kil,...lj->...ikj", Gv, A)
-            - np.einsum("...lij,...kl->...ikj", Gv, A)
+            + np.einsum("...kil,...lj->...ikj", Gamma, A)
+            - np.einsum("...lij,...kl->...ikj", Gamma, A)
         )
     return Frame(
         u=cj.u, order=cj.order, f=f, J=J, d2f=d2f, N=N, dN=dN,
-        g=g, g_inv=g_inv, b=b, A=A, Gamma=Gamma, R=R, nablaA=nablaA,
+        g=g, g_inv=g_inv, b=b, A=A, Gamma=Gamma, nablaA=nablaA, jets=cj,
     )
 
 

@@ -23,10 +23,20 @@ bit-equal to the same product taken alone, broadcast axes included.
 The product kernel has two paths with the same sums.  When the pair table
 times the batch size fits in GATHER_BUDGET doubles, both operands are
 gathered for the whole table at once and the ranks are added as slices of
-that one temporary.  Above the budget (order-3 and order-4 jets in four
-variables at a sample chunk of 1024 points), the pairs are gathered,
-multiplied and added one rank at a time, so no temporary grows past one
-rank: a temporary of many megabytes costs more than the extra numpy calls.
+that one temporary.  Above the budget, the pairs are gathered, multiplied
+and added one rank at a time, so no temporary grows past one rank.  The
+budget is set by glibc's allocator, not by arithmetic.  Once glibc frees
+an mmapped chunk, its mmap threshold rises to that chunk's size and its
+trim threshold to twice that.  A gathered product holds three temporaries
+of the table's size at the top of the heap; when they add up to more than
+the trim threshold, every such product trims the heap on free and faults
+it back in on the next call.  At (n, K, batch) = (3, 3, 729), order-3
+jets on a 9^3 grid, a warm verify of sphere3 makes 130 products.
+Gathered whole (61,236 doubles), each took a median 355-398 us and 114
+minor faults; per rank, where no temporary exceeds 20 x 729 doubles,
+119-128 us and 2 faults (timed on a shared 2-core x86-64 VM).  The
+largest gather left below the budget is (4, 2, 1024), order-2 jets at a
+1024-point chunk in four variables (46,080 doubles).
 
 Determinants, the adjugate inverse and the generalized cross product go
 through one memoized minor expansion (``minor_dets``): every minor is
@@ -46,8 +56,10 @@ import numpy as np
 from .errors import HypothesisError
 
 MIN_DIVISOR = 1e-300  # underflow guard for division by a jet
-# doubles of coefficient products a jet product may gather at once (512 KB)
-GATHER_BUDGET = 2**16
+# doubles of coefficient products a jet product may gather at once (384
+# KiB per temporary): below (3, 3, 729), whose gathered temporaries make
+# glibc trim and refault the heap, above (4, 2, 1024) (module docstring)
+GATHER_BUDGET = 3 * 2**14
 
 _MAX_ORDER = 4
 

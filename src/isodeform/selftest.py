@@ -33,6 +33,7 @@ from .deformation import (
     closed_form_immersion,
     extract_gh,
     gauge_fit,
+    grid_frame,
     omega_loop_integral,
     omega_loop_residual,
     pair_on_grid,
@@ -224,22 +225,21 @@ def criterion_roundtrip_gauge() -> Verdict:
     """Recover (g, h) from F alone, up to the affine gauge freedom."""
     chart = catalog.build("sphere3", r=2.0)
     spec = Parallel(1.0)
-    ext = extract_gh(chart, closed_form_immersion(chart, spec), 7)
-    true = pair_on_grid(chart, spec.pair(), 7)
-    fit = gauge_fit(chart, ext, true)
+    fr = grid_frame(chart, 7)
+    ext = extract_gh(chart, closed_form_immersion(chart, spec), fr)
+    true = pair_on_grid(spec.pair(), fr)
+    fit = gauge_fit(fr, ext, true)
     # synthetic shift with known gauge: g + <f,a> + c, h + <N,a>
     a0 = np.array([0.3, -0.1, 0.2, 0.5])
     c0 = 1.7
-    flat = true.points.reshape(-1, chart.n)
-    fr = frame_from_jets(chart_jets(chart, flat, order=2))
     shifted = type(true)(
         points=true.points,
-        g=true.g + (fr.f @ a0).reshape(true.g.shape) + c0,
-        h=true.h + (fr.N @ a0).reshape(true.h.shape),
+        g=true.g + fr.f @ a0 + c0,
+        h=true.h + fr.N @ a0,
         grad_g=true.grad_g,
         closed_residual=0.0,
     )
-    fit2 = gauge_fit(chart, true, shifted)
+    fit2 = gauge_fit(fr, true, shifted)
     recovery = max(float(np.abs(fit2.a - a0).max()), abs(float(fit2.c) - c0))
     ok = fit.residual < 1e-6 and recovery < 1e-8
     return ok, (

@@ -30,16 +30,20 @@ table, from which the checks are made.  The jet order K is 4 when codazzi
 or deformation runs, else the scene order when geometry runs, else 2;
 geometry fields do not depend on it, and geometry skips its curvature
 checks when the scene order is below 3.  J is built at K-1; the normal,
-g and g^{-1} at K-2 (the normal at least 1) and the Christoffel symbols
-at min(K-2, 1), which reads g one order higher.  A scalar pair's Hessian
-reads the symbols at K-2, and its h and F the normal and g^{-1} at K-1.
+g and g^{-1} at K-2 (the normal and g at least 1), and the Christoffel
+symbols one order below g, since they read g one order higher.  The
+frame's R, read only by the curvature checks of geometry and codazzi,
+reads the symbols at 1.  A scalar pair's Hessian reads them at K-2, and
+its h and F the normal and g^{-1} at K-1.
 The deformed metric is built at K-2 and its inverse at K-3.
 
 Each slice certifies the rank hypothesis from its frame, before building
 Q: when deformation or roundtrip runs, a rank of A below 3 (below n for
 n < 3 charts, which get a warning instead) is refused with a
 HypothesisError, since the rigidity claims assume rank A >= 3.  Grid path
-integrals, FD probes and the roundtrip suite run after the pass.
+integrals, FD probes and the roundtrip suite run after the pass; on a
+grid, a pair scene's ``path_vs_closed`` and roundtrip read one order-2
+frame of the grid (``grid_frame``), built once per run.
 Reductions happen in index order so identical scenes produce identical
 reports.
 """
@@ -71,6 +75,7 @@ from .deformation import (
     fd_deformed_frame,
     gauge_fit,
     global_det_sign,
+    grid_frame,
     GridPair,
     omega_loop_integral,
     pair_on_grid,
@@ -289,10 +294,10 @@ def _loop_check(chart, spec, tol) -> CheckResult:
     )
 
 
-def _path_vs_closed_check(chart, spec, mesh, Fp, tol) -> CheckResult:
-    flat = mesh.reshape(-1, chart.n)
-    Fc = closed_form_immersion(chart, spec)(flat)
-    diff = Fp.reshape(-1, chart.ambient_dim) - Fc
+def _path_vs_closed_check(chart, spec, grid_fr, Fp, tol) -> CheckResult:
+    flat = grid_fr.u.reshape(-1, chart.n)
+    Fc = closed_form_immersion(chart, spec)(grid_fr.jets)
+    diff = (Fp - Fc).reshape(-1, chart.ambient_dim)
     # both immersions have the same differential, so diff must be a single
     # constant ambient vector; its componentwise spread is the residual
     spread = diff.max(axis=0) - diff.min(axis=0)
@@ -312,7 +317,7 @@ def _path_vs_closed_check(chart, spec, mesh, Fp, tol) -> CheckResult:
 
 
 def _deformation_pair_suite(
-    chart, spec, fields, pts, grid, tol, grid_mode
+    chart, spec, fields, pts, grid, tol, grid_fr
 ) -> List[CheckResult]:
     checks = []
     if "pair_q" in fields:
@@ -329,14 +334,14 @@ def _deformation_pair_suite(
         checks.append(
             check_from_field("deformation", name, fields[name], pts, tol[name])
         )
-    if grid_mode:
+    if grid_fr is not None:
         checks.append(_loop_check(chart, spec, tol))
         # one forward and one reversed sweep feed both path checks
-        mesh, F_fwd = path_integral_on_grid(chart, spec, grid)
+        _, F_fwd = path_integral_on_grid(chart, spec, grid)
         _, F_rev = path_integral_on_grid(
             chart, spec, grid, axis_order=list(reversed(range(chart.n)))
         )
-        checks.append(_path_vs_closed_check(chart, spec, mesh, F_fwd, tol))
+        checks.append(_path_vs_closed_check(chart, spec, grid_fr, F_fwd, tol))
         swap = float(np.abs(F_fwd - F_rev).max())
         checks.append(
             _scalar_check(
@@ -427,7 +432,7 @@ def _deformation_explicit_suite(
 # ------------------------------------------------------------ roundtrip
 
 
-def _roundtrip_suite(chart, spec, grid, tol, grid_mode) -> List[CheckResult]:
+def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
     names = ("extract_closedness", "roundtrip_gauge", "gauge_recovery")
     pair = spec.pair()
     if pair is None:
@@ -437,13 +442,13 @@ def _roundtrip_suite(chart, spec, grid, tol, grid_mode) -> List[CheckResult]:
             )
             for n in names
         ]
-    if not grid_mode:
+    if grid_fr is None:
         return [
             check_skipped("roundtrip", n, tol[n], _NO_GRID_NOTE) for n in names
         ]
-    ext = extract_gh(chart, closed_form_immersion(chart, spec), grid)
-    true = pair_on_grid(chart, pair, grid)
-    fit = gauge_fit(chart, ext, true)
+    ext = extract_gh(chart, closed_form_immersion(chart, spec), grid_fr)
+    true = pair_on_grid(pair, grid_fr)
+    fit = gauge_fit(grid_fr, ext, true)
     checks = [
         _scalar_check(
             "roundtrip",
@@ -460,21 +465,20 @@ def _roundtrip_suite(chart, spec, grid, tol, grid_mode) -> List[CheckResult]:
             note=f"gauge-fit misfit, condition number {fit.cond:.3e}",
         ),
     ]
-    # synthetic gauge shift with known ground truth
+    # synthetic gauge shift with known ground truth; the five values repeat
+    # in higher ambient dimensions
     dim = chart.ambient_dim
-    a0 = np.array([0.3, -0.1, 0.2, 0.5, 0.15][:dim])
+    a0 = np.resize([0.3, -0.1, 0.2, 0.5, 0.15], dim)
     c0 = 1.7
-    flat = true.points.reshape(-1, chart.n)
-    fr = frame_from_jets(chart_jets(chart, flat, order=2))
     shape = true.g.shape
     shifted = GridPair(
         points=true.points,
-        g=true.g + (fr.f @ a0).reshape(shape) + c0,
-        h=true.h + (fr.N @ a0).reshape(shape),
+        g=true.g + (grid_fr.f.reshape(-1, dim) @ a0).reshape(shape) + c0,
+        h=true.h + (grid_fr.N.reshape(-1, dim) @ a0).reshape(shape),
         grad_g=true.grad_g,
         closed_residual=0.0,
     )
-    fit2 = gauge_fit(chart, true, shifted)
+    fit2 = gauge_fit(grid_fr, true, shifted)
     recovery = max(
         float(np.abs(fit2.a - a0).max()), abs(float(fit2.c) - c0)
     )
@@ -540,6 +544,11 @@ def run_suites(
             "n=2 chart: rank A >= 3 cannot hold; deformation claims "
             "are checked pedagogically only"
         )
+    # the grid's order-2 frame, built once for path_vs_closed and the roundtrip
+    grid_fr = None
+    pair_suites = {"deformation", "roundtrip"} & set(scene.suites)
+    if grid_mode and pair_suites and spec.pair() is not None:
+        grid_fr = grid_frame(chart, grid)
     sign: Optional[int] = None
     checks: List[CheckResult] = []
     for suite in scene.suites:
@@ -555,10 +564,10 @@ def run_suites(
                 )
             else:
                 checks += _deformation_pair_suite(
-                    chart, spec, fields, pts, grid, tol, grid_mode
+                    chart, spec, fields, pts, grid, tol, grid_fr
                 )
         elif suite == "roundtrip":
-            checks += _roundtrip_suite(chart, spec, grid, tol, grid_mode)
+            checks += _roundtrip_suite(chart, spec, grid_fr, tol)
 
     return VerificationReport(
         chart_label=chart.label,

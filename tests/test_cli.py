@@ -330,3 +330,22 @@ def test_nan_scalar_pair_exit_three_without_warnings(tmp_path):
     assert res.returncode == 3
     assert res.stderr.startswith("hypothesis violated: scalar pair violates the gradient")
     assert len(res.stderr.splitlines()) == 1
+
+
+def test_roundtrip_in_ambient_dimension_six_exit_zero(tmp_path):
+    # the synthetic gauge of the roundtrip suite spans every ambient axis,
+    # also past the fifth
+    p = tmp_path / "graph5.scene"
+    domains = "".join(f"domain{k} = -0.5, 0.5\n" for k in range(1, 6))
+    p.write_text(
+        "[chart]\nn = 5\n"
+        + "".join(f"f{k} = u{k}\n" for k in range(1, 6))
+        + "f6 = u1^2 + 2*u2^2 + 3*u3^2 + 4*u4^2 + 5*u5^2\n"
+        + domains
+        + "[codazzi]\nvariant = parallel\nt = 0.1\n"
+        "[run]\ngrid = 3\nsuites = roundtrip\n"
+    )
+    res = run_cli("verify", str(p))
+    assert res.returncode == 0, res.stderr
+    assert "ambient: 6" in res.stdout
+    assert "check: gauge_recovery" in res.stdout and "result: pass" in res.stdout

@@ -20,6 +20,7 @@ from isodeform.deformation import (
     fd_deformed_frame,
     gauge_fit,
     global_det_sign,
+    grid_frame,
     kernel_angle_field,
     omega_loop_integral,
     omega_loop_residual,
@@ -245,12 +246,13 @@ def test_path_integral_target_batch(axis_order):
 def test_extract_and_gauge_roundtrip():
     ch = catalog.graph3()
     pair = gh_parallel_offset(0.05)
-    ext = extract_gh(ch, closed_form_immersion(ch, pair), 4)
-    true = pair_on_grid(ch, pair, 4)
+    fr = grid_frame(ch, 4)
+    ext = extract_gh(ch, closed_form_immersion(ch, pair), fr)
+    true = pair_on_grid(pair, fr)
     assert ext.closed_residual < 1e-10
     assert np.abs(ext.h - true.h).max() < 1e-12
     assert np.abs(ext.grad_g - true.grad_g).max() < 1e-11
-    fit = gauge_fit(ch, ext, true)
+    fit = gauge_fit(fr, ext, true)
     # extraction fixes g(base) = 0, so the gauge is a pure constant
     assert np.abs(fit.a).max() < 1e-10
     base_idx = (0,) * 3
@@ -262,9 +264,10 @@ def test_extract_and_gauge_roundtrip():
 def test_gauge_recovers_translation_vector():
     ch = catalog.sphere3(2.0)
     a0 = np.array([0.3, -0.2, 0.5, 0.1])
-    ext = extract_gh(ch, closed_form_immersion(ch, gh_gauss_translation(a0)), 4)
-    zero = pair_on_grid(ch, gh_gauss_translation(), 4)
-    fit = gauge_fit(ch, zero, ext)
+    fr = grid_frame(ch, 4)
+    ext = extract_gh(ch, closed_form_immersion(ch, gh_gauss_translation(a0)), fr)
+    zero = pair_on_grid(gh_gauss_translation(), fr)
+    fit = gauge_fit(fr, zero, ext)
     assert np.abs(fit.a - a0).max() < 1e-9
     assert fit.residual < 1e-9
 
@@ -272,10 +275,11 @@ def test_gauge_recovers_translation_vector():
 def test_gauge_detects_non_gauge_difference():
     ch = catalog.graph3()
     pair = gh_parallel_offset(0.05)
-    true = pair_on_grid(ch, pair, 4)
-    ext = extract_gh(ch, closed_form_immersion(ch, pair), 4)
+    fr = grid_frame(ch, 4)
+    true = pair_on_grid(pair, fr)
+    ext = extract_gh(ch, closed_form_immersion(ch, pair), fr)
     ext.h = ext.h + 0.01 * true.points[..., 0]
-    fit = gauge_fit(ch, ext, true)
+    fit = gauge_fit(fr, ext, true)
     assert fit.residual > 1e-3
 
 
@@ -309,7 +313,12 @@ def test_immersion_frame_orders():
     ch = catalog.sphere3(2.0)
     chk = verify_deformation(ch, grid_points(ch, 2), Parallel(1.0), order=4)
     assert chk.frameF.order == 3
+    # the checks read no curvature of F: its frame builds g at 1 and Gamma
+    # at 0, and one order higher only when R is asked for
+    built = chk.frameF.jets._built
+    assert built["christoffel"][0] == 0 and built["metric"][0] == 1
     assert chk.frameF.R is not None
+    assert built["christoffel"][0] == 1 and built["metric"][0] == 2
 
 
 # ------------------------------------------------- value-only integrands
@@ -417,7 +426,7 @@ def test_extract_builds_chart_jets_once_per_slice(monkeypatch):
         slices.append(1)
         return F_fn(cj)
 
-    extract_gh(ch, counting_F, 3)
+    extract_gh(ch, counting_F, grid_frame(ch, 3))
     assert len(slices) > 1
     assert len(jets) == len(slices)
 
@@ -515,7 +524,7 @@ def test_one_quadrature_call_per_path_family(monkeypatch):
         return out[0]
 
     monkeypatch.setattr(dfm, "_circulation", counted_circulation)
-    extract_gh(ch, closed_form_immersion(ch, Parallel(0.05)), 3)
+    extract_gh(ch, closed_form_immersion(ch, Parallel(0.05)), grid_frame(ch, 3))
     assert inside == [1]
 
 

@@ -332,7 +332,8 @@ def test_batch_matches_scalar_loop_exactly(n, k):
         assert np.array_equal(ba.coef[:, i, j], (bij * a0).coef)
     assert np.array_equal(ab.coef[:, 0, 0], _pair_order_product(sp, a0.coef, b.coef[:, 0, 0]))
     # at batch 1024, (4, 3) and (4, 4) gather more than GATHER_BUDGET doubles
-    # and take the per-rank path; (1, 3) and (3, 2) still gather whole
+    # and take the per-rank path; (1, 3) and (3, 2) still gather whole (the
+    # budget's sides at the workloads' own shapes are pinned below)
     big = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1024)))
     big2 = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1024)))
     col = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1)))
@@ -340,6 +341,25 @@ def test_batch_matches_scalar_loop_exactly(n, k):
     for x, y in ((big, big2), (col, big), (big, col)):
         expect = _pair_order_product(sp, x.coef, y.coef)
         assert np.array_equal((x * y).coef, expect)
+
+
+@pytest.mark.parametrize(
+    "n,k,batch,gathers",
+    # the workloads' largest product that gathers whole (order 2 at a
+    # 1024-point chunk in four variables) and their smallest that does not
+    # (order 3 on a 9^3 grid in three), both bit-equal to the pair-order sums
+    [(4, 2, 1024, True), (3, 3, 729, False)],
+)
+def test_gather_budget_sides_at_workload_shapes(monkeypatch, n, k, batch, gathers):
+    sp = jet_space(n, k)
+    assert (len(sp._mul_ii) * batch <= jet.GATHER_BUDGET) == gathers
+    # drop the other path's table, so only the expected path can run
+    monkeypatch.setattr(sp, "_mul_rank_pairs" if gathers else "_mul_ranks", None)
+    rng = np.random.default_rng(batch)
+    x, y = (jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, batch))) for _ in "xy")
+    col = jet.JetScalar(sp, rng.uniform(-2, 2, (sp.size, 1)))
+    for a, b in ((x, y), (col, y), (x, col)):
+        assert np.array_equal((a * b).coef, _pair_order_product(sp, a.coef, b.coef))
 
 
 def test_batch_domain_error_reports():

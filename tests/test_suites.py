@@ -253,6 +253,35 @@ def test_pair_suite_sweeps_the_grid_once_per_axis_order(monkeypatch):
     assert orders == [None, [2, 1, 0]]
 
 
+def test_grid_frame_is_built_once_per_run(monkeypatch):
+    # path_vs_closed, extract_gh, pair_on_grid, both gauge fits and the
+    # synthetic gauge shift all read one order-2 frame of the sample grid
+    scene = parse_scene(SPHERE + "suites = deformation, roundtrip\n")
+    grid = geometry.grid_points(scene.chart, scene.grid)
+    grid_builds = []
+    build_jets = geometry.chart_jets
+
+    def counting_jets(chart, u, order=3):
+        u = np.asarray(u, dtype=float)
+        if order == 2 and np.array_equal(u.reshape(-1, chart.n), grid):
+            grid_builds.append(u.shape)
+        return build_jets(chart, u, order)
+
+    for module in (geometry, deformation, suites):
+        monkeypatch.setattr(module, "chart_jets", counting_jets)
+    rep = run_suites(scene)
+    assert len(grid_builds) == 1
+    assert [(c.name, c.verdict) for c in rep.checks] == [
+        (name, PASS)
+        for name in (
+            "pair_q", "dF", "metric", "shape", "selfadjoint_At", "codazzi_At",
+            "gauss_congruence", "wedge", "kernel_angle", "loop",
+            "path_vs_closed", "path_order_swap", "extract_closedness",
+            "roundtrip_gauge", "gauge_recovery",
+        )
+    ]
+
+
 def test_sample_pass_builds_jets_and_q_frame_once_per_chunk(monkeypatch):
     # every pointwise suite reads one order-4 chart jet and one Q frame per
     # CHUNK slice; three slices of the 27-point grid make that count visible
