@@ -22,15 +22,20 @@ gates as the jet route on the sample.
 sample: dF = df o Q, induced metric, shape operator A~ = sign(det Q) Q^-1 A
 with a single global sign, Gauss map equal to the original up to that sign,
 the wedge identity (Q A~ X) ^ (Q A~ Y) = (A X) ^ (A Y), and equality of the
-kernels of A and A~.  ``extract_gh`` runs the construction backwards from
-an immersion to a scalar pair; ``gauge_fit`` identifies two pairs modulo
-the affine gauge (g, h) -> (g + <f, a> + c, h + <N, a>).
+kernels of A and A~.  Its ``DeformationCheck`` keys each claim's residual
+field by the deformation suite's check name, so the suite reports the
+fields as they come.  For a source with no pair, ``fd_deformed_frame``
+differentiates the path-integrated F at a batch of probe points, all in
+one quadrature call.  Path integrals default to the quadrature's
+``DEFAULT_TOL``.  ``extract_gh`` runs the construction backwards from an
+immersion to a scalar pair; ``gauge_fit`` identifies two pairs modulo the
+affine gauge (g, h) -> (g + <f, a> + c, h + <N, a>).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,7 +74,7 @@ from .linalg import (
     svd_rank_kernel,
     unit_normal,
 )
-from .quadrature import integrate_segment
+from .quadrature import DEFAULT_TOL, integrate_segment
 
 FD_STEP = 1e-3  # difference step of F; second differences use 10 * FD_STEP
 
@@ -129,56 +134,18 @@ def closed_form_immersion(
 class DeformationCheck:
     """Pointwise residual fields for every claim about F, plus the sign.
 
-    All ``*_field`` members have one entry per sample point; ``sign`` is
-    the global orientation factor sign(det Q) relating the two Gauss maps
-    and shape operators.
+    ``fields`` maps the deformation suite's check names, ``dF`` through
+    ``kernel_angle`` in report order, to residual fields with one entry per
+    sample point; ``sign`` is the global orientation factor sign(det Q)
+    relating the two Gauss maps and shape operators.
     """
 
     sign: int
     pair_q_residual: float
-    dF_field: np.ndarray
-    metric_field: np.ndarray
-    shape_field: np.ndarray
-    selfadjoint_field: np.ndarray
-    codazzi_At_field: np.ndarray
-    gauss_field: np.ndarray
-    wedge_field: np.ndarray
-    kernel_angle_field: np.ndarray
+    fields: Dict[str, np.ndarray]
     frame: Frame
     frameF: Frame
     cf: CodazziFrame
-
-    @property
-    def dF_residual(self) -> float:
-        return float(self.dF_field.max())
-
-    @property
-    def metric_residual(self) -> float:
-        return float(self.metric_field.max())
-
-    @property
-    def shape_residual(self) -> float:
-        return float(self.shape_field.max())
-
-    @property
-    def selfadjoint_residual(self) -> float:
-        return float(self.selfadjoint_field.max())
-
-    @property
-    def codazzi_At_residual(self) -> float:
-        return float(self.codazzi_At_field.max())
-
-    @property
-    def gauss_residual(self) -> float:
-        return float(self.gauss_field.max())
-
-    @property
-    def wedge_residual(self) -> float:
-        return float(self.wedge_field.max())
-
-    @property
-    def kernel_angle(self) -> float:
-        return float(self.kernel_angle_field.max())
 
 
 def global_det_sign(Q: np.ndarray) -> int:
@@ -307,34 +274,30 @@ def deformation_check_from_jets(
     frameF = frame_from_jets(cjF)
 
     JQ = np.einsum("...pk,...kj->...pj", frame.J, cf.Q)
-    dF_field = np.abs(frameF.J - JQ).max(axis=(-1, -2))
-    gt = deformed_metric(frame, cf)
-    metric_field = np.abs(frameF.g - gt).max(axis=(-1, -2))
     Atilde = frameF.A
     QinvA = np.einsum("...km,...mj->...kj", cf.Q_inv, frame.A)
-    shape_field = np.abs(Atilde - sign * QinvA).max(axis=(-1, -2))
     # A~ must be self-adjoint for the induced metric and Codazzi for the
     # induced connection; both come straight out of the F frame
     gAt = np.einsum("...ik,...kj->...ij", frameF.g, Atilde)
-    selfadj_field = np.abs(gAt - np.swapaxes(gAt, -1, -2)).max(axis=(-1, -2))
-    if frameF.nablaA is not None:
-        codazzi_At_field = codazzi_A_residual_field(frameF)
-    else:
-        codazzi_At_field = np.zeros(shape_field.shape)
-    gauss_field = np.abs(frameF.N - sign * frame.N).max(axis=-1)
-    wedge_field = wedge_identity_field(frame, cf, Atilde)
-    kernel_field = kernel_angle_field(frame, Atilde)
+    shape = np.abs(Atilde - sign * QinvA).max(axis=(-1, -2))
+    fields = {
+        "dF": np.abs(frameF.J - JQ).max(axis=(-1, -2)),
+        "metric": np.abs(frameF.g - deformed_metric(frame, cf)).max(axis=(-1, -2)),
+        "shape": shape,
+        "selfadjoint_At": np.abs(gAt - np.swapaxes(gAt, -1, -2)).max(axis=(-1, -2)),
+        "codazzi_At": (
+            codazzi_A_residual_field(frameF)
+            if frameF.nablaA is not None
+            else np.zeros(shape.shape)
+        ),
+        "gauss_congruence": np.abs(frameF.N - sign * frame.N).max(axis=-1),
+        "wedge": wedge_identity_field(frame, cf, Atilde),
+        "kernel_angle": kernel_angle_field(frame, Atilde),
+    }
     return DeformationCheck(
         sign=sign,
         pair_q_residual=pair_q_residual,
-        dF_field=dF_field,
-        metric_field=metric_field,
-        shape_field=shape_field,
-        selfadjoint_field=selfadj_field,
-        codazzi_At_field=codazzi_At_field,
-        gauss_field=gauss_field,
-        wedge_field=wedge_field,
-        kernel_angle_field=kernel_field,
+        fields=fields,
         frame=frame,
         frameF=frameF,
         cf=cf,
@@ -486,7 +449,7 @@ def _circulation(covector, rects: Sequence[LoopRect], tol: float) -> np.ndarray:
 
 
 def omega_loop_integral(
-    chart: Chart, source: Source, rect, tol: float = 1e-10
+    chart: Chart, source: Source, rect, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Clockwise circulation of omega around ``rect``: shape (dim,) for one
     LoopRect, (R, dim) for a sequence of R, all in one quadrature call."""
@@ -524,20 +487,6 @@ def default_loop_rects(chart: Chart, margin: float = 0.02) -> List[LoopRect]:
     return rects
 
 
-def omega_loop_residual(
-    chart: Chart,
-    source: Source,
-    rects: Optional[Sequence[LoopRect]] = None,
-    tol: float = 1e-10,
-) -> Tuple[float, List[np.ndarray]]:
-    """Worst loop-integral magnitude over the rectangles, plus each loop."""
-    if rects is None:
-        rects = default_loop_rects(chart)
-    loops = list(omega_loop_integral(chart, source, rects, tol))
-    worst = max(float(np.abs(v).max()) for v in loops)
-    return worst, loops
-
-
 def path_integral_immersion(
     chart: Chart,
     source: Source,
@@ -545,7 +494,7 @@ def path_integral_immersion(
     targets: Sequence[float],
     F0: Optional[Sequence[float]] = None,
     axis_order: Optional[Sequence[int]] = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """F at each target by integrating omega along axis-ordered staircases.
 
@@ -574,7 +523,7 @@ def path_integral_on_grid(
     res,
     F0: Optional[Sequence[float]] = None,
     axis_order: Optional[Sequence[int]] = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """F on the whole sample grid by shared-prefix staircase integration.
 
@@ -591,17 +540,6 @@ def path_integral_on_grid(
         lambda p: _omega_values(chart, source, p), axes, start, order, tol
     )
     return mesh, F
-
-
-def path_dependence_residual(
-    chart: Chart, source: Source, res, tol: float = 1e-10
-) -> float:
-    """max |F_forward - F_reversed| over the grid; zero iff omega is exact."""
-    _, F1 = path_integral_on_grid(chart, source, res, tol=tol)
-    _, F2 = path_integral_on_grid(
-        chart, source, res, axis_order=list(reversed(range(chart.n))), tol=tol
-    )
-    return float(np.abs(F1 - F2).max())
 
 
 @dataclass
@@ -629,38 +567,28 @@ def fd_deformed_frame(
     tol: float = 1e-12,
     base: Optional[Sequence[float]] = None,
 ) -> FDFrame:
-    """Finite-difference frame of the staircase-integrated immersion.
+    """Finite-difference frames of the staircase-integrated immersion at
+    the probe points ``u``: one point (n,), or a batch (..., n) whose frame
+    members carry its batch axes in front.
 
-    The Richardson stencil around ``u`` is collected first and integrated
-    in one batched ``path_integral_immersion`` call, one quadrature call in
-    which every staircase leg is held to ``tol`` on its own.
+    The Richardson stencils of every probe are integrated in one
+    ``path_integral_immersion`` call, one quadrature call in which every
+    staircase leg is held to ``tol`` on its own.
     """
     if base is None:
         lo = np.asarray(chart.lo)
         base = lo + GRID_SHRINK * (np.asarray(chart.hi) - lo)
-
-    def key(x: np.ndarray) -> tuple:
-        return tuple(np.round(x, 12))
-
-    # first pass: record the deduplicated stencil; second: read F off it
-    stencil = {}
-
-    def record(x: np.ndarray) -> np.ndarray:
-        stencil.setdefault(key(x), x)
-        return np.zeros(chart.ambient_dim)
-
-    fd_stencil(chart, record, u, step, 10 * step)
-    Fv = path_integral_immersion(
-        chart, source, base, np.array(list(stencil.values())), tol=tol
+    f, J, d2 = fd_stencil(
+        chart,
+        lambda x: path_integral_immersion(chart, source, base, x, tol=tol),
+        u,
+        step,
+        10 * step,
     )
-    row = dict(zip(stencil, Fv))
-    f, J, d2 = fd_stencil(chart, lambda x: row[key(x)], u, step, 10 * step)
-
     N = unit_normal(J)
-    g = J.T @ J
-    b = np.einsum("p,pij->ij", N, d2)
-    A = solve(g, b)
-    return FDFrame(f=f, J=J, N=N, g=g, b=b, A=A)
+    g = np.swapaxes(J, -1, -2) @ J
+    b = np.einsum("...p,...pij->...ij", N, d2)
+    return FDFrame(f=f, J=J, N=N, g=g, b=b, A=solve(g, b))
 
 
 # ------------------------------------------------------------- extraction
@@ -689,7 +617,7 @@ def extract_gh(
     chart: Chart,
     F_fn: Callable[[ChartJets], np.ndarray],
     frame: Frame,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> GridPair:
     """Recover the scalar pair of an immersion with dF = df o Q.
 

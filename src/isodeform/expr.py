@@ -26,11 +26,7 @@ node, so a shared divisor is gated once.  ``eval_jets`` turns the row into
 Taylor jets: literals stay floats that scale or shift a jet's
 coefficients, and sin, cos, exp, log, sqrt of a bare coordinate, and its
 square, are written from their univariate Taylor coefficients without a
-jet product.  ``eval_value`` and ``eval_jet`` are rows of one.
-
-``num``, ``add`` and ``mul`` build ASTs in code, e.g. |f|^2 / 2 from the
-parsed chart components; ``num`` writes a negative value as ``Neg`` of a
-nonnegative ``Num``.
+jet product.  ``eval_jet`` is a row of one.
 """
 
 from __future__ import annotations
@@ -488,11 +484,6 @@ def eval_values(nodes, point, shared: dict | None = None) -> list:
     return [np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in out]
 
 
-def eval_value(node: ExprAst, point):
-    """One AST as a row of its own; see ``eval_values``."""
-    return eval_values((node,), point)[0]
-
-
 def intern(rows, n_vars: int):
     """Parse rows of sources (or take ASTs) into ASTs whose equal subtrees
     (spans aside) are one object, the first in evaluation order so errors
@@ -513,18 +504,3 @@ def intern(rows, n_vars: int):
         return e if isinstance(e, ExprAst) else parse(e, n_vars)
 
     return tuple(tuple(canon(ast(e)) for e in row) for row in rows), shared
-
-
-# AST builders (see the module docstring)
-
-
-def num(v: float) -> ExprAst:
-    return Neg(Num(-v)) if v < 0 else Num(float(v))
-
-
-def add(a: ExprAst, b: ExprAst) -> ExprAst:
-    return BinOp("+", a, b)
-
-
-def mul(a: ExprAst, b: ExprAst) -> ExprAst:
-    return BinOp("*", a, b)

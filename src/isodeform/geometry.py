@@ -559,37 +559,51 @@ def stencil_fits(chart: Chart, u, h2: float):
 
 
 def fd_stencil(chart: Chart, F, u, step: float, h2: float):
-    """Richardson central differences (F(u), dF (d, n), d2F (d, n, n)).
+    """Richardson central differences (F(u), dF, d2F) at the centres u
+    (..., n): shapes (..., d), (..., d, n) and (..., d, n, n).
 
-    F maps a point (n,) to a value (d,) and is called once per stencil
-    point.  First derivatives combine the steps ``step`` and ``step/2``,
-    second derivatives ``h2`` and ``h2/2``; u must sit at least 2*h2 inside
-    the chart box.
+    F maps points (m, n) to values (m, d) and is called once, on every
+    stencil point of every centre.  First derivatives combine the steps
+    ``step`` and ``step/2``, second derivatives ``h2`` and ``h2/2``; every
+    centre must sit at least 2*h2 inside the chart box.
     """
     u = np.asarray(u, dtype=float)
-    if not stencil_fits(chart, u, h2):
+    if not np.all(stencil_fits(chart, u, h2)):
         raise SceneError(f"point too close to the boundary for step {step}")
-    n = len(u)
-    f = F(u)
+    n = u.shape[-1]
+    # stencil point k of every centre is the centre moved by moves[k]
+    moves = {(): 0}
+    for i in range(n):
+        for h in (step, step / 2, h2, h2 / 2):
+            for s in (h, -h):
+                moves.setdefault(((i, s),), len(moves))
+        for j in range(i + 1, n):
+            for h in (h2, h2 / 2):
+                for s, t in ((h, h), (h, -h), (-h, h), (-h, -h)):
+                    moves.setdefault(((i, s), (j, t)), len(moves))
+    X = np.repeat(u[..., None, :], len(moves), axis=-2)
+    for move, k in moves.items():
+        for i, h in move:
+            X[..., k, i] += h
+    V = F(X.reshape(-1, n))
+    V = V.reshape(u.shape[:-1] + (len(moves), V.shape[-1]))
 
-    def at(*moves):
-        x = u.copy()
-        for i, h in moves:
-            x[i] += h
-        return F(x)
+    def at(*move):
+        return V[..., moves[move], :]
 
     def richardson(diff, h):
         return (4 * diff(h / 2) - diff(h)) / 3
 
+    f = at()
     J = np.empty(f.shape + (n,))
     d2 = np.empty(f.shape + (n, n))
     for i in range(n):
-        J[:, i] = richardson(lambda h: (at((i, h)) - at((i, -h))) / (2 * h), step)
-        d2[:, i, i] = richardson(
+        J[..., i] = richardson(lambda h: (at((i, h)) - at((i, -h))) / (2 * h), step)
+        d2[..., i, i] = richardson(
             lambda h: (at((i, h)) - 2 * f + at((i, -h))) / h**2, h2
         )
         for j in range(i + 1, n):
-            d2[:, i, j] = d2[:, j, i] = richardson(
+            d2[..., i, j] = d2[..., j, i] = richardson(
                 lambda h: (
                     at((i, h), (j, h)) - at((i, h), (j, -h))
                     - at((i, -h), (j, h)) + at((i, -h), (j, -h))
@@ -600,16 +614,18 @@ def fd_stencil(chart: Chart, F, u, step: float, h2: float):
 
 
 def fd_oracle(chart: Chart, u, step: float = 1e-5):
-    """Finite-difference values (f, J, d2f) at a single point.
+    """Finite-difference values (f, J, d2f) at the points u (..., n).
 
     ``fd_stencil`` over the value-only expression path (independent of the
-    jet machinery).  Second derivatives use 100*step to keep cancellation
-    noise well under the comparison tolerances, so the point must sit at
-    least 200*step inside the domain.
+    jet machinery), one ``eval_values`` call for the whole stencil.  Second
+    derivatives use 100*step to keep cancellation noise well under the
+    comparison tolerances, so every point must sit at least 200*step inside
+    the domain.
     """
 
     def fval(x):
-        return np.array(exprmod.eval_values(chart.components, x, chart.shared))
+        vals = exprmod.eval_values(chart.components, x, chart.shared)
+        return np.stack([np.broadcast_to(v, len(x)) for v in vals], axis=-1)
 
     return fd_stencil(chart, fval, u, step, 100 * step)
 

@@ -25,11 +25,14 @@ All pointwise work is one pass over the sample in CHUNK slices.  Each
 slice builds its chart jets and frame once, and the jets and frame of Q
 once when codazzi or deformation runs (with the jets of a scalar pair that
 defines Q, and its gradient-constraint field); the geometry, codazzi and
-deformation suites read those and put their fields into one name -> field
-table, from which the checks are made.  The jet order K is 4 when codazzi
-or deformation runs, else the scene order when geometry runs, else 2;
-geometry fields do not depend on it, and geometry skips its curvature
-checks when the scene order is below 3.  J is built at K-1; the normal,
+deformation suites read those and put their fields into one table:
+suite -> check name -> field, a suite's entries being its checks in
+report order (the deformation suite's are the ``fields`` of
+``DeformationCheck``), and ``sample`` holding the rank of A and one Q for
+the sign gate.  The jet order K is 4 when codazzi or deformation runs,
+else the scene order when geometry runs, else 2; geometry fields do not
+depend on it, and geometry skips its curvature checks when the scene
+order is below 3.  J is built at K-1; the normal,
 g and g^{-1} at K-2 (the normal and g at least 1), and the Christoffel
 symbols one order below g, since they read g one order higher.  The
 frame's R, read only by the curvature checks of geometry and codazzi,
@@ -41,9 +44,12 @@ Each slice certifies the rank hypothesis from its frame, before building
 Q: when deformation or roundtrip runs, a rank of A below 3 (below n for
 n < 3 charts, which get a warning instead) is refused with a
 HypothesisError, since the rigidity claims assume rank A >= 3.  Grid path
-integrals, FD probes and the roundtrip suite run after the pass; on a
-grid, a pair scene's ``path_vs_closed`` and roundtrip read one order-2
-frame of the grid (``grid_frame``), built once per run.
+integrals, FD probes and the roundtrip suite run after the pass.  Both
+deformation suites check F's path integrals alike: the loops, then one
+forward and one reversed grid sweep for ``path_order_swap`` and, for a
+pair scene, ``path_vs_closed``.  All FD probes of F are one quadrature
+call.  On a grid, a pair scene's ``path_vs_closed`` and roundtrip read one
+order-2 frame of the grid (``grid_frame``), built once per run.
 Reductions happen in index order so identical scenes produce identical
 reports.
 """
@@ -79,7 +85,6 @@ from .deformation import (
     GridPair,
     omega_loop_integral,
     pair_on_grid,
-    path_dependence_residual,
     path_integral_on_grid,
 )
 from .errors import HypothesisError, SceneError
@@ -171,26 +176,21 @@ _GEOMETRY = {
     "bianchi1": geo.bianchi_first_residual_field,
 }
 _CURVATURE = ("gauss", "codazzi_A", "bianchi1")
-# check name -> DeformationCheck field
-_DEFORMATION = {
-    "dF": "dF_field",
-    "metric": "metric_field",
-    "shape": "shape_field",
-    "selfadjoint_At": "selfadjoint_field",
-    "codazzi_At": "codazzi_At_field",
-    "gauss_congruence": "gauss_field",
-    "wedge": "wedge_field",
-    "kernel_angle": "kernel_angle_field",
-}
+
+Fields = Dict[str, Dict[str, np.ndarray]]
 
 
-def _sample_pass(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
-    """One pass over the sample: check name -> field over ``pts``."""
-    table: Dict[str, List[np.ndarray]] = {}
+def _sample_pass(scene: Scene, pts: np.ndarray) -> Fields:
+    """One pass over the sample: suite -> check name -> field over ``pts``."""
+    table: Dict[str, Dict[str, List[np.ndarray]]] = {}
     for lo, hi in _chunks(len(pts)):
-        for name, field in _chunk_fields(scene, pts[lo:hi]).items():
-            table.setdefault(name, []).append(field)
-    return {name: np.concatenate(parts) for name, parts in table.items()}
+        for suite, named in _chunk_fields(scene, pts[lo:hi]).items():
+            for name, field in named.items():
+                table.setdefault(suite, {}).setdefault(name, []).append(field)
+    return {
+        suite: {name: np.concatenate(parts) for name, parts in named.items()}
+        for suite, named in table.items()
+    }
 
 
 def _rank_range(fr, n: int, suites) -> np.ndarray:
@@ -205,50 +205,56 @@ def _rank_range(fr, n: int, suites) -> np.ndarray:
     return ranks
 
 
-def _chunk_fields(scene: Scene, pts: np.ndarray) -> Dict[str, np.ndarray]:
+def _chunk_fields(scene: Scene, pts: np.ndarray) -> Fields:
     """Every pointwise field at one chunk, from one build of its jets.
 
-    See the module docstring for the jet order.  The rank of A is gated
-    right after the frame, before Q.  ``sign_Q`` holds one Q: the chunk's
-    sign(det Q) gate has made its sign uniform.  The jets die on return,
-    before the next chunk builds its own, which keeps the peak memory at
-    one chunk's jets.
+    A suite's fields are its checks in report order; ``sample`` holds the
+    rank of A and, in ``sign_Q``, one Q: the chunk's sign(det Q) gate has
+    made its sign uniform.  See the module docstring for the jet order.
+    The rank of A is gated right after the frame, before Q.  The jets die
+    on return, before the next chunk builds its own, which keeps the peak
+    memory at one chunk's jets.
     """
     chart, spec, suites = scene.chart, scene.spec, scene.suites
     needs_q = "codazzi" in suites or "deformation" in suites
     order = 4 if needs_q else (scene.order if "geometry" in suites else 2)
     cj = chart_jets(chart, pts, order)
     fr = frame_from_jets(cj)
-    fields: Dict[str, np.ndarray] = {"rank_A": _rank_range(fr, chart.n, suites)}
+    sample = {"rank_A": _rank_range(fr, chart.n, suites)}
+    fields: Fields = {"sample": sample}
     if "geometry" in suites:
-        for name, residual in _GEOMETRY.items():
-            if scene.order >= 3 or name not in _CURVATURE:
-                fields[name] = residual(fr)
+        fields["geometry"] = {
+            name: residual(fr)
+            for name, residual in _GEOMETRY.items()
+            if scene.order >= 3 or name not in _CURVATURE
+        }
     if not needs_q:
         return fields
     qj, pair, gh_field = q_jets(cj, spec)
     cf = codazzi_frame_from_jets(qj, fr)
     if "codazzi" in suites:
-        fields["commutator"] = commutator_residual_field(fr, cf)
-        fields["codazzi_Q"] = codazzi_Q_residual_field(fr, cf)
+        named = fields["codazzi"] = {
+            "commutator": commutator_residual_field(fr, cf),
+            "codazzi_Q": codazzi_Q_residual_field(fr, cf),
+        }
         if gh_field is not None:
-            fields["gh_constraint"] = gh_field
+            named["gh_constraint"] = gh_field
         Gt = deformed_christoffel_jets(cj, qj)
-        fields["deformed_connection"] = deformed_connection_residual_field(
+        named["deformed_connection"] = deformed_connection_residual_field(
             cj, fr, cf, Gt
         )
-        fields["deformed_curvature"] = deformed_curvature_residual_field(
+        named["deformed_curvature"] = deformed_curvature_residual_field(
             cj, fr, cf, Gt
         )
     if "deformation" in suites:
         sign = global_det_sign(cf.Q)
-        fields["sign_Q"] = cf.Q.reshape(-1, chart.n, chart.n)[:1]
+        sample["sign_Q"] = cf.Q.reshape(-1, chart.n, chart.n)[:1]
         if spec.pair() is not None:
             chk = deformation_check_from_jets(cj, fr, cf, sign, spec, pair)
+            named = fields["deformation"] = {}
             if pair is None:  # a direct Q, compared with its pair's
-                fields["pair_q"] = np.array([chk.pair_q_residual])
-            for name, attr in _DEFORMATION.items():
-                fields[name] = getattr(chk, attr)
+                named["pair_q"] = np.array([chk.pair_q_residual])
+            named.update(chk.fields)
     return fields
 
 
@@ -265,13 +271,9 @@ def _geometry_suite(fields, pts, order, tol) -> List[CheckResult]:
 
 
 def _codazzi_suite(fields, pts, tol) -> List[CheckResult]:
-    names = ["commutator", "codazzi_Q"]
-    if "gh_constraint" in fields:
-        names.append("gh_constraint")
-    names += ["deformed_connection", "deformed_curvature"]
     return [
-        check_from_field("codazzi", name, fields[name], pts, tol[name])
-        for name in names
+        check_from_field("codazzi", name, field, pts, tol[name])
+        for name, field in fields.items()
     ]
 
 
@@ -316,51 +318,59 @@ def _path_vs_closed_check(chart, spec, grid_fr, Fp, tol) -> CheckResult:
     )
 
 
-def _deformation_pair_suite(
-    chart, spec, fields, pts, grid, tol, grid_fr
-) -> List[CheckResult]:
-    checks = []
-    if "pair_q" in fields:
-        checks.append(
-            _scalar_check(
-                "deformation",
-                "pair_q",
-                float(fields["pair_q"].max()),
-                tol["pair_q"],
-                note="direct Q route vs scalar-pair Q route",
-            )
-        )
-    for name in _DEFORMATION:
-        checks.append(
-            check_from_field("deformation", name, fields[name], pts, tol[name])
-        )
-    if grid_fr is not None:
-        checks.append(_loop_check(chart, spec, tol))
-        # one forward and one reversed sweep feed both path checks
-        _, F_fwd = path_integral_on_grid(chart, spec, grid)
-        _, F_rev = path_integral_on_grid(
-            chart, spec, grid, axis_order=list(reversed(range(chart.n)))
-        )
+def _path_checks(chart, spec, grid, tol, grid_fr) -> List[CheckResult]:
+    """The checks of F by quadrature: ``loop``, ``path_vs_closed`` for a
+    pair source (F_path against the closed form on ``grid_fr``) and
+    ``path_order_swap``, from one forward and one reversed sweep of the
+    grid; all skipped in single-point mode, where ``grid`` is None."""
+    pair = spec.pair() is not None
+    if grid is None:
+        names = ("loop", "path_vs_closed") if pair else ("loop",)
+        return [
+            check_skipped("deformation", name, tol[name], _NO_GRID_NOTE)
+            for name in names + ("path_order_swap",)
+        ]
+    checks = [_loop_check(chart, spec, tol)]
+    _, F_fwd = path_integral_on_grid(chart, spec, grid)
+    _, F_rev = path_integral_on_grid(
+        chart, spec, grid, axis_order=list(reversed(range(chart.n)))
+    )
+    if pair:
         checks.append(_path_vs_closed_check(chart, spec, grid_fr, F_fwd, tol))
-        swap = float(np.abs(F_fwd - F_rev).max())
-        checks.append(
-            _scalar_check(
-                "deformation", "path_order_swap", swap, tol["path_order_swap"]
-            )
-        )
-    else:
-        for name in ("loop", "path_vs_closed", "path_order_swap"):
-            checks.append(
-                check_skipped("deformation", name, tol[name], _NO_GRID_NOTE)
-            )
+    swap = float(np.abs(F_fwd - F_rev).max())
+    checks.append(
+        _scalar_check("deformation", "path_order_swap", swap, tol["path_order_swap"])
+    )
     return checks
 
 
-def _fd_probe_points(chart, grid, pts, grid_mode) -> np.ndarray:
+def _deformation_pair_suite(
+    chart, spec, fields, pts, grid, tol, grid_fr
+) -> List[CheckResult]:
+    fields = dict(fields)
+    pair_q = fields.pop("pair_q", None)
+    checks = [] if pair_q is None else [
+        _scalar_check(
+            "deformation",
+            "pair_q",
+            float(pair_q.max()),
+            tol["pair_q"],
+            note="direct Q route vs scalar-pair Q route",
+        )
+    ]
+    checks += [
+        check_from_field("deformation", name, field, pts, tol[name])
+        for name, field in fields.items()
+    ]
+    return checks + _path_checks(chart, spec, grid, tol, grid_fr)
+
+
+def _fd_probe_points(chart, grid, pts) -> np.ndarray:
     """The points at which F's FD frame is probed: the centre of the grid
-    and two off-centre nodes, or the sample point; less those too close to
-    the boundary for the stencil of ``fd_deformed_frame``."""
-    if grid_mode:
+    and two off-centre nodes, or the sample point when ``grid`` is None;
+    less those too close to the boundary for the stencil of
+    ``fd_deformed_frame``."""
+    if grid is not None:
         axes = geo.grid_axes(chart, grid)
         shape = tuple(len(ax) for ax in axes)
         center = tuple(s // 2 for s in shape)
@@ -377,56 +387,38 @@ def _fd_probe_points(chart, grid, pts, grid_mode) -> np.ndarray:
     return pts[geo.stencil_fits(chart, pts, 10 * FD_STEP)]
 
 
-def _deformation_explicit_suite(
-    chart, spec, pts, grid, tol, grid_mode, sign
-) -> List[CheckResult]:
-    checks: List[CheckResult] = []
-    if grid_mode:
-        checks.append(_loop_check(chart, spec, tol))
-        swap = path_dependence_residual(chart, spec, grid)
-        checks.append(
-            _scalar_check(
-                "deformation", "path_order_swap", swap, tol["path_order_swap"]
-            )
-        )
-    else:
-        for name in ("loop", "path_order_swap"):
-            checks.append(
-                check_skipped("deformation", name, tol[name], _NO_GRID_NOTE)
-            )
-
+def _deformation_explicit_suite(chart, spec, pts, grid, tol, sign) -> List[CheckResult]:
+    checks = _path_checks(chart, spec, grid, tol, None)
     # F exists only through quadrature here: cross-check its FD frame
     # against the operator route at a few interior probe points
     names = ("fd_jacobian", "fd_metric", "fd_gauss", "fd_shape")
-    probes = _fd_probe_points(chart, grid, pts, grid_mode)
+    probes = _fd_probe_points(chart, grid, pts)
     if not len(probes):
         note = f"no interior probe point: point too close to the boundary for step {FD_STEP}"
         return checks + [check_skipped("deformation", k, tol[k], note) for k in names]
     cj = chart_jets(chart, probes, 3)
     fr = frame_from_jets(cj)
     cf = codazzi_frame_from_jets(q_jets(cj, spec)[0], fr)
-    gt = deformed_metric(fr, cf)
+    fd = fd_deformed_frame(chart, spec, probes)
     JQ = np.einsum("...pk,...kj->...pj", fr.J, cf.Q)
     QinvA = np.einsum("...km,...mj->...kj", cf.Q_inv, fr.A)
-    rows = {name: [] for name in names}
-    for k, u in enumerate(probes):
-        fd = fd_deformed_frame(chart, spec, u)
-        rows["fd_jacobian"].append(np.abs(fd.J - JQ[k]).max())
-        rows["fd_metric"].append(np.abs(fd.g - gt[k]).max())
-        rows["fd_gauss"].append(np.abs(fd.N - sign * fr.N[k]).max())
-        rows["fd_shape"].append(np.abs(fd.A - sign * QinvA[k]).max())
-    for name in names:
-        checks.append(
-            check_from_field(
-                "deformation",
-                name,
-                np.array(rows[name]),
-                probes,
-                tol[name],
-                note="finite differences of the path-integrated immersion",
-            )
+    rows = (
+        np.abs(fd.J - JQ).max(axis=(-1, -2)),
+        np.abs(fd.g - deformed_metric(fr, cf)).max(axis=(-1, -2)),
+        np.abs(fd.N - sign * fr.N).max(axis=-1),
+        np.abs(fd.A - sign * QinvA).max(axis=(-1, -2)),
+    )
+    return checks + [
+        check_from_field(
+            "deformation",
+            name,
+            row,
+            probes,
+            tol[name],
+            note="finite differences of the path-integrated immersion",
         )
-    return checks
+        for name, row in zip(names, rows)
+    ]
 
 
 # ------------------------------------------------------------ roundtrip
@@ -530,13 +522,11 @@ def run_suites(
         if not chart.contains(pt):
             raise SceneError(f"point {pt.tolist()} outside the chart domain")
         pts = pt[None, :]
-        grid = (1,) * chart.n
-        grid_mode = False
+        grid = None
         warnings.append("single-point rerun; grid-based checks skipped")
     else:
         pts = grid_points(chart, scene.grid)
         grid = scene.grid
-        grid_mode = True
 
     fields = _sample_pass(scene, pts)
     if chart.n < 3 and {"deformation", "roundtrip"} & set(scene.suites):
@@ -547,24 +537,24 @@ def run_suites(
     # the grid's order-2 frame, built once for path_vs_closed and the roundtrip
     grid_fr = None
     pair_suites = {"deformation", "roundtrip"} & set(scene.suites)
-    if grid_mode and pair_suites and spec.pair() is not None:
+    if grid is not None and pair_suites and spec.pair() is not None:
         grid_fr = grid_frame(chart, grid)
     sign: Optional[int] = None
     checks: List[CheckResult] = []
     for suite in scene.suites:
         if suite == "geometry":
-            checks += _geometry_suite(fields, pts, scene.order, tol)
+            checks += _geometry_suite(fields[suite], pts, scene.order, tol)
         elif suite == "codazzi":
-            checks += _codazzi_suite(fields, pts, tol)
+            checks += _codazzi_suite(fields[suite], pts, tol)
         elif suite == "deformation":
-            sign = global_det_sign(fields["sign_Q"])
+            sign = global_det_sign(fields["sample"]["sign_Q"])
             if spec.pair() is None:
                 checks += _deformation_explicit_suite(
-                    chart, spec, pts, grid, tol, grid_mode, sign
+                    chart, spec, pts, grid, tol, sign
                 )
             else:
                 checks += _deformation_pair_suite(
-                    chart, spec, fields, pts, grid, tol, grid_fr
+                    chart, spec, fields[suite], pts, grid, tol, grid_fr
                 )
         elif suite == "roundtrip":
             checks += _roundtrip_suite(chart, spec, grid_fr, tol)
@@ -573,11 +563,11 @@ def run_suites(
         chart_label=chart.label,
         n=chart.n,
         ambient_dim=chart.ambient_dim,
-        grid=tuple(grid),
+        grid=tuple(grid or (1,) * chart.n),
         order=scene.order,
         suites=scene.suites,
-        rank_min=int(fields["rank_A"].min()),
-        rank_max=int(fields["rank_A"].max()),
+        rank_min=int(fields["sample"]["rank_A"].min()),
+        rank_max=int(fields["sample"]["rank_A"].max()),
         sign=sign,
         warnings=tuple(warnings),
         checks=checks,

@@ -6,6 +6,8 @@ subcommand runs), prints its pass/fail line, and asserts the verdict.
 The criterion functions pin every chart, operator, grid, and tolerance.
 """
 
+import dataclasses
+
 from isodeform import selftest
 
 
@@ -65,3 +67,17 @@ def test_selftest_runner_reports_all_pass(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == len(selftest.CRITERIA)
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+def test_suite_criterion_fails_with_its_checks(monkeypatch):
+    # a criterion read off the suites fails as soon as one named check does
+    scene = selftest._SCENES["roundtrip"]()
+    strict = dataclasses.replace(scene, tol={"gauge_recovery": 1e-30})
+    monkeypatch.setitem(selftest._SCENES, "roundtrip", lambda: strict)
+    selftest._report.cache_clear()
+    try:
+        ok, detail = dict(selftest.CRITERIA)["roundtrip-gauge"]()
+    finally:
+        selftest._report.cache_clear()
+    assert not ok
+    assert "gauge_recovery" in detail and "(tol 1e-30)" in detail

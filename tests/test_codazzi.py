@@ -230,7 +230,7 @@ def test_explicit_shared_subtree_error_keeps_its_offset():
     assert spec.asts(2)[0].right.right is spec.asts(2)[3]
     u = np.array([[0.3, 0.4], [0.5, 0.6]])
     with pytest.raises(exprmod.ExprError, match="log of non-positive value") as alone:
-        exprmod.eval_value(exprmod.parse(spec.entries[0][0], 2), u)
+        exprmod.eval_values((exprmod.parse(spec.entries[0][0], 2),), u)[0]
     cj = chart_jets(catalog.plane2(), u, 2)
     with pytest.raises(exprmod.ExprError, match="log of non-positive value") as shared:
         spec.q_values(cj, np.tile(np.eye(3, 2), (2, 1, 1)))

@@ -23,9 +23,7 @@ from isodeform.deformation import (
     grid_frame,
     kernel_angle_field,
     omega_loop_integral,
-    omega_loop_residual,
     pair_on_grid,
-    path_dependence_residual,
     path_integral_immersion,
     path_integral_on_grid,
     verify_deformation,
@@ -52,16 +50,11 @@ def test_parallel_sphere_closed_form():
     assert chk.pair_q_residual < 1e-12
     assert np.abs(chk.frameF.f - 1.5 * chk.frame.f).max() < 1e-12
     assert np.abs(chk.frameF.A + np.eye(3) / 3).max() < 1e-12
-    for field in (
-        chk.dF_field,
-        chk.metric_field,
-        chk.shape_field,
-        chk.selfadjoint_field,
-        chk.codazzi_At_field,
-        chk.gauss_field,
-        chk.wedge_field,
-        chk.kernel_angle_field,
-    ):
+    assert list(chk.fields) == [
+        "dF", "metric", "shape", "selfadjoint_At", "codazzi_At",
+        "gauss_congruence", "wedge", "kernel_angle",
+    ]
+    for field in chk.fields.values():
         assert field.max() < 1e-12
 
 
@@ -73,11 +66,11 @@ def test_gauss_translation_is_unit_sphere():
     assert chk.sign == 1
     assert np.abs(chk.frameF.f - (a + chk.frame.N)).max() < 1e-12
     assert np.abs(chk.frameF.A + np.eye(3)).max() < 1e-11
-    assert chk.dF_residual < 1e-11
-    assert chk.metric_residual < 1e-11
-    assert chk.shape_residual < 1e-11
-    assert chk.gauss_residual < 1e-12
-    assert chk.wedge_residual < 1e-11
+    assert chk.fields["dF"].max() < 1e-11
+    assert chk.fields["metric"].max() < 1e-11
+    assert chk.fields["shape"].max() < 1e-11
+    assert chk.fields["gauss_congruence"].max() < 1e-12
+    assert chk.fields["wedge"].max() < 1e-11
 
 
 @pytest.mark.parametrize(
@@ -92,14 +85,14 @@ def test_gauss_translation_is_unit_sphere():
 def test_deformation_claims_on_grid(chart, source):
     chk = verify_deformation(chart, grid_points(chart, 3), source)
     assert chk.pair_q_residual < 1e-11
-    assert chk.dF_residual < 1e-11
-    assert chk.metric_residual < 1e-11
-    assert chk.shape_residual < 1e-9
-    assert chk.selfadjoint_residual < 1e-11
-    assert chk.codazzi_At_residual < 1e-9
-    assert chk.gauss_residual < 1e-11
-    assert chk.wedge_residual < 1e-10
-    assert chk.kernel_angle < 1e-8
+    assert chk.fields["dF"].max() < 1e-11
+    assert chk.fields["metric"].max() < 1e-11
+    assert chk.fields["shape"].max() < 1e-9
+    assert chk.fields["selfadjoint_At"].max() < 1e-11
+    assert chk.fields["codazzi_At"].max() < 1e-9
+    assert chk.fields["gauss_congruence"].max() < 1e-11
+    assert chk.fields["wedge"].max() < 1e-10
+    assert chk.fields["kernel_angle"].max() < 1e-8
 
 
 def test_negative_sign_branch():
@@ -109,18 +102,18 @@ def test_negative_sign_branch():
     chk = verify_deformation(ch, grid_points(ch, 3), gh_gauss_translation())
     assert chk.sign == -1
     assert np.abs(chk.frameF.f - chk.frame.N).max() < 1e-12
-    assert chk.dF_residual < 1e-12
-    assert chk.shape_residual < 1e-10
-    assert chk.gauss_residual < 1e-12
-    assert chk.wedge_residual < 1e-11
+    assert chk.fields["dF"].max() < 1e-12
+    assert chk.fields["shape"].max() < 1e-10
+    assert chk.fields["gauss_congruence"].max() < 1e-12
+    assert chk.fields["wedge"].max() < 1e-11
 
 
 def test_cylinder_kernel_preserved():
     ch = catalog.sphcyl4()
     chk = verify_deformation(ch, grid_points(ch, 3), Parallel(0.3))
-    assert chk.kernel_angle < 1e-8
-    assert chk.wedge_residual < 1e-10
-    assert chk.shape_residual < 1e-10
+    assert chk.fields["kernel_angle"].max() < 1e-8
+    assert chk.fields["wedge"].max() < 1e-10
+    assert chk.fields["shape"].max() < 1e-10
 
 
 def test_kernel_mismatch_raises():
@@ -155,7 +148,8 @@ def test_plane_loop_control_exact():
     rect = LoopRect(0, 1, 0.0, 1.0, 0.0, 1.0, base=(0.0, 0.0))
     loop = omega_loop_integral(pl, spec, rect)
     assert np.allclose(loop, [0.0, -1.0, 0.0], atol=1e-12)
-    assert path_dependence_residual(pl, spec, 3) > 1.0
+    swap = suites._path_checks(pl, spec, 3, suites.DEFAULT_TOL, None)[-1]
+    assert swap.name == "path_order_swap" and swap.max_residual > 1.0
 
 
 @pytest.mark.parametrize("axis_order", [[0, 1], [1, 0]])
@@ -180,15 +174,19 @@ def test_grid_sweep_matches_point_staircase_where_path_matters(axis_order):
 
 
 def test_loops_vanish_for_integrable_sources():
-    worst, loops = omega_loop_residual(catalog.sphere3(2.0), Parallel(1.0))
-    assert worst < 1e-9
+    ch = catalog.sphere3(2.0)
+    loops = omega_loop_integral(ch, Parallel(1.0), default_loop_rects(ch))
+    assert np.abs(loops).max() < 1e-9
     # one spanning and one off-center rectangle per adjacent axis pair
     assert len(loops) == 2 * 2
-    worst, _ = omega_loop_residual(catalog.graph3(), Parallel(0.05))
-    assert worst < 1e-9
-    assert (
-        path_dependence_residual(catalog.torus2(), Parallel(0.1), 4) < 1e-9
-    )
+    ch = catalog.graph3()
+    loops = omega_loop_integral(ch, Parallel(0.05), default_loop_rects(ch))
+    assert np.abs(loops).max() < 1e-9
+    ch = catalog.torus2()
+    swap = suites._path_checks(
+        ch, Parallel(0.1), 4, suites.DEFAULT_TOL, grid_frame(ch, 4)
+    )[-1]
+    assert swap.name == "path_order_swap" and swap.max_residual < 1e-9
 
 
 def test_path_integral_matches_closed_form():
@@ -300,6 +298,27 @@ def test_fd_frame_matches_closed_form_route():
     assert np.abs(fd.N - chk.frameF.N[0]).max() < 1e-8
     assert np.abs(fd.g - chk.frameF.g[0]).max() < 1e-8
     assert np.abs(fd.A - chk.frameF.A[0]).max() < 1e-5
+
+
+def test_fd_frame_of_probe_batch_is_bit_equal_to_one_probe_at_a_time(monkeypatch):
+    ch = catalog.graph3()
+    source = _graph_explicit(0.05)
+    probes = np.array([[0.1, 0.0, -0.1], [-0.2, 0.15, 0.05], [0.0, 0.0, 0.0]])
+    calls = []
+    integrate = dfm.path_integral_immersion
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(dfm, "path_integral_immersion", counting)
+    batch = fd_deformed_frame(ch, source, probes)
+    assert len(calls) == 1
+    assert batch.A.shape == (3, 3, 3) and batch.N.shape == (3, 4)
+    for k, u in enumerate(probes):
+        one = fd_deformed_frame(ch, source, u)
+        for name in ("f", "J", "N", "g", "b", "A"):
+            np.testing.assert_array_equal(getattr(batch, name)[k], getattr(one, name))
 
 
 def test_explicit_source_has_no_closed_form():
@@ -538,7 +557,7 @@ def test_explicit_values_share_subtrees_bit_identically(monkeypatch):
     Q = source.q_values(cj, J)
     for i, row in enumerate(source.entries):
         for j, text in enumerate(row):
-            alone = exprmod.eval_value(exprmod.parse(text, 3), pts)
+            alone = exprmod.eval_values((exprmod.parse(text, 3),), pts)[0]
             assert np.array_equal(Q[..., i, j], alone)
     # the use counts are exact: each shared value is dropped after its last use
     memos = []

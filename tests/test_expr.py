@@ -17,7 +17,6 @@ from isodeform.expr import (
     Var,
     eval_jet,
     eval_jets,
-    eval_value,
     eval_values,
     intern,
     parse,
@@ -52,18 +51,18 @@ def test_unary_minus_binds_tighter_than_pow():
     # the documented quirk: -u1^2 == (-u1)^2
     ast = parse("-u1^2", 1)
     assert ast == BinOp("^", Neg(Var(0)), Num(2.0))
-    assert eval_value(ast, [3.0]) == pytest.approx(9.0)
+    assert eval_values((ast,), [3.0])[0] == pytest.approx(9.0)
 
 
 def test_pow_with_negated_exponent():
     ast = parse("2^-3", 1)
     assert ast == BinOp("^", Num(2.0), Neg(Num(3.0)))
-    assert eval_value(ast, [0.0]) == pytest.approx(0.125)
+    assert eval_values((ast,), [0.0])[0] == pytest.approx(0.125)
 
 
 def test_left_assoc_sub_div():
-    assert eval_value(parse("8 - 3 - 2", 1), [0.0]) == pytest.approx(3.0)
-    assert eval_value(parse("8/2/2", 1), [0.0]) == pytest.approx(2.0)
+    assert eval_values((parse("8 - 3 - 2", 1),), [0.0])[0] == pytest.approx(3.0)
+    assert eval_values((parse("8/2/2", 1),), [0.0])[0] == pytest.approx(2.0)
 
 
 def test_number_formats():
@@ -123,17 +122,17 @@ def test_roundtrip_fixpoint_random():
 
 def test_eval_value_matches_python():
     ast = parse("sin(u1)^2 + cos(u1)^2", 1)
-    assert eval_value(ast, [0.73]) == pytest.approx(1.0, abs=1e-15)
+    assert eval_values((ast,), [0.73])[0] == pytest.approx(1.0, abs=1e-15)
     ast = parse("exp(log(u1))", 1)
-    assert eval_value(ast, [2.7]) == pytest.approx(2.7, rel=1e-15)
+    assert eval_values((ast,), [2.7])[0] == pytest.approx(2.7, rel=1e-15)
     ast = parse("pi*u1", 1)
-    assert eval_value(ast, [2.0]) == pytest.approx(2 * math.pi)
+    assert eval_values((ast,), [2.0])[0] == pytest.approx(2 * math.pi)
 
 
 def test_eval_value_batched():
     ast = parse("u1^2 + u2", 2)
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = eval_value(ast, pts)
+    out = eval_values((ast,), pts)[0]
     assert np.allclose(out, [3.0, 13.0])
 
 
@@ -143,11 +142,11 @@ def test_eval_jet_matches_eval_value_and_fd():
         ast = random_ast(rng, 2, int(rng.integers(1, 5)))
         pt = rng.uniform(0.3, 1.2, 2)
         j = eval_jet(ast, pt, 3)
-        v = eval_value(ast, pt)
+        v = eval_values((ast,), pt)[0]
         assert np.asarray(j.value) == pytest.approx(v, rel=1e-12, abs=1e-12)
         scale = max(1.0, abs(v))
         for i in range(2):
-            fd = fd_grad(lambda x: eval_value(ast, x), pt, i)
+            fd = fd_grad(lambda x: eval_values((ast,), x)[0], pt, i)
             assert abs(j.d1[i] - fd) < 1e-6 * max(scale, abs(fd))
 
 
@@ -155,7 +154,7 @@ def test_eval_jet_second_derivatives_vs_fd():
     ast = parse("sin(u1*u2) / (u1^2 + 1)", 2)
     pt = np.array([0.8, 1.1])
     j = eval_jet(ast, pt, 3)
-    f = lambda x: eval_value(ast, x)
+    f = lambda x: eval_values((ast,), x)[0]
     for i in range(2):
         for k in range(2):
             assert j.d2()[i, k] == pytest.approx(fd_hess(f, pt, i, k), abs=2e-7)
@@ -188,7 +187,7 @@ def test_eval_errors_carry_spans():
     with pytest.raises(ExprError, match="log of a jet with value -3.0"):
         eval_jet(ast, [-3.0], 2)
     with pytest.raises(ExprError, match="log of non-positive value -3.0"):
-        eval_value(ast, [-3.0])
+        eval_values((ast,), [-3.0])[0]
     ast = parse("u1^0.5", 1)
     with pytest.raises(ExprError, match="power of a jet with value -1.0"):
         eval_jet(ast, [-1.0], 2)
@@ -210,7 +209,7 @@ def test_value_domain_errors_name_the_worst_value(src, at, value):
     ast = parse(src, 1)
     pts = np.array(at)[:, None]
     with pytest.raises(ExprError, match=r"(of non-positive|division by) value") as ev:
-        eval_value(ast, pts)
+        eval_values((ast,), pts)[0]
     with pytest.raises(ExprError, match=r"(of|division by) a jet with value"):
         eval_jet(ast, pts, 2)
     assert f" {value} " in str(ev.value)
@@ -220,7 +219,6 @@ def test_value_domain_errors_name_the_worst_value(src, at, value):
 def test_num_literal_nonnegative_invariant():
     with pytest.raises(ValueError):
         Num(-1.0)
-    assert expr.num(-2.0) == Neg(Num(2.0))
 
 
 def test_eval_jet_batched_matches_pointwise():
@@ -352,7 +350,7 @@ def test_shared_divisor_error_names_the_first_division(first):
     assert shared
     pts = np.array([[0.3, 0.1], [0.5, 0.2], [0.7, 0.3]])
     with pytest.raises(ExprError, match="division by value 0.0") as alone:
-        eval_value(parse(texts[0], 2), pts)
+        eval_values((parse(texts[0], 2),), pts)[0]
     with pytest.raises(ExprError, match="division by value 0.0") as err:
         eval_values(row, pts, shared)
     assert err.value.span == alone.value.span

@@ -9,6 +9,7 @@ from isodeform.geometry import (
     chart_jets,
     decompose_ambient,
     fd_oracle,
+    fd_stencil,
     frame_at,
     grid_axes,
     grid_points,
@@ -214,9 +215,9 @@ def test_position_hessian_identity(chart, u):
     # Hess(|f|^2 / 2) = Id + <f, N> A for any immersed hypersurface
     s_sum = None
     for c in chart.components:
-        term = exprmod.mul(c, c)
-        s_sum = term if s_sum is None else exprmod.add(s_sum, term)
-    s_ast = exprmod.mul(exprmod.num(0.5), s_sum)
+        term = exprmod.BinOp("*", c, c)
+        s_sum = term if s_sum is None else exprmod.BinOp("+", s_sum, term)
+    s_ast = exprmod.BinOp("*", exprmod.Num(0.5), s_sum)
     grad, hess = _scalar_grad_hess(chart, u, s_ast)
     fr = frame_at(chart, np.asarray(u, dtype=float))
     Zf, hf = decompose_ambient(fr, fr.f)
@@ -411,3 +412,30 @@ def test_order_four_consistent_with_three():
 def test_fd_oracle_boundary_guard():
     with pytest.raises(SceneError, match="boundary"):
         fd_oracle(catalog.sphere3(2.0), np.array([0.4005, 0.8, 0.9]))
+    # one centre of a batch too close is enough to refuse the batch
+    with pytest.raises(SceneError, match="boundary"):
+        fd_oracle(catalog.sphere3(2.0), np.array([[0.7, 0.8, 0.9], [0.4005, 0.8, 0.9]]))
+
+
+def test_fd_stencil_batch_is_bit_equal_to_one_call_per_centre():
+    chart = catalog.sphere3(2.0)
+    calls = []
+
+    def F(x):
+        calls.append(len(x))
+        vals = exprmod.eval_values(chart.components, x, chart.shared)
+        return np.stack(vals, axis=-1)
+
+    centres = np.array([
+        [[0.7, 0.8, 0.9], [0.6, 1.0, 0.5]],
+        [[0.9, 0.7, 1.0], [0.8, 0.9, 0.6]],
+    ])
+    batch = fd_stencil(chart, F, centres, 1e-5, 1e-3)
+    assert len(calls) == 1
+    assert [a.shape for a in batch] == [(2, 2, 4), (2, 2, 4, 3), (2, 2, 4, 3, 3)]
+    for idx in np.ndindex(2, 2):
+        single = fd_stencil(chart, F, centres[idx], 1e-5, 1e-3)
+        for whole, one in zip(batch, single):
+            np.testing.assert_array_equal(whole[idx], one)
+    # 1 + 8n one-axis and 4 n(n-1) two-axis stencil points per centre
+    assert calls == [4 * 49] + [49] * 4
