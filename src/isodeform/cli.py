@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import HypothesisError, SceneError, VerificationError
 from .mesh import export_mesh
-from .scene import _parse_project, load_scene, write_output
+from .scene import MIN_GRID, _parse_project, load_scene, write_output
 from .suites import run_suites
 
 EXIT_PASS = 0
@@ -123,8 +123,8 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
     if args.grid is not None:
-        if args.grid < 3:
-            raise SceneError(f"--grid: resolution must be >= 3, got {args.grid}")
+        if args.grid < MIN_GRID:
+            raise SceneError(f"--grid: resolution must be >= {MIN_GRID}, got {args.grid}")
         scene = dataclasses.replace(scene, grid=(args.grid,) * scene.chart.n)
     if args.tol:
         scene = dataclasses.replace(scene, tol={**scene.tol, **_parse_tols(args.tol)})

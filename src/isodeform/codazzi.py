@@ -64,7 +64,10 @@ from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
 from .linalg import cholesky_spd, gram, jacobi_svd, solve
 
 GH_CONSTRAINT_TOL = 1e-8
-Q_RANK_RTOL = 1e-9
+Q_RANK_RTOL = 1e-9  # Q singular: sigma_min <= Q_RANK_RTOL * max(sigma_max, 1)
+# chart jet order K of the checks that read Q: Q and g~ are built at K-2,
+# Gamma~ at K-3, and the deformed curvature differentiates Gamma~, so K = 4
+Q_CHECK_ORDER = 4
 
 PairJets = Tuple[JetScalar, JetScalar]
 QJets = Tuple[np.ndarray, Optional[PairJets], Optional[np.ndarray]]
@@ -391,9 +394,7 @@ class CodazziFrame:
     sigma_max: np.ndarray
 
 
-def codazzi_frame_from_jets(
-    qj: np.ndarray, frame: Frame, rank_rtol: float = Q_RANK_RTOL
-) -> CodazziFrame:
+def codazzi_frame_from_jets(qj: np.ndarray, frame: Frame) -> CodazziFrame:
     """Extract Q values from its jets, with the nonsingularity gate.
 
     Raises HypothesisError when Q, or a singular value of it, is not finite,
@@ -412,7 +413,7 @@ def codazzi_frame_from_jets(
         )
     smin, smax = sig[..., -1], sig[..., 0]
     # floor the scale at 1 so a uniformly tiny Q counts as singular too
-    if np.any(smin <= rank_rtol * np.maximum(smax, 1.0)):
+    if np.any(smin <= Q_RANK_RTOL * np.maximum(smax, 1.0)):
         worst = float(smin.min())
         raise HypothesisError(
             f"deformation operator is numerically singular: "

@@ -26,8 +26,9 @@ kernels of A and A~.  Its ``DeformationCheck`` keys each claim's residual
 field by the deformation suite's check name, so the suite reports the
 fields as they come.  For a source with no pair, ``fd_deformed_frame``
 differentiates the path-integrated F at a batch of probe points, all in
-one quadrature call.  Path integrals default to the quadrature's
-``DEFAULT_TOL``.  ``extract_gh`` runs the construction backwards from an
+one quadrature call.  Path integrals are held to the quadrature's
+``DEFAULT_TOL``, those of the FD stencil to ``FD_QUAD_TOL``, and F's start
+at ``path_base``.  ``extract_gh`` runs the construction backwards from an
 immersion to a scalar pair; ``gauge_fit`` identifies two pairs modulo the
 affine gauge (g, h) -> (g + <f, a> + c, h + <N, a>).
 """
@@ -40,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .codazzi import (
+    Q_CHECK_ORDER,
     CodazziFrame,
     GHPairData,
     Source,
@@ -72,11 +74,11 @@ from .linalg import (
     max_principal_angle,
     solve,
     svd_rank_kernel,
-    unit_normal,
 )
 from .quadrature import DEFAULT_TOL, integrate_segment
 
-FD_STEP = 1e-3  # difference step of F; second differences use 10 * FD_STEP
+FD_STEP = 1e-3  # first-difference step of F; see fd_second_step
+FD_QUAD_TOL = 1e-12  # quadrature tolerance of F on its FD stencil
 
 
 # ------------------------------------------------------- closed-form F
@@ -199,17 +201,16 @@ def wedge_identity_field(
     return np.abs(M1 - M2).max(axis=(-1, -2))
 
 
-def kernel_angle_field(
-    frame: Frame, Atilde: np.ndarray, tol: float = 1e-9
-) -> np.ndarray:
+def kernel_angle_field(frame: Frame, Atilde: np.ndarray) -> np.ndarray:
     """Largest principal angle between ker A and ker A~ per point.
 
     Raises VerificationError, naming the first such point by its chart
-    coordinates, when the numerical ranks disagree anywhere.
+    coordinates, when the numerical ranks (``linalg.RANK_RTOL``) disagree
+    anywhere.
     """
     n = frame.n
-    r1, V1, _ = svd_rank_kernel(frame.A.reshape(-1, n, n), tol)
-    r2, V2, _ = svd_rank_kernel(Atilde.reshape(-1, n, n), tol)
+    r1, V1, _ = svd_rank_kernel(frame.A.reshape(-1, n, n))
+    r2, V2, _ = svd_rank_kernel(Atilde.reshape(-1, n, n))
     bad = np.flatnonzero(r1 != r2)
     if bad.size:
         m = bad[0]
@@ -226,15 +227,16 @@ def kernel_angle_field(
 
 
 def verify_deformation(
-    chart: Chart, pts: np.ndarray, source: Source, order: int = 4
+    chart: Chart, pts: np.ndarray, source: Source
 ) -> DeformationCheck:
     """Build F in closed form and check every pointwise claim about it.
 
-    Builds the chart jets, frame and Q frame at ``pts`` and hands them to
-    ``deformation_check_from_jets``, the per-chunk body the deformation
-    suite runs on the jets it shares with the other suites.
+    Builds the chart jets at ``Q_CHECK_ORDER``, the frame and the Q frame at
+    ``pts`` and hands them to ``deformation_check_from_jets``, the per-chunk
+    body the deformation suite runs on the jets it shares with the other
+    suites.
     """
-    cj = chart_jets(chart, pts, order)
+    cj = chart_jets(chart, pts, Q_CHECK_ORDER)
     frame = frame_from_jets(cj)
     qj, pair, _ = q_jets(cj, source)
     cf = codazzi_frame_from_jets(qj, frame)
@@ -448,24 +450,23 @@ def _circulation(covector, rects: Sequence[LoopRect], tol: float) -> np.ndarray:
     return paths[:len(rects)] - paths[len(rects):]
 
 
-def omega_loop_integral(
-    chart: Chart, source: Source, rect, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def omega_loop_integral(chart: Chart, source: Source, rect) -> np.ndarray:
     """Clockwise circulation of omega around ``rect``: shape (dim,) for one
     LoopRect, (R, dim) for a sequence of R, all in one quadrature call."""
     rects = [rect] if isinstance(rect, LoopRect) else rect
-    loops = _circulation(lambda p: _omega_values(chart, source, p), rects, tol)
+    loops = _circulation(lambda p: _omega_values(chart, source, p), rects, DEFAULT_TOL)
     return loops[0] if isinstance(rect, LoopRect) else loops
 
 
-def default_loop_rects(chart: Chart, margin: float = 0.02) -> List[LoopRect]:
-    """One spanning rectangle per adjacent axis pair, through the center."""
+def default_loop_rects(chart: Chart) -> List[LoopRect]:
+    """One spanning rectangle per adjacent axis pair, through the center,
+    padded from the box as the sample grid is (``GRID_SHRINK``)."""
     rects = []
     center = chart.center()
     for k in range(chart.n - 1):
         a, b = k, k + 1
-        pad_a = margin * (chart.hi[a] - chart.lo[a])
-        pad_b = margin * (chart.hi[b] - chart.lo[b])
+        pad_a = GRID_SHRINK * (chart.hi[a] - chart.lo[a])
+        pad_b = GRID_SHRINK * (chart.hi[b] - chart.lo[b])
         a0, a1 = chart.lo[a] + pad_a, chart.hi[a] - pad_a
         b0, b1 = chart.lo[b] + pad_b, chart.hi[b] - pad_b
         rects.append(
@@ -485,6 +486,14 @@ def default_loop_rects(chart: Chart, margin: float = 0.02) -> List[LoopRect]:
             )
         )
     return rects
+
+
+def path_base(chart: Chart) -> np.ndarray:
+    """The base point of F's path integrals from a chart: the box corner lo
+    moved in by GRID_SHRINK of the box per side, the sample grid's first
+    point."""
+    lo = np.asarray(chart.lo)
+    return lo + GRID_SHRINK * (np.asarray(chart.hi) - lo)
 
 
 def path_integral_immersion(
@@ -521,11 +530,10 @@ def path_integral_on_grid(
     chart: Chart,
     source: Source,
     res,
-    F0: Optional[Sequence[float]] = None,
     axis_order: Optional[Sequence[int]] = None,
-    tol: float = DEFAULT_TOL,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """F on the whole sample grid by shared-prefix staircase integration.
+    """F on the whole sample grid by shared-prefix staircase integration,
+    with F = 0 at the grid's first point.
 
     Returns (mesh points with shape (*res, n), F values with shape
     (*res, dim)).  The steps along every axis share one adaptive quadrature
@@ -534,10 +542,10 @@ def path_integral_on_grid(
     """
     axes = grid_axes(chart, res)
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    start = np.zeros(chart.ambient_dim) if F0 is None else np.asarray(F0, float)
     order = range(chart.n) if axis_order is None else axis_order
     F = _grid_staircase(
-        lambda p: _omega_values(chart, source, p), axes, start, order, tol
+        lambda p: _omega_values(chart, source, p),
+        axes, np.zeros(chart.ambient_dim), order, DEFAULT_TOL,
     )
     return mesh, F
 
@@ -559,34 +567,29 @@ class FDFrame:
     A: np.ndarray
 
 
-def fd_deformed_frame(
-    chart: Chart,
-    source: Source,
-    u: Sequence[float],
-    step: float = FD_STEP,
-    tol: float = 1e-12,
-    base: Optional[Sequence[float]] = None,
-) -> FDFrame:
+def fd_second_step() -> float:
+    """F's second-difference step, 10 * FD_STEP at the time of the call."""
+    return 10 * FD_STEP
+
+
+def fd_deformed_frame(chart: Chart, source: Source, u: Sequence[float]) -> FDFrame:
     """Finite-difference frames of the staircase-integrated immersion at
     the probe points ``u``: one point (n,), or a batch (..., n) whose frame
     members carry its batch axes in front.
 
-    The Richardson stencils of every probe are integrated in one
+    The Richardson stencils of every probe, at steps FD_STEP and
+    ``fd_second_step()``, are integrated from ``path_base`` in one
     ``path_integral_immersion`` call, one quadrature call in which every
-    staircase leg is held to ``tol`` on its own.
+    staircase leg is held to ``FD_QUAD_TOL`` on its own.  g and N come from
+    ``metric_normal_values``, under its gates.
     """
-    if base is None:
-        lo = np.asarray(chart.lo)
-        base = lo + GRID_SHRINK * (np.asarray(chart.hi) - lo)
+    base = path_base(chart)
     f, J, d2 = fd_stencil(
         chart,
-        lambda x: path_integral_immersion(chart, source, base, x, tol=tol),
-        u,
-        step,
-        10 * step,
+        lambda x: path_integral_immersion(chart, source, base, x, tol=FD_QUAD_TOL),
+        u, FD_STEP, fd_second_step(),
     )
-    N = unit_normal(J)
-    g = np.swapaxes(J, -1, -2) @ J
+    g, N = metric_normal_values(J)
     b = np.einsum("...p,...pij->...ij", N, d2)
     return FDFrame(f=f, J=J, N=N, g=g, b=b, A=solve(g, b))
 
@@ -614,10 +617,7 @@ def grid_frame(chart: Chart, res) -> Frame:
 
 
 def extract_gh(
-    chart: Chart,
-    F_fn: Callable[[ChartJets], np.ndarray],
-    frame: Frame,
-    tol: float = DEFAULT_TOL,
+    chart: Chart, F_fn: Callable[[ChartJets], np.ndarray], frame: Frame
 ) -> GridPair:
     """Recover the scalar pair of an immersion with dF = df o Q.
 
@@ -637,9 +637,10 @@ def extract_gh(
         J = jet_partials(cj.comps, 1, cj.batch_shape)
         return np.einsum("...pk,...p->...k", J, F_fn(cj))[..., None, :]
 
-    closed = float(np.abs(_circulation(zeta_at, default_loop_rects(chart), tol)).max())
+    rects = default_loop_rects(chart)
+    closed = float(np.abs(_circulation(zeta_at, rects, DEFAULT_TOL)).max())
     axes = grid_axes(chart, mesh.shape[:-1])
-    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(chart.n), tol)
+    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(chart.n), DEFAULT_TOL)
     return GridPair(
         points=mesh, g=g_grid[..., 0], h=h, grad_g=Z, closed_residual=closed
     )

@@ -37,6 +37,7 @@ from .linalg import check_cross_norm, cholesky_spd, gram, svd_rank_kernel, unit_
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
 CHUNK = 1024  # points per batched jet evaluation, which bounds memory
 SELF_ADJOINT_TOL = 1e-10
+ORACLE_STEP = 1e-5  # difference step of fd_oracle
 
 
 @dataclass(frozen=True)
@@ -546,9 +547,9 @@ def decompose_ambient(frame: Frame, vec) -> tuple[np.ndarray, np.ndarray]:
     return Z, h
 
 
-def rank_A_field(frame: Frame, tol: float = 1e-9) -> np.ndarray:
-    """Pointwise numerical rank of the shape operator."""
-    return svd_rank_kernel(frame.A, tol)[0]
+def rank_A_field(frame: Frame) -> np.ndarray:
+    """Pointwise numerical rank of the shape operator (``linalg.RANK_RTOL``)."""
+    return svd_rank_kernel(frame.A)[0]
 
 
 def stencil_fits(chart: Chart, u, h2: float):
@@ -613,21 +614,21 @@ def fd_stencil(chart: Chart, F, u, step: float, h2: float):
     return f, J, d2
 
 
-def fd_oracle(chart: Chart, u, step: float = 1e-5):
+def fd_oracle(chart: Chart, u):
     """Finite-difference values (f, J, d2f) at the points u (..., n).
 
     ``fd_stencil`` over the value-only expression path (independent of the
-    jet machinery), one ``eval_values`` call for the whole stencil.  Second
-    derivatives use 100*step to keep cancellation noise well under the
-    comparison tolerances, so every point must sit at least 200*step inside
-    the domain.
+    jet machinery), one ``eval_values`` call for the whole stencil, at step
+    ORACLE_STEP.  Second derivatives use 100 * ORACLE_STEP to keep
+    cancellation noise well under the comparison tolerances, so every point
+    must sit at least 200 * ORACLE_STEP inside the domain.
     """
 
     def fval(x):
         vals = exprmod.eval_values(chart.components, x, chart.shared)
         return np.stack([np.broadcast_to(v, len(x)) for v in vals], axis=-1)
 
-    return fd_stencil(chart, fval, u, step, 100 * step)
+    return fd_stencil(chart, fval, u, ORACLE_STEP, 100 * ORACLE_STEP)
 
 
 def grid_axes(chart: Chart, res) -> list[np.ndarray]:

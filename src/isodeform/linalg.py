@@ -25,7 +25,8 @@ from .jet import cross_product
 PIVOT_RTOL = 1e-12
 DET_RTOL = 1e-14
 JACOBI_TOL = 1e-13
-RANK_RTOL = 1e-9
+JACOBI_SWEEPS = 60
+RANK_RTOL = 1e-9  # numerical rank: sigma > RANK_RTOL * sigma_max
 CROSS_RTOL = 1e-12
 
 
@@ -146,27 +147,28 @@ def det(A: np.ndarray):
     return _unstack(np.where(fail >= 0, 0.0, d), batch)
 
 
-def jacobi_svd(A: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
+def jacobi_svd(A: np.ndarray):
     """One-sided Jacobi SVD: A = U diag(s) V^T with s descending.  Plane
     rotations on column pairs run until every pair of every matrix is
-    orthogonal to relative tolerance `tol`.  For m < n the transposes are
-    factored and the roles of U and V swapped back."""
+    orthogonal to relative tolerance JACOBI_TOL, for at most JACOBI_SWEEPS
+    sweeps.  For m < n the transposes are factored and the roles of U and V
+    swapped back."""
     A = np.asarray(A, dtype=float)
     if A.ndim >= 2 and A.shape[-2] < A.shape[-1]:
-        V, s, Ut = jacobi_svd(np.swapaxes(A, -1, -2), tol, max_sweeps)
+        V, s, Ut = jacobi_svd(np.swapaxes(A, -1, -2))
         return np.swapaxes(Ut, -1, -2), s, np.swapaxes(V, -1, -2)
     W, batch = _stack(A)
     m, n, S = W.shape
     # column j of W on top of column j of V: one rotation of a pair turns both
     WV = np.concatenate([W.transpose(1, 0, 2), np.eye(n)[..., None].repeat(S, 2)], 1)
     W = WV[:, :m]
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
                 app, aqq, apq = _sum(W[p] * W[p]), _sum(W[q] * W[q]), _sum(W[p] * W[q])
                 denom = np.sqrt(app * aqq)
-                r = (denom > 0) & (np.abs(apq) > tol * denom)
+                r = (denom > 0) & (np.abs(apq) > JACOBI_TOL * denom)
                 if not r.any():
                     continue
                 rotated, r = True, np.flatnonzero(r)
@@ -186,10 +188,10 @@ def jacobi_svd(A: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = 60):
     return tuple(_unstack(x, batch) for x in (U.transpose(1, 0, 2), sig, WV[:, m:]))
 
 
-def svd_rank_kernel(A: np.ndarray, tol: float = RANK_RTOL):
+def svd_rank_kernel(A: np.ndarray):
     """Numerical rank, kernel basis and singular values.
 
-    rank = #{sigma_i > tol * sigma_max}, so a zero matrix has rank 0 and a
+    rank = #{sigma_i > RANK_RTOL * sigma_max}, so a zero matrix has rank 0 and a
     full kernel.  The kernel columns are the right singular vectors of the
     discarded sigmas: (n, n - rank), orthonormal, for one matrix.  Kernels
     are ragged across a stack, so a stack gets every right singular vector,
@@ -201,7 +203,7 @@ def svd_rank_kernel(A: np.ndarray, tol: float = RANK_RTOL):
     if len(shape) >= 2 and shape[-2] < shape[-1]:
         raise ValueError(f"rank and kernel need m >= n, got a wide matrix {shape}")
     _, s, Vt = jacobi_svd(A)
-    rank = np.sum(s > tol * s[..., :1], axis=-1)
+    rank = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
     V = np.swapaxes(Vt, -1, -2)
     if np.ndim(rank) == 0:
         return int(rank), V[:, rank:].copy(), s

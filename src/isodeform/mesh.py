@@ -14,9 +14,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deformation import closed_form_immersion, path_integral_immersion
+from .deformation import closed_form_immersion, path_base, path_integral_immersion
 from .errors import SceneError
-from .geometry import GRID_SHRINK, chart_jets, grid_axes, jet_partials
+from .geometry import chart_jets, grid_axes, jet_partials
 from .scene import Scene, write_output
 
 
@@ -82,10 +82,7 @@ def _surface_values(scene: Scene, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarr
         raise SceneError("missing section: codazzi (mesh exports f and F)")
     if scene.spec.pair() is None:
         # no closed form: integrate the 1-form df o Q to all vertices at once
-        base = np.asarray(chart.lo) + GRID_SHRINK * (
-            np.asarray(chart.hi) - np.asarray(chart.lo)
-        )
-        Fv = path_integral_immersion(chart, scene.spec, base, pts)
+        Fv = path_integral_immersion(chart, scene.spec, path_base(chart), pts)
     else:
         Fv = closed_form_immersion(chart, scene.spec)(cj)
     return fv, Fv

@@ -48,16 +48,16 @@ class QuadratureError(VerificationError):
     """A path integral that does not converge: F cannot be certified."""
 
 
-def integrate_segment(fn, a: float, b: float, tol: float = DEFAULT_TOL,
-                      max_levels: int = MAX_LEVELS, retire=None):
-    """Integrate fn over [a, b].  fn maps an (m,) array of parameters to an
-    (m,) or (m, d) array of integrand values or, given ``retire``, to the
-    values (m, L, ...) of the L legs still running.  After each unfinished
-    level ``retire(keep)`` gets a mask over those legs, false for accepted."""
+def integrate_segment(fn, a: float, b: float, tol: float = DEFAULT_TOL, retire=None):
+    """Integrate fn over [a, b] in at most MAX_LEVELS bisection levels.  fn
+    maps an (m,) array of parameters to an (m,) or (m, d) array of integrand
+    values or, given ``retire``, to the values (m, L, ...) of the L legs
+    still running.  After each unfinished level ``retire(keep)`` gets a mask
+    over those legs, false for accepted."""
     if a == b:
         probe = np.asarray(fn(np.array([a])))
         return np.zeros(probe.shape[1:])
-    for level in range(max_levels + 1):
+    for level in range(MAX_LEVELS + 1):
         panels = 2**level
         edges = np.linspace(a, b, panels + 1)
         mid = (edges[:-1] + edges[1:]) / 2  # (panels,)
@@ -82,7 +82,7 @@ def integrate_segment(fn, a: float, b: float, tol: float = DEFAULT_TOL,
             retire(~done)
         running, prev = running[~done], est[~done]
     raise QuadratureError(
-        f"no convergence to {tol:.1e} after {max_levels} bisection levels on "
+        f"no convergence to {tol:.1e} after {MAX_LEVELS} bisection levels on "
         f"[{a}, {b}]: {len(running)} of {len(out)} legs above tol, last error "
         f"estimate {err[~done].max():.1e} at level {level}"
     )

@@ -52,6 +52,7 @@ _SECTIONS = ("chart", "codazzi", "run")
 _STRING_PARAMS = ("phi",)
 
 _CENTER_SELF_ADJOINT_TOL = 1e-8
+MIN_GRID = 3  # smallest grid resolution per axis
 
 
 @dataclass(frozen=True)
@@ -246,8 +247,8 @@ def _parse_grid(value: str, n: int) -> Tuple[int, ...]:
             f"[run] grid: expected one value or {n} comma-separated values"
         )
     for g in grid:
-        if g < 3:
-            raise SceneError(f"[run] grid: resolution must be >= 3, got {g}")
+        if g < MIN_GRID:
+            raise SceneError(f"[run] grid: resolution must be >= {MIN_GRID}, got {g}")
     return grid
 
 

@@ -29,10 +29,10 @@ deformation suites read those and put their fields into one table:
 suite -> check name -> field, a suite's entries being its checks in
 report order (the deformation suite's are the ``fields`` of
 ``DeformationCheck``), and ``sample`` holding the rank of A and one Q for
-the sign gate.  The jet order K is 4 when codazzi or deformation runs,
-else the scene order when geometry runs, else 2; geometry fields do not
-depend on it, and geometry skips its curvature checks when the scene
-order is below 3.  J is built at K-1; the normal,
+the sign gate.  The jet order K is ``Q_CHECK_ORDER`` (4) when codazzi or
+deformation runs, else the scene order when geometry runs, else 2;
+geometry fields do not depend on it, and geometry skips its curvature
+checks when the scene order is below 3.  J is built at K-1; the normal,
 g and g^{-1} at K-2 (the normal and g at least 1), and the Christoffel
 symbols one order below g, since they read g one order higher.  The
 frame's R, read only by the curvature checks of geometry and codazzi,
@@ -61,8 +61,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import deformation as dfm
 from . import geometry as geo
 from .codazzi import (
+    Q_CHECK_ORDER,
     codazzi_frame_from_jets,
     codazzi_Q_residual_field,
     commutator_residual_field,
@@ -73,12 +75,12 @@ from .codazzi import (
     q_jets,
 )
 from .deformation import (
-    FD_STEP,
     closed_form_immersion,
     default_loop_rects,
     deformation_check_from_jets,
     extract_gh,
     fd_deformed_frame,
+    fd_second_step,
     gauge_fit,
     global_det_sign,
     grid_frame,
@@ -148,22 +150,6 @@ def _chunks(m: int):
         yield lo, min(lo + CHUNK, m)
 
 
-def _scalar_check(
-    suite: str, name: str, value: float, tolerance: float, note: str = ""
-) -> CheckResult:
-    verdict = PASS if value <= tolerance else FAIL
-    return CheckResult(
-        suite=suite,
-        name=name,
-        max_residual=float(value),
-        mean_residual=float(value),
-        worst_point=None,
-        tolerance=tolerance,
-        verdict=verdict,
-        note=note,
-    )
-
-
 # ---------------------------------------------------------- sample pass
 
 # check name -> residual field of the frame
@@ -217,7 +203,7 @@ def _chunk_fields(scene: Scene, pts: np.ndarray) -> Fields:
     """
     chart, spec, suites = scene.chart, scene.spec, scene.suites
     needs_q = "codazzi" in suites or "deformation" in suites
-    order = 4 if needs_q else (scene.order if "geometry" in suites else 2)
+    order = Q_CHECK_ORDER if needs_q else (scene.order if "geometry" in suites else 2)
     cj = chart_jets(chart, pts, order)
     fr = frame_from_jets(cj)
     sample = {"rank_A": _rank_range(fr, chart.n, suites)}
@@ -339,7 +325,9 @@ def _path_checks(chart, spec, grid, tol, grid_fr) -> List[CheckResult]:
         checks.append(_path_vs_closed_check(chart, spec, grid_fr, F_fwd, tol))
     swap = float(np.abs(F_fwd - F_rev).max())
     checks.append(
-        _scalar_check("deformation", "path_order_swap", swap, tol["path_order_swap"])
+        check_from_field(
+            "deformation", "path_order_swap", swap, None, tol["path_order_swap"]
+        )
     )
     return checks
 
@@ -350,10 +338,11 @@ def _deformation_pair_suite(
     fields = dict(fields)
     pair_q = fields.pop("pair_q", None)
     checks = [] if pair_q is None else [
-        _scalar_check(
+        check_from_field(
             "deformation",
             "pair_q",
-            float(pair_q.max()),
+            pair_q.max(),
+            None,
             tol["pair_q"],
             note="direct Q route vs scalar-pair Q route",
         )
@@ -384,7 +373,7 @@ def _fd_probe_points(chart, grid, pts) -> np.ndarray:
         pts = np.array(
             [[axes[k][multi[k]] for k in range(chart.n)] for multi in sorted(probes)]
         )
-    return pts[geo.stencil_fits(chart, pts, 10 * FD_STEP)]
+    return pts[geo.stencil_fits(chart, pts, fd_second_step())]
 
 
 def _deformation_explicit_suite(chart, spec, pts, grid, tol, sign) -> List[CheckResult]:
@@ -394,7 +383,10 @@ def _deformation_explicit_suite(chart, spec, pts, grid, tol, sign) -> List[Check
     names = ("fd_jacobian", "fd_metric", "fd_gauss", "fd_shape")
     probes = _fd_probe_points(chart, grid, pts)
     if not len(probes):
-        note = f"no interior probe point: point too close to the boundary for step {FD_STEP}"
+        note = (
+            "no interior probe point: point too close to the boundary for "
+            f"step {dfm.FD_STEP}"
+        )
         return checks + [check_skipped("deformation", k, tol[k], note) for k in names]
     cj = chart_jets(chart, probes, 3)
     fr = frame_from_jets(cj)
@@ -441,22 +433,6 @@ def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
     ext = extract_gh(chart, closed_form_immersion(chart, spec), grid_fr)
     true = pair_on_grid(pair, grid_fr)
     fit = gauge_fit(grid_fr, ext, true)
-    checks = [
-        _scalar_check(
-            "roundtrip",
-            "extract_closedness",
-            ext.closed_residual,
-            tol["extract_closedness"],
-            note="loop integrals of the recovered 1-form g(grad g, .)",
-        ),
-        _scalar_check(
-            "roundtrip",
-            "roundtrip_gauge",
-            fit.residual,
-            tol["roundtrip_gauge"],
-            note=f"gauge-fit misfit, condition number {fit.cond:.3e}",
-        ),
-    ]
     # synthetic gauge shift with known ground truth; the five values repeat
     # in higher ambient dimensions
     dim = chart.ambient_dim
@@ -471,19 +447,16 @@ def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
         closed_residual=0.0,
     )
     fit2 = gauge_fit(grid_fr, true, shifted)
-    recovery = max(
-        float(np.abs(fit2.a - a0).max()), abs(float(fit2.c) - c0)
+    recovery = max(float(np.abs(fit2.a - a0).max()), abs(float(fit2.c) - c0))
+    residuals = (
+        (ext.closed_residual, "loop integrals of the recovered 1-form g(grad g, .)"),
+        (fit.residual, f"gauge-fit misfit, condition number {fit.cond:.3e}"),
+        (recovery, "recovery of a synthetic affine gauge (a, c)"),
     )
-    checks.append(
-        _scalar_check(
-            "roundtrip",
-            "gauge_recovery",
-            recovery,
-            tol["gauge_recovery"],
-            note="recovery of a synthetic affine gauge (a, c)",
-        )
-    )
-    return checks
+    return [
+        check_from_field("roundtrip", name, value, None, tol[name], note=note)
+        for name, (value, note) in zip(names, residuals)
+    ]
 
 
 # ------------------------------------------------------------ orchestrator

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isodeform import quadrature
 from isodeform.quadrature import (
     DEFAULT_TOL,
     GL_NODES,
@@ -38,11 +39,11 @@ def test_reversed_and_empty():
     assert integrate_segment(np.cos, 0.7, 0.7) == pytest.approx(0.0)
 
 
-def test_nonconvergent_raises():
+def test_nonconvergent_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 4)
     rng = np.random.default_rng(0)
     with pytest.raises(QuadratureError):
-        integrate_segment(lambda t: rng.standard_normal(t.shape), 0.0, 1.0,
-                          tol=1e-14, max_levels=4)
+        integrate_segment(lambda t: rng.standard_normal(t.shape), 0.0, 1.0, tol=1e-14)
 
 
 def _counted(fn):
@@ -77,11 +78,11 @@ def test_one_unresolved_component_bisects_the_segment():
     assert np.allclose(out, [np.sin(1.0), (1 - np.cos(40)) / 40], atol=1e-11)
 
 
-def test_nonconvergence_message_states_the_last_estimate():
+def test_nonconvergence_message_states_the_last_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 4)
     rng = np.random.default_rng(0)
     with pytest.raises(QuadratureError, match=r"last error estimate \S+ at level 4"):
-        integrate_segment(lambda t: rng.standard_normal(t.shape), 0.0, 1.0,
-                          tol=1e-14, max_levels=4)
+        integrate_segment(lambda t: rng.standard_normal(t.shape), 0.0, 1.0, tol=1e-14)
 
 
 _RATE = st.floats(-10, 10, allow_nan=False)
@@ -140,14 +141,15 @@ def test_each_row_matches_its_own_integral():
         assert np.abs(got - alone).max() <= 1e-15 * scale
 
 
-def test_unconverged_row_names_the_legs_still_running():
+def test_unconverged_row_names_the_legs_still_running(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVELS", 4)
     rng = np.random.default_rng(0)
     fn, seen, retire = _legs([np.cos, lambda t: rng.standard_normal(t.shape)])
     with pytest.raises(
         QuadratureError,
         match=r"1 of 2 legs above tol, last error estimate \S+ at level 4",
     ):
-        integrate_segment(fn, 0.0, 1.0, tol=1e-14, max_levels=4, retire=retire)
+        integrate_segment(fn, 0.0, 1.0, tol=1e-14, retire=retire)
     assert seen[-1] == [1]
 
 
