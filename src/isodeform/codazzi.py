@@ -51,8 +51,6 @@ from .errors import HypothesisError
 from .geometry import (
     ChartJets,
     Frame,
-    _move,
-    _trunc_mat,
     SELF_ADJOINT_TOL,
     christoffel_jets,
     curvature_values,
@@ -60,7 +58,7 @@ from .geometry import (
     metric_normal_values,
 )
 from .expr import ExprAst
-from .jet import JetScalar, d1_values, mat_inv, mat_mul, values
+from .jet import JetScalar, contract, d1_values, mat_inv, mat_mul, stack, values
 from .linalg import cholesky_spd, gram, jacobi_svd, solve
 
 GH_CONSTRAINT_TOL = 1e-8
@@ -70,7 +68,7 @@ Q_RANK_RTOL = 1e-9  # Q singular: sigma_min <= Q_RANK_RTOL * max(sigma_max, 1)
 Q_CHECK_ORDER = 4
 
 PairJets = Tuple[JetScalar, JetScalar]
-QJets = Tuple[np.ndarray, Optional[PairJets], Optional[np.ndarray]]
+QJets = Tuple[JetScalar, Optional[PairJets], Optional[np.ndarray]]
 
 
 class Source(Protocol):
@@ -99,8 +97,8 @@ def _shape_values(cj: ChartJets, J: np.ndarray):
 
 
 class _Direct:
-    """A source whose Q is one expression ``_q`` in A, which serves the
-    n x n object array of A's jets and a float stack of A alike."""
+    """A source whose Q is one expression ``_q`` in A, which serves A's
+    jets (an (n, n) jet tensor) and a float stack of A alike."""
 
     def q_jets(self, cj: ChartJets) -> QJets:
         return self._q(cj.Ajet), None, None
@@ -137,19 +135,12 @@ class _FromPair:
         gradient-constraint field it was gated on."""
         s, h = pair = pair_jets(cj, self.pair())
         gh_field = gh_constraint_residual_field(
-            _move(values(cj.Ajet), 2),
-            _move(values(cj.metric(0)), 2),
-            _move(values(cj.scalar_grad_jets(s.truncated(1))), 1),
-            _move(values(cj.scalar_grad_jets(h.truncated(1))), 1),
+            values(cj.Ajet),
+            values(cj.metric(0)),
+            values(cj.scalar_grad_jets(s.truncated(1))),
+            values(cj.scalar_grad_jets(h.truncated(1))),
         )
-        n = cj.n
-        hess = cj.scalar_hess_jets(s)
-        ht = h.truncated(cj.order - 2)
-        A = cj.Ajet
-        Q = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                Q[i, j] = hess[i, j] - ht * A[i, j]
+        Q = cj.scalar_hess_jets(s) - h.truncated(cj.order - 2) * cj.Ajet
         return Q, pair, gh_field
 
     def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
@@ -230,18 +221,10 @@ def gh_parallel_offset(t: float) -> GHPairData:
     """The pair (|f|^2/2, <f, N> + t), whose operator is Id - t A."""
 
     def g_fn(cj: ChartJets) -> JetScalar:
-        acc = None
-        for c in cj.comps:
-            term = c * c
-            acc = term if acc is None else acc + term
-        return acc * 0.5
+        return contract(zip(cj.comps, cj.comps)) * 0.5
 
     def h_fn(cj: ChartJets) -> JetScalar:
-        acc = None
-        for c, Np in zip(cj.comps, cj.Njet):
-            term = c.truncated(cj.order - 1) * Np
-            acc = term if acc is None else acc + term
-        return acc + t
+        return contract(zip(cj.comps.truncated(cj.order - 1), cj.Njet)) + t
 
     def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
         f = jet_partials(cj.comps, 0, cj.batch_shape)
@@ -256,27 +239,19 @@ def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
 
     def coeffs(cj: ChartJets) -> List[float]:
         if avec is None:
-            return [0.0] * len(cj.comps)
-        if len(avec) != len(cj.comps):
+            return [0.0] * (cj.n + 1)
+        if len(avec) != cj.n + 1:
             raise ValueError(
                 f"translation vector length {len(avec)} != ambient "
-                f"dimension {len(cj.comps)}"
+                f"dimension {cj.n + 1}"
             )
         return avec
 
     def g_fn(cj: ChartJets) -> JetScalar:
-        cs = coeffs(cj)
-        acc = cj.comps[0] * cs[0]
-        for c, ai in zip(cj.comps[1:], cs[1:]):
-            acc = acc + c * ai
-        return acc
+        return contract(zip(cj.comps, coeffs(cj)))
 
     def h_fn(cj: ChartJets) -> JetScalar:
-        cs = coeffs(cj)
-        acc = cj.Njet[0] * cs[0]
-        for Np, ai in zip(cj.Njet[1:], cs[1:]):
-            acc = acc + Np * ai
-        return acc + 1.0
+        return contract(zip(cj.Njet, coeffs(cj))) + 1.0
 
     def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
         return N @ np.asarray(coeffs(cj)) + 1.0
@@ -309,10 +284,9 @@ class Explicit:
 
     def q_jets(self, cj: ChartJets) -> QJets:
         n = cj.n
-        Q = np.empty((n, n), dtype=object)
-        Q.flat[:] = exprmod.eval_jets(self.asts(n), cj.u, cj.order - 2, self.shared)
-        g = _move(values(cj.metric(0)), 2)
-        _check_explicit_self_adjoint(g, _move(values(Q), 2))
+        entries = exprmod.eval_jets(self.asts(n), cj.u, cj.order - 2, self.shared)
+        Q = stack([entries[k : k + n] for k in range(0, n * n, n)])
+        _check_explicit_self_adjoint(values(cj.metric(0)), values(Q))
         return Q, None, None
 
     def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
@@ -394,17 +368,17 @@ class CodazziFrame:
     sigma_max: np.ndarray
 
 
-def codazzi_frame_from_jets(qj: np.ndarray, frame: Frame) -> CodazziFrame:
+def codazzi_frame_from_jets(qj: JetScalar, frame: Frame) -> CodazziFrame:
     """Extract Q values from its jets, with the nonsingularity gate.
 
     Raises HypothesisError when Q, or a singular value of it, is not finite,
     or when Q is numerically singular anywhere in the batch; the
     deformation theory needs an invertible operator.
     """
-    if qj[0, 0].space.order < 1:
+    if qj.order < 1:
         raise ValueError("Q jets need order >= 1 for covariant derivatives")
-    Qv = _move(values(qj), 2)
-    dQ = _move(d1_values(qj), 3)
+    Qv = values(qj)
+    dQ = d1_values(qj)
     _, sig, _ = jacobi_svd(Qv)
     if not (np.isfinite(Qv).all() and np.isfinite(sig).all()):
         raise HypothesisError(
@@ -460,19 +434,15 @@ def deformed_metric(frame: Frame, cf: CodazziFrame) -> np.ndarray:
     return gt
 
 
-def deformed_metric_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
+def deformed_metric_jets(cj: ChartJets, qj: JetScalar) -> JetScalar:
     """Jets of g~ = Q^T g Q at order K-2, symmetrized structurally."""
-    n = cj.n
-    order = qj[0, 0].space.order
-    gt = mat_mul(mat_mul(qj.T, cj.metric(order)), qj)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = (gt[i, j] + gt[j, i]) * 0.5
-            gt[i, j] = gt[j, i] = m
+    gt = mat_mul(mat_mul(qj.T, cj.metric(qj.order)), qj)
+    gt = gt + gt.T
+    gt.coef *= 0.5
     return gt
 
 
-def deformed_christoffel_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
+def deformed_christoffel_jets(cj: ChartJets, qj: JetScalar) -> JetScalar:
     """Levi-Civita symbols of the deformed metric, from its jets.
 
     g~ has order K-2; its inverse is built at K-3, the order the symbols
@@ -484,11 +454,11 @@ def deformed_christoffel_jets(cj: ChartJets, qj: np.ndarray) -> np.ndarray:
         if np.any(values(det) <= 0.0):
             raise HypothesisError("deformed metric is singular on the sample")
 
-    return christoffel_jets(gt, mat_inv(_trunc_mat(gt, gt[0, 0].order - 1), gate)[0])
+    return christoffel_jets(gt, mat_inv(gt.truncated(gt.order - 1), gate)[0])
 
 
 def deformed_connection_residual_field(
-    cj: ChartJets, frame: Frame, cf: CodazziFrame, Gt: np.ndarray
+    cj: ChartJets, frame: Frame, cf: CodazziFrame, Gt: JetScalar
 ) -> np.ndarray:
     """Two routes to the deformed connection must agree.
 
@@ -499,7 +469,7 @@ def deformed_connection_residual_field(
     """
     if cj.order < 3:
         raise ValueError("deformed connection needs jet order >= 3")
-    G1 = _move(values(Gt), 3)
+    G1 = values(Gt)
     dQ_kij = np.einsum("...kji->...kij", cf.dQ)
     term = dQ_kij + np.einsum("...mil,...lj->...mij", frame.Gamma, cf.Q)
     G2 = np.einsum("...km,...mij->...kij", cf.Q_inv, term)
@@ -511,7 +481,7 @@ def deformed_connection_residual_field(
 
 
 def deformed_curvature_residual_field(
-    cj: ChartJets, frame: Frame, cf: CodazziFrame, Gt: np.ndarray
+    cj: ChartJets, frame: Frame, cf: CodazziFrame, Gt: JetScalar
 ) -> np.ndarray:
     """|R~ - Q^-1 R(.,.) Q| per point, max over all components.
 

@@ -84,19 +84,11 @@ FD_QUAD_TOL = 1e-12  # quadrature tolerance of F on its FD stencil
 # ------------------------------------------------------- closed-form F
 
 
-def immersion_jets(cj: ChartJets, s: JetScalar, h: JetScalar) -> np.ndarray:
-    """Component jets of F = df(grad s) + h N, at order K-1."""
-    grad = cj.scalar_grad_jets(s)
-    ht = h if h.space.order == cj.order - 1 else h.truncated(cj.order - 1)
-    J = cj.Jjet
-    N = cj.Njet
-    dim = len(cj.comps)
-    F = np.empty(dim, dtype=object)
-    for p in range(dim):
-        acc = ht * N[p]
-        for k in range(cj.n):
-            acc = acc + J[p, k] * grad[k]
-        F[p] = acc
+def immersion_jets(cj: ChartJets, s: JetScalar, h: JetScalar) -> JetScalar:
+    """The component jets of F = df(grad s) + h N, a vector at order K-1."""
+    F = h.truncated(cj.order - 1) * cj.Njet
+    for k, grad_k in enumerate(cj.scalar_grad_jets(s)):
+        F = F + cj.Jjet[:, k] * grad_k
     return F
 
 
@@ -268,11 +260,10 @@ def deformation_check_from_jets(
         if pair_data is None:
             raise ValueError("verify_deformation needs a scalar pair source")
         q_par, pair, _ = pair_data.q_jets(cj)
-        q_par = np.moveaxis(values(q_par).astype(float), (0, 1), (-2, -1))
-        pair_q_residual = float(np.abs(cf.Q - q_par).max())
+        pair_q_residual = float(np.abs(cf.Q - values(q_par)).max())
     s, h = pair
 
-    cjF = ChartJets(list(immersion_jets(cj, s, h)), cj.u)
+    cjF = ChartJets(immersion_jets(cj, s, h), cj.u)
     frameF = frame_from_jets(cjF)
 
     JQ = np.einsum("...pk,...kj->...pj", frame.J, cf.Q)
@@ -651,13 +642,12 @@ def pair_on_grid(pair: GHPairData, frame: Frame) -> GridPair:
     gauge comparison."""
     cj = frame.jets
     s, h = pair_jets(cj, pair)
-    grad = values(cj.scalar_grad_jets(s.truncated(1))).astype(float)  # (n, *res)
     gh = jet_partials([s, h], 0, cj.batch_shape)  # a constant is broadcast
     return GridPair(
         points=frame.u,
         g=gh[..., 0],
         h=gh[..., 1],
-        grad_g=np.moveaxis(grad, 0, -1),
+        grad_g=values(cj.scalar_grad_jets(s.truncated(1))),
         closed_residual=0.0,
     )
 

@@ -31,7 +31,7 @@ from . import expr as exprmod
 from . import jet as jetmod
 from .errors import HypothesisError, SceneError
 from .expr import ExprAst
-from .jet import JetScalar, cross_product, d1_values, mat_inv, mat_mul, values
+from .jet import JetScalar, contract, cross_product, d1_values, mat_inv, mat_mul, stack, values
 from .linalg import check_cross_norm, cholesky_spd, gram, svd_rank_kernel, unit_normal
 
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
@@ -118,43 +118,37 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
 # ---------------------------------------------------------------- jet pipeline
 
 
-def _move(arr: np.ndarray, lead: int) -> np.ndarray:
-    """Move the first `lead` axes (tensor indices) after the batch axes."""
-    return np.moveaxis(arr, list(range(lead)), list(range(-lead, 0)))
-
-
 class ChartJets:
     """Lazy jet-level geometric pipeline at a point (or point batch).
 
-    Construct via :func:`chart_jets` for a chart, or directly from component
-    jets (this is how a deformed immersion is re-analyzed through the same
-    code path).
+    Construct via :func:`chart_jets` for a chart, or directly from the
+    component jets, a list or a vector jet (this is how a deformed
+    immersion is re-analyzed through the same code path).  Every quantity
+    is one jet tensor (``jet.JetScalar`` with tensor axes): ``comps`` (n+1),
+    J (n+1, n), the normal (n+1), g, g^{-1}, b and A (n, n), the
+    Christoffel symbols (n, n, n), a scalar's gradient (n) and Hessian
+    operator (n, n).
 
-    J has order K-1.  ``normal``, ``metric``, ``ginv`` and ``christoffel``
-    build at the order asked for.  The frame and A read the normal, g and
-    g^{-1} at K-2, the normal and g at least at 1, and Gamma one order
+    ``jacobian``, ``normal``, ``metric``, ``ginv`` and ``christoffel``
+    build at the order asked for.  The frame and A read J, the normal, g
+    and g^{-1} at K-2, the normal and g at least at 1, and Gamma one order
     below g, since its build reads g one order higher and g^{-1} at its
     own order; the frame's R, when read, reads Gamma at 1, and a scalar's
     Hessian at K-2.  Only a scalar pair's h, ``immersion_jets`` and
-    ``scalar_grad_jets`` of a full-order scalar read the normal and g^{-1}
-    (``Njet``, ``ginv_jet``), and so g, at K-1.
+    ``scalar_grad_jets`` of a full-order scalar read J, the normal and
+    g^{-1} (``Jjet``, ``Njet``, ``ginv_jet``), and so g, at K-1.
     """
 
     def __init__(self, comps, u: np.ndarray):
-        self.comps = list(comps)
+        self.comps = comps if isinstance(comps, JetScalar) else stack(comps)
         self.u = np.asarray(u, dtype=float)
         self.n = self.u.shape[-1]
         self.batch_shape = self.u.shape[:-1]
-        self.batch_ndim = len(self.batch_shape)
-        if len(self.comps) != self.n + 1:
+        if self.comps.shape != (self.n + 1,):
             raise ValueError(
-                f"need {self.n + 1} component jets, got {len(self.comps)}"
+                f"need {self.n + 1} component jets, got shape {self.comps.shape}"
             )
-        sp = self.comps[0].space
-        for c in self.comps:
-            if c.space is not sp:
-                raise ValueError("component jets live in different jet spaces")
-        self.order = sp.order
+        self.order = self.comps.order
         self._built = {}  # quantity -> (order, jets) of its highest build
 
     def _memo(self, name, order, build):
@@ -163,29 +157,25 @@ class ChartJets:
         if self._built.get(name, (-1,))[0] < order:
             self._built.pop(name, None)
             self._built[name] = (order, build(order))
-        return _trunc_mat(self._built[name][1], order)
+        return self._built[name][1].truncated(order)
 
-    @cached_property
-    def Jjet(self):
-        out = np.empty((self.n + 1, self.n), dtype=object)
-        for p in range(self.n + 1):
-            for k in range(self.n):
-                out[p, k] = self.comps[p].diff(k)
-        return out
+    def jacobian(self, order):
+        """Jets of J at ``order`` (at most K-1)."""
+        return self._memo("jacobian", order, lambda o: self.comps.truncated(o + 1).grad())
+
+    Jjet = property(lambda self: self.jacobian(self.order - 1))
 
     def normal(self, order):
         """Unit normal jets at ``order`` (at most K-1)."""
         return self._memo("normal", order, self._normal)
 
     def _normal(self, order):
-        J = _trunc_mat(self.Jjet, order)
+        J = self.jacobian(order)
         cross = cross_product(lambda r, c: J[r, c], self.n)
-        normsq = cross[0] * cross[0]
-        for k in range(1, self.n + 1):
-            normsq = normsq + cross[k] * cross[k]
-        check_cross_norm(np.sqrt(np.asarray(normsq.value)), _move(values(J), 2))
+        normsq = contract(zip(cross, cross))
+        check_cross_norm(np.sqrt(np.asarray(normsq.value)), values(J))
         rnorm = jetmod.recip(jetmod.sqrt(normsq))
-        return np.array([cross[k] * rnorm for k in range(self.n + 1)], dtype=object)
+        return stack(cross) * rnorm
 
     Njet = property(lambda self: self.normal(self.order - 1))
 
@@ -194,15 +184,8 @@ class ChartJets:
         return self._memo("metric", order, self._metric)
 
     def _metric(self, order):
-        J = _trunc_mat(self.Jjet, order)
-        g = np.empty((self.n, self.n), dtype=object)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                acc = J[0, i] * J[0, j]
-                for p in range(1, self.n + 1):
-                    acc = acc + J[p, i] * J[p, j]
-                g[i, j] = g[j, i] = acc
-        return g
+        J = self.jacobian(order)
+        return _symmetric(lambda i, j: contract(zip(J[:, i], J[:, j])), self.n)
 
     def ginv(self, order):
         """Jets of g^{-1} at ``order`` (at most K-1)."""
@@ -219,17 +202,12 @@ class ChartJets:
 
     @cached_property
     def bjet(self):
-        # the second derivatives d_i d_j f_p are read here only, so they are
-        # built per entry and not kept
-        J, Nt = self.Jjet, self.normal(self.order - 2)
-        b = np.empty((self.n, self.n), dtype=object)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                acc = J[0, i].diff(j) * Nt[0]
-                for p in range(1, self.n + 1):
-                    acc = acc + J[p, i].diff(j) * Nt[p]
-                b[i, j] = b[j, i] = acc
-        return b
+        # b_ij = <d_j d_i f, N>; the second derivatives are read here only,
+        # so they are built per entry and not kept
+        f, N = self.comps, self.normal(self.order - 2)
+        return _symmetric(
+            lambda i, j: contract((fp.diff(i).diff(j), Np) for fp, Np in zip(f, N)), self.n
+        )
 
     @cached_property
     def Ajet(self):
@@ -250,49 +228,32 @@ class ChartJets:
         when only the gradient's values are read.
         """
         out = min(self.order, s.space.order) - 1
-        ds = [s.diff(l).truncated(out) for l in range(self.n)]
-        ginv = self.ginv(out)
-        return np.array(
-            [_dotsum(ginv[k, :], ds) for k in range(self.n)], dtype=object
-        )
+        return contract(zip(self.ginv(out).T, s.grad().truncated(out)))
 
     def scalar_hess_jets(self, s: JetScalar):
         """Hessian operator (nabla grad s as a (1,1) tensor), order K-2."""
         K = self.order
-        ds = [s.diff(l).truncated(K - 2) for l in range(self.n)]
-        d2s = {}
-        for i in range(self.n):
-            di = s.diff(i)
-            for l in range(i, self.n):
-                d2s[i, l] = d2s[l, i] = di.diff(l)
+        ds = s.grad()
         G = self.christoffel(K - 2)
-        ginv2 = self.ginv(K - 2)
-        H = np.empty((self.n, self.n), dtype=object)
-        for k in range(self.n):
-            for i in range(self.n):
-                acc = None
-                for l in range(self.n):
-                    term = d2s[i, l]
-                    for m in range(self.n):
-                        term = term - G[m, i, l] * ds[m]
-                    term = ginv2[k, l] * term
-                    acc = term if acc is None else acc + term
-                H[k, i] = acc
-        return H
+        # T_il = d_i d_l s - Gamma^m_il d_m s, and H^k_i = g^kl T_il
+        T = ds.grad()
+        for m, dm in enumerate(ds.truncated(K - 2)):
+            T = T - G[m] * dm
+        return mat_mul(self.ginv(K - 2), T.T)
 
 
-def _trunc_mat(M, order):
-    out = np.empty(M.shape, dtype=object)
-    for idx in np.ndindex(M.shape):
-        out[idx] = M[idx].truncated(order)
-    return out
-
-
-def _dotsum(row, vec):
-    acc = row[0] * vec[0]
-    for k in range(1, len(vec)):
-        acc = acc + row[k] * vec[k]
-    return acc
+def _symmetric(entry, n: int) -> JetScalar:
+    """The tensor whose last two axes (n, n) hold the jet ``entry(i, j)`` at
+    (i, j) and (j, i), for i <= j: symmetric bit for bit.  The entries, of
+    one shape, are written as they come."""
+    out = None
+    for i, j in zip(*np.triu_indices(n)):
+        e = entry(i, j)
+        if out is None:
+            d = e.ndim
+            out = np.empty(e.coef.shape[:d] + (n, n) + e.coef.shape[d:])
+        out[(slice(None),) * d + (i, j)] = out[(slice(None),) * d + (j, i)] = e.coef
+    return JetScalar(e.space, out, d + 2)
 
 
 def christoffel_jets(gjet, ginv):
@@ -300,28 +261,26 @@ def christoffel_jets(gjet, ginv):
     one order below the metric jets; ``ginv`` is g^{-1} at that order.
     Shared by the base metric and any deformed metric."""
     n = gjet.shape[0]
-    dg = np.empty((n, n, n), dtype=object)  # dg[i,j,l] = d_l g_ij
-    for i in range(n):
-        for j in range(i, n):
-            for l in range(n):
-                dg[i, j, l] = dg[j, i, l] = gjet[i, j].diff(l)
-    G = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                acc = None
-                for l in range(n):
-                    term = dg[j, l, i] + dg[i, l, j] - dg[i, j, l]
-                    term = ginv[k, l] * term
-                    acc = term if acc is None else acc + term
-                G[k, i, j] = G[k, j, i] = acc * 0.5
-    return G
+    iu, ju = np.triu_indices(n)
+    dg = gjet[iu, ju].grad()  # dg[table[i, j], l] = d_l g_ij
+    table = np.empty((n, n), dtype=np.intp)  # the place of the pair i <= j
+    table[iu, ju] = table[ju, iu] = np.arange(len(iu))
+
+    def column(i, j):  # Gamma^k_ij for every k
+        G = contract(
+            (ginv[:, l], dg[table[j, l], i] + dg[table[i, l], j] - dg[table[i, j], l])
+            for l in range(n)
+        )
+        G.coef *= 0.5
+        return G
+
+    return _symmetric(column, n)
 
 
 def curvature_values(Gamma_jets) -> np.ndarray:
     """R[l,k,i,j] values from Christoffel jets (order >= 1 required)."""
-    Gv = _move(values(Gamma_jets), 3)  # (*b, k, i, j)
-    dG = _move(d1_values(Gamma_jets), 4)  # (*b, k, i, j, m) = d_m Gamma^k_ij
+    Gv = values(Gamma_jets)  # (*b, k, i, j)
+    dG = d1_values(Gamma_jets)  # (*b, k, i, j, m) = d_m Gamma^k_ij
     # d_i Gamma^l_jk - d_j Gamma^l_ik
     term1 = np.einsum("...ljki->...lkij", dG) - np.einsum("...likj->...lkij", dG)
     # Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
@@ -378,25 +337,25 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(J))):
         raise HypothesisError("non-finite immersion values or Jacobian")
     Nj = cj.normal(max(cj.order - 2, 1))  # dN needs order 1
-    N = _move(values(Nj), 1)
-    dN = _move(d1_values(Nj), 2)
+    N = values(Nj)
+    dN = d1_values(Nj)
     # g is read at K-2, at least 1 for Gamma, which is built at the order
     # that g affords; R reads Gamma at 1, so a frame below order 4 builds
     # g and Gamma again if R is read
     go = max(cj.order - 3, 0)
-    g = _move(values(cj.metric(go + 1)), 2)
-    g_inv = _move(values(cj.ginv(cj.order - 2)), 2)
-    b = _move(values(cj.bjet), 2)
-    A = _move(values(cj.Ajet), 2)
+    g = values(cj.metric(go + 1))
+    g_inv = values(cj.ginv(cj.order - 2))
+    b = values(cj.bjet)
+    A = values(cj.Ajet)
     cholesky_spd(g)  # raises HypothesisError when g is not positive definite
     gA = np.einsum("...ij,...jk->...ik", g, A)
     scale = np.maximum(1.0, np.abs(gA).max())
     if np.abs(gA - gA.swapaxes(-1, -2)).max() > SELF_ADJOINT_TOL * scale:
         raise HypothesisError("shape operator lost g-self-adjointness")
-    Gamma = _move(values(cj.christoffel(go)), 3)
+    Gamma = values(cj.christoffel(go))
     nablaA = None
     if cj.order >= 3:
-        dA = _move(d1_values(cj.Ajet), 3)  # (*b, k, j, i) = d_i A^k_j
+        dA = d1_values(cj.Ajet)  # (*b, k, j, i) = d_i A^k_j
         nablaA = (
             np.einsum("...kji->...ikj", dA)
             + np.einsum("...kil,...lj->...ikj", Gamma, A)
@@ -416,17 +375,18 @@ def frame_from_jets(cj: ChartJets) -> Frame:
 
 
 def jet_partials(jets, k: int, batch_shape) -> np.ndarray:
-    """Order-k partials of scalar jets: floats (*batch_shape, len(jets), n, ...).
+    """Order-k partials of a vector jet, or of a list of scalar jets taken as
+    one: floats (*batch_shape, len(jets), n, ...).
 
     k is 0 (values), 1 or 2, read off the coefficients with no jet arithmetic.
     A jet that is constant over the batch has batch axes of length 1; they
     are broadcast to ``batch_shape``.
     """
-    parts = []
-    for j in jets:
-        d = j.value if k == 0 else j.d1 if k == 1 else j.d2()
-        parts.append(np.broadcast_to(d, d.shape[:k] + tuple(batch_shape)))
-    return _move(np.stack(parts), k + 1)
+    if not isinstance(jets, JetScalar):
+        jets = stack([j.truncated(k) for j in jets])
+    d = jets.value if k == 0 else jets.d1 if k == 1 else jets.d2()
+    d = np.ascontiguousarray(np.broadcast_to(d, d.shape[: k + 1] + tuple(batch_shape)))
+    return np.moveaxis(d, range(k + 1), range(-k - 1, 0))
 
 
 def metric_normal_values(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,7 +530,9 @@ def fd_stencil(chart: Chart, F, u, step: float, h2: float):
     """
     u = np.asarray(u, dtype=float)
     if not np.all(stencil_fits(chart, u, h2)):
-        raise SceneError(f"point too close to the boundary for step {step}")
+        raise SceneError(
+            f"point too close to the boundary: the stencil needs {2 * h2:g} of clearance"
+        )
     n = u.shape[-1]
     # stencil point k of every centre is the centre moved by moves[k]
     moves = {(): 0}

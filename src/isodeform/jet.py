@@ -13,12 +13,16 @@ tuple owns exactly one slot, symmetry of the derivative tensors is
 structural: the full-index accessors (d2, d3, d4) replicate the single
 stored slot bit-identically.
 
-Coefficient slots are numpy arrays, so a single jet can carry any batch
-shape (e.g. every node of a sample grid at once); scalar use is the empty
-batch.  All operations are elementwise over the batch.  A product adds the
-coefficient products of each target slot one at a time in a fixed pair
-order, independent of the batch, so each member of a batched product is
-bit-equal to the same product taken alone, broadcast axes included.
+Coefficients are one numpy array of shape (*shape, size, *batch): a jet
+can carry any batch shape (e.g. every node of a sample grid at once), and
+a tensor of jets (a Jacobian, a metric) has leading ``shape`` axes.  All
+operations are elementwise over batch and entries, and a tensor is
+multiplied entry by entry, each entry one contiguous (size, *batch) block
+(numpy's ``take`` copies a strided source whole before it gathers).  A
+product adds the coefficient products of each target slot one at a time in
+a fixed pair order, independent of the batch, so each member of a batched
+product is bit-equal to the same product taken alone, broadcast axes
+included.
 
 The product kernel has two paths with the same sums.  When the pair table
 times the batch size fits in GATHER_BUDGET doubles, both operands are
@@ -38,12 +42,15 @@ minor faults; per rank, where no temporary exceeds 20 x 729 doubles,
 largest gather left below the budget is (4, 2, 1024), order-2 jets at a
 1024-point chunk in four variables (46,080 doubles).
 
-Determinants, the adjugate inverse and the generalized cross product go
-through one memoized minor expansion (``minor_dets``): every minor is
-expanded along its first row, a sub-minor shared by several expansions is
-computed once and freed after its last read, and each result is bit-equal
-to the plain recursive expansion.  It works on any commutative ring, so
-the float normal in ``linalg`` uses it too.
+The one contraction, ``contract``, sums elementwise products in order, so
+each entry is its sum of scalar jet products, bit for bit; ``mat_mul``
+contracts a row with a column for each entry.  Determinants, the adjugate
+inverse and the generalized cross product go through one memoized minor
+expansion over entries (``minor_dets``): every minor is expanded along its
+first row, a sub-minor shared by several expansions is computed once and
+freed after its last read, and each result is bit-equal to the plain
+recursive expansion.  It works on any commutative ring, so the float
+normal in ``linalg`` uses it too.
 """
 
 from __future__ import annotations
@@ -60,6 +67,14 @@ MIN_DIVISOR = 1e-300  # underflow guard for division by a jet
 # KiB per temporary): below (3, 3, 729), whose gathered temporaries make
 # glibc trim and refault the heap, above (4, 2, 1024) (module docstring)
 GATHER_BUDGET = 3 * 2**14
+# glibc raises its mmap threshold to the size of an mmapped block it frees,
+# and its trim threshold to twice that (mallopt(3)).  A sample chunk's jet
+# tensors take and give back up to about 40 MB at once; freeing one
+# untouched block of HEAP_KEEP bytes here keeps that memory in the heap for
+# the next chunk, instead of trimming it and faulting it back in: about
+# 21,000 minor faults per warm pointwise verify without it, 7 with it
+HEAP_KEEP = 24 * 2**20
+np.empty(HEAP_KEEP // 8)
 
 _MAX_ORDER = 4
 
@@ -103,9 +118,6 @@ class JetSpace:
         self.monomials = _monomials(n_vars, order)
         self.size = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.degrees = np.array([sum(m) for m in self.monomials])
-        # number of monomials of degree <= k, for truncation slicing
-        self.sizes_by_order = [int(np.sum(self.degrees <= k)) for k in range(order + 1)]
         # slot of the pure power k e_i, by variable i and k = 0..order
         self._pure = [
             [self.index[tuple(k * (v == i) for v in range(n_vars))] for k in range(order + 1)]
@@ -156,6 +168,9 @@ class JetSpace:
                     fac[ci] = up[v]
                 self._diff_src.append(src)
                 self._diff_fac.append(fac)
+            # one row per variable, so ``grad`` gathers every partial at once
+            self._diff_src = np.array(self._diff_src)
+            self._diff_fac = np.array(self._diff_fac)
 
         # full-index derivative accessor tables (index grid + alpha! factors)
         self._deriv_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -206,13 +221,25 @@ class JetSpace:
 
 
 class JetScalar:
-    """One jet: Taylor coefficients (possibly batched) in a JetSpace."""
+    """One jet, or a tensor of jets: Taylor coefficients in a JetSpace.
 
-    __slots__ = ("space", "coef")
+    ``coef`` has shape (*shape, size, *batch): ``ndim`` tensor axes, then
+    the slot axis, then the batch, so a scalar jet (ndim 0) is (size,
+    *batch) and every entry's coefficients are one contiguous block.
+    Indexing reads the tensor axes: ``A[i, j]`` is the jet with
+    coefficients ``coef[i, j]``, and ``None`` adds a unit axis.  Jets of one
+    batch ndim combine elementwise with their tensor axes broadcast as
+    numpy's are, so ``h * A`` scales every entry of A by the scalar h.  A
+    float array operand is a constant tensor (``np.eye(n) - A``).
+    """
 
-    def __init__(self, space: JetSpace, coef: np.ndarray):
+    __slots__ = ("space", "coef", "ndim")
+    __array_ufunc__ = None  # an array operand defers to the jet's method
+
+    def __init__(self, space: JetSpace, coef: np.ndarray, ndim: int = 0):
         self.space = space
         self.coef = coef
+        self.ndim = ndim
 
     # -- accessors ---------------------------------------------------------
 
@@ -225,23 +252,33 @@ class JetScalar:
         return self.space.n_vars
 
     @property
+    def shape(self) -> tuple:
+        """The tensor shape: the ``ndim`` leading axes of ``coef``."""
+        return self.coef.shape[: self.ndim]
+
+    @property
+    def _slot(self) -> tuple:
+        """Index prefix that reaches the slot axis."""
+        return (slice(None),) * self.ndim
+
+    @property
     def value(self):
-        return self.coef[0]
+        """Values, shape (*shape, *batch)."""
+        return self.coef[self._slot + (0,)]
 
     @property
     def d1(self):
-        """Gradient, shape (n_vars, *batch)."""
-        idx, fac = self.space._deriv_tables[1]
-        return self.coef[idx] * fac.reshape(fac.shape + (1,) * (self.coef.ndim - 1))
+        """Gradient, shape (*shape, n_vars, *batch)."""
+        return self._full(1)
 
     def _full(self, k: int):
         if k > self.order:
             raise ValueError(f"derivative order {k} exceeds jet order {self.order}")
         idx, fac = self.space._deriv_tables[k]
-        return self.coef[idx] * fac.reshape(fac.shape + (1,) * (self.coef.ndim - 1))
+        return self.coef.take(idx, axis=self.ndim) * self._over_batch(fac)
 
     def d2(self):
-        """Full symmetric Hessian, shape (n, n, *batch)."""
+        """Full symmetric Hessian, shape (*shape, n, n, *batch)."""
         return self._full(2)
 
     def d3(self):
@@ -250,14 +287,30 @@ class JetScalar:
     def d4(self):
         return self._full(4)
 
+    def _like(self, coef: np.ndarray, space: JetSpace | None = None) -> "JetScalar":
+        return JetScalar(space or self.space, coef, self.ndim)
+
+    def _over_batch(self, a: np.ndarray) -> np.ndarray:
+        """``a`` with a unit axis appended for each batch axis."""
+        return a.reshape(a.shape + (1,) * (self.coef.ndim - self.ndim - 1))
+
     def diff(self, i: int) -> "JetScalar":
         """The jet of the partial derivative d/du_i (order drops by one)."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
         child = jet_space(sp.n_vars, sp.order - 1)
-        fac = sp._diff_fac[i].reshape((child.size,) + (1,) * (self.coef.ndim - 1))
-        return JetScalar(child, self.coef[sp._diff_src[i]] * fac)
+        fac = self._over_batch(sp._diff_fac[i])
+        return self._like(self.coef.take(sp._diff_src[i], axis=self.ndim) * fac, child)
+
+    def grad(self) -> "JetScalar":
+        """The partials d/du_l as a new last tensor axis l (order drops by one)."""
+        if self.order < 1:
+            raise ValueError("cannot differentiate an order-0 jet")
+        sp = self.space
+        out = self.coef.take(sp._diff_src, axis=self.ndim)
+        out *= self._over_batch(sp._diff_fac)
+        return JetScalar(jet_space(sp.n_vars, sp.order - 1), out, self.ndim + 1)
 
     def truncated(self, order: int) -> "JetScalar":
         """Copy of this jet truncated to a lower order."""
@@ -266,9 +319,34 @@ class JetScalar:
         if order > self.order:
             raise ValueError(f"cannot raise jet order {self.order} -> {order}")
         child = jet_space(self.n_vars, order)
-        return JetScalar(child, self.coef[: child.size])
+        return self._like(self.coef[self._slot + (slice(child.size),)], child)
+
+    # -- tensor axes --------------------------------------------------------
+
+    def __getitem__(self, key) -> "JetScalar":
+        coef = self.coef[key]
+        ndim = coef.ndim - self.coef.ndim + self.ndim
+        if ndim < 0:
+            raise IndexError(f"too many indices for a jet tensor of ndim {self.ndim}")
+        return JetScalar(self.space, coef, ndim)
+
+    def __iter__(self):
+        return (self[i] for i in range(self.shape[0]))
+
+    @property
+    def T(self) -> "JetScalar":
+        """The transpose of the last two tensor axes."""
+        return self._like(self.coef.swapaxes(self.ndim - 2, self.ndim - 1))
 
     # -- ring operations ----------------------------------------------------
+
+    def _lift(self, c, slot: bool):
+        """A float array operand's axes as tensor axes, for the values (or,
+        with ``slot``, the coefficients)."""
+        if isinstance(c, np.ndarray) and c.ndim:
+            c = self._over_batch(c)
+            return c[..., None] if slot else c
+        return c
 
     def _check(self, other: "JetScalar"):
         if self.space is not other.space:
@@ -277,53 +355,40 @@ class JetScalar:
     def __add__(self, other):
         if isinstance(other, JetScalar):
             self._check(other)
-            return JetScalar(self.space, self.coef + other.coef)
+            return JetScalar(self.space, self.coef + other.coef, max(self.ndim, other.ndim))
         out = self.coef.copy()
-        out[0] = out[0] + other
-        return JetScalar(self.space, out)
+        out[self._slot + (0,)] += self._lift(other, False)
+        return self._like(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetScalar(self.space, -self.coef)
+        return self._like(-self.coef)
 
     def __sub__(self, other):
         if isinstance(other, JetScalar):
             self._check(other)
-            return JetScalar(self.space, self.coef - other.coef)
+            return JetScalar(self.space, self.coef - other.coef, max(self.ndim, other.ndim))
         out = self.coef.copy()
-        out[0] = out[0] - other
-        return JetScalar(self.space, out)
+        out[self._slot + (0,)] -= self._lift(other, False)
+        return self._like(out)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, JetScalar):
-            self._check(other)
-            sp = self.space
-            a, b = self.coef, other.coef
-            batch = (a.size if a.shape == b.shape else np.broadcast(a, b).size) // sp.size
-            # each coefficient is summed rank by rank, in pair order
-            if len(sp._mul_ii) * batch <= GATHER_BUDGET:
-                prod = a.take(sp._mul_ii, axis=0) * b.take(sp._mul_jj, axis=0)
-                out = prod[: sp.size]
-                for start, m in sp._mul_ranks:
-                    out[:m] += prod[start : start + m]
-            else:
-                (ii, jj), *ranks = sp._mul_rank_pairs
-                out = a.take(ii, axis=0) * b.take(jj, axis=0)
-                for ii, jj in ranks:
-                    out[: len(ii)] += a.take(ii, axis=0) * b.take(jj, axis=0)
-            return JetScalar(sp, out.take(sp._mul_unperm, axis=0))
-        return JetScalar(self.space, self.coef * other)
+        if not isinstance(other, JetScalar):
+            return self._like(self.coef * self._lift(other, True))
+        self._check(other)
+        coef = _product(self.space, self.coef, other.coef, self.ndim, other.ndim)
+        return JetScalar(self.space, coef, max(self.ndim, other.ndim))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, JetScalar):
             return self * recip(other)
-        return JetScalar(self.space, self.coef / other)
+        return self._like(self.coef / self._lift(other, True))
 
     def __rtruediv__(self, other):
         return recip(self) * other
@@ -339,21 +404,50 @@ class JetScalar:
         return f"JetScalar(order={self.order}, n={self.n_vars}, value={head})"
 
 
+def _product(sp: JetSpace, a: np.ndarray, b: np.ndarray, sa: int, sb: int, out=None):
+    """The coefficients of the product of jets with coefficients a and b and
+    tensor ndims sa and sb, written to ``out`` when given; a tensor entry by
+    entry, each entry one contiguous block."""
+    shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape) if out is None else out
+    if sa or sb:
+        nd = max(sa, sb)
+        a = np.broadcast_to(a, shape[:nd] + a.shape[sa:])
+        b = np.broadcast_to(b, shape[:nd] + b.shape[sb:])
+        for e in np.ndindex(shape[:nd]):
+            _product(sp, a[e], b[e], 0, 0, out[e])
+        return out
+    # each coefficient is summed rank by rank, in pair order
+    if len(sp._mul_ii) * out.size <= GATHER_BUDGET * sp.size:
+        prod = a.take(sp._mul_ii, axis=0) * b.take(sp._mul_jj, axis=0)
+        acc = prod[: sp.size]
+        for start, m in sp._mul_ranks:
+            acc[:m] += prod[start : start + m]
+    else:
+        (ii, jj), *ranks = sp._mul_rank_pairs
+        acc = a.take(ii, axis=0) * b.take(jj, axis=0)
+        for ii, jj in ranks:
+            acc[: len(ii)] += a.take(ii, axis=0) * b.take(jj, axis=0)
+    # the indices are in range: "clip" writes to out without a buffer
+    return acc.take(sp._mul_unperm, axis=0, out=out, mode="clip")
+
+
 def _zero_delta(a: JetScalar) -> JetScalar:
     out = a.coef.copy()
-    out[0] = 0.0
-    return JetScalar(a.space, out)
+    out[a._slot + (0,)] = 0.0
+    return a._like(out)
 
 
 def _compose(a: JetScalar, coeffs: list) -> JetScalar:
     """Evaluate sum_k coeffs[k] * (a - a0)^k by Horner; exact to order K
     because the delta jet has zero constant term."""
     delta = _zero_delta(a)
-    res = JetScalar(a.space, np.zeros_like(a.coef))
-    res.coef[0] = coeffs[-1]
+    res = a._like(np.zeros_like(a.coef))
+    value = a._slot + (0,)
+    res.coef[value] = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
         res = res * delta
-        res.coef[0] = res.coef[0] + coeffs[k]
+        res.coef[value] = res.coef[value] + coeffs[k]
     return res
 
 
@@ -377,7 +471,7 @@ def recip(a: JetScalar) -> JetScalar:
 def _int_pow(a: JetScalar, e: int) -> JetScalar:
     if e < 0:
         return _int_pow(recip(a), -e)
-    result = a.space.constant(1.0, batch_ndim=a.coef.ndim - 1)
+    result = a.space.constant(1.0, batch_ndim=a.coef.ndim - a.ndim - 1)
     base = a
     while e:
         if e & 1:
@@ -468,12 +562,50 @@ def powf(a: JetScalar, r: float) -> JetScalar:
     return _compose(a, _pow_taylor(a.value, r, a.order))
 
 
-# -- small matrix algebra over the jet ring ---------------------------------
+# -- tensor algebra over the jet ring ----------------------------------------
 #
-# These work for any commutative-ring elements supporting + - * (and / for
-# the inverse), in particular plain floats, float arrays and JetScalar, held
-# in numpy object arrays or nested lists.  Dimensions here are tiny (n <= 5),
-# so cofactor expansion is both exact and fast.
+# ``stack``, ``contract`` and ``mat_mul`` build and contract jet tensors.
+# The minor expansions work entry by entry for any commutative-ring
+# elements supporting + - * (and / for the inverse): jets indexed out of a
+# tensor, plain floats and float arrays.  Dimensions here are tiny
+# (n <= 5), so cofactor expansion is both exact and fast.
+
+
+def stack(entries) -> JetScalar:
+    """The tensor whose leading tensor axes are the axes of the nested list
+    ``entries`` of jets of one space and ndim; their batches broadcast."""
+    jets = [stack(e) if isinstance(e, (list, tuple)) else e for e in entries]
+    for j in jets[1:]:
+        jets[0]._check(j)
+    coefs = np.broadcast_arrays(*(j.coef for j in jets))
+    return JetScalar(jets[0].space, np.stack(coefs), jets[0].ndim + 1)
+
+
+def contract(terms) -> JetScalar:
+    """sum_k x_k * y_k over the pairs (x_k, y_k), k in order: each entry is
+    bit-equal to its sum of scalar jet products.  A generator of pairs keeps
+    one term alive at a time."""
+    acc = None
+    for x, y in terms:
+        term = x * y
+        if acc is None:
+            acc = term
+        elif acc.coef.shape == term.coef.shape:
+            acc.coef += term.coef  # acc is a fresh sum: add in place
+        else:
+            acc = acc + term
+    return acc
+
+
+def mat_mul(A: JetScalar, B: JetScalar) -> JetScalar:
+    """The matrix product of (n, k) and (k, p) jet tensors, one entry at a
+    time: entry (i, j) is the contraction of row i of A with column j of B,
+    k ascending, and no temporary outgrows one entry."""
+    n, p = A.shape[0], B.shape[1]
+    out = np.empty((n, p) + np.broadcast_shapes(A.coef.shape[2:], B.coef.shape[2:]))
+    for i, j in np.ndindex(n, p):
+        out[i, j] = contract(zip(A[i], B[:, j])).coef
+    return JetScalar(A.space, out, 2)
 
 
 @lru_cache(maxsize=None)
@@ -527,8 +659,13 @@ def minor_dets(entry, targets: tuple):
             memo[key] = out
         return out
 
-    for rows, cols in targets:
-        yield det(rows, cols)
+    try:
+        for rows, cols in targets:
+            yield det(rows, cols)
+    finally:
+        # the recursive closure is a reference cycle that holds ``entry``,
+        # and so the matrix, until the cyclic collector runs: break it
+        det = None
 
 
 def _without(k: int, n: int) -> tuple:
@@ -548,7 +685,7 @@ def cross_product(entry, n: int) -> list:
 
 
 def mat_det(M):
-    M = np.asarray(M, dtype=object)
+    """det of the square matrix M: an (n, n) jet tensor or float array."""
     full = tuple(range(M.shape[0]))
     return next(minor_dets(lambda r, c: M[r, c], ((full, full),)))
 
@@ -556,12 +693,11 @@ def mat_det(M):
 def mat_inv(M, gate=None):
     """Adjugate inverse (pivot-free, branch-free: safe for batched jets).
 
-    Returns (inverse, det).  The cofactors share their minors with det.  A
-    caller that gates det passes ``gate``, which is called on det before any
-    division; the reciprocal of det is formed once and each cofactor is
-    multiplied by it.
+    Returns (inverse, det) for an (n, n) jet tensor or float array M.  The
+    cofactors share their minors with det.  A caller that gates det passes
+    ``gate``, which is called on det before any division; the reciprocal of
+    det is formed once and each cofactor is multiplied by it.
     """
-    M = np.asarray(M, dtype=object)
     n = M.shape[0]
     full = tuple(range(n))
     cofactors = tuple((_without(i, n), _without(j, n)) for i in range(n) for j in range(n))
@@ -569,51 +705,26 @@ def mat_inv(M, gate=None):
     det = next(dets)
     if gate is not None:
         gate(det)
-    rdet = recip(det) if isinstance(det, JetScalar) else 1.0 / det
-    inv = np.empty((n, n), dtype=object)
-    if n == 1:
-        inv[0, 0] = rdet
-        return inv, det
-    for i in range(n):
-        for j in range(n):
-            cof = next(dets)
-            if (i + j) % 2:
-                cof = -cof
-            inv[j, i] = cof * rdet
-    return inv, det
+    jets = isinstance(det, JetScalar)
+    rdet = recip(det) if jets else 1.0 / det
+    inv = None
+    for i, j in np.ndindex(n, n):
+        cof = next(dets) if n > 1 else 1.0
+        entry = (-cof if (i + j) % 2 else cof) * rdet
+        entry = entry.coef if jets else entry
+        if inv is None:
+            inv = np.empty((n, n) + np.shape(entry))
+        inv[j, i] = entry
+    return (JetScalar(det.space, inv, 2) if jets else inv), det
 
 
-def mat_mul(A, B):
-    A = np.asarray(A, dtype=object)
-    B = np.asarray(B, dtype=object)
-    out = np.empty((A.shape[0], B.shape[1]), dtype=object)
-    for i in range(A.shape[0]):
-        for j in range(B.shape[1]):
-            acc = A[i, 0] * B[0, j]
-            for k in range(1, A.shape[1]):
-                acc = acc + A[i, k] * B[k, j]
-            out[i, j] = acc
-    return out
+def values(T: JetScalar) -> np.ndarray:
+    """The values of a jet tensor: floats (*batch, *shape), a view of a new
+    array that holds no coefficients."""
+    return np.moveaxis(T.value.copy(), range(T.ndim), range(-T.ndim, 0))
 
 
-def values(obj_arr) -> np.ndarray:
-    """Extract .value from an object array of jets -> float array with the
-    jet batch axes appended after the array's own axes."""
-    arr = np.asarray(obj_arr, dtype=object)
-    flat = [np.asarray(j.value, dtype=float) for j in arr.flat]
-    batch = np.broadcast_shapes(*(f.shape for f in flat))
-    out = np.empty(arr.shape + batch)
-    for idx, f in zip(np.ndindex(arr.shape), flat):
-        out[idx] = np.broadcast_to(f, batch)
-    return out
-
-
-def d1_values(obj_arr) -> np.ndarray:
-    """Extract .d1 from an object array of jets -> shape arr.shape+(n,)+batch."""
-    arr = np.asarray(obj_arr, dtype=object)
-    flat = [np.asarray(j.d1, dtype=float) for j in arr.flat]
-    batch = np.broadcast_shapes(*(f.shape for f in flat))
-    out = np.empty(arr.shape + batch)
-    for idx, f in zip(np.ndindex(arr.shape), flat):
-        out[idx] = np.broadcast_to(f, batch)
-    return out
+def d1_values(T: JetScalar) -> np.ndarray:
+    """The first partials of a jet tensor: floats (*batch, *shape, n_vars),
+    a view of a new array (*shape, n_vars, *batch)."""
+    return np.moveaxis(T.d1, range(T.ndim + 1), range(-T.ndim - 1, 0))

@@ -61,7 +61,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import deformation as dfm
 from . import geometry as geo
 from .codazzi import (
     Q_CHECK_ORDER,
@@ -384,8 +383,8 @@ def _deformation_explicit_suite(chart, spec, pts, grid, tol, sign) -> List[Check
     probes = _fd_probe_points(chart, grid, pts)
     if not len(probes):
         note = (
-            "no interior probe point: point too close to the boundary for "
-            f"step {dfm.FD_STEP}"
+            "no interior probe point: point too close to the boundary: the "
+            f"stencil needs {2 * fd_second_step():g} of clearance"
         )
         return checks + [check_skipped("deformation", k, tol[k], note) for k in names]
     cj = chart_jets(chart, probes, 3)

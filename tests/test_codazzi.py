@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isodeform import catalog, codazzi, deformation, expr as exprmod, geometry
+from isodeform import catalog, codazzi, deformation, expr as exprmod
 from isodeform.codazzi import (
     Explicit,
     GHPair,
@@ -61,7 +61,7 @@ def test_parallel_on_sphere_is_scalar():
     Gt = codazzi.deformed_christoffel_jets(cj, qj)
     assert deformed_connection_residual_field(cj, frame, cf, Gt).max() < 1e-10
     assert deformed_curvature_residual_field(cj, frame, cf, Gt).max() < 1e-9
-    G1 = geometry._move(values(Gt), 3)
+    G1 = values(Gt)
     assert np.abs(G1 - frame.Gamma).max() < 1e-10
 
 
@@ -78,10 +78,10 @@ def test_gauss_translation_pair_gives_minus_A():
     cj = chart_jets(ch, u, 3)
     frame = frame_from_jets(cj)
     qj = q_jets(cj, GHPair(g_src, h_src))[0]
-    assert np.allclose(geometry._move(values(qj), 2), -frame.A, atol=1e-10)
+    assert np.allclose(values(qj), -frame.A, atol=1e-10)
     qj2 = q_jets(cj, MinusA())[0]
     assert np.allclose(
-        geometry._move(values(qj), 2), geometry._move(values(qj2), 2), atol=1e-10
+        values(qj), values(qj2), atol=1e-10
     )
 
 
@@ -91,8 +91,8 @@ def test_constant_pair_matches_parallel_on_sphere():
     ch = catalog.sphere3(2.0)
     u = np.array([0.7, 0.8, 0.9])
     cj = chart_jets(ch, u, 3)
-    q_gh = geometry._move(values(q_jets(cj, GHPair("2", "3"))[0]), 2)
-    q_par = geometry._move(values(q_jets(cj, Parallel(1.0))[0]), 2)
+    q_gh = values(q_jets(cj, GHPair("2", "3"))[0])
+    q_par = values(q_jets(cj, Parallel(1.0))[0])
     assert np.allclose(q_gh, q_par, atol=1e-12)
     assert np.allclose(q_gh, 1.5 * np.eye(3), atol=1e-12)
 
@@ -108,7 +108,7 @@ def test_graph_parallel_pair_from_dsl_fields():
     pts = grid_points(ch, 3)
     cj = chart_jets(ch, pts, 3)
     frame = frame_from_jets(cj)
-    qv = geometry._move(values(q_jets(cj, GHPair(g_src, h_src))[0]), 2)
+    qv = values(q_jets(cj, GHPair(g_src, h_src))[0])
     expected = np.eye(3) - 0.05 * frame.A
     assert np.abs(qv - expected).max() < 1e-11
 
@@ -141,7 +141,7 @@ def test_deformed_geometry_identities_on_grid(chart, spec, order):
     assert deformed_connection_residual_field(cj, frame, cf, Gt).max() < 1e-9
     assert deformed_curvature_residual_field(cj, frame, cf, Gt).max() < 1e-7
     gt = deformed_metric(frame, cf)
-    gt_jets = geometry._move(values(deformed_metric_jets(cj, qj)), 2)
+    gt_jets = values(deformed_metric_jets(cj, qj))
     assert np.abs(gt - gt_jets).max() < 1e-13
 
 
@@ -200,7 +200,7 @@ def test_noncommuting_control_detected():
     frame = frame_from_jets(cj)
     qj = q_jets(cj, Explicit(entries))[0]  # self-adjointness check passes
     cf = codazzi.codazzi_frame_from_jets(qj, frame)
-    gv = geometry._move(values(cj.metric(0)), 2)
+    gv = values(cj.metric(0))
     gQ = np.einsum("...ik,...kj->...ij", gv, cf.Q)
     assert np.abs(gQ - np.diag(S)).max() < 1e-12
     assert commutator_residual_field(frame, cf).max() > 1e-3
@@ -275,7 +275,7 @@ def test_overflowed_q_is_not_called_singular():
     # Q = Id - tA is finite at t = 1e308, but its singular values overflow
     cj = chart_jets(catalog.sphere3(), [0.7, 0.8, 0.9], 3)
     qj = q_jets(cj, Parallel(1e308))[0]
-    assert np.isfinite(geometry._move(values(qj), 2)).all()
+    assert np.isfinite(values(qj)).all()
     with pytest.raises(HypothesisError, match="not finite"):
         codazzi.codazzi_frame_from_jets(qj, frame_from_jets(cj))
 

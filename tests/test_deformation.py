@@ -379,8 +379,8 @@ def test_value_integrand_matches_jet_route(name):
     ch = catalog.graph3()
     pts = np.random.default_rng(7).uniform(-0.45, 0.45, (500, 3))
     cj = chart_jets(ch, pts, order=2)
-    Jv = np.moveaxis(values(cj.Jjet), (0, 1), (-2, -1))
-    Qv = np.moveaxis(values(codazzi.q_jets(cj, source)[0]), (0, 1), (-2, -1))
+    Jv = values(cj.Jjet)
+    Qv = values(codazzi.q_jets(cj, source)[0])
     expected = np.einsum("...pk,...kj->...pj", Jv, Qv)
     omega = dfm._omega_values(ch, source, pts)
     assert omega.shape == (500, 4, 3)

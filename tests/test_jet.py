@@ -7,6 +7,7 @@ frozen inline where the calculus is short enough to do by hand.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,10 +377,10 @@ def test_mat_det_inv_on_floats():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4):
         M = rng.uniform(-1, 1, (n, n)) + 2 * np.eye(n)
-        det = mat_det(M.astype(object))
+        det = mat_det(M)
         assert det == pytest.approx(np.linalg.det(M), rel=1e-10)
-        inv, _ = mat_inv(M.astype(object))
-        assert np.allclose(inv.astype(float), np.linalg.inv(M), atol=1e-12)
+        inv, _ = mat_inv(M)
+        assert np.allclose(inv, np.linalg.inv(M), atol=1e-12)
 
 
 def _ref_det(M):
@@ -403,10 +404,8 @@ def _drop(rows, i):
 
 
 def _random_jets(sp, rng, shape, batch=3):
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
-        out[idx] = jet.JetScalar(sp, rng.uniform(-1, 1, (sp.size, batch)))
-    return out
+    """A jet tensor of the given shape with random coefficients."""
+    return jet.JetScalar(sp, rng.uniform(-1, 1, shape + (sp.size, batch)), len(shape))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -415,9 +414,7 @@ def test_shared_minors_match_plain_expansion_exactly(n):
     # the first-row expansion of its matrix, bit for bit
     rng = np.random.default_rng(40 + n)
     sp = jet_space(2, 2)
-    M = _random_jets(sp, rng, (n, n))
-    for i in range(n):
-        M[i, i] = M[i, i] + (n + 1.0)
+    M = _random_jets(sp, rng, (n, n)) + (n + 1.0) * np.eye(n)
     rows = [list(M[i]) for i in range(n)]
     det = _ref_det(rows)
     assert np.array_equal(mat_det(M).coef, det.coef)
@@ -472,11 +469,7 @@ def test_mat_inv_over_jets():
     sp = jet_space(2, 3)
     x = sp.variable(0, 0.3)
     y = sp.variable(1, -0.4)
-    M = np.empty((2, 2), dtype=object)
-    M[0, 0] = 2.0 + x * x
-    M[0, 1] = x * y
-    M[1, 0] = x * y
-    M[1, 1] = 3.0 + jet.sin(y)
+    M = jet.stack([[2.0 + x * x, x * y], [x * y, 3.0 + jet.sin(y)]])
     inv, det = mat_inv(M)
     assert det.value == pytest.approx(
         (2 + 0.09) * (3 + math.sin(-0.4)) - (0.3 * -0.4) ** 2, rel=1e-14
@@ -487,3 +480,51 @@ def test_mat_inv_over_jets():
             expect = 1.0 if i == j else 0.0
             assert np.allclose(eye[i, j].coef[0], expect, atol=1e-13)
             assert np.allclose(eye[i, j].coef[1:], 0.0, atol=1e-13)
+
+
+# ---------------------------------------------------------------- jet tensors
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (4, 2), (4, 4)])
+def test_tensor_products_are_entrywise_and_batch_independent(n, k):
+    # elementwise products (tensor axes broadcast) and the contractions of a
+    # 1024-point batch: every member is bit-equal to the member taken alone,
+    # and every entry to its sum of scalar jet products, k ascending
+    rng = np.random.default_rng(100 * n + k)
+    sp = jet_space(n, k)
+    A = _random_jets(sp, rng, (2, 3), batch=1024)
+    B = _random_jets(sp, rng, (3, 2), batch=1024)
+    C = _random_jets(sp, rng, (2, 3), batch=1024)
+    h = _random_jets(sp, rng, (), batch=1024)
+    results = {
+        "AC": (lambda A, B, C, h: A * C),
+        "hA": (lambda A, B, C, h: h * A),
+        "AB": (lambda A, B, C, h: mat_mul(A, B)),
+        "sum": (lambda A, B, C, h: jet.contract(zip(A, C))),
+    }
+    for name, fn in results.items():
+        whole = fn(A, B, C, h)
+        for m in (0, 517, 1023):
+            alone = fn(*(jet.JetScalar(sp, x.coef[..., m], x.ndim) for x in (A, B, C, h)))
+            assert np.array_equal(whole.coef[..., m], alone.coef), (name, m)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal((A * C)[i, j].coef, (A[i, j] * C[i, j]).coef)
+        assert np.array_equal((h * A)[i, j].coef, (h * A[i, j]).coef)
+    AB = mat_mul(A, B)
+    for i, j in np.ndindex(2, 2):
+        ref = A[i, 0] * B[0, j] + A[i, 1] * B[1, j] + A[i, 2] * B[2, j]
+        assert np.array_equal(AB[i, j].coef, ref.coef)
+    total = jet.contract(zip(A, C))
+    assert np.array_equal(total.coef, (A[0] * C[0] + A[1] * C[1]).coef)
+
+
+def test_no_object_arrays_in_the_package():
+    # jets and their tensors are coefficient arrays, never numpy object arrays
+    src = Path(jet.__file__).resolve().parent
+    sites = [
+        f"{path.name}:{number}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "dtype=object" in line.replace(" ", "")
+    ]
+    assert sites == []
