@@ -383,7 +383,10 @@ def eval_jets(nodes, point, order: int, shared: dict | None = None) -> list[JetS
         return a ** int(b) if b.is_integer() else jetmod.powf(a, b)
 
     ev = _memo_reader(ev_node, {k: (uses, None) for k, uses in (shared or {}).items()})
-    out = [ev(nd) for nd in nodes]
+    try:
+        out = [ev(nd) for nd in nodes]
+    finally:
+        ev = None  # ev and ev_node refer to each other: break the cycle
     return [v if isinstance(v, JetScalar) else sp.constant(v, batch_ndim) for v in out]
 
 

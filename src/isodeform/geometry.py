@@ -245,15 +245,16 @@ class ChartJets:
 def _symmetric(entry, n: int) -> JetScalar:
     """The tensor whose last two axes (n, n) hold the jet ``entry(i, j)`` at
     (i, j) and (j, i), for i <= j: symmetric bit for bit.  The entries, of
-    one shape, are written as they come."""
-    out = None
+    one shape, are written as they come, and so are their patterns."""
+    out, patterns = None, []
     for i, j in zip(*np.triu_indices(n)):
         e = entry(i, j)
         if out is None:
             d = e.ndim
             out = np.empty(e.coef.shape[:d] + (n, n) + e.coef.shape[d:])
         out[(slice(None),) * d + (i, j)] = out[(slice(None),) * d + (j, i)] = e.coef
-    return JetScalar(e.space, out, d + 2)
+        patterns += [((..., i, j), e.nz), ((..., j, i), e.nz)]
+    return JetScalar(e.space, out, d + 2, jetmod._patterned(patterns, e.shape + (n, n)))
 
 
 def christoffel_jets(gjet, ginv):

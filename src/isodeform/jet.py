@@ -51,6 +51,18 @@ first row, a sub-minor shared by several expansions is computed once and
 freed after its last read, and each result is bit-equal to the plain
 recursive expansion.  It works on any commutative ring, so the float
 normal in ``linalg`` uses it too.
+
+A jet tensor's zero pattern ``nz`` is None when nothing is known, or bools
+of its tensor shape, False where every coefficient of an entry is zero.
+``grad`` and ``diff`` flag an entry whose block is zero.  Without reading
+coefficients, a product is then zero where a factor is, a sum where both
+terms are, and a float constant added keeps the zeros where it is 0;
+negation, finite scaling, indexing, ``.T``, ``stack`` and the tensors built
+entry by entry carry the pattern, and ``recip`` and composed functions drop
+it.  No arithmetic touches a known zero: a product writes it as zeros,
+``contract`` skips a zero term, and ``minor_dets`` a zero entry's term with
+the reads of its minor.  Results equal full arithmetic's up to the sign of
+a zero, but a zero entry times NaN or inf is 0, not NaN.
 """
 
 from __future__ import annotations
@@ -230,16 +242,18 @@ class JetScalar:
     coefficients ``coef[i, j]``, and ``None`` adds a unit axis.  Jets of one
     batch ndim combine elementwise with their tensor axes broadcast as
     numpy's are, so ``h * A`` scales every entry of A by the scalar h.  A
-    float array operand is a constant tensor (``np.eye(n) - A``).
+    float array operand is a constant tensor (``np.eye(n) - A``).  ``nz`` is
+    the zero pattern (module docstring).
     """
 
-    __slots__ = ("space", "coef", "ndim")
+    __slots__ = ("space", "coef", "ndim", "nz")
     __array_ufunc__ = None  # an array operand defers to the jet's method
 
-    def __init__(self, space: JetSpace, coef: np.ndarray, ndim: int = 0):
+    def __init__(self, space: JetSpace, coef: np.ndarray, ndim: int = 0, nz=None):
         self.space = space
         self.coef = coef
         self.ndim = ndim
+        self.nz = nz
 
     # -- accessors ---------------------------------------------------------
 
@@ -287,8 +301,8 @@ class JetScalar:
     def d4(self):
         return self._full(4)
 
-    def _like(self, coef: np.ndarray, space: JetSpace | None = None) -> "JetScalar":
-        return JetScalar(space or self.space, coef, self.ndim)
+    def _like(self, coef: np.ndarray, space: JetSpace | None = None, nz=None) -> "JetScalar":
+        return JetScalar(space or self.space, coef, self.ndim, nz)
 
     def _over_batch(self, a: np.ndarray) -> np.ndarray:
         """``a`` with a unit axis appended for each batch axis."""
@@ -300,8 +314,9 @@ class JetScalar:
             raise ValueError("cannot differentiate an order-0 jet")
         sp = self.space
         child = jet_space(sp.n_vars, sp.order - 1)
-        fac = self._over_batch(sp._diff_fac[i])
-        return self._like(self.coef.take(sp._diff_src[i], axis=self.ndim) * fac, child)
+        out = self.coef.take(sp._diff_src[i], axis=self.ndim)
+        out *= self._over_batch(sp._diff_fac[i])
+        return self._like(out, child, _seed_pattern(out, self.ndim))
 
     def grad(self) -> "JetScalar":
         """The partials d/du_l as a new last tensor axis l (order drops by one)."""
@@ -310,7 +325,8 @@ class JetScalar:
         sp = self.space
         out = self.coef.take(sp._diff_src, axis=self.ndim)
         out *= self._over_batch(sp._diff_fac)
-        return JetScalar(jet_space(sp.n_vars, sp.order - 1), out, self.ndim + 1)
+        child = jet_space(sp.n_vars, sp.order - 1)
+        return JetScalar(child, out, self.ndim + 1, _seed_pattern(out, self.ndim + 1))
 
     def truncated(self, order: int) -> "JetScalar":
         """Copy of this jet truncated to a lower order."""
@@ -319,7 +335,7 @@ class JetScalar:
         if order > self.order:
             raise ValueError(f"cannot raise jet order {self.order} -> {order}")
         child = jet_space(self.n_vars, order)
-        return self._like(self.coef[self._slot + (slice(child.size),)], child)
+        return self._like(self.coef[self._slot + (slice(child.size),)], child, self.nz)
 
     # -- tensor axes --------------------------------------------------------
 
@@ -328,7 +344,7 @@ class JetScalar:
         ndim = coef.ndim - self.coef.ndim + self.ndim
         if ndim < 0:
             raise IndexError(f"too many indices for a jet tensor of ndim {self.ndim}")
-        return JetScalar(self.space, coef, ndim)
+        return JetScalar(self.space, coef, ndim, None if self.nz is None else self.nz[key])
 
     def __iter__(self):
         return (self[i] for i in range(self.shape[0]))
@@ -336,7 +352,8 @@ class JetScalar:
     @property
     def T(self) -> "JetScalar":
         """The transpose of the last two tensor axes."""
-        return self._like(self.coef.swapaxes(self.ndim - 2, self.ndim - 1))
+        nz = None if self.nz is None else self.nz.swapaxes(-2, -1)
+        return self._like(self.coef.swapaxes(self.ndim - 2, self.ndim - 1), nz=nz)
 
     # -- ring operations ----------------------------------------------------
 
@@ -352,43 +369,61 @@ class JetScalar:
         if self.space is not other.space:
             raise ValueError(f"mixed jets: {self.space} vs {other.space}")
 
+    def _shifted(self, c):
+        """The pattern once the constant c is added to the values: an entry
+        stays zero where c is 0."""
+        return None if self.nz is None else self.nz | (np.asarray(c) != 0)
+
+    def _scaled(self, coef: np.ndarray, c, divide: bool) -> "JetScalar":
+        """The jet of ``coef``, the coefficients times or over the float c:
+        zeros stay zero unless c is not finite, or zero as a divisor."""
+        keep = self.nz is not None and np.isfinite(c).all() and not (divide and np.any(c == 0))
+        return self._like(coef, nz=_fit(self.nz, coef.shape[: self.ndim]) if keep else None)
+
     def __add__(self, other):
         if isinstance(other, JetScalar):
             self._check(other)
-            return JetScalar(self.space, self.coef + other.coef, max(self.ndim, other.ndim))
+            nz = _join(self.nz, other.nz)
+            return JetScalar(self.space, self.coef + other.coef, max(self.ndim, other.ndim), nz)
         out = self.coef.copy()
         out[self._slot + (0,)] += self._lift(other, False)
-        return self._like(out)
+        return self._like(out, nz=self._shifted(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like(-self.coef)
+        return self._like(-self.coef, nz=self.nz)
 
     def __sub__(self, other):
         if isinstance(other, JetScalar):
             self._check(other)
-            return JetScalar(self.space, self.coef - other.coef, max(self.ndim, other.ndim))
+            nz = _join(self.nz, other.nz)
+            return JetScalar(self.space, self.coef - other.coef, max(self.ndim, other.ndim), nz)
         out = self.coef.copy()
         out[self._slot + (0,)] -= self._lift(other, False)
-        return self._like(out)
+        return self._like(out, nz=self._shifted(other))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, JetScalar):
-            return self._like(self.coef * self._lift(other, True))
+            return self._scaled(self.coef * self._lift(other, True), other, False)
         self._check(other)
-        coef = _product(self.space, self.coef, other.coef, self.ndim, other.ndim)
-        return JetScalar(self.space, coef, max(self.ndim, other.ndim))
+        nd = max(self.ndim, other.ndim)
+        nz = _meet(self.nz, other.nz)
+        if _zero(nz):
+            coef = np.zeros(_broadcast(self.coef, other.coef))
+        else:
+            coef = _product(self.space, self.coef, other.coef, self.ndim, other.ndim, nz)
+        return JetScalar(self.space, coef, nd, _fit(nz, coef.shape[:nd]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, JetScalar):
             return self * recip(other)
-        return self._like(self.coef / self._lift(other, True))
+        return self._scaled(self.coef / self._lift(other, True), other, True)
 
     def __rtruediv__(self, other):
         return recip(self) * other
@@ -404,18 +439,59 @@ class JetScalar:
         return f"JetScalar(order={self.order}, n={self.n_vars}, value={head})"
 
 
-def _product(sp: JetSpace, a: np.ndarray, b: np.ndarray, sa: int, sb: int, out=None):
-    """The coefficients of the product of jets with coefficients a and b and
-    tensor ndims sa and sb, written to ``out`` when given; a tensor entry by
-    entry, each entry one contiguous block."""
+def _fit(nz, shape: tuple):
+    """A pattern broadcast to the tensor shape of the jet that carries it."""
+    return nz if nz is None or nz.shape == shape else np.broadcast_to(nz, shape)
+
+
+def _meet(p, q):
+    """The pattern of a product: an entry is zero where a factor is."""
+    return q if p is None else p if q is None else p & q
+
+
+def _join(p, q):
+    """The pattern of a sum: an entry is zero where both terms are."""
+    return None if p is None or q is None else p | q
+
+
+def _zero(nz) -> bool:
+    """Whether a pattern marks every entry zero."""
+    return nz is not None and not (np.count_nonzero(nz) if nz.ndim else nz)
+
+
+def _seed_pattern(coef: np.ndarray, ndim: int):
+    """The pattern of derivative coefficients (*shape, size, *batch): an
+    entry is zero when its block is.  Only an entry whose first coefficient
+    is zero is read whole."""
+    flat = coef.reshape(coef.shape[:ndim] + (-1,))
+    nz = flat[..., :1].any(axis=-1)  # the first coefficient, if any
+    if ndim == 0:
+        return nz or flat.any()
+    for e in zip(*np.nonzero(~nz)):
+        nz[e] = flat[e].any()
+    return nz
+
+
+def _broadcast(a: np.ndarray, b: np.ndarray) -> tuple:
+    return a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
+
+
+def _product(sp: JetSpace, a: np.ndarray, b: np.ndarray, sa: int, sb: int, nz=None, out=None):
+    """The coefficients of the product of jets with coefficients a and b,
+    tensor ndims sa and sb and pattern nz, written to ``out`` when given; a
+    tensor entry by entry, each one contiguous block, zeros where nz is."""
     shape = a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape)
     out = np.empty(shape) if out is None else out
     if sa or sb:
         nd = max(sa, sb)
         a = np.broadcast_to(a, shape[:nd] + a.shape[sa:])
         b = np.broadcast_to(b, shape[:nd] + b.shape[sb:])
+        nz = _fit(nz, shape[:nd])
         for e in np.ndindex(shape[:nd]):
-            _product(sp, a[e], b[e], 0, 0, out[e])
+            if nz is None or nz[e]:
+                _product(sp, a[e], b[e], 0, 0, None, out[e])
+            else:
+                out[e] = 0.0
         return out
     # each coefficient is summed rank by rank, in pair order
     if len(sp._mul_ii) * out.size <= GATHER_BUDGET * sp.size:
@@ -578,20 +654,38 @@ def stack(entries) -> JetScalar:
     for j in jets[1:]:
         jets[0]._check(j)
     coefs = np.broadcast_arrays(*(j.coef for j in jets))
-    return JetScalar(jets[0].space, np.stack(coefs), jets[0].ndim + 1)
+    nz = _patterned(enumerate(j.nz for j in jets), (len(jets),) + jets[0].shape)
+    return JetScalar(jets[0].space, np.stack(coefs), jets[0].ndim + 1, nz)
+
+
+def _patterned(entries, shape: tuple):
+    """The pattern of a tensor of ``shape`` from (index, entry pattern)
+    pairs; None when no entry has one."""
+    nz = None
+    for e, p in entries:
+        if p is not None:
+            if nz is None:
+                nz = np.ones(shape, bool)
+            nz[e] = p
+    return nz
 
 
 def contract(terms) -> JetScalar:
     """sum_k x_k * y_k over the pairs (x_k, y_k), k in order: each entry is
-    bit-equal to its sum of scalar jet products.  A generator of pairs keeps
-    one term alive at a time."""
+    equal to its sum of scalar jet products.  After the first term, a term
+    that the patterns make zero, and that adds no axes, is skipped.  A
+    generator of pairs keeps one term alive at a time."""
     acc = None
     for x, y in terms:
+        if acc is not None and isinstance(x, JetScalar) and isinstance(y, JetScalar):
+            if _zero(_meet(x.nz, y.nz)) and _broadcast(x.coef, y.coef) == acc.coef.shape:
+                continue
         term = x * y
         if acc is None:
             acc = term
         elif acc.coef.shape == term.coef.shape:
             acc.coef += term.coef  # acc is a fresh sum: add in place
+            acc.nz = _join(acc.nz, term.nz)
         else:
             acc = acc + term
     return acc
@@ -603,9 +697,12 @@ def mat_mul(A: JetScalar, B: JetScalar) -> JetScalar:
     k ascending, and no temporary outgrows one entry."""
     n, p = A.shape[0], B.shape[1]
     out = np.empty((n, p) + np.broadcast_shapes(A.coef.shape[2:], B.coef.shape[2:]))
+    patterns = []
     for i, j in np.ndindex(n, p):
-        out[i, j] = contract(zip(A[i], B[:, j])).coef
-    return JetScalar(A.space, out, 2)
+        entry = contract(zip(A[i], B[:, j]))
+        out[i, j] = entry.coef
+        patterns.append(((i, j), entry.nz))
+    return JetScalar(A.space, out, 2, _patterned(patterns, (n, p)))
 
 
 @lru_cache(maxsize=None)
@@ -650,22 +747,40 @@ def minor_dets(entry, targets: tuple):
                 out = entry(r, a) * entry(s, b) - entry(r, b) * entry(s, a)
             else:
                 for j, c in enumerate(cols):
-                    term = entry(rows[0], c) * det(rows[1:], cols[:j] + cols[j + 1 :])
+                    e, sub = entry(rows[0], c), (rows[1:], cols[:j] + cols[j + 1 :])
+                    if isinstance(e, JetScalar) and _zero(e.nz):
+                        skip(*sub)  # the term is zero
+                        continue
+                    term = e * det(*sub)
                     if j % 2:
                         term = -term
-                    out = term if j == 0 else out + term
+                    out = term if out is None else out + term
+                if out is None:  # every entry of the first row is zero
+                    out = e._like(np.zeros(e.coef.shape), nz=e.nz)
         uses[key] -= 1
         if uses[key]:
             memo[key] = out
         return out
 
+    def skip(rows, cols):
+        """A read of a minor that a zero entry's term does not make."""
+        if len(rows) < 2:
+            return
+        key = (rows, cols)
+        uses[key] -= 1
+        # a minor that is never read again and was never expanded will not
+        # be: its own reads of its sub-minors are skipped with it
+        if not uses[key] and memo.pop(key, None) is None and len(rows) > 2:
+            for j in range(len(cols)):
+                skip(rows[1:], cols[:j] + cols[j + 1 :])
+
     try:
         for rows, cols in targets:
             yield det(rows, cols)
     finally:
-        # the recursive closure is a reference cycle that holds ``entry``,
-        # and so the matrix, until the cyclic collector runs: break it
-        det = None
+        # the recursive closures are reference cycles that hold ``entry``,
+        # and so the matrix, until the cyclic collector runs: break them
+        det = skip = None
 
 
 def _without(k: int, n: int) -> tuple:
@@ -707,15 +822,16 @@ def mat_inv(M, gate=None):
         gate(det)
     jets = isinstance(det, JetScalar)
     rdet = recip(det) if jets else 1.0 / det
-    inv = None
+    inv, patterns = None, []
     for i, j in np.ndindex(n, n):
         cof = next(dets) if n > 1 else 1.0
         entry = (-cof if (i + j) % 2 else cof) * rdet
+        patterns.append(((j, i), getattr(entry, "nz", None)))
         entry = entry.coef if jets else entry
         if inv is None:
             inv = np.empty((n, n) + np.shape(entry))
         inv[j, i] = entry
-    return (JetScalar(det.space, inv, 2) if jets else inv), det
+    return (JetScalar(det.space, inv, 2, _patterned(patterns, (n, n))) if jets else inv), det
 
 
 def values(T: JetScalar) -> np.ndarray:

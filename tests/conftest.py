@@ -1,4 +1,9 @@
-"""Shared test utilities: finite-difference oracles and random expressions."""
+"""Shared test utilities: finite-difference oracles, random expressions and
+read-only loads of the benchmark's modules."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -56,3 +61,21 @@ def random_ast(rng, n_vars, depth):
         return expr.BinOp("^", sub(), expr.Num(e))
     op = str(rng.choice(["+", "-", "*"]))
     return expr.BinOp(op, sub(), sub())
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_benchmark_module(name):
+    """``perfbench/<name>.py`` as a module, loaded read-only: no bytecode
+    cache is written next to the benchmark's files."""
+    spec = importlib.util.spec_from_file_location(f"_{name}_under_test", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module

@@ -332,6 +332,100 @@ def test_nan_scalar_pair_exit_three_without_warnings(tmp_path):
     assert len(res.stderr.splitlines()) == 1
 
 
+SPHCYL4 = """
+[chart]
+catalog = sphcyl4
+[codazzi]
+variant = parallel
+t = 0.3
+[run]
+grid = 3
+order = 4
+suites = geometry, codazzi
+"""
+_NAN_PAIR = "variant = gh\ng = u1*(exp(800) - exp(800))\nh = 1"
+
+
+def _explicit(n, entry, at):
+    """An explicit identity Q with ``entry`` at (row, column) ``at``."""
+    return "variant = explicit\n" + "\n".join(
+        f"q{i}{j} = {entry if (i, j) == at else int(i == j)}"
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+def _inline_chart(f4):
+    return (
+        "[chart]\nn = 3\nf1 = u1\nf2 = u2\nf3 = u3\nf4 = " + f4 + "\n"
+        + "".join(f"domain{k} = 0.2,1\n" for k in (1, 2, 3))
+        + "[codazzi]\nvariant = parallel\nt = 0.1\n[run]\ngrid = 3\n"
+    )
+
+
+_PAIR_NAN = (
+    "hypothesis violated: scalar pair violates the gradient constraint "
+    "A(grad g) = -grad h: residual nan > 1e-08"
+)
+_Q_INF = (
+    "hypothesis violated: deformation operator is not finite: its entries or "
+    "singular values overflow or are NaN"
+)
+_Q_NAN = "hypothesis violated: explicit Q is not g-self-adjoint: |gQ - (gQ)^T| = nan"
+_DIVIDE = "scene error: division by value 0.0 (at offset 0)"
+_SPHCYL_T = "variant = parallel\nt = 0.3"
+_GOOD_T = "variant = parallel\nt = 1"
+
+
+@pytest.mark.parametrize(
+    "scene, code, message",
+    [
+        (GOOD.replace(_GOOD_T, _NAN_PAIR), 3, _PAIR_NAN),
+        (SPHCYL4.replace(_SPHCYL_T, _NAN_PAIR), 3, _PAIR_NAN),
+        (SPHCYL4.replace(_SPHCYL_T, "variant = gh\ng = u1\nh = exp(800)*u4"), 3, _PAIR_NAN),
+        (GOOD.replace("t = 1", "t = 1e308"), 3, _Q_INF),
+        (SPHCYL4.replace("t = 0.3", "t = 1e308"), 3, _Q_INF),
+        (GOOD.replace(_GOOD_T, _explicit(3, "exp(800)", (1, 2))), 3, _Q_NAN),
+        (SPHCYL4.replace(_SPHCYL_T, _explicit(4, "exp(800)", (1, 4))), 3, _Q_NAN),
+        (
+            _inline_chart("exp(800)"),
+            4,
+            "scene error: chart: degenerate at box center: non-finite immersion "
+            "values or Jacobian",
+        ),
+        (GOOD.replace(_GOOD_T, _explicit(3, "1/0", (1, 1))), 4, _DIVIDE),
+        (SPHCYL4.replace(_SPHCYL_T, _explicit(4, "u1/0", (4, 4))), 4, _DIVIDE),
+        (
+            _inline_chart("1/0"),
+            4,
+            "scene error: chart: not defined at box center: division by a jet "
+            "with value 0.0 (at offset 0)",
+        ),
+        (
+            GOOD.replace(_GOOD_T, "variant = gh\ng = u1\nh = u1/0"),
+            4,
+            "scene error: division by a jet with value 0.0 (at offset 0)",
+        ),
+    ],
+    ids=[
+        "nan-pair", "nan-pair-sphcyl4", "inf-h-sphcyl4", "t-1e308", "t-1e308-sphcyl4",
+        "exp800-q", "exp800-q-sphcyl4", "exp800-chart", "1/0-q", "u1/0-q-sphcyl4",
+        "1/0-chart", "u1/0-h",
+    ],
+)
+def test_non_finite_gates_fire_where_zero_entries_are_skipped(
+    capsys, tmp_path, scene, code, message
+):
+    # a product with an entry known to be zero is zero, also where the other
+    # factor is NaN or inf; every gate that refuses a non-finite value still
+    # fires, on sphcyl4 (whose J, g, b, A and Q have zero blocks) as on
+    # sphere3 and inline charts, with the exit code and the one line of before
+    p = tmp_path / "nonfinite.scene"
+    p.write_text(scene)
+    assert cli.main(["verify", str(p)]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_roundtrip_in_ambient_dimension_six_exit_zero(tmp_path):
     # the synthetic gauge of the roundtrip suite spans every ambient axis,
     # also past the fifth

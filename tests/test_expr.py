@@ -1,12 +1,13 @@
 """Parser, printer, and evaluator tests for the expression DSL."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 from conftest import fd_grad, fd_hess, random_ast
 
-from isodeform import expr, jet
+from isodeform import catalog, expr, jet
 from isodeform.expr import (
     BinOp,
     Call,
@@ -356,3 +357,22 @@ def test_shared_divisor_error_names_the_first_division(first):
     assert err.value.span == alone.value.span
     assert err.value.span[0] == (0 if first == 0 else 5)
     assert str(err.value) == str(alone.value)
+
+
+def test_eval_jets_leaves_no_jets_in_cyclic_garbage():
+    # the evaluator's closures refer to each other; the cycle is broken when
+    # the row is done, so the jets it built go when they are dropped, not
+    # when the cyclic collector runs
+    chart = catalog.sphcyl4()
+    pts = np.full((16, 4), 0.7)
+    gc.collect()
+    saved = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        eval_jets(chart.components, pts, 4, chart.shared)
+        gc.collect()
+        left = [o for o in gc.garbage if isinstance(o, jet.JetScalar)]
+    finally:
+        gc.set_debug(saved)
+        gc.garbage.clear()
+    assert left == []

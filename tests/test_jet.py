@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isodeform import jet
+from isodeform import catalog, jet
 from isodeform.errors import HypothesisError
-from isodeform.geometry import ChartJets
+from isodeform.geometry import ChartJets, chart_jets
 from isodeform.jet import (
     jet_space,
     mat_det,
@@ -516,6 +516,74 @@ def test_tensor_products_are_entrywise_and_batch_independent(n, k):
         assert np.array_equal(AB[i, j].coef, ref.coef)
     total = jet.contract(zip(A, C))
     assert np.array_equal(total.coef, (A[0] * C[0] + A[1] * C[1]).coef)
+
+
+# ---------------------------------------------------------------- structural zeros
+
+
+def _dependent_jets(sp, rng, deps, batch=3):
+    """A vector of jets, entry p random on the monomials in the variables of
+    the set deps[p] and zero on every other."""
+    coef = rng.uniform(-1, 1, (len(deps), sp.size, batch))
+    for p, dep in enumerate(deps):
+        for slot, m in enumerate(sp.monomials):
+            if any(e and v not in dep for v, e in enumerate(m)):
+                coef[p, slot] = 0.0
+    return jet.JetScalar(sp, coef, 1)
+
+
+def _stripped(T):
+    """T with its pattern dropped: every operation on it does all the arithmetic."""
+    return jet.JetScalar(T.space, T.coef.copy(), T.ndim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_zero_patterns_skip_only_zeros(data):
+    # zeros come from the gradients of jets that do not depend on a
+    # variable; every operation that skips them gives the coefficients of
+    # the same operation on the stripped copies (equal as floats: a skipped
+    # zero is +0 where a product may give -0), and every entry it marks zero
+    # holds only zeros
+    n = data.draw(st.integers(2, 3))
+    k = data.draw(st.integers(1, 3))
+    subsets = st.sets(st.integers(0, n - 1), max_size=n)
+    deps = data.draw(st.lists(subsets, min_size=n + 1, max_size=n + 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    sp = jet_space(n, k + 1)
+    X = _dependent_jets(sp, rng, deps).grad()  # (n + 1, n)
+    Y = _dependent_jets(sp, rng, deps[::-1]).grad()
+    assert np.array_equal(X.nz, [[v in dep for v in range(n)] for dep in deps])
+    A, B = X[:n], Y[1:]
+    shift = 10.0 * n * np.eye(n)  # diagonally dominant, so det is a unit
+    cases = {
+        "product": lambda A, B, X: A * B,
+        "scalar product": lambda A, B, X: A[0, 1] * B,
+        "sum": lambda A, B, X: A + B,
+        "difference": lambda A, B, X: A - B.T,
+        "contract": lambda A, B, X: jet.contract(zip(A, B)),
+        "mat_mul": lambda A, B, X: mat_mul(A, B),
+        "mat_det": lambda A, B, X: mat_det(A + shift),
+        "mat_inv": lambda A, B, X: mat_inv(shift - A)[0],
+        "cross_product": lambda A, B, X: jet.stack(jet.cross_product(lambda r, c: X[r, c], n)),
+    }
+    for name, fn in cases.items():
+        out = fn(A, B, X)
+        ref = fn(_stripped(A), _stripped(B), _stripped(X))
+        assert ref.nz is None
+        assert np.array_equal(out.coef, ref.coef), name
+        if out.nz is not None:
+            zero = ~np.broadcast_to(out.nz, out.shape)
+            assert not out.coef[zero].any(), name
+    assert np.array_equal((A * B).nz, A.nz & B.nz)
+
+
+def test_zero_patterns_of_an_empty_batch():
+    # a batch of no points has no coefficient to read: every entry is zero,
+    # and every tensor keeps its shape
+    A = chart_jets(catalog.sphcyl4(), np.zeros((0, 4)), 4).Ajet
+    assert A.coef.shape == (4, 4, 15, 0)
+    assert not A.nz.any()
 
 
 def test_no_object_arrays_in_the_package():

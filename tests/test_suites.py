@@ -1,9 +1,11 @@
 """Suite orchestration: reports, determinism, rank gate, skip logic."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from conftest import load_benchmark_module
 
 from isodeform import codazzi, deformation, expr, geometry, jet, suites
 from isodeform.errors import HypothesisError, SceneError
@@ -415,6 +417,45 @@ def test_sample_pass_builds_jets_at_the_order_read(monkeypatch):
     # 3264 products; 5112 with the normal and g^{-1} at order 3, the
     # deformed inverse at order 2 and a separate order-2 rank pass
     assert products[0] <= 3264
+
+
+def test_sample_pass_skips_the_products_a_chart_makes_zero(monkeypatch):
+    # sphcyl4 is sphere3 times a line: J, g, b, A, Q and the deformed metric
+    # have zero blocks, and no product of scalar jets multiplies by them
+    scene = parse_scene(
+        "[chart]\ncatalog = sphcyl4\n[codazzi]\nvariant = parallel\nt = 0.2\n"
+        "[run]\ngrid = 3\norder = 4\nsuites = geometry, codazzi\n"
+    )
+    monkeypatch.setattr(suites, "CHUNK", 30)
+    kernel = [0]
+    product = jet._product
+
+    def counting_product(sp, a, b, sa, sb, *rest):
+        kernel[0] += (sa, sb) == (0, 0)  # one scalar jet product, entry or not
+        return product(sp, a, b, sa, sb, *rest)
+
+    monkeypatch.setattr(jet, "_product", counting_product)
+    rep = run_suites(scene)
+    assert not rep.failed
+    # 2835 without the zero patterns
+    assert kernel[0] == 1050
+
+
+@pytest.mark.parametrize("workload", ["pointwise", "grid_pair", "explicit"])
+def test_zero_patterns_leave_the_benchmark_reports_unchanged(monkeypatch, workload):
+    # the benchmark's scenes at seed 0 on 4 points per axis: with no entry
+    # ever known to be zero, every product and minor is computed, and the
+    # text reports are the same byte for byte but for the timing line
+    text = load_benchmark_module("workloads").WORKLOADS[workload].scene_text(0)
+    scene = parse_scene(re.sub(r"grid=\d+", "grid=4", text))
+
+    def report():
+        lines = run_suites(scene).to_text().splitlines(True)
+        return "".join(line for line in lines if not line.startswith("wall_time_s:"))
+
+    skipping = report()
+    monkeypatch.setattr(jet, "_seed_pattern", lambda coef, ndim: None)
+    assert report() == skipping
 
 
 def test_pair_scene_builds_the_full_order_normal_once_per_chunk(monkeypatch):
