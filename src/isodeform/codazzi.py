@@ -423,9 +423,9 @@ def codazzi_Q_residual_field(frame: Frame, cf: CodazziFrame) -> np.ndarray:
     return np.sqrt(np.maximum(sq, 0.0)).max(axis=(-1, -2))
 
 
-def deformed_metric(frame: Frame, cf: CodazziFrame) -> np.ndarray:
-    """g~_ij = g(Q e_i, Q e_j); checked symmetric positive definite."""
-    gt = np.einsum("...ki,...kl,...lj->...ij", cf.Q, frame.g, cf.Q)
+def deformed_metric(g: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """g~_ij = g(Q e_i, Q e_j) from values; checked symmetric positive definite."""
+    gt = np.einsum("...ki,...kl,...lj->...ij", Q, g, Q)
     gt = 0.5 * (gt + gt.swapaxes(-1, -2))
     try:
         cholesky_spd(gt)

@@ -28,9 +28,10 @@ fields as they come.  For a source with no pair, ``fd_deformed_frame``
 differentiates the path-integrated F at a batch of probe points, all in
 one quadrature call.  Path integrals are held to the quadrature's
 ``DEFAULT_TOL``, those of the FD stencil to ``FD_QUAD_TOL``, and F's start
-at ``path_base``.  ``extract_gh`` runs the construction backwards from an
-immersion to a scalar pair; ``gauge_fit`` identifies two pairs modulo the
-affine gauge (g, h) -> (g + <f, a> + c, h + <N, a>).
+at ``path_base``, on a mesh slice along its fixed coordinates first.
+``extract_gh`` runs the construction backwards from an immersion to a
+scalar pair; ``gauge_fit`` identifies two pairs modulo the affine gauge
+(g, h) -> (g + <f, a> + c, h + <N, a>).
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def deformation_check_from_jets(
     shape = np.abs(Atilde - sign * QinvA).max(axis=(-1, -2))
     fields = {
         "dF": np.abs(frameF.J - JQ).max(axis=(-1, -2)),
-        "metric": np.abs(frameF.g - deformed_metric(frame, cf)).max(axis=(-1, -2)),
+        "metric": np.abs(frameF.g - deformed_metric(frame.g, cf.Q)).max(axis=(-1, -2)),
         "shape": shape,
         "selfadjoint_At": np.abs(gAt - np.swapaxes(gAt, -1, -2)).max(axis=(-1, -2)),
         "codazzi_At": (
@@ -305,10 +306,10 @@ def deformation_check_from_jets(
 # converged.  ``_staircase`` chains axis-parallel legs from a batch of starts
 # to a batch of targets, each path with its own axis order, in one kernel
 # call that integrates each distinct (start, step) leg once, however many
-# paths share it; ``_grid_staircase`` fills a sample grid from one kernel
-# call.  A leg's integral does not depend on the batch it runs in: the
-# integrand is evaluated point by point (stacked products by matmul), and
-# each leg is accepted on its own test.
+# paths share it; ``_grid_staircase`` fills a sample grid, or a slice of
+# it, from one kernel call.  A leg's integral does not depend on the batch
+# it runs in: the integrand is evaluated point by point (stacked products
+# by matmul), and each leg is accepted on its own test.
 
 
 def _omega_values(
@@ -381,15 +382,22 @@ def _staircase(covector, starts, X, orders, tol: float) -> np.ndarray:
     return total
 
 
-def _grid_staircase(covector, axes, start, order, tol: float) -> np.ndarray:
+def _grid_staircase(covector, axes, start, order, tol: float, fixed) -> np.ndarray:
     """``start`` (d,) plus the covector's integral from the first point of
     the grid with per-axis samples ``axes`` to every grid point: (*res, d).
 
     Axis by axis, every step of every line through the block already filled
     is one leg; the legs of all axes are one kernel call, and a cumulative
-    sum along each axis in turn then chains the steps.
+    sum along each axis in turn then chains the steps.  An axis in
+    ``fixed`` (axis -> value) is swept first, from its first sample through
+    those below the value up to the value, and keeps only that last one.
     """
     n = len(axes)
+    axes = list(axes)
+    for k, v in fixed.items():
+        a = axes[k]
+        axes[k] = a[:1] if v == a[0] else np.concatenate([a[:1], a[1:][a[1:] < v], [v]])
+    order = [k for k in order if k in fixed] + [k for k in order if k not in fixed]
     blocks, legs = [], []
     for i, ax in enumerate(order):
         line_axes = [a if j in order[:i] else a[:1] for j, a in enumerate(axes)]
@@ -399,11 +407,13 @@ def _grid_staircase(covector, axes, start, order, tol: float) -> np.ndarray:
         steps[..., ax] = np.diff(axes[ax]).reshape([-1 if j == ax else 1 for j in range(n)])
         blocks.append(starts.shape[:-1])
         legs.append((starts.reshape(-1, n), steps.reshape(-1, n)))
+        axes[ax] = axes[ax][-1:] if ax in fixed else axes[ax]
     seg = _leg_integrals(covector, *(np.concatenate(p) for p in zip(*legs)), tol)
     F = np.reshape(start, (1,) * n + (-1,))
     bounds = np.cumsum([np.prod(b, dtype=int) for b in blocks])[:-1]
     for ax, block, part in zip(order, blocks, np.split(seg, bounds)):
-        F = np.cumsum(np.concatenate([F, part.reshape(block + (-1,))], axis=ax), axis=ax)
+        F = np.cumsum(np.concatenate([F, part.reshape(block + seg.shape[1:])], axis=ax), axis=ax)
+        F = F.take([-1], axis=ax) if ax in fixed else F
     return F
 
 
@@ -522,21 +532,27 @@ def path_integral_on_grid(
     source: Source,
     res,
     axis_order: Optional[Sequence[int]] = None,
+    fixed: Optional[Dict[int, float]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """F on the whole sample grid by shared-prefix staircase integration,
-    with F = 0 at the grid's first point.
+    with F = 0 at the grid's first point, ``path_base``.
 
     Returns (mesh points with shape (*res, n), F values with shape
     (*res, dim)).  The steps along every axis share one adaptive quadrature
     call, each accepted on its own, and a cumulative sum per axis chains
-    them.
+    them.  ``fixed`` (axis -> value, as ``mesh.parse_slice`` gives it) cuts
+    a slice, length 1 along each fixed axis, swept first through the grid
+    nodes below its value up to the value.  So where omega is not closed,
+    F is that of the staircase along the fixed axes, then the free ones.
     """
+    fixed = fixed or {}
     axes = grid_axes(chart, res)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    mesh_axes = [np.array([fixed[k]]) if k in fixed else a for k, a in enumerate(axes)]
+    mesh = np.stack(np.meshgrid(*mesh_axes, indexing="ij"), axis=-1)
     order = range(chart.n) if axis_order is None else axis_order
     F = _grid_staircase(
         lambda p: _omega_values(chart, source, p),
-        axes, np.zeros(chart.ambient_dim), order, DEFAULT_TOL,
+        axes, np.zeros(chart.ambient_dim), order, DEFAULT_TOL, fixed,
     )
     return mesh, F
 
@@ -631,7 +647,7 @@ def extract_gh(
     rects = default_loop_rects(chart)
     closed = float(np.abs(_circulation(zeta_at, rects, DEFAULT_TOL)).max())
     axes = grid_axes(chart, mesh.shape[:-1])
-    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(chart.n), DEFAULT_TOL)
+    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(chart.n), DEFAULT_TOL, {})
     return GridPair(
         points=mesh, g=g_grid[..., 0], h=h, grad_g=Z, closed_residual=closed
     )

@@ -6,6 +6,12 @@ Vertices are the first three ambient coordinates, optionally after picking
 a different triple with ``project``.  The file holds two objects, ``f``
 (the original immersion) and ``F`` (the deformed one), so any OBJ viewer
 shows both surfaces in one scene.
+
+An explicit Q's F = int df o Q starts at ``path_base`` and runs along the
+fixed coordinates, through the grid nodes up to the slice values, then
+shares the prefixes of the free ones, in one quadrature call.  It is the
+per-vertex staircase's F only where omega = df o Q is closed (the ``loop``
+check).  Inputs are checked before any jet or quadrature work.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deformation import closed_form_immersion, path_base, path_integral_immersion
+from .deformation import closed_form_immersion, path_integral_on_grid
 from .errors import SceneError
 from .geometry import chart_jets, grid_axes, jet_partials
 from .scene import Scene, write_output
@@ -74,18 +80,20 @@ def _slice_grid(
     return pts.reshape(-1, n), (len(axes[a]), len(axes[b]))
 
 
-def _surface_values(scene: Scene, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    chart = scene.chart
+def _surface_values(
+    scene: Scene, pts: np.ndarray, fixed: Dict[int, float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """f and F at the slice grid ``pts``, cut from the scene grid at ``fixed``."""
+    chart, spec = scene.chart, scene.spec
+    if spec is None:
+        raise SceneError("missing section: codazzi (mesh exports f and F)")
     cj = chart_jets(chart, pts, order=2)
     fv = jet_partials(cj.comps, 0, cj.batch_shape)
-    if scene.spec is None:
-        raise SceneError("missing section: codazzi (mesh exports f and F)")
-    if scene.spec.pair() is None:
-        # no closed form: integrate the 1-form df o Q to all vertices at once
-        Fv = path_integral_immersion(chart, scene.spec, path_base(chart), pts)
-    else:
-        Fv = closed_form_immersion(chart, scene.spec)(cj)
-    return fv, Fv
+    if spec.pair() is None:
+        # no closed form: one shared-prefix sweep of the slice grid
+        Fv = path_integral_on_grid(chart, spec, scene.grid, fixed=fixed)[1]
+        return fv, Fv.reshape(-1, chart.ambient_dim)
+    return fv, closed_form_immersion(chart, spec)(cj)
 
 
 def _project(vals: np.ndarray, project: Optional[Sequence[int]]) -> np.ndarray:
@@ -106,7 +114,6 @@ def export_mesh(
     chart = scene.chart
     fixed = parse_slice(slice_spec, chart.n) if slice_spec else {}
     pts, (ra, rb) = _slice_grid(scene, fixed)
-    fv, Fv = _surface_values(scene, pts)
     if project is None:
         project = scene.project
     if project is not None:
@@ -115,6 +122,7 @@ def export_mesh(
                 raise SceneError(
                     f"project: index {i} outside 1..{chart.ambient_dim}"
                 )
+    fv, Fv = _surface_values(scene, pts, fixed)
     f3 = _project(fv, project)
     F3 = _project(Fv, project)
 

@@ -165,11 +165,13 @@ _CURVATURE = ("gauss", "codazzi_A", "bianchi1")
 Fields = Dict[str, Dict[str, np.ndarray]]
 
 
-def _sample_pass(scene: Scene, pts: np.ndarray) -> Fields:
-    """One pass over the sample: suite -> check name -> field over ``pts``."""
+def _sample_pass(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
+    """One pass over the sample: suite -> check name -> field over ``pts``,
+    or over the rows ``probes`` (ascending) for an explicit deformation."""
     table: Dict[str, Dict[str, List[np.ndarray]]] = {}
     for lo, hi in _chunks(len(pts)):
-        for suite, named in _chunk_fields(scene, pts[lo:hi]).items():
+        at = probes[(probes >= lo) & (probes < hi)] - lo
+        for suite, named in _chunk_fields(scene, pts[lo:hi], at).items():
             for name, field in named.items():
                 table.setdefault(suite, {}).setdefault(name, []).append(field)
     return {
@@ -190,12 +192,14 @@ def _rank_range(fr, n: int, suites) -> np.ndarray:
     return ranks
 
 
-def _chunk_fields(scene: Scene, pts: np.ndarray) -> Fields:
+def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
     """Every pointwise field at one chunk, from one build of its jets.
 
     A suite's fields are its checks in report order; ``sample`` holds the
     rank of A and, in ``sign_Q``, one Q: the chunk's sign(det Q) gate has
-    made its sign uniform.  See the module docstring for the jet order.
+    made its sign uniform.  With no pair, the deformation entries are the
+    operator side of the FD checks at the chunk rows ``probes``.  See the
+    module docstring for the jet order.
     The rank of A is gated right after the frame, before Q.  The jets die
     on return, before the next chunk builds its own, which keeps the peak
     memory at one chunk's jets.
@@ -240,6 +244,15 @@ def _chunk_fields(scene: Scene, pts: np.ndarray) -> Fields:
             if pair is None:  # a direct Q, compared with its pair's
                 named["pair_q"] = np.array([chk.pair_q_residual])
             named.update(chk.fields)
+        else:
+            # a constant Q has batch axes of length 1
+            Q, Q_inv = (np.broadcast_to(M, fr.g.shape)[probes] for M in (cf.Q, cf.Q_inv))
+            fields["deformation"] = {
+                "JQ": np.einsum("...pk,...kj->...pj", fr.J[probes], Q),
+                "metric": deformed_metric(fr.g[probes], Q),
+                "N": fr.N[probes],
+                "QinvA": np.einsum("...km,...mj->...kj", Q_inv, fr.A[probes]),
+            }
     return fields
 
 
@@ -353,51 +366,38 @@ def _deformation_pair_suite(
     return checks + _path_checks(chart, spec, grid, tol, grid_fr)
 
 
-def _fd_probe_points(chart, grid, pts) -> np.ndarray:
-    """The points at which F's FD frame is probed: the centre of the grid
-    and two off-centre nodes, or the sample point when ``grid`` is None;
-    less those too close to the boundary for the stencil of
-    ``fd_deformed_frame``."""
+def _fd_probe_index(chart, grid, pts) -> np.ndarray:
+    """Ascending indices into ``pts`` of the points at which F's FD frame is
+    probed: the centre of the grid and two off-centre nodes, or every point
+    when ``grid`` is None; less those too close to the boundary for the
+    stencil of ``fd_deformed_frame``."""
+    index = np.arange(len(pts))
     if grid is not None:
-        axes = geo.grid_axes(chart, grid)
-        shape = tuple(len(ax) for ax in axes)
+        shape = tuple(grid)
         center = tuple(s // 2 for s in shape)
-        probes = {center}
-        lowered = list(center)
-        lowered[0] = 1
-        probes.add(tuple(lowered))
-        raised = list(center)
-        raised[-1] = shape[-1] - 2
-        probes.add(tuple(raised))
-        pts = np.array(
-            [[axes[k][multi[k]] for k in range(chart.n)] for multi in sorted(probes)]
-        )
-    return pts[geo.stencil_fits(chart, pts, fd_second_step())]
+        lowered = (1,) + center[1:]
+        raised = center[:-1] + (shape[-1] - 2,)
+        index = np.array(sorted({np.ravel_multi_index(m, shape) for m in (center, lowered, raised)}))
+    return index[geo.stencil_fits(chart, pts[index], fd_second_step())]
 
 
-def _deformation_explicit_suite(chart, spec, pts, grid, tol, sign) -> List[CheckResult]:
+def _deformation_explicit_suite(chart, spec, ref, probes, grid, tol, sign) -> List[CheckResult]:
     checks = _path_checks(chart, spec, grid, tol, None)
     # F exists only through quadrature here: cross-check its FD frame
     # against the operator route at a few interior probe points
     names = ("fd_jacobian", "fd_metric", "fd_gauss", "fd_shape")
-    probes = _fd_probe_points(chart, grid, pts)
     if not len(probes):
         note = (
             "no interior probe point: point too close to the boundary: the "
             f"stencil needs {2 * fd_second_step():g} of clearance"
         )
         return checks + [check_skipped("deformation", k, tol[k], note) for k in names]
-    cj = chart_jets(chart, probes, 3)
-    fr = frame_from_jets(cj)
-    cf = codazzi_frame_from_jets(q_jets(cj, spec)[0], fr)
     fd = fd_deformed_frame(chart, spec, probes)
-    JQ = np.einsum("...pk,...kj->...pj", fr.J, cf.Q)
-    QinvA = np.einsum("...km,...mj->...kj", cf.Q_inv, fr.A)
     rows = (
-        np.abs(fd.J - JQ).max(axis=(-1, -2)),
-        np.abs(fd.g - deformed_metric(fr, cf)).max(axis=(-1, -2)),
-        np.abs(fd.N - sign * fr.N).max(axis=-1),
-        np.abs(fd.A - sign * QinvA).max(axis=(-1, -2)),
+        np.abs(fd.J - ref["JQ"]).max(axis=(-1, -2)),
+        np.abs(fd.g - ref["metric"]).max(axis=(-1, -2)),
+        np.abs(fd.N - sign * ref["N"]).max(axis=-1),
+        np.abs(fd.A - sign * ref["QinvA"]).max(axis=(-1, -2)),
     )
     return checks + [
         check_from_field(
@@ -500,7 +500,8 @@ def run_suites(
         pts = grid_points(chart, scene.grid)
         grid = scene.grid
 
-    fields = _sample_pass(scene, pts)
+    probes = _fd_probe_index(chart, grid, pts)  # read with no scalar pair only
+    fields = _sample_pass(scene, pts, probes)
     if chart.n < 3 and {"deformation", "roundtrip"} & set(scene.suites):
         warnings.append(
             "n=2 chart: rank A >= 3 cannot hold; deformation claims "
@@ -522,7 +523,7 @@ def run_suites(
             sign = global_det_sign(fields["sample"]["sign_Q"])
             if spec.pair() is None:
                 checks += _deformation_explicit_suite(
-                    chart, spec, pts, grid, tol, sign
+                    chart, spec, fields[suite], pts[probes], grid, tol, sign
                 )
             else:
                 checks += _deformation_pair_suite(

@@ -39,6 +39,8 @@ from isodeform.geometry import (
     make_chart,
 )
 from isodeform.jet import values
+from isodeform.mesh import export_mesh
+from isodeform.scene import parse_scene
 
 
 def test_parallel_sphere_closed_form():
@@ -346,6 +348,17 @@ _PHI = "u1^2 + 2*u2^2 + 3*u3^2"
 _W = "(sqrt(1 + 4*u1^2 + 16*u2^2 + 36*u3^2))"
 
 
+def _explicit_scene(chart_name, source, grid):
+    """A scene of the catalog chart with the explicit Q ``source``."""
+    lines = ["[chart]", f"catalog = {chart_name}", "[codazzi]", "variant = explicit"]
+    lines += [
+        f"q{k + 1}{j + 1} = {text}"
+        for k, row in enumerate(source.entries)
+        for j, text in enumerate(row)
+    ]
+    return parse_scene("\n".join(lines + ["[run]", f"grid = {grid}"]) + "\n")
+
+
 def _graph_explicit(t):
     # Id - t A of the graph of _PHI, entrywise: the benchmark's explicit Q
     grad, hess = ("(2*u1)", "(4*u2)", "(6*u3)"), ("2", "4", "6")
@@ -512,7 +525,7 @@ def test_staircase_targets_on_base_lines_give_f0_exactly():
         assert np.abs(row - single).max() <= 1e-13
 
 
-def test_one_quadrature_call_per_path_family(monkeypatch):
+def test_one_quadrature_call_per_path_family(monkeypatch, tmp_path):
     calls = []
     integrate = dfm.integrate_segment
 
@@ -545,6 +558,30 @@ def test_one_quadrature_call_per_path_family(monkeypatch):
     monkeypatch.setattr(dfm, "_circulation", counted_circulation)
     extract_gh(ch, closed_form_immersion(ch, Parallel(0.05)), grid_frame(ch, 3))
     assert inside == [1]
+
+    # an explicit mesh slice at u3 = 0.1: the cuts of u3 up to the slice,
+    # then the slice grid's shared legs, none longer than one grid step
+    legs = []
+    leg_integrals = dfm._leg_integrals
+
+    def recording(covector, starts, steps, tol):
+        legs.append((starts, steps))
+        return leg_integrals(covector, starts, steps, tol)
+
+    monkeypatch.setattr(dfm, "_leg_integrals", recording)
+    scene = _explicit_scene("graph3", source, 4)
+    out = str(tmp_path / "slice.obj")
+    assert count(lambda: export_mesh(scene, out, slice_spec="u3=0.1")) == 1
+    ((starts, steps),) = legs
+    axes = grid_axes(ch, 4)
+    cuts = np.count_nonzero(axes[2] < 0.1)  # the first node, then those below 0.1
+    ra, rb = len(axes[0]), len(axes[1])
+    assert len(steps) == cuts + (ra - 1) + ra * (rb - 1) == 17
+    h = np.array([ax[1] - ax[0] for ax in axes])
+    assert (np.abs(steps) <= h * (1 + 1e-12)).all()
+    on_u3 = steps[:, 2] != 0
+    assert np.count_nonzero(on_u3) == cuts
+    np.testing.assert_allclose(starts[on_u3, 2][-1] + steps[on_u3, 2][-1], 0.1, rtol=1e-15)
 
 
 def test_explicit_values_share_subtrees_bit_identically(monkeypatch):

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from isodeform import cli, deformation, mesh
+from isodeform.deformation import path_base, path_integral_immersion, path_integral_on_grid
 from isodeform.errors import SceneError
+from isodeform.geometry import grid_axes
 from isodeform.mesh import _slice_grid, _surface_values, export_mesh, parse_slice
 from isodeform.scene import parse_scene
 
@@ -26,6 +29,27 @@ variant = parallel
 t = 1
 [run]
 grid = 3
+"""
+
+# Q = (1 + 0.3 u1 + 0.2 u2) Id is self-adjoint but not Codazzi on the graph:
+# omega = df o Q is not closed, d omega = d(0.3 u1 + 0.2 u2) ^ df, so its F
+# depends on the path
+NONCLOSED = """
+[chart]
+catalog = graph3
+[codazzi]
+variant = explicit
+q11 = 1 + 0.3*u1 + 0.2*u2
+q12 = 0
+q13 = 0
+q21 = 0
+q22 = 1 + 0.3*u1 + 0.2*u2
+q23 = 0
+q31 = 0
+q32 = 0
+q33 = 1 + 0.3*u1 + 0.2*u2
+[run]
+grid = 4
 """
 
 
@@ -160,7 +184,7 @@ grid = 3
     objs = _read_obj(out)
     assert np.isfinite(np.array(objs["F"]["v"])).all()
     pts, _ = _slice_grid(scene, {})
-    _, Fv = _surface_values(scene, pts)
+    _, Fv = _surface_values(scene, pts, {})
     u1, u2 = pts[:, 0], pts[:, 1]
     exact = np.stack([u1 + 0.05 * u1**2, u2, np.zeros_like(u1)], axis=-1)
     shift = exact[0] - Fv[0]
@@ -175,3 +199,94 @@ def test_parallel_offset_moves_along_the_normal(tmp_path):
     objs = _read_obj(out)
     d = np.array(objs["F"]["v"]) - np.array(objs["f"]["v"])
     np.testing.assert_allclose(np.linalg.norm(d, axis=1), 0.2, atol=1e-9)
+
+
+def test_mesh_f_is_the_grid_sweep_of_the_plane():
+    # on the plane with Q = diag(1, 1 + u1), omega is not closed; the mesh
+    # of an n = 2 chart is the verify's forward grid sweep, bit for bit
+    scene = parse_scene(
+        "[chart]\ncatalog = plane2\n[codazzi]\nvariant = explicit\n"
+        "q11 = 1\nq12 = 0\nq21 = 0\nq22 = 1 + u1\n[run]\ngrid = 4\n"
+    )
+    pts, _ = _slice_grid(scene, {})
+    _, Fv = _surface_values(scene, pts, {})
+    _, Fg = path_integral_on_grid(scene.chart, scene.spec, scene.grid)
+    np.testing.assert_array_equal(Fv, Fg.reshape(-1, 3))
+
+
+def test_mesh_slice_integrates_the_fixed_coordinates_first():
+    scene = parse_scene(NONCLOSED)
+    ch, spec = scene.chart, scene.spec
+    fixed = {2: 0.1}
+    pts, _ = _slice_grid(scene, fixed)
+    _, Fv = _surface_values(scene, pts, fixed)
+    base = path_base(ch)
+    fixed_first = path_integral_immersion(ch, spec, base, pts, axis_order=(2, 0, 1))
+    assert np.abs(Fv - fixed_first).max() < 1e-12
+    # the convention matters here: the index-order staircase is another F
+    assert np.abs(Fv - path_integral_immersion(ch, spec, base, pts)).max() > 1e-2
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["below_first_node", "first_node", "interior_node", "between_nodes", "above_last_node"],
+)
+def test_edge_slices_match_the_fixed_first_staircase(tmp_path, where):
+    # below the first node the u3 cut runs backwards; at it, there is none
+    scene = parse_scene(NONCLOSED)
+    ch = scene.chart
+    nodes = grid_axes(ch, scene.grid)[2]
+    value = float({
+        "below_first_node": 0.5 * (ch.lo[2] + nodes[0]),
+        "first_node": nodes[0],
+        "interior_node": nodes[1],
+        "between_nodes": 0.5 * (nodes[1] + nodes[2]),
+        "above_last_node": ch.hi[2],
+    }[where])
+    spec = f"u3={value!r}"
+    assert export_mesh(scene, str(tmp_path / "e.obj"), slice_spec=spec) == (16, 9)
+    fixed = parse_slice(spec, 3)
+    assert fixed == {2: value}
+    pts, _ = _slice_grid(scene, fixed)
+    _, Fv = _surface_values(scene, pts, fixed)
+    Fp = path_integral_immersion(
+        ch, scene.spec, path_base(ch), pts, axis_order=(2, 0, 1)
+    )
+    assert np.abs(Fv - Fp).max() < 1e-12
+    if where == "first_node":
+        np.testing.assert_array_equal(Fv[0], 0.0)
+
+
+def _no_work(monkeypatch):
+    """Record every chart jet build of the mesh and every quadrature call."""
+    calls = []
+    for module, name in ((mesh, "chart_jets"), (deformation, "integrate_segment")):
+        original = getattr(module, name)
+
+        def recording(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_bad_projection_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    calls = _no_work(monkeypatch)
+    p = tmp_path / "g.scene"
+    p.write_text(NONCLOSED)
+    out = str(tmp_path / "g.obj")
+    code = cli.main(["mesh", str(p), "--out", out, "--slice", "u3=0.1", "--project", "1,2,9"])
+    assert code == 4
+    assert "scene error: --project: index 9 outside 1..4" in capsys.readouterr().err
+    with pytest.raises(SceneError, match=r"project: index 9 outside 1\.\.4"):
+        export_mesh(parse_scene(NONCLOSED), out, slice_spec="u3=0.1", project=(1, 2, 9))
+    assert calls == []
+
+
+def test_missing_codazzi_section_is_refused_before_any_work(tmp_path, monkeypatch):
+    calls = _no_work(monkeypatch)
+    scene = parse_scene("[chart]\ncatalog = torus2\n[run]\nsuites = geometry\n")
+    with pytest.raises(SceneError, match="mesh exports f and F"):
+        export_mesh(scene, str(tmp_path / "x.obj"))
+    assert calls == []

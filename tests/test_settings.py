@@ -49,7 +49,7 @@ def test_fd_step_moves_the_probe_filter_and_the_stencil_together(monkeypatch):
     near = u.copy()
     near[0] = ch.lo[0] + 0.03  # inside 2 * 10 * FD_STEP at FD_STEP 2e-3 only
     pts = np.array([u, near])
-    np.testing.assert_array_equal(suites._fd_probe_points(ch, None, pts), pts)
+    np.testing.assert_array_equal(pts[suites._fd_probe_index(ch, None, pts)], pts)
 
     seen = []
     integrate = dfm.path_integral_immersion
@@ -60,7 +60,7 @@ def test_fd_step_moves_the_probe_filter_and_the_stencil_together(monkeypatch):
 
     monkeypatch.setattr(dfm, "path_integral_immersion", recording)
     monkeypatch.setattr(dfm, "FD_STEP", 2e-3)
-    np.testing.assert_array_equal(suites._fd_probe_points(ch, None, pts), pts[:1])
+    np.testing.assert_array_equal(pts[suites._fd_probe_index(ch, None, pts)], pts[:1])
     dfm.fd_deformed_frame(ch, Parallel(0.05), u)
     (stencil,) = seen
     moves = np.unique(np.round(stencil[:, 0] - u[0], 9))

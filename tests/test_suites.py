@@ -208,6 +208,37 @@ def test_fd_probe_too_close_to_the_boundary_is_skipped():
     assert inside.find("fd_metric").verdict == PASS
 
 
+@pytest.mark.parametrize("point", [None, (0.1, 0.0, -0.1)], ids=["grid", "point"])
+def test_fd_probes_read_the_sample_pass(monkeypatch, point):
+    # J Q, g~, N and Q^-1 A at the FD probes come from the chunk that holds
+    # each probe: past the sample pass only the order-2 integrands build
+    # chart jets, and the deformed metric's gate sees the probes alone
+    text = load_benchmark_module("workloads").WORKLOADS["explicit"].scene_text(0)
+    scene = parse_scene(re.sub(r"grid=\d+", "grid=5", text))
+    orders, gated = [], []
+    build_jets = geometry.chart_jets
+    metric = codazzi.deformed_metric
+
+    def counting_jets(chart, u, order=3):
+        orders.append(order)
+        return build_jets(chart, u, order)
+
+    def counting_metric(g, Q):
+        gated.append(len(g))
+        return metric(g, Q)
+
+    monkeypatch.setattr(suites, "CHUNK", 50)
+    for mod in (suites, deformation):
+        monkeypatch.setattr(mod, "chart_jets", counting_jets)
+    monkeypatch.setattr(suites, "deformed_metric", counting_metric)
+    rep = run_suites(scene, point=point)
+    assert not rep.failed
+    assert all(rep.find(name).verdict == PASS for name in ("fd_jacobian", "fd_shape"))
+    chunks = 1 if point else 3  # 125 grid points in slices of 50
+    assert orders[:chunks] == [4] * chunks and set(orders[chunks:]) == {2}
+    assert sum(gated) == (1 if point else 3) and len(gated) == chunks
+
+
 def test_expression_error_in_the_fd_frame_propagates(monkeypatch):
     # only a probe too close to the boundary skips the FD checks; an
     # expression evaluated outside its domain is a scene error, not a skip
