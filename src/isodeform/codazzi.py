@@ -493,7 +493,7 @@ def deformed_curvature_residual_field(
         raise ValueError("deformed curvature needs jet order 4")
     Rt = curvature_values(Gt)
     # pairwise contraction: a single three-operand loop is about 4x slower
-    conj = np.einsum(
+    Rt -= np.einsum(
         "...lm,...msij,...sk->...lkij", cf.Q_inv, frame.R, cf.Q, optimize=True
     )
-    return np.abs(Rt - conj).max(axis=(-1, -2, -3, -4))
+    return np.abs(Rt, out=Rt).max(axis=(-1, -2, -3, -4))

@@ -130,13 +130,15 @@ class ChartJets:
     operator (n, n).
 
     ``jacobian``, ``normal``, ``metric``, ``ginv`` and ``christoffel``
-    build at the order asked for.  The frame and A read J, the normal, g
-    and g^{-1} at K-2, the normal and g at least at 1, and Gamma one order
-    below g, since its build reads g one order higher and g^{-1} at its
-    own order; the frame's R, when read, reads Gamma at 1, and a scalar's
-    Hessian at K-2.  Only a scalar pair's h, ``immersion_jets`` and
-    ``scalar_grad_jets`` of a full-order scalar read J, the normal and
-    g^{-1} (``Jjet``, ``Njet``, ``ginv_jet``), and so g, at K-1.
+    build at the order asked for, or read the truncation of a higher
+    build.  The frame and A read J, the normal, g and g^{-1} at K-2 (the
+    normal and g at least 1), and Gamma one order below g, since its build
+    reads g one order higher and g^{-1} at its own order; R reads Gamma at
+    1, a scalar's Hessian at K-2, and a scalar pair's h, ``immersion_jets``
+    and ``scalar_grad_jets`` of a full-order scalar read J, the normal and
+    g^{-1} (``Jjet``, ``Njet``, ``ginv_jet``), and so g, at K-1.  A build,
+    ``comps`` among them, lives until ``release``; the sample pass in
+    ``suites`` releases each after its last read.
     """
 
     def __init__(self, comps, u: np.ndarray):
@@ -158,6 +160,17 @@ class ChartJets:
             self._built.pop(name, None)
             self._built[name] = (order, build(order))
         return self._built[name][1].truncated(order)
+
+    def release(self, *names):
+        """Drop the builds ``names``: a later read builds one again, or fails for ``comps``."""
+        for name in names:
+            self._built.pop(name, None)
+            self.__dict__.pop(name, None)
+
+    def check_finite(self):
+        """The frame's first gate: f and J are finite at every point."""
+        if not (np.isfinite(self.comps.value).all() and np.isfinite(self.comps.d1).all()):
+            raise HypothesisError("non-finite immersion values or Jacobian")
 
     def jacobian(self, order):
         """Jets of J at ``order`` (at most K-1)."""
@@ -284,11 +297,11 @@ def curvature_values(Gamma_jets) -> np.ndarray:
     dG = d1_values(Gamma_jets)  # (*b, k, i, j, m) = d_m Gamma^k_ij
     # d_i Gamma^l_jk - d_j Gamma^l_ik
     term1 = np.einsum("...ljki->...lkij", dG) - np.einsum("...likj->...lkij", dG)
+    del dG  # freed before the products, which are formed and added in place
     # Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    term2 = np.einsum("...lim,...mjk->...lkij", Gv, Gv) - np.einsum(
-        "...ljm,...mik->...lkij", Gv, Gv
-    )
-    return term1 + term2
+    term2 = np.einsum("...lim,...mjk->...lkij", Gv, Gv)
+    term2 -= np.einsum("...ljm,...mik->...lkij", Gv, Gv)
+    return np.add(term1, term2, out=term1)
 
 
 # ---------------------------------------------------------------- frames
@@ -334,9 +347,8 @@ def frame_from_jets(cj: ChartJets) -> Frame:
     """Extract the numeric frame from the jet pipeline, with validity checks."""
     if cj.order < 2:
         raise ValueError(f"jet order {cj.order} < 2 cannot produce a frame")
+    cj.check_finite()
     f, J, d2f = (jet_partials(cj.comps, k, cj.batch_shape) for k in (0, 1, 2))
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(J))):
-        raise HypothesisError("non-finite immersion values or Jacobian")
     Nj = cj.normal(max(cj.order - 2, 1))  # dN needs order 1
     N = values(Nj)
     dN = d1_values(Nj)

@@ -81,10 +81,10 @@ MIN_DIVISOR = 1e-300  # underflow guard for division by a jet
 GATHER_BUDGET = 3 * 2**14
 # glibc raises its mmap threshold to the size of an mmapped block it frees,
 # and its trim threshold to twice that (mallopt(3)).  A sample chunk's jet
-# tensors take and give back up to about 40 MB at once; freeing one
+# tensors take and give back up to about 22 MB at once; freeing one
 # untouched block of HEAP_KEEP bytes here keeps that memory in the heap for
 # the next chunk, instead of trimming it and faulting it back in: about
-# 21,000 minor faults per warm pointwise verify without it, 7 with it
+# 11,300 minor faults per warm pointwise verify without it, 3 with it
 HEAP_KEEP = 24 * 2**20
 np.empty(HEAP_KEEP // 8)
 

@@ -32,13 +32,18 @@ report order (the deformation suite's are the ``fields`` of
 the sign gate.  The jet order K is ``Q_CHECK_ORDER`` (4) when codazzi or
 deformation runs, else the scene order when geometry runs, else 2;
 geometry fields do not depend on it, and geometry skips its curvature
-checks when the scene order is below 3.  J is built at K-1; the normal,
-g and g^{-1} at K-2 (the normal and g at least 1), and the Christoffel
-symbols one order below g, since they read g one order higher.  The
-frame's R, read only by the curvature checks of geometry and codazzi,
-reads the symbols at 1.  A scalar pair's Hessian reads them at K-2, and
-its h and F the normal and g^{-1} at K-1.
-The deformed metric is built at K-2 and its inverse at K-3.
+checks when the scene order is below 3.  ``ChartJets`` says at which
+order each reader reads each chart jet; b is released after the frame.
+When the deformation suite runs on a pair scene, its h, F and Hessian
+read the normal, J, g and g^{-1} at K-1 and Gamma at K-2: the slice
+builds these once, before the frame (after its finiteness gate), and the
+frame reads their truncations.  Otherwise only g~ reads the chart jets
+once Q is built, through g, and every other build is released then,
+Gamma after the frame's R, which the curvature checks read.  A Q defined
+by a scalar pair reads Gamma at K-2, and so builds g and Gamma again one
+order above the frame's.  Below K = 4 only geometry reads the jets, its R
+building g and Gamma one order higher, and they die with the slice.  The
+deformed metric is built at K-2 and its inverse at K-3.
 
 Each slice certifies the rank hypothesis from its frame, before building
 Q: when deformation or roundtrip runs, a rank of A below 3 (below n for
@@ -199,18 +204,31 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
     rank of A and, in ``sign_Q``, one Q: the chunk's sign(det Q) gate has
     made its sign uniform.  With no pair, the deformation entries are the
     operator side of the FD checks at the chunk rows ``probes``.  See the
-    module docstring for the jet order.
-    The rank of A is gated right after the frame, before Q.  The jets die
-    on return, before the next chunk builds its own, which keeps the peak
-    memory at one chunk's jets.
+    module docstring for the jet orders and when each build is released.
+    The rank of A is gated right after the frame, before Q.  What is left
+    dies on return, before the next chunk builds its jets, which keeps the
+    peak memory below one chunk's jets.
     """
     chart, spec, suites = scene.chart, scene.spec, scene.suites
     needs_q = "codazzi" in suites or "deformation" in suites
     order = Q_CHECK_ORDER if needs_q else (scene.order if "geometry" in suites else 2)
+    reads_pair = "deformation" in suites and spec.pair() is not None
     cj = chart_jets(chart, pts, order)
+    if reads_pair:  # at the pair's orders, after the frame's first gate
+        cj.check_finite()
+        cj.normal(order - 1), cj.ginv(order - 1), cj.christoffel(order - 2)
     fr = frame_from_jets(cj)
+    cj.release("bjet")
     sample = {"rank_A": _rank_range(fr, chart.n, suites)}
     fields: Fields = {"sample": sample}
+    if needs_q:
+        qj, pair, gh_field = q_jets(cj, spec)
+        cf = codazzi_frame_from_jets(qj, fr)
+        if not reads_pair:  # only g~ reads the chart jets after Q, through g
+            cj.release("comps", "jacobian", "normal", "ginv", "Ajet")
+            if "geometry" in suites or "codazzi" in suites:
+                fr.R  # for the curvature checks, from Gamma at 1
+            cj.release("christoffel")
     if "geometry" in suites:
         fields["geometry"] = {
             name: residual(fr)
@@ -219,8 +237,6 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
         }
     if not needs_q:
         return fields
-    qj, pair, gh_field = q_jets(cj, spec)
-    cf = codazzi_frame_from_jets(qj, fr)
     if "codazzi" in suites:
         named = fields["codazzi"] = {
             "commutator": commutator_residual_field(fr, cf),

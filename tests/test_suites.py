@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,24 +385,28 @@ def test_sample_pass_evaluates_scalar_pair_once_per_chunk(monkeypatch):
 
 
 def _count_jet_builds(monkeypatch):
-    """Record the order of every chart jet, normal, metric, Christoffel and
-    inverse built."""
-    built = {"chart": [], "normal": [], "metric": [], "christoffel": [], "inverse": []}
+    """Record the order of every chart jet and inverse built, and of every
+    Jacobian, normal, metric, g^{-1} and Christoffel build of order-4 jets,
+    the sample pass's."""
+    names = ("chart", "jacobian", "normal", "metric", "ginv", "christoffel", "inverse")
+    built = {name: [] for name in names}
     build_jets = geometry.chart_jets
     inverse = geometry.mat_inv
+    memo = geometry.ChartJets._memo
 
     def counting_jets(chart, u, order=3):
         built["chart"].append(order)
         return build_jets(chart, u, order)
 
-    def counting(name, build):
-        def counting_build(cj, order):
+    def counting_memo(cj, name, order, build):
+        def counting_build(o):
             # the lower-order build is dropped before a higher one is made
             assert name not in cj._built
-            built[name].append(order)
-            return build(cj, order)
+            if cj.order == 4:
+                built[name].append(o)
+            return build(o)
 
-        return counting_build
+        return memo(cj, name, order, counting_build)
 
     def counting_inverse(M, gate=None):
         built["inverse"].append(M.order)
@@ -409,10 +414,7 @@ def _count_jet_builds(monkeypatch):
 
     for mod in (suites, deformation):
         monkeypatch.setattr(mod, "chart_jets", counting_jets)
-    for name in ("normal", "metric", "christoffel"):
-        attr = "_" + name
-        build = getattr(geometry.ChartJets, attr)
-        monkeypatch.setattr(geometry.ChartJets, attr, counting(name, build))
+    monkeypatch.setattr(geometry.ChartJets, "_memo", counting_memo)
     for mod in (geometry, codazzi):
         monkeypatch.setattr(mod, "mat_inv", counting_inverse)
     return built
@@ -490,9 +492,9 @@ def test_zero_patterns_leave_the_benchmark_reports_unchanged(monkeypatch, worklo
 
 
 def test_pair_scene_builds_the_full_order_normal_once_per_chunk(monkeypatch):
-    # the pair's h and F read the normal and g at K-1 = 3, and its Hessian
-    # the Christoffel symbols at K-2 = 2: one build of each per chunk, made
-    # after the frame's lower-order build is dropped
+    # the pair's h and F read J, the normal, g and g^{-1} at K-1 = 3, and
+    # its Hessian the Christoffel symbols at K-2 = 2: one build of each per
+    # chunk, made before the frame, which reads their truncations
     scene = parse_scene(
         SPHERE.replace("grid = 4", "grid = 3\nsuites = geometry, codazzi, deformation")
     )
@@ -501,8 +503,60 @@ def test_pair_scene_builds_the_full_order_normal_once_per_chunk(monkeypatch):
     rep = run_suites(scene)
     assert not rep.failed
     assert built["chart"].count(4) == 3
-    assert built["normal"].count(3) == built["metric"].count(3) == 3
-    assert built["christoffel"].count(2) == 3
+    for name in ("jacobian", "normal", "metric", "ginv"):
+        assert built[name] == [3, 3, 3]
+    assert built["christoffel"] == [2, 2, 2]
+
+
+def test_codazzi_only_scalar_pair_builds_no_order3_normal_or_inverse(monkeypatch):
+    # with no deformation suite, only Q's Hessian reads past the frame's
+    # orders: Gamma at K-2 and g^{-1} at K-2, never the normal or g^{-1} at K-1
+    scene = parse_scene(
+        "[chart]\ncatalog = sphere3\n[codazzi]\nvariant = gh\n"
+        "g = 0*u1\nh = 1+0*u2\n[run]\ngrid = 3\nsuites = codazzi\n"
+    )
+    monkeypatch.setattr(suites, "CHUNK", 10)
+    built = _count_jet_builds(monkeypatch)
+    rep = run_suites(scene)
+    assert not rep.failed
+    assert built["normal"] == built["ginv"] == [2, 2, 2]
+    assert 3 not in built["inverse"]
+
+
+def test_pair_scene_gates_a_non_finite_chart_before_its_builds():
+    # finite at the box center, overflowing at u1 = 1: the pair's builds
+    # ahead of the frame leave the frame's first gate to speak first
+    scene = parse_scene(
+        "[chart]\nn = 3\nf1 = u1\nf2 = u2\nf3 = u3\nf4 = exp(800*u1^4)\n"
+        + "".join(f"domain{k} = 0.2,1\n" for k in (1, 2, 3))
+        + "[codazzi]\nvariant = parallel\nt = 0.1\n"
+        "[run]\ngrid = 3\nsuites = codazzi, deformation\n"
+    )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        HypothesisError, match="^non-finite immersion values or Jacobian$"
+    ):
+        run_suites(scene)
+
+
+def test_sample_pass_peak_memory_of_one_chunk():
+    # 625 points of sphcyl4 make one order-4 chunk, whose components take
+    # 5 x 70 coefficients per point (1.75 MB); the pass frees each jet after
+    # its last read and peaks below 9 times that (12 times when every jet
+    # lived until the chunk ended)
+    scene = parse_scene(
+        "[chart]\ncatalog = sphcyl4\nr = 1\n[codazzi]\nvariant = parallel\n"
+        "t = 0.3\n[run]\ngrid = 5\norder = 4\nsuites = geometry, codazzi\n"
+    )
+    pts = geometry.grid_points(scene.chart, scene.grid)
+    no_probes = np.arange(0)
+    suites._sample_pass(scene, pts, no_probes)  # fills the jet-space tables
+    tracemalloc.start()
+    try:
+        suites._sample_pass(scene, pts, no_probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * (5 * 70 * len(pts) * 8)
 
 
 @pytest.mark.parametrize("suite", ["deformation", "roundtrip"])
