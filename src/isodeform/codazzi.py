@@ -11,8 +11,8 @@ A deformation source gives Q.  Every source answers the three calls of the
 
 * ``q_jets(cj)``: Q's jets at order K-2, plus the pair's jets and the
   gradient-constraint field when Q is built from a scalar pair (else None);
-* ``q_values(cj, J)``: Q in floats for the path integrands, behind the
-  same gates as ``q_jets``;
+* ``q_values(cj, vf)``: Q (n, n, S) in floats for the path integrands, from
+  the slice's ``geometry.ValueFrame``, behind the same gates as ``q_jets``;
 * ``pair()``: the scalar pair (g, h) whose closed form F = df(grad g) + h N
   realizes Q, or None when F exists only as the path integral of df o Q.
 
@@ -52,14 +52,14 @@ from .geometry import (
     ChartJets,
     Frame,
     SELF_ADJOINT_TOL,
+    ValueFrame,
     christoffel_jets,
     curvature_values,
     jet_partials,
-    metric_normal_values,
 )
 from .expr import ExprAst
 from .jet import JetScalar, contract, d1_values, mat_inv, mat_mul, stack, values
-from .linalg import cholesky_spd, gram, jacobi_svd, solve
+from .linalg import cholesky_spd, index_sum, jacobi_svd, solve
 
 GH_CONSTRAINT_TOL = 1e-8
 Q_RANK_RTOL = 1e-9  # Q singular: sigma_min <= Q_RANK_RTOL * max(sigma_max, 1)
@@ -76,7 +76,7 @@ class Source(Protocol):
 
     def q_jets(self, cj: ChartJets) -> QJets: ...
 
-    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray: ...
+    def q_values(self, cj: ChartJets, vf: ValueFrame) -> np.ndarray: ...
 
     def pair(self) -> Optional["GHPairData"]: ...
 
@@ -89,13 +89,6 @@ def q_jets(cj: ChartJets, source: Source) -> QJets:
     return source.q_jets(cj)
 
 
-def _shape_values(cj: ChartJets, J: np.ndarray):
-    """(d2f, g, A) in floats at the chart jets' points, J given."""
-    d2f = jet_partials(cj.comps, 2, cj.batch_shape)
-    g, N = metric_normal_values(J)
-    return d2f, g, solve(g, np.einsum("...p,...pij->...ij", N, d2f))
-
-
 class _Direct:
     """A source whose Q is one expression ``_q`` in A, which serves A's
     jets (an (n, n) jet tensor) and a float stack of A alike."""
@@ -103,8 +96,8 @@ class _Direct:
     def q_jets(self, cj: ChartJets) -> QJets:
         return self._q(cj.Ajet), None, None
 
-    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
-        return self._q(_shape_values(cj, J)[2])
+    def q_values(self, cj: ChartJets, vf: ValueFrame) -> np.ndarray:
+        return np.moveaxis(self._q(np.moveaxis(vf.A, -1, 0)), 0, -1)
 
 
 @dataclass(frozen=True)
@@ -143,25 +136,25 @@ class _FromPair:
         Q = cj.scalar_hess_jets(s) - h.truncated(cj.order - 2) * cj.Ajet
         return Q, pair, gh_field
 
-    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
-        """Hess s - h A (*batch, n, n) in floats, gated like the jet route.
+    def q_values(self, cj: ChartJets, vf: ValueFrame) -> np.ndarray:
+        """Hess s - h A (n, n, S) in floats, gated like the jet route.
 
         Reads the values of ds, d2s, h and dh off the pair's jets; with
         Gamma^k_ij = g^{kl} <d_l f, d_i d_j f>, Hess s = g^{-1}(d2s - Gamma.ds).
         """
         s, h = pair_jets(cj, self.pair())
-        d2f, g, A = _shape_values(cj, J)
-        batch, n = cj.batch_shape, cj.n
-        ds, dh = np.moveaxis(jet_partials([s, h], 1, batch), -2, 0)
-        dsh = np.stack([ds, dh], axis=-1)
-        # a non-finite gradient is the gate's to refuse, not solve's
-        grads = solve(g, dsh) if np.isfinite(dsh).all() else np.full(dsh.shape, np.nan)
-        gh_constraint_residual_field(A, g, grads[..., 0], grads[..., 1])
-        Jd2f = np.einsum("...pl,...pij->...lij", J, d2f).reshape(batch + (n, n * n))
-        Gamma = solve(g, Jd2f).reshape(batch + (n, n, n))
-        d2s = jet_partials([s], 2, batch)[..., 0, :, :]
-        hess = solve(g, d2s - np.einsum("...mil,...m->...il", Gamma, ds))
-        return hess - jet_partials([h], 0, batch)[..., None] * A
+        batch, n, A = cj.batch_shape, cj.n, vf.A
+        dsh = jet_partials([s, h], 1, batch, last=True).swapaxes(0, 1)  # (n, 2, S)
+        # a non-finite gradient is the gate's to refuse, not the solve's
+        grads = vf.solve(dsh) if np.isfinite(dsh).all() else np.full(dsh.shape, np.nan)
+        gh_constraint_residual_field(
+            *(np.moveaxis(x, -1, 0) for x in (A, vf.g, grads[:, 0], grads[:, 1]))
+        )
+        Jd2f = index_sum(vf.J[:, :, None, None] * vf.d2f[:, None])  # (n, n, n, S)
+        Gamma = vf.solve(Jd2f.reshape(n, n * n, -1)).reshape(Jd2f.shape)
+        d2s = jet_partials([s], 2, batch, last=True)[0]
+        hess = vf.solve(d2s - index_sum(Gamma * dsh[:, 0, None, None]))
+        return hess - jet_partials([h], 0, batch, last=True)[0] * A
 
 
 @dataclass(frozen=True)
@@ -196,8 +189,8 @@ class GHPairData(_FromPair):
 
     ``g_fn`` must return a jet at the chart jets' full order; ``h_fn`` at
     order >= K-1.  ``h_value``, when given, maps the chart jets and the
-    float unit normal (*batch, dim) to the values of h, so the closed-form
-    F needs no jets of h.
+    float unit normal, batch-last (dim, S), to the values of h (S,), so the
+    closed-form F needs no jets of h.
     """
 
     g_fn: Callable[[ChartJets], JetScalar]
@@ -227,8 +220,7 @@ def gh_parallel_offset(t: float) -> GHPairData:
         return contract(zip(cj.comps.truncated(cj.order - 1), cj.Njet)) + t
 
     def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
-        f = jet_partials(cj.comps, 0, cj.batch_shape)
-        return np.einsum("...p,...p->...", f, N) + t
+        return index_sum(jet_partials(cj.comps, 0, cj.batch_shape, last=True) * N) + t
 
     return GHPairData(g_fn, h_fn, h_value=h_value)
 
@@ -254,7 +246,7 @@ def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
         return contract(zip(cj.Njet, coeffs(cj))) + 1.0
 
     def h_value(cj: ChartJets, N: np.ndarray) -> np.ndarray:
-        return N @ np.asarray(coeffs(cj)) + 1.0
+        return index_sum(np.asarray(coeffs(cj))[:, None] * N) + 1.0
 
     return GHPairData(g_fn, h_fn, h_value=h_value)
 
@@ -286,18 +278,18 @@ class Explicit:
         n = cj.n
         entries = exprmod.eval_jets(self.asts(n), cj.u, cj.order - 2, self.shared)
         Q = stack([entries[k : k + n] for k in range(0, n * n, n)])
-        _check_explicit_self_adjoint(values(cj.metric(0)), values(Q))
+        _check_explicit_self_adjoint(cj.metric(0).value, Q.value)
         return Q, None, None
 
-    def q_values(self, cj: ChartJets, J: np.ndarray) -> np.ndarray:
+    def q_values(self, cj: ChartJets, vf: ValueFrame) -> np.ndarray:
         """Q by one ``eval_values`` call on the entries (shared subtrees and
-        their domain gates once), gated on g-self-adjointness with g = J^T J."""
+        their domain gates once), gated on g-self-adjointness with vf's g."""
         u, n = cj.u, cj.n
-        Q = np.empty(u.shape[:-1] + (n * n,))
+        Q = np.empty((n * n,) + u.shape[:-1])
         for k, v in enumerate(exprmod.eval_values(self.asts(n), u, self.shared)):
-            Q[..., k] = v
-        Q = Q.reshape(u.shape[:-1] + (n, n))
-        _check_explicit_self_adjoint(gram(J), Q)
+            Q[k] = v
+        Q = Q.reshape(n, n, -1)
+        _check_explicit_self_adjoint(vf.g, Q)
         return Q
 
     def pair(self) -> None:
@@ -332,15 +324,16 @@ def gh_constraint_residual_field(
 def self_adjoint_violation(
     g: np.ndarray, Q: np.ndarray, tol: float
 ) -> Optional[float]:
-    """|gQ - (gQ)^T| over the float stacks g, Q, unless it is within
-    tol * max(1, |gQ|) (max norms), in which case None.  NaN is never within."""
-    gQ = g @ Q
-    worst = float(np.abs(gQ - gQ.swapaxes(-1, -2)).max())
+    """|gQ - (gQ)^T| over the batch-last float stacks g, Q (n, n, ...), gQ
+    summed in index order, unless it is within tol * max(1, |gQ|) (max
+    norms), in which case None.  NaN is never within."""
+    gQ = index_sum(g[:, :, None] * Q[None], 1)
+    worst = float(np.abs(gQ - gQ.swapaxes(0, 1)).max())
     return None if worst <= tol * max(1.0, float(np.abs(gQ).max())) else worst
 
 
 def _check_explicit_self_adjoint(g: np.ndarray, Q: np.ndarray) -> None:
-    """Raise HypothesisError unless the float stack Q is g-self-adjoint."""
+    """Raise HypothesisError unless the batch-last float stack Q is g-self-adjoint."""
     worst = self_adjoint_violation(g, Q, SELF_ADJOINT_TOL)
     if worst is not None:
         raise HypothesisError(

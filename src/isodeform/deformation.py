@@ -13,10 +13,9 @@ every geometric quantity of F is computed from scratch rather than assumed.
 For a source with no pair, F is instead recovered by integrating the
 1-form omega = df o Q along staircase paths; the loop integrals of omega
 measure how far Q is from being integrable at all.  A path integrand needs
-values only, so at each quadrature node it builds order-2 chart jets once,
-reads J off their coefficients, and has ``source.q_values`` form Q (and F
-for the extraction covector J^T F) in float stack algebra, under the same
-gates as the jet route on the sample.
+values only: at each slice of quadrature nodes it builds order-2 chart jets
+once, and their ``ValueFrame`` factors g once for every solve that forms Q
+(and F for the extraction covector J^T F), under the jet route's gates.
 
 ``verify_deformation`` checks the theory's claims about F pointwise on a
 sample: dF = df o Q, induced metric, shape operator A~ = sign(det Q) Q^-1 A
@@ -58,6 +57,7 @@ from .geometry import (
     Chart,
     ChartJets,
     Frame,
+    ValueFrame,
     chart_jets,
     codazzi_A_residual_field,
     decompose_ambient,
@@ -65,16 +65,19 @@ from .geometry import (
     frame_from_jets,
     grid_axes,
     jet_partials,
-    metric_normal_values,
 )
 from .jet import JetScalar, values
 from .linalg import (
+    cholesky_solve,
     cholesky_spd,
     det,
+    gram,
+    index_sum,
     jacobi_svd,
     max_principal_angle,
     solve,
     svd_rank_kernel,
+    unit_normal,
 )
 from .quadrature import DEFAULT_TOL, integrate_segment
 
@@ -100,7 +103,7 @@ def closed_form_immersion(
 
     The evaluator maps points (*batch, n), or the chart's order-2 jets at
     them when the caller has built those already, to F = J g^{-1} ds + h N
-    there, shape (*batch, dim), with no jet matrices.
+    there, shape (*batch, dim), from their ``ValueFrame``, with no jet matrices.
     """
     pair = source.pair()
     if pair is None:
@@ -108,16 +111,15 @@ def closed_form_immersion(
 
     def F_fn(x: Union[np.ndarray, ChartJets]) -> np.ndarray:
         cj = x if isinstance(x, ChartJets) else chart_jets(chart, x, order=2)
-        batch = cj.batch_shape
-        J = jet_partials(cj.comps, 1, batch)
-        g, N = metric_normal_values(J)
-        ds = jet_partials([pair.g_fn(cj)], 1, batch)
-        grad = solve(g, ds.swapaxes(-1, -2))[..., 0]
+        batch, vf = cj.batch_shape, ValueFrame(cj)
+        N = vf.N  # the gates of g and the normal ahead of the solve's
+        grad = vf.solve(jet_partials([pair.g_fn(cj)], 1, batch, last=True)[0])
         if pair.h_value is not None:
-            h_val = pair.h_value(cj, N)[..., None]
+            h = pair.h_value(cj, N)
         else:
-            h_val = jet_partials([pair.h_fn(cj)], 0, batch)
-        return np.einsum("...pk,...k->...p", J, grad) + h_val * N
+            h = jet_partials([pair.h_fn(cj)], 0, batch, last=True)[0]
+        F = index_sum(vf.J * grad, 1) + h * N
+        return np.ascontiguousarray(F.T).reshape(batch + F.shape[:1])
 
     return F_fn
 
@@ -224,12 +226,13 @@ def verify_deformation(
 ) -> DeformationCheck:
     """Build F in closed form and check every pointwise claim about it.
 
-    Builds the chart jets at ``Q_CHECK_ORDER``, the frame and the Q frame at
-    ``pts`` and hands them to ``deformation_check_from_jets``, the per-chunk
-    body the deformation suite runs on the jets it shares with the other
-    suites.
+    Builds the chart jets at ``Q_CHECK_ORDER`` (each once: the pair's
+    ``ChartJets.build_for_pair``), the frame and the Q frame at ``pts`` and
+    hands them to ``deformation_check_from_jets``, the per-chunk body the
+    deformation suite runs on the jets it shares with the other suites.
     """
     cj = chart_jets(chart, pts, Q_CHECK_ORDER)
+    cj.build_for_pair()
     frame = frame_from_jets(cj)
     qj, pair, _ = q_jets(cj, source)
     cf = codazzi_frame_from_jets(qj, frame)
@@ -308,8 +311,9 @@ def deformation_check_from_jets(
 # call that integrates each distinct (start, step) leg once, however many
 # paths share it; ``_grid_staircase`` fills a sample grid, or a slice of
 # it, from one kernel call.  A leg's integral does not depend on the batch
-# it runs in: the integrand is evaluated point by point (stacked products
-# by matmul), and each leg is accepted on its own test.
+# it runs in: the integrand is evaluated point by point, and each leg is
+# accepted on its own test: a slice is one batch-last ``ValueFrame``, whose
+# products are sums over matrix indices in index order, with no BLAS.
 
 
 def _omega_values(
@@ -318,13 +322,14 @@ def _omega_values(
     """Values of the 1-form omega = df o Q: shape (*batch, dim, n).
 
     Values only: one build of order-2 chart jets per slice, whose
-    coefficients give J here and d2f to ``source.q_values``, under the same
+    ``ValueFrame`` factors g once for ``source.q_values``, under the same
     gates as the sample pass: on an exactly singular metric they raise
-    HypothesisError, as the jet route does.
+    HypothesisError, as the jet route does.  J Q is moved once.
     """
     cj = chart_jets(chart, pts, order=2)
-    J = jet_partials(cj.comps, 1, cj.batch_shape)
-    return J @ source.q_values(cj, J)
+    vf = ValueFrame(cj)
+    omega = index_sum(vf.J[:, :, None] * source.q_values(cj, vf)[None], 1)
+    return np.ascontiguousarray(omega.transpose(2, 0, 1)).reshape(pts.shape[:-1] + (-1, cj.n))
 
 
 def _leg_integrals(covector, starts, steps, tol: float) -> np.ndarray:
@@ -587,8 +592,8 @@ def fd_deformed_frame(chart: Chart, source: Source, u: Sequence[float]) -> FDFra
     The Richardson stencils of every probe, at steps FD_STEP and
     ``fd_second_step()``, are integrated from ``path_base`` in one
     ``path_integral_immersion`` call, one quadrature call in which every
-    staircase leg is held to ``FD_QUAD_TOL`` on its own.  g and N come from
-    ``metric_normal_values``, under its gates.
+    staircase leg is held to ``FD_QUAD_TOL`` on its own.  g and N are gated
+    as on the jet route: g's Cholesky gate, then the normal's.
     """
     base = path_base(chart)
     f, J, d2 = fd_stencil(
@@ -596,7 +601,9 @@ def fd_deformed_frame(chart: Chart, source: Source, u: Sequence[float]) -> FDFra
         lambda x: path_integral_immersion(chart, source, base, x, tol=FD_QUAD_TOL),
         u, FD_STEP, fd_second_step(),
     )
-    g, N = metric_normal_values(J)
+    g = gram(J)
+    cholesky_spd(g)
+    N = unit_normal(J)
     b = np.einsum("...p,...pij->...ij", N, d2)
     return FDFrame(f=f, J=J, N=N, g=g, b=b, A=solve(g, b))
 
@@ -678,29 +685,32 @@ class GaugeFit:
     cond: float
 
 
-def gauge_fit(frame: Frame, pair1: GridPair, pair2: GridPair) -> GaugeFit:
-    """Least-squares gauge between two sampled pairs on the same grid.
-
-    ``frame`` is the chart's ``grid_frame`` on that grid.  Solves for
-    (a, c) minimizing the joint residual of g2 = g1 + <f, a> + c and
-    h2 = h1 + <N, a> over all sample points.
-    """
-    if not pair1.points.shape == pair2.points.shape == frame.u.shape:
-        raise ValueError("pairs sampled on different grids")
+def gauge_design(frame: Frame):
+    """What the ``gauge_fit``s on ``frame``'s grid share: the design matrix D,
+    its condition number (one SVD) and the Cholesky factor of D^T D."""
     dim = frame.f.shape[-1]
     m = frame.f.size // dim
     D = np.zeros((2 * m, dim + 1))
     D[:m, :dim] = frame.f.reshape(m, dim)
     D[:m, dim] = 1.0
     D[m:, :dim] = frame.N.reshape(m, dim)
-    rhs = np.concatenate(
-        [
-            (pair2.g - pair1.g).reshape(-1),
-            (pair2.h - pair1.h).reshape(-1),
-        ]
-    )
-    x = solve(D.T @ D, D.T @ rhs)
     _, s, _ = jacobi_svd(D)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+    return D, float(s[0] / s[-1]) if s[-1] > 0 else np.inf, cholesky_spd(D.T @ D)
+
+
+def gauge_fit(frame: Frame, pair1: GridPair, pair2: GridPair, design=None) -> GaugeFit:
+    """Least-squares gauge between two sampled pairs on the same grid.
+
+    ``frame`` is the chart's ``grid_frame`` on that grid, ``design`` its
+    ``gauge_design`` or None.  Solves the normal equations for (a, c)
+    minimizing the joint residual of g2 = g1 + <f, a> + c and
+    h2 = h1 + <N, a> over all sample points.
+    """
+    if not pair1.points.shape == pair2.points.shape == frame.u.shape:
+        raise ValueError("pairs sampled on different grids")
+    D, cond, L = design or gauge_design(frame)
+    rhs = np.concatenate([(pair2.g - pair1.g).reshape(-1), (pair2.h - pair1.h).reshape(-1)])
+    x = cholesky_solve(L, D.T @ rhs)
     residual = float(np.abs(D @ x - rhs).max())
+    dim = D.shape[1] - 1
     return GaugeFit(a=x[:dim], c=float(x[dim]), residual=residual, cond=cond)

@@ -32,7 +32,8 @@ from . import jet as jetmod
 from .errors import HypothesisError, SceneError
 from .expr import ExprAst
 from .jet import JetScalar, contract, cross_product, d1_values, mat_inv, mat_mul, stack, values
-from .linalg import check_cross_norm, cholesky_spd, gram, svd_rank_kernel, unit_normal
+from .linalg import check_cross_norm, cholesky_solve, cholesky_spd, cross_last, index_sum
+from .linalg import svd_rank_kernel
 
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
 CHUNK = 1024  # points per batched jet evaluation, which bounds memory
@@ -172,6 +173,12 @@ class ChartJets:
         if not (np.isfinite(self.comps.value).all() and np.isfinite(self.comps.d1).all()):
             raise HypothesisError("non-finite immersion values or Jacobian")
 
+    def build_for_pair(self):
+        """``check_finite``, then the normal and g^{-1} at K-1 and Gamma at K-2,
+        which a scalar pair reads; a frame built next reads their truncations."""
+        self.check_finite()
+        self.normal(self.order - 1), self.ginv(self.order - 1), self.christoffel(self.order - 2)
+
     def jacobian(self, order):
         """Jets of J at ``order`` (at most K-1)."""
         return self._memo("jacobian", order, lambda o: self.comps.truncated(o + 1).grad())
@@ -186,7 +193,7 @@ class ChartJets:
         J = self.jacobian(order)
         cross = cross_product(lambda r, c: J[r, c], self.n)
         normsq = contract(zip(cross, cross))
-        check_cross_norm(np.sqrt(np.asarray(normsq.value)), values(J))
+        check_cross_norm(np.sqrt(np.asarray(normsq.value)), J.value)
         rnorm = jetmod.recip(jetmod.sqrt(normsq))
         return stack(cross) * rnorm
 
@@ -381,15 +388,11 @@ def frame_from_jets(cj: ChartJets) -> Frame:
 
 
 # ---------------------------------------------------------------- values only
-#
-# What a path integrand needs at a quadrature node is values, not jets: the
-# partials of f read straight off its coefficients, then float stack algebra
-# through ``linalg`` under the jet pipeline's gates.
 
 
-def jet_partials(jets, k: int, batch_shape) -> np.ndarray:
+def jet_partials(jets, k: int, batch_shape, last: bool = False) -> np.ndarray:
     """Order-k partials of a vector jet, or of a list of scalar jets taken as
-    one: floats (*batch_shape, len(jets), n, ...).
+    one: floats (*batch_shape, len(jets), n, ...); with ``last`` (len(jets), n, ..., S).
 
     k is 0 (values), 1 or 2, read off the coefficients with no jet arithmetic.
     A jet that is constant over the batch has batch axes of length 1; they
@@ -398,20 +401,34 @@ def jet_partials(jets, k: int, batch_shape) -> np.ndarray:
     if not isinstance(jets, JetScalar):
         jets = stack([j.truncated(k) for j in jets])
     d = jets.value if k == 0 else jets.d1 if k == 1 else jets.d2()
-    d = np.ascontiguousarray(np.broadcast_to(d, d.shape[: k + 1] + tuple(batch_shape)))
-    return np.moveaxis(d, range(k + 1), range(-k - 1, 0))
+    d = np.broadcast_to(d, d.shape[: k + 1] + tuple(batch_shape))
+    if last:
+        return d.reshape(d.shape[: k + 1] + (-1,))
+    return np.moveaxis(np.ascontiguousarray(d), range(k + 1), range(-k - 1, 0))
 
 
-def metric_normal_values(J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g = J^T J and the unit normal N from a float Jacobian stack.
+class ValueFrame:
+    """Floats batch-last at the S points of chart jets ``cj``: J (n+1, n, S), g = J^T J
+    summed in index order and, when read, d2f, g's Cholesky factor L, N and A =
+    g^{-1} N.d2f, under the jet route's gates; ``solve`` substitutes with L."""
 
-    Gated as the jet pipeline is: HypothesisError when g is not positive
-    definite, then when the normal degenerates.
-    """
-    g = gram(J)
-    cholesky_spd(g)
-    return g, unit_normal(J)
+    def __init__(self, cj: ChartJets):
+        self.cj, self.batch = cj, cj.batch_shape
+        self.J = jet_partials(cj.comps, 1, self.batch, last=True)
+        self.g = index_sum(self.J[:, :, None] * self.J[:, None])
 
+    L = cached_property(lambda self: cholesky_spd(self.g, last=True))
+    d2f = cached_property(lambda self: jet_partials(self.cj.comps, 2, self.batch, last=True))
+    A = cached_property(lambda self: self.solve(index_sum(self.N[:, None, None] * self.d2f)))
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        self.L  # g's gate speaks before the normal's
+        v, norm = cross_last(self.J)
+        return np.stack(v) / norm
+
+    def solve(self, B: np.ndarray) -> np.ndarray:  # B (n, S) or (n, k, S)
+        return cholesky_solve(self.L, B, self.batch)
 
 
 def chart_jets(chart: Chart, u, order: int = 3) -> ChartJets:

@@ -9,10 +9,16 @@ storage and elementwise work, never for its linear algebra.
 Inside, a stack is batch-last, (m, n, S): entry (i, j) of all members is one
 contiguous row, and each step is an elementwise pass over such rows, unrolled
 over the matrix indices.  Sums over a matrix index run in index order
-(``_sum``), so a member is bit-equal to its own call.  LU, solve, det,
+(``index_sum``), so a member is bit-equal to its own call.  LU, solve, det,
 Cholesky and the Jacobi rotations keep the stack-first arithmetic bit for
 bit; J^T J (``gram``), the Jacobi dot products and the cross-product norms,
 once BLAS dot products, may move in the last bit.
+
+Batch-last callers pass their stacks as they are (``check_cross_norm``'s J,
+``cholesky_spd(g, last=True)``), and ``cholesky_solve`` substitutes with that
+factor, backward stable for SPD g (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., ch. 10), behind ``solve``'s pivot gate read
+off L: L_jj^2 <= PIVOT_RTOL * max|g|, the largest squared row norm of L.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ def _batch_last(J) -> np.ndarray:
     return np.ascontiguousarray(J.transpose(-2, -1, *range(J.ndim - 2)))
 
 
-def _sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
+def index_sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sum of a C-ordered x over `axis` in index order: numpy's reduce sums an
     axis that is innermost in memory, as of one matrix, pairwise from 8 terms."""
     if x.strides[axis] > x.itemsize:
@@ -94,6 +100,13 @@ def _lu(A: np.ndarray):
     """(LU (n, n, S), perm (n, S), stack shape), gated as ``lu_factor``."""
     LU, batch = _stack(A, square=True)
     perm, _, fail = _eliminate(LU, PIVOT_RTOL)
+    _pivot_gate(fail, batch)
+    return LU, perm, batch
+
+
+def _pivot_gate(fail: np.ndarray, batch: tuple) -> None:
+    """Raise HypothesisError naming the first matrix s of the stack ``batch``
+    with a failing pivot column fail[s] (-1 for none)."""
     bad = np.flatnonzero(fail >= 0)
     if bad.size:
         at = tuple(int(x) for x in np.unravel_index(bad[0], batch))
@@ -101,7 +114,6 @@ def _lu(A: np.ndarray):
         raise HypothesisError(
             f"pivot at column {fail[bad[0]]}{which} at or below {PIVOT_RTOL:.0e}*max|A|"
         )
-    return LU, perm, batch
 
 
 def lu_factor(A: np.ndarray):
@@ -166,7 +178,8 @@ def jacobi_svd(A: np.ndarray):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
-                app, aqq, apq = _sum(W[p] * W[p]), _sum(W[q] * W[q]), _sum(W[p] * W[q])
+                Wp, Wq = W[p], W[q]
+                app, aqq, apq = index_sum(Wp * Wp), index_sum(Wq * Wq), index_sum(Wp * Wq)
                 denom = np.sqrt(app * aqq)
                 r = (denom > 0) & (np.abs(apq) > JACOBI_TOL * denom)
                 if not r.any():
@@ -181,7 +194,7 @@ def jacobi_svd(A: np.ndarray):
                 WV[p][:, r], WV[q][:, r] = c * Cp - s_ * Cq, s_ * Cp + c * Cq
         if not rotated:
             break
-    sig = np.sqrt(_sum(W * W, 1))
+    sig = np.sqrt(index_sum(W * W, 1))
     order = (-sig).argsort(axis=0, kind="stable")
     sig, WV = -np.sort(-sig, axis=0), np.take_along_axis(WV, order[:, None], 0)
     U = np.divide(WV[:, :m], sig[:, None], out=np.zeros_like(W), where=sig[:, None] > 0)
@@ -217,7 +230,7 @@ def gram(J: np.ndarray) -> np.ndarray:
 
 def _atb(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A^T B per member of stacks (..., m, n) and (..., m, k)."""
-    g = _sum(_batch_last(A)[:, :, None] * _batch_last(B)[:, None])
+    g = index_sum(_batch_last(A)[:, :, None] * _batch_last(B)[:, None])
     return np.ascontiguousarray(g.transpose(*range(2, g.ndim), 0, 1))
 
 
@@ -236,17 +249,23 @@ def _cross(J: np.ndarray):
     _check_finite(J, "Jacobian")
     if np.ndim(J) < 2 or np.shape(J)[-2] != np.shape(J)[-1] + 1:
         raise ValueError(f"expected (n+1) x n, got {np.shape(J)}")
-    Jt = _batch_last(J)
-    v = cross_product(lambda r, c: Jt[r, c], len(Jt[0]))
-    norm = np.sqrt(sum(x * x for x in v))
-    check_cross_norm(norm, Jt.transpose(*range(2, Jt.ndim), 0, 1))
+    v, norm = cross_last(_batch_last(J))
     return np.stack(v, axis=-1), norm
 
 
-def check_cross_norm(norm, J: np.ndarray) -> None:
-    """The one degenerate-normal gate for J (..., n+1, n): raises HypothesisError
-    where the norm is at or below CROSS_RTOL times J's column-norm product."""
-    colnorm = np.multiply.reduce(np.sqrt(_sum(_batch_last(J) ** 2)))
+def cross_last(Jt: np.ndarray):
+    """The cross product of a batch-last Jt (n+1, n, ...), its n+1 entries in
+    a list, and its norm, behind ``check_cross_norm``."""
+    v = cross_product(lambda r, c: Jt[r, c], len(Jt[0]))
+    norm = np.sqrt(sum(x * x for x in v))
+    check_cross_norm(norm, Jt)
+    return v, norm
+
+
+def check_cross_norm(norm, Jt: np.ndarray) -> None:
+    """The one degenerate-normal gate for a batch-last Jt (n+1, n, ...): raises
+    HypothesisError where the norm is at or below CROSS_RTOL times Jt's column-norm product."""
+    colnorm = np.multiply.reduce(np.sqrt(index_sum(Jt**2)))
     if (norm <= CROSS_RTOL * colnorm).any():
         raise HypothesisError(
             f"cross product norm {np.min(norm):.3e} below {CROSS_RTOL:.0e} * "
@@ -259,10 +278,10 @@ def unit_normal(J: np.ndarray) -> np.ndarray:
     return v / norm[..., None]
 
 
-def cholesky_spd(g: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with g = L L^T; batched over leading axes.  Raises
-    HypothesisError if any pivot is non-positive or non-finite in the batch."""
-    G = _batch_last(g)
+def cholesky_spd(g: np.ndarray, last: bool = False) -> np.ndarray:
+    """Lower-triangular L with g = L L^T; batched over leading axes (trailing with
+    ``last``).  Raises HypothesisError if any pivot is non-positive or non-finite."""
+    G = g if last else _batch_last(g)
     L = np.zeros(G.shape)
     for j in range(len(G)):
         v = G[j:, j] - (L[j:, :j] * L[j, :j]).sum(1)  # v[0] is the pivot
@@ -270,7 +289,25 @@ def cholesky_spd(g: np.ndarray) -> np.ndarray:
             raise HypothesisError(f"cholesky pivot {np.min(v[0]):.3e} at column {j}")
         L[j, j] = np.sqrt(v[0])
         L[j + 1 :, j] = v[1:] / L[j, j]
-    return np.ascontiguousarray(L.transpose(*range(2, L.ndim), 0, 1))
+    return L if last else np.ascontiguousarray(L.transpose(*range(2, L.ndim), 0, 1))
+
+
+def cholesky_solve(L: np.ndarray, B: np.ndarray, batch: tuple = ()):
+    """G^{-1} B, B (n, *S) or (n, k, *S), by substitution with L = ``cholesky_spd(G,
+    last=True)``, behind ``solve``'s gates and messages (a matrix named by its place
+    in ``batch``): L_jj^2 <= PIVOT_RTOL * max_i (L L^T)_ii, then a non-finite B."""
+    n = len(L)
+    fail = (L[range(n), range(n)] ** 2 <= PIVOT_RTOL * index_sum(L * L, 1).max(0)).reshape(n, -1)
+    _pivot_gate(np.where(fail.any(0), fail.argmax(0), -1), batch)
+    _check_finite(B, "right-hand side")
+    X = np.array(B[:, None] if B.ndim < L.ndim else B, dtype=float)
+    for j in range(n):  # L y = B
+        X[j] /= L[j, j]
+        X[j + 1 :] -= L[j + 1 :, j, None] * X[j]
+    for j in range(n - 1, -1, -1):  # L^T x = y
+        X[j] /= L[j, j]
+        X[:j] -= L[j, :j, None] * X[j]
+    return X[:, 0] if B.ndim < L.ndim else X
 
 
 def max_principal_angle(B1: np.ndarray, B2: np.ndarray):

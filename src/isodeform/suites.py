@@ -85,6 +85,7 @@ from .deformation import (
     extract_gh,
     fd_deformed_frame,
     fd_second_step,
+    gauge_design,
     gauge_fit,
     global_det_sign,
     grid_frame,
@@ -214,9 +215,8 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
     order = Q_CHECK_ORDER if needs_q else (scene.order if "geometry" in suites else 2)
     reads_pair = "deformation" in suites and spec.pair() is not None
     cj = chart_jets(chart, pts, order)
-    if reads_pair:  # at the pair's orders, after the frame's first gate
-        cj.check_finite()
-        cj.normal(order - 1), cj.ginv(order - 1), cj.christoffel(order - 2)
+    if reads_pair:
+        cj.build_for_pair()
     fr = frame_from_jets(cj)
     cj.release("bjet")
     sample = {"rank_A": _rank_range(fr, chart.n, suites)}
@@ -447,7 +447,8 @@ def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
         ]
     ext = extract_gh(chart, closed_form_immersion(chart, spec), grid_fr)
     true = pair_on_grid(pair, grid_fr)
-    fit = gauge_fit(grid_fr, ext, true)
+    design = gauge_design(grid_fr)  # one SVD for both fits
+    fit = gauge_fit(grid_fr, ext, true, design)
     # synthetic gauge shift with known ground truth; the five values repeat
     # in higher ambient dimensions
     dim = chart.ambient_dim
@@ -461,7 +462,7 @@ def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
         grad_g=true.grad_g,
         closed_residual=0.0,
     )
-    fit2 = gauge_fit(grid_fr, true, shifted)
+    fit2 = gauge_fit(grid_fr, true, shifted, design)
     recovery = max(float(np.abs(fit2.a - a0).max()), abs(float(fit2.c) - c0))
     residuals = (
         (ext.closed_residual, "loop integrals of the recovered 1-form g(grad g, .)"),

@@ -21,7 +21,7 @@ from isodeform.codazzi import (
     q_jets,
 )
 from isodeform.errors import HypothesisError
-from isodeform.geometry import chart_jets, frame_from_jets, grid_points
+from isodeform.geometry import ValueFrame, chart_jets, frame_from_jets, grid_points
 from isodeform.jet import values
 
 
@@ -233,7 +233,7 @@ def test_explicit_shared_subtree_error_keeps_its_offset():
         exprmod.eval_values((exprmod.parse(spec.entries[0][0], 2),), u)[0]
     cj = chart_jets(catalog.plane2(), u, 2)
     with pytest.raises(exprmod.ExprError, match="log of non-positive value") as shared:
-        spec.q_values(cj, np.tile(np.eye(3, 2), (2, 1, 1)))
+        spec.q_values(cj, ValueFrame(cj))
     assert shared.value.span == alone.value.span == (6, 17)
     assert str(shared.value) == str(alone.value)
     # the jet row reads the same shared node

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isodeform import catalog, codazzi, deformation as dfm, expr as exprmod, suites
+from isodeform import geometry, linalg
 from isodeform.codazzi import (
     Explicit,
     GHPair,
@@ -32,10 +33,10 @@ from isodeform.errors import HypothesisError, VerificationError
 from isodeform.geometry import (
     CHUNK,
     GRID_SHRINK,
+    ValueFrame,
     chart_jets,
     grid_axes,
     grid_points,
-    jet_partials,
     make_chart,
 )
 from isodeform.jet import values
@@ -261,6 +262,33 @@ def test_extract_and_gauge_roundtrip():
     assert np.isfinite(fit.cond)
 
 
+def test_roundtrip_fits_share_one_gauge_svd(monkeypatch):
+    # both gauge fits of the roundtrip suite read one design matrix: one SVD
+    # of it per run, and a fit given the design equals one that builds it
+    svds = []
+    svd = dfm.jacobi_svd
+
+    def counting(D):
+        svds.append(D.shape)
+        return svd(D)
+
+    monkeypatch.setattr(dfm, "jacobi_svd", counting)
+    scene = parse_scene(
+        "[chart]\ncatalog = sphere3\n[codazzi]\nvariant = parallel\nt = 1\n"
+        "[run]\ngrid = 3\nsuites = roundtrip\n"
+    )
+    rep = suites.run_suites(scene)
+    assert not rep.failed and svds == [(2 * 27, 5)]
+    ch = catalog.sphere3()
+    fr = grid_frame(ch, 3)
+    ext = extract_gh(ch, closed_form_immersion(ch, Parallel(1.0)), fr)
+    true = pair_on_grid(gh_parallel_offset(1.0), fr)
+    alone, shared = gauge_fit(fr, ext, true), gauge_fit(fr, ext, true, dfm.gauge_design(fr))
+    assert vars(alone).keys() == vars(shared).keys()
+    for key in vars(alone):
+        np.testing.assert_array_equal(getattr(alone, key), getattr(shared, key))
+
+
 def test_gauge_recovers_translation_vector():
     ch = catalog.sphere3(2.0)
     a0 = np.array([0.3, -0.2, 0.5, 0.1])
@@ -400,6 +428,49 @@ def test_value_integrand_matches_jet_route(name):
     assert np.abs(omega - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+@pytest.mark.parametrize("name", list(_VALUE_SOURCES))
+def test_value_integrand_members_match_the_point_alone(name):
+    # a leg's integral does not depend on the batch it runs in: each member
+    # of a slice is bit-equal to its point evaluated alone, as is F
+    source = _VALUE_SOURCES[name]
+    ch = catalog.graph3()
+    pts = np.random.default_rng(8).uniform(-0.45, 0.45, (24, 3))
+    omega = dfm._omega_values(ch, source, pts)
+    F_fn = closed_form_immersion(ch, source) if source.pair() is not None else None
+    F = None if F_fn is None else F_fn(pts)
+    for i in range(len(pts)):
+        alone = dfm._omega_values(ch, source, pts[i : i + 1])
+        np.testing.assert_array_equal(alone, omega[i : i + 1])
+        if F_fn is not None:
+            np.testing.assert_array_equal(F_fn(pts[i]), F[i])
+
+
+@pytest.mark.parametrize("name", list(_VALUE_SOURCES))
+def test_value_integrand_factors_g_once_per_slice(monkeypatch, name):
+    # one Cholesky factor of g serves every solve of a slice, and no solve
+    # goes through LU; an explicit Q reads g and solves nothing
+    source, ch = _VALUE_SOURCES[name], catalog.graph3()
+    pts = np.random.default_rng(9).uniform(-0.45, 0.45, (40, 3))
+    calls = {"factor": 0, "lu": 0}
+    factor, lu = geometry.cholesky_spd, linalg._lu
+
+    def counting_factor(g, last=False):
+        calls["factor"] += 1
+        return factor(g, last)
+
+    def counting_lu(A):
+        calls["lu"] += 1
+        return lu(A)
+
+    monkeypatch.setattr(geometry, "cholesky_spd", counting_factor)
+    monkeypatch.setattr(linalg, "_lu", counting_lu)
+    dfm._omega_values(ch, source, pts)
+    assert calls == {"factor": 0 if source.pair() is None else 1, "lu": 0}
+    if source.pair() is not None:
+        closed_form_immersion(ch, source)(pts)
+        assert calls == {"factor": 2, "lu": 0}
+
+
 def test_value_integrand_keeps_the_gates():
     # every gate of the jet route still fires at the quadrature nodes
     plane = catalog.plane2()
@@ -422,6 +493,24 @@ def test_value_integrand_keeps_the_gates():
     for source in (Parallel(0.1), MinusA(), GHPair("0*u1", "1 + 0*u2")):
         with pytest.raises(HypothesisError, match="cross product norm"):
             path_integral_immersion(ch, source, [0.5, 0.0], [1.0, 0.5])
+    # on u2 = 0 a zero column of J makes g singular: g's own gate speaks
+    # first; a column of length 1e-7 leaves g positive definite, but its
+    # second pivot is below 1e-12 * max|g| and the solve refuses it, naming
+    # the first member of the slice; the closed-form F keeps both gates
+    zero = make_chart(["u1", "u2^2", "u2^3"], [(0, 1), (-0.5, 1)])
+    thin = make_chart(["u1", "1e-7*u2", "u1^2 + u2^2"], [(0, 1), (-0.5, 1)])
+    on_axis = np.array([[0.6, 0.0], [0.7, 0.0]])
+    pivot = r"pivot at column 1 of matrix \(0,\) at or below 1e-12\*max\|A\|$"
+    singular = r"cholesky pivot 0\.000e\+00 at column 1$"
+    sources = (Parallel(0.1), MinusA(), GHPair("0*u1", "1 + 0*u2"), gh_parallel_offset(0.1))
+    for source in sources:
+        for chart, message in ((zero, singular), (thin, pivot)):
+            with pytest.raises(HypothesisError, match=message):
+                closed_form_immersion(chart, source)(on_axis)
+            if source is sources[-1] and chart is zero:
+                message = "cross product norm"  # its Q builds h's jets, whose normal gates first
+            with pytest.raises(HypothesisError, match=message):
+                path_integral_immersion(chart, source, [0.5, 0.0], [1.0, 0.5])
 
 
 def test_grid_integral_builds_no_q_jets(monkeypatch):
@@ -590,12 +679,11 @@ def test_explicit_values_share_subtrees_bit_identically(monkeypatch):
     ch = catalog.graph3()
     pts = np.random.default_rng(3).uniform(-0.45, 0.45, (400, 3))
     cj = chart_jets(ch, pts, order=2)
-    J = jet_partials(cj.comps, 1, cj.batch_shape)
-    Q = source.q_values(cj, J)
+    Q = source.q_values(cj, ValueFrame(cj))  # batch-last, (3, 3, 400)
     for i, row in enumerate(source.entries):
         for j, text in enumerate(row):
             alone = exprmod.eval_values((exprmod.parse(text, 3),), pts)[0]
-            assert np.array_equal(Q[..., i, j], alone)
+            assert np.array_equal(Q[i, j], alone)
     # the use counts are exact: each shared value is dropped after its last use
     memos = []
     reader = exprmod._memo_reader
@@ -701,5 +789,5 @@ def test_shared_divisor_is_gated_once_per_slice(monkeypatch):
     ch = catalog.graph3()
     pts = np.random.default_rng(3).uniform(-0.45, 0.45, (50, 3))
     cj = chart_jets(ch, pts, order=2)
-    source.q_values(cj, jet_partials(cj.comps, 1, cj.batch_shape))
+    source.q_values(cj, ValueFrame(cj))
     assert len(calls) == len(divisors)

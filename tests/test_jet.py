@@ -205,6 +205,15 @@ def test_symmetry_is_bit_exact():
         assert np.array_equal(d4, np.transpose(d4, perm))
 
 
+def test_full_derivatives_are_a_gather_times_the_factorials():
+    rng = np.random.default_rng(12)
+    space = jet_space(3, 4)
+    T = jet.JetScalar(space, rng.standard_normal((2, 3, space.size, 5, 7)), ndim=2)
+    for k, d in enumerate((lambda: T.d1, T.d2, T.d3, T.d4), start=1):
+        idx, fac = space._deriv_tables[k]
+        assert np.array_equal(d(), T.coef.take(idx, axis=2) * fac[..., None, None])
+
+
 def test_diff_lowers_order_to_derivative_jet():
     sp = jet_space(2, 3)
     x = sp.variable(0, 1.2)

@@ -13,6 +13,7 @@ from isodeform import linalg
 from isodeform.errors import HypothesisError
 from isodeform.linalg import (
     check_cross_norm,
+    cholesky_solve,
     cholesky_spd,
     det,
     generalized_cross,
@@ -439,6 +440,63 @@ def test_cholesky_gate_names_the_failing_column():
         cholesky_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def _spd_stack(rng, n, cond, S):
+    """S random SPD matrices (n, n, S), batch-last, of condition number cond."""
+    Q = np.linalg.qr(rng.standard_normal((S, n, n)))[0]
+    g = np.einsum("sij,j,skj->sik", Q, np.geomspace(1.0, 1.0 / cond, n), Q)
+    return np.ascontiguousarray((0.5 * (g + g.swapaxes(1, 2))).transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+@pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+def test_cholesky_solve_agrees_with_solve(n, cond):
+    # an (n, n) right-hand side, as A = g^-1 b, and a vector, as g^-1 ds:
+    # two backward-stable solvers differ by up to about cond * eps, so the
+    # substitution is held to 1e-14 * cond of LU with partial pivoting, and
+    # its residual to 1e-14 of |g| |x|, at every condition number
+    rng = np.random.default_rng(70 + n)
+    G = _spd_stack(rng, n, cond, 200)
+    L = cholesky_spd(G, last=True)
+    g = G.transpose(2, 0, 1)
+    for B in (rng.standard_normal((n, n, 200)), rng.standard_normal((n, 200))):
+        X, b = np.moveaxis(cholesky_solve(L, B), -1, 0), np.moveaxis(B, -1, 0)
+        Y = solve(g, b[..., None])[..., 0] if B.ndim == 2 else solve(g, b)
+        scale = np.abs(Y).reshape(200, -1).max(axis=1)
+        rel = np.abs(X - Y).reshape(200, -1).max(axis=1) / scale
+        assert rel.max() <= 1e-14 * cond
+        resid = np.einsum("sij,sj...->si...", g, X) - b
+        size = np.abs(g).max(axis=(1, 2)) * np.abs(X).reshape(200, -1).max(axis=1)
+        assert (np.abs(resid).reshape(200, -1).max(axis=1) / size).max() <= 1e-14
+
+
+def test_cholesky_solve_members_match_single_calls():
+    rng = np.random.default_rng(71)
+    G = _spd_stack(rng, 3, 1e3, 2 * 3).reshape(3, 3, 2, 3)
+    L, B = cholesky_spd(G, last=True), rng.standard_normal((3, 4, 2, 3))
+    X = cholesky_solve(L, B, (2, 3))
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(L[..., i, j], cholesky_spd(G[..., i, j]))
+        alone = cholesky_solve(L[..., i, j], B[..., i, j])
+        assert np.array_equal(X[..., i, j], alone)
+
+
+def test_cholesky_solve_gates_with_the_messages_of_solve():
+    # g = diag(1, 1e-13) is positive definite, but its second pivot is at or
+    # below PIVOT_RTOL * max|g|: the gate names the matrix by its place
+    g = np.stack([np.eye(2), np.diag([1.0, 1e-13]), np.diag([1e-13, 1.0]), np.eye(2)])
+    G = np.ascontiguousarray(g.reshape(2, 2, 2, 2).transpose(2, 3, 0, 1))
+    L, B = cholesky_spd(G, last=True), np.ones((2, 2, 2))
+    message = r"pivot at column 1 of matrix \(0, 1\) at or below 1e-12\*max\|A\|$"
+    with pytest.raises(HypothesisError, match=message):
+        cholesky_solve(L, B, (2, 2))
+    with pytest.raises(HypothesisError, match=message):  # LU's gate, on the same stack
+        solve(g.reshape(2, 2, 2, 2), np.ones((2, 2, 2, 1)))
+    with pytest.raises(HypothesisError, match=r"pivot at column 0 at or below"):
+        cholesky_solve(L[..., 1, 0], np.ones(2))
+    with pytest.raises(HypothesisError, match="right-hand side contains non-finite"):
+        cholesky_solve(L[..., 0, 0], np.array([1.0, np.nan]))
+
+
 def test_jacobi_svd_of_one_tall_matrix():
     # the gauge fit's shape: 2 * 729 rows, five columns, with a column of ones
     rng = np.random.default_rng(41)
@@ -463,6 +521,14 @@ def test_gram_vs_numpy(n):
         assert np.array_equal(G[idx], gram(J[idx]))
 
 
+def _cholesky_solve_stack_first(L, B):
+    """``cholesky_solve`` with a stack axis in front, as the other routines
+    take it; moving it last makes views, so a write still reaches the caller."""
+    if L.ndim > 2:
+        L, B = (np.moveaxis(x, 0, -1) for x in (L, B))
+    return cholesky_solve(L, B, L.shape[2:])
+
+
 def _library_calls(rng, n=3):
     """(routine, arguments) for every public routine, on one matrix each."""
     A = rng.uniform(-1, 1, (n, n)) + n * np.eye(n)
@@ -480,6 +546,7 @@ def _library_calls(rng, n=3):
         (unit_normal, (J,)),
         (check_cross_norm, (np.ones(()), J)),
         (cholesky_spd, (J.T @ J,)),
+        (_cholesky_solve_stack_first, (np.linalg.cholesky(A @ A.T), J[:n])),
         (gram, (J,)),
         (max_principal_angle, (B1, B2)),
     ]

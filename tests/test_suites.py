@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import load_benchmark_module
 
-from isodeform import codazzi, deformation, expr, geometry, jet, suites
+from isodeform import catalog, codazzi, deformation, expr, geometry, jet, suites
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.report import FAIL, PASS, SKIP
 from isodeform.scene import load_scene, parse_scene
@@ -506,6 +506,18 @@ def test_pair_scene_builds_the_full_order_normal_once_per_chunk(monkeypatch):
     for name in ("jacobian", "normal", "metric", "ginv"):
         assert built[name] == [3, 3, 3]
     assert built["christoffel"] == [2, 2, 2]
+
+
+def test_verify_deformation_builds_each_chart_jet_once(monkeypatch):
+    # the sample pass's pair builds, before the frame: J, the normal, g and
+    # g^{-1} at K-1 = 3 and Gamma at K-2 = 2, each once, and nothing lower
+    chart = catalog.sphere3()
+    built = _count_jet_builds(monkeypatch)
+    deformation.verify_deformation(chart, geometry.grid_points(chart, 3), codazzi.Parallel(1.0))
+    assert built["chart"] == [4]
+    for name in ("jacobian", "normal", "metric", "ginv"):
+        assert built[name] == [3]
+    assert built["christoffel"] == [2]
 
 
 def test_codazzi_only_scalar_pair_builds_no_order3_normal_or_inverse(monkeypatch):
