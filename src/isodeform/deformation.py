@@ -22,8 +22,8 @@ sample: dF = df o Q, induced metric, shape operator A~ = sign(det Q) Q^-1 A
 with a single global sign, Gauss map equal to the original up to that sign,
 the wedge identity (Q A~ X) ^ (Q A~ Y) = (A X) ^ (A Y), and equality of the
 kernels of A and A~.  Its ``DeformationCheck`` keys each claim's residual
-field by the deformation suite's check name, so the suite reports the
-fields as they come.  For a source with no pair, ``fd_deformed_frame``
+field by the deformation suite's check name, and the suite reports them
+in the order of ``suites.CHECKS``.  For a source with no pair, ``fd_deformed_frame``
 differentiates the path-integrated F at a batch of probe points, all in
 one quadrature call.  Path integrals are held to the quadrature's
 ``DEFAULT_TOL``, those of the FD stencil to ``FD_QUAD_TOL``, and F's start
@@ -131,9 +131,9 @@ def closed_form_immersion(
 class DeformationCheck:
     """Pointwise residual fields for every claim about F, plus the sign.
 
-    ``fields`` maps the deformation suite's check names, ``dF`` through
-    ``kernel_angle`` in report order, to residual fields with one entry per
-    sample point; ``sign`` is the global orientation factor sign(det Q)
+    ``fields`` maps the deformation suite's pointwise check names, ``dF``
+    through ``kernel_angle``, to residual fields with one entry per sample
+    point; ``sign`` is the global orientation factor sign(det Q)
     relating the two Gauss maps and shape operators.
     """
 
@@ -276,17 +276,12 @@ def deformation_check_from_jets(
     # A~ must be self-adjoint for the induced metric and Codazzi for the
     # induced connection; both come straight out of the F frame
     gAt = np.einsum("...ik,...kj->...ij", frameF.g, Atilde)
-    shape = np.abs(Atilde - sign * QinvA).max(axis=(-1, -2))
     fields = {
         "dF": np.abs(frameF.J - JQ).max(axis=(-1, -2)),
         "metric": np.abs(frameF.g - deformed_metric(frame.g, cf.Q)).max(axis=(-1, -2)),
-        "shape": shape,
+        "shape": np.abs(Atilde - sign * QinvA).max(axis=(-1, -2)),
         "selfadjoint_At": np.abs(gAt - np.swapaxes(gAt, -1, -2)).max(axis=(-1, -2)),
-        "codazzi_At": (
-            codazzi_A_residual_field(frameF)
-            if frameF.nablaA is not None
-            else np.zeros(shape.shape)
-        ),
+        "codazzi_At": codazzi_A_residual_field(frameF),
         "gauss_congruence": np.abs(frameF.N - sign * frame.N).max(axis=-1),
         "wedge": wedge_identity_field(frame, cf, Atilde),
         "kernel_angle": kernel_angle_field(frame, Atilde),

@@ -24,8 +24,8 @@ and one ``domain{k}=lo,hi`` interval per coordinate.  The codazzi variants
 are ``parallel`` (key ``t``), ``gh`` (keys ``g``, ``h``), ``minusA`` (no
 keys) and ``explicit`` (keys ``q11``..``q{n}{n}``).  ``[run]`` is optional;
 so is ``[codazzi]`` when only the geometry suite is requested.  Every DSL
-string is parsed at load time so malformed scenes fail before any numerics
-run.
+string is parsed, and every ``tol_`` override checked, at load time so
+malformed scenes fail before any numerics run.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .catalog import build as build_catalog
 from .codazzi import Explicit, GHPair, MinusA, Parallel, Source, self_adjoint_violation
 from .errors import SceneError
 from .geometry import Chart, frame_at, make_chart
+from .suites import resolve_tolerances
 
 SUITES = ("geometry", "codazzi", "deformation", "roundtrip")
 
@@ -309,13 +310,10 @@ def _parse_run(
         elif key == "project":
             project = _parse_project(value, chart.ambient_dim, "[run] project")
         elif key.startswith("tol_"):
-            name = key[len("tol_"):]
-            val = _as_float("run", key, value)
-            if val <= 0.0:
-                raise SceneError(f"[run] {key}: tolerance must be positive")
-            tol[name] = val
+            tol[key[len("tol_"):]] = _as_float("run", key, value)
         else:
             raise SceneError(f"unknown key in [run]: {key}")
+    resolve_tolerances(tol)  # names and values checked at load
     return grid, order, suites, tol, project
 
 

@@ -15,7 +15,9 @@ Four suites cover the deformation theory end to end:
 * ``roundtrip``: recovery of the scalar pair from F and the affine-gauge
   fit between recovered and original pairs.
 
-The suites ask the deformation source what it offers (see ``codazzi``).
+``CHECKS`` fixes each check's identity, default tolerance and report
+order: a suite reports the checks it found in table order.  The suites
+ask the deformation source what it offers (see ``codazzi``).
 ``gh_constraint`` is reported when Q came with a gradient-constraint
 field, ``pair_q`` when a direct Q was compared with its pair's Q.  With no
 pair, F exists only through quadrature: loops, path order and FD probes
@@ -25,12 +27,10 @@ All pointwise work is one pass over the sample in CHUNK slices.  Each
 slice builds its chart jets and frame once, and the jets and frame of Q
 once when codazzi or deformation runs (with the jets of a scalar pair that
 defines Q, and its gradient-constraint field); the geometry, codazzi and
-deformation suites read those and put their fields into one table:
-suite -> check name -> field, a suite's entries being its checks in
-report order (the deformation suite's are the ``fields`` of
-``DeformationCheck``), and ``sample`` holding the rank of A and one Q for
-the sign gate.  The jet order K is ``Q_CHECK_ORDER`` (4) when codazzi or
-deformation runs, else the scene order when geometry runs, else 2;
+deformation suites read those and put their fields into one table,
+suite -> check name -> field, with ``sample`` holding the rank of A and
+one Q for the sign gate.  The jet order K is ``Q_CHECK_ORDER`` (4) when
+codazzi or deformation runs, else the scene order when geometry runs, else 2;
 geometry fields do not depend on it, and geometry skips its curvature
 checks when the scene order is below 3.  ``ChartJets`` says at which
 order each reader reads each chart jet; b is released after the frame.
@@ -62,7 +62,7 @@ reports.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,48 +104,59 @@ from .report import (
     check_from_field,
     check_skipped,
 )
-from .scene import Scene
 
-# Default tolerances.  Jet-identity residuals at K=3 sit at ~1e-13 in double
-# precision, so 1e-9 leaves three orders of headroom; checks that cross a
-# quadrature or a K=4 second-derivative path get 1e-6/1e-7; FD cross-checks
-# inherit the difference-step accuracy.
-DEFAULT_TOL: Dict[str, float] = {
-    # geometry
-    "weingarten": 1e-9,
-    "gauss_formula": 1e-9,
-    "metric_compat": 1e-9,
-    "gauss": 1e-9,
-    "codazzi_A": 1e-9,
-    "bianchi1": 1e-9,
-    # codazzi
-    "commutator": 1e-9,
-    "codazzi_Q": 1e-8,
-    "gh_constraint": 1e-8,
-    "deformed_connection": 1e-7,
-    "deformed_curvature": 1e-6,
-    # deformation
-    "pair_q": 1e-8,
-    "dF": 1e-9,
-    "metric": 1e-9,
-    "shape": 1e-9,
-    "selfadjoint_At": 1e-9,
-    "codazzi_At": 1e-6,
-    "gauss_congruence": 1e-9,
-    "wedge": 1e-9,
-    "kernel_angle": 1e-6,
-    "loop": 1e-9,
-    "path_vs_closed": 1e-7,
-    "path_order_swap": 1e-8,
-    "fd_jacobian": 1e-6,
-    "fd_metric": 1e-6,
-    "fd_gauss": 1e-6,
-    "fd_shape": 1e-4,
-    # roundtrip
-    "extract_closedness": 1e-6,
-    "roundtrip_gauge": 1e-6,
-    "gauge_recovery": 1e-8,
-}
+if TYPE_CHECKING:
+    from .scene import Scene
+
+
+class Check(NamedTuple):
+    """One row of ``CHECKS``; ``residual`` computes a geometry check's
+    field from the frame, which needs jets of order ``order``."""
+
+    suite: str
+    name: str
+    tol: float
+    residual: Optional[Callable[[geo.Frame], np.ndarray]] = None
+    order: int = 2
+
+
+# Every check, in report order.  Jet-identity residuals at K=3 sit at
+# ~1e-13 in double precision, so 1e-9 leaves three orders of headroom;
+# checks that cross a quadrature or a K=4 second-derivative path get
+# 1e-6/1e-7; FD cross-checks inherit the difference-step accuracy.
+CHECKS = (
+    Check("geometry", "weingarten", 1e-9, geo.weingarten_residual_field),
+    Check("geometry", "gauss_formula", 1e-9, geo.gauss_formula_residual_field),
+    Check("geometry", "metric_compat", 1e-9, geo.metric_compat_residual_field),
+    Check("geometry", "gauss", 1e-9, geo.gauss_residual_field, 3),
+    Check("geometry", "codazzi_A", 1e-9, geo.codazzi_A_residual_field, 3),
+    Check("geometry", "bianchi1", 1e-9, geo.bianchi_first_residual_field, 3),
+    Check("codazzi", "commutator", 1e-9),
+    Check("codazzi", "codazzi_Q", 1e-8),
+    Check("codazzi", "gh_constraint", 1e-8),
+    Check("codazzi", "deformed_connection", 1e-7),
+    Check("codazzi", "deformed_curvature", 1e-6),
+    Check("deformation", "pair_q", 1e-8),
+    Check("deformation", "dF", 1e-9),
+    Check("deformation", "metric", 1e-9),
+    Check("deformation", "shape", 1e-9),
+    Check("deformation", "selfadjoint_At", 1e-9),
+    Check("deformation", "codazzi_At", 1e-6),
+    Check("deformation", "gauss_congruence", 1e-9),
+    Check("deformation", "wedge", 1e-9),
+    Check("deformation", "kernel_angle", 1e-6),
+    Check("deformation", "loop", 1e-9),
+    Check("deformation", "path_vs_closed", 1e-7),
+    Check("deformation", "path_order_swap", 1e-8),
+    Check("deformation", "fd_jacobian", 1e-6),
+    Check("deformation", "fd_metric", 1e-6),
+    Check("deformation", "fd_gauss", 1e-6),
+    Check("deformation", "fd_shape", 1e-4),
+    Check("roundtrip", "extract_closedness", 1e-6),
+    Check("roundtrip", "roundtrip_gauge", 1e-6),
+    Check("roundtrip", "gauge_recovery", 1e-8),
+)
+DEFAULT_TOL: Dict[str, float] = {c.name: c.tol for c in CHECKS}
 
 _NO_GRID_NOTE = "needs a full grid; skipped in single-point mode"
 
@@ -155,18 +166,26 @@ def _chunks(m: int):
         yield lo, min(lo + CHUNK, m)
 
 
-# ---------------------------------------------------------- sample pass
+def _emit(suite: str, found: dict, pts, tol) -> List[CheckResult]:
+    """The checks of ``suite`` that it found, in table order.  ``found``
+    maps a check name to a field over ``pts``, a (field, points, note)
+    triple, a finished ``CheckResult`` or a skip note; a name with no row
+    of ``suite`` raises KeyError."""
+    rows = {c.name: i for i, c in enumerate(CHECKS) if c.suite == suite}
+    checks = []
+    for name in sorted(found, key=rows.__getitem__):
+        got, t = found[name], tol[name]
+        if isinstance(got, str):
+            got = check_skipped(suite, name, t, got)
+        elif isinstance(got, tuple):
+            got = check_from_field(suite, name, got[0], got[1], t, note=got[2])
+        elif not isinstance(got, CheckResult):
+            got = check_from_field(suite, name, got, pts, t)
+        checks.append(got)
+    return checks
 
-# check name -> residual field of the frame
-_GEOMETRY = {
-    "weingarten": geo.weingarten_residual_field,
-    "gauss_formula": geo.gauss_formula_residual_field,
-    "metric_compat": geo.metric_compat_residual_field,
-    "gauss": geo.gauss_residual_field,
-    "codazzi_A": geo.codazzi_A_residual_field,
-    "bianchi1": geo.bianchi_first_residual_field,
-}
-_CURVATURE = ("gauss", "codazzi_A", "bianchi1")
+
+# ---------------------------------------------------------- sample pass
 
 Fields = Dict[str, Dict[str, np.ndarray]]
 
@@ -201,14 +220,13 @@ def _rank_range(fr, n: int, suites) -> np.ndarray:
 def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
     """Every pointwise field at one chunk, from one build of its jets.
 
-    A suite's fields are its checks in report order; ``sample`` holds the
-    rank of A and, in ``sign_Q``, one Q: the chunk's sign(det Q) gate has
-    made its sign uniform.  With no pair, the deformation entries are the
-    operator side of the FD checks at the chunk rows ``probes``.  See the
-    module docstring for the jet orders and when each build is released.
-    The rank of A is gated right after the frame, before Q.  What is left
-    dies on return, before the next chunk builds its jets, which keeps the
-    peak memory below one chunk's jets.
+    ``sample`` holds the rank of A and, in ``sign_Q``, one Q: the chunk's
+    sign(det Q) gate has made its sign uniform.  With no pair, the
+    deformation entries are the operator side of the FD checks at the chunk
+    rows ``probes``.  See the module docstring for the jet orders and when
+    each build is released.  The rank of A is gated right after the frame,
+    before Q.  What is left dies on return, before the next chunk builds
+    its jets, which keeps the peak memory below one chunk's jets.
     """
     chart, spec, suites = scene.chart, scene.spec, scene.suites
     needs_q = "codazzi" in suites or "deformation" in suites
@@ -231,9 +249,9 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
             cj.release("christoffel")
     if "geometry" in suites:
         fields["geometry"] = {
-            name: residual(fr)
-            for name, residual in _GEOMETRY.items()
-            if scene.order >= 3 or name not in _CURVATURE
+            c.name: c.residual(fr)
+            for c in CHECKS
+            if c.suite == "geometry" and scene.order >= c.order
         }
     if not needs_q:
         return fields
@@ -242,24 +260,19 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
             "commutator": commutator_residual_field(fr, cf),
             "codazzi_Q": codazzi_Q_residual_field(fr, cf),
         }
+        Gt = deformed_christoffel_jets(cj, qj)
+        named["deformed_connection"] = deformed_connection_residual_field(cj, fr, cf, Gt)
+        named["deformed_curvature"] = deformed_curvature_residual_field(cj, fr, cf, Gt)
         if gh_field is not None:
             named["gh_constraint"] = gh_field
-        Gt = deformed_christoffel_jets(cj, qj)
-        named["deformed_connection"] = deformed_connection_residual_field(
-            cj, fr, cf, Gt
-        )
-        named["deformed_curvature"] = deformed_curvature_residual_field(
-            cj, fr, cf, Gt
-        )
     if "deformation" in suites:
         sign = global_det_sign(cf.Q)
         sample["sign_Q"] = cf.Q.reshape(-1, chart.n, chart.n)[:1]
         if spec.pair() is not None:
             chk = deformation_check_from_jets(cj, fr, cf, sign, spec, pair)
-            named = fields["deformation"] = {}
+            named = fields["deformation"] = dict(chk.fields)
             if pair is None:  # a direct Q, compared with its pair's
                 named["pair_q"] = np.array([chk.pair_q_residual])
-            named.update(chk.fields)
         else:
             # a constant Q has batch axes of length 1
             Q, Q_inv = (np.broadcast_to(M, fr.g.shape)[probes] for M in (cf.Q, cf.Q_inv))
@@ -273,22 +286,12 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
 
 
 def _geometry_suite(fields, pts, order, tol) -> List[CheckResult]:
-    checks = []
-    for name in _GEOMETRY:
-        if name in _CURVATURE and order < 3:
-            checks.append(
-                check_skipped("geometry", name, tol[name], "needs jet order >= 3")
-            )
-            continue
-        checks.append(check_from_field("geometry", name, fields[name], pts, tol[name]))
-    return checks
+    low = {c.name: f"needs jet order >= {c.order}" for c in CHECKS if c.order > order}
+    return _emit("geometry", {**low, **fields}, pts, tol)
 
 
 def _codazzi_suite(fields, pts, tol) -> List[CheckResult]:
-    return [
-        check_from_field("codazzi", name, field, pts, tol[name])
-        for name, field in fields.items()
-    ]
+    return _emit("codazzi", fields, pts, tol)
 
 
 # ---------------------------------------------------------- deformation
@@ -339,47 +342,28 @@ def _path_checks(chart, spec, grid, tol, grid_fr) -> List[CheckResult]:
     grid; all skipped in single-point mode, where ``grid`` is None."""
     pair = spec.pair() is not None
     if grid is None:
-        names = ("loop", "path_vs_closed") if pair else ("loop",)
-        return [
-            check_skipped("deformation", name, tol[name], _NO_GRID_NOTE)
-            for name in names + ("path_order_swap",)
-        ]
-    checks = [_loop_check(chart, spec, tol)]
+        names = ("loop", "path_order_swap") + ("path_vs_closed",) * pair
+        return _emit("deformation", dict.fromkeys(names, _NO_GRID_NOTE), None, tol)
+    found = {"loop": _loop_check(chart, spec, tol)}
     _, F_fwd = path_integral_on_grid(chart, spec, grid)
     _, F_rev = path_integral_on_grid(
         chart, spec, grid, axis_order=list(reversed(range(chart.n)))
     )
     if pair:
-        checks.append(_path_vs_closed_check(chart, spec, grid_fr, F_fwd, tol))
-    swap = float(np.abs(F_fwd - F_rev).max())
-    checks.append(
-        check_from_field(
-            "deformation", "path_order_swap", swap, None, tol["path_order_swap"]
-        )
-    )
-    return checks
+        found["path_vs_closed"] = _path_vs_closed_check(chart, spec, grid_fr, F_fwd, tol)
+    found["path_order_swap"] = (np.abs(F_fwd - F_rev).max(), None, "")
+    return _emit("deformation", found, None, tol)
 
 
 def _deformation_pair_suite(
     chart, spec, fields, pts, grid, tol, grid_fr
 ) -> List[CheckResult]:
-    fields = dict(fields)
-    pair_q = fields.pop("pair_q", None)
-    checks = [] if pair_q is None else [
-        check_from_field(
-            "deformation",
-            "pair_q",
-            pair_q.max(),
-            None,
-            tol["pair_q"],
-            note="direct Q route vs scalar-pair Q route",
-        )
-    ]
-    checks += [
-        check_from_field("deformation", name, field, pts, tol[name])
-        for name, field in fields.items()
-    ]
-    return checks + _path_checks(chart, spec, grid, tol, grid_fr)
+    found = dict(fields)
+    if "pair_q" in found:
+        note = "direct Q route vs scalar-pair Q route"
+        found["pair_q"] = (found["pair_q"].max(), None, note)
+    found.update((c.name, c) for c in _path_checks(chart, spec, grid, tol, grid_fr))
+    return _emit("deformation", found, pts, tol)
 
 
 def _fd_probe_index(chart, grid, pts) -> np.ndarray:
@@ -398,53 +382,36 @@ def _fd_probe_index(chart, grid, pts) -> np.ndarray:
 
 
 def _deformation_explicit_suite(chart, spec, ref, probes, grid, tol, sign) -> List[CheckResult]:
-    checks = _path_checks(chart, spec, grid, tol, None)
+    found = {c.name: c for c in _path_checks(chart, spec, grid, tol, None)}
     # F exists only through quadrature here: cross-check its FD frame
     # against the operator route at a few interior probe points
-    names = ("fd_jacobian", "fd_metric", "fd_gauss", "fd_shape")
     if not len(probes):
         note = (
             "no interior probe point: point too close to the boundary: the "
             f"stencil needs {2 * fd_second_step():g} of clearance"
         )
-        return checks + [check_skipped("deformation", k, tol[k], note) for k in names]
-    fd = fd_deformed_frame(chart, spec, probes)
-    rows = (
-        np.abs(fd.J - ref["JQ"]).max(axis=(-1, -2)),
-        np.abs(fd.g - ref["metric"]).max(axis=(-1, -2)),
-        np.abs(fd.N - sign * ref["N"]).max(axis=-1),
-        np.abs(fd.A - sign * ref["QinvA"]).max(axis=(-1, -2)),
-    )
-    return checks + [
-        check_from_field(
-            "deformation",
-            name,
-            row,
-            probes,
-            tol[name],
-            note="finite differences of the path-integrated immersion",
-        )
-        for name, row in zip(names, rows)
-    ]
+        found.update((c.name, note) for c in CHECKS if c.name.startswith("fd_"))
+    else:
+        fd = fd_deformed_frame(chart, spec, probes)
+        note = "finite differences of the path-integrated immersion"
+        found.update((name, (row, probes, note)) for name, row in {
+            "fd_jacobian": np.abs(fd.J - ref["JQ"]).max(axis=(-1, -2)),
+            "fd_metric": np.abs(fd.g - ref["metric"]).max(axis=(-1, -2)),
+            "fd_gauss": np.abs(fd.N - sign * ref["N"]).max(axis=-1),
+            "fd_shape": np.abs(fd.A - sign * ref["QinvA"]).max(axis=(-1, -2)),
+        }.items())
+    return _emit("deformation", found, None, tol)
 
 
 # ------------------------------------------------------------ roundtrip
 
 
 def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
-    names = ("extract_closedness", "roundtrip_gauge", "gauge_recovery")
     pair = spec.pair()
-    if pair is None:
-        return [
-            check_skipped(
-                "roundtrip", n, tol[n], "explicit operators carry no scalar pair"
-            )
-            for n in names
-        ]
-    if grid_fr is None:
-        return [
-            check_skipped("roundtrip", n, tol[n], _NO_GRID_NOTE) for n in names
-        ]
+    if pair is None or grid_fr is None:
+        note = "explicit operators carry no scalar pair" if pair is None else _NO_GRID_NOTE
+        skipped = {c.name: note for c in CHECKS if c.suite == "roundtrip"}
+        return _emit("roundtrip", skipped, None, tol)
     ext = extract_gh(chart, closed_form_immersion(chart, spec), grid_fr)
     true = pair_on_grid(pair, grid_fr)
     design = gauge_design(grid_fr)  # one SVD for both fits
@@ -464,15 +431,13 @@ def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
     )
     fit2 = gauge_fit(grid_fr, true, shifted, design)
     recovery = max(float(np.abs(fit2.a - a0).max()), abs(float(fit2.c) - c0))
-    residuals = (
-        (ext.closed_residual, "loop integrals of the recovered 1-form g(grad g, .)"),
-        (fit.residual, f"gauge-fit misfit, condition number {fit.cond:.3e}"),
-        (recovery, "recovery of a synthetic affine gauge (a, c)"),
-    )
-    return [
-        check_from_field("roundtrip", name, value, None, tol[name], note=note)
-        for name, (value, note) in zip(names, residuals)
-    ]
+    closed = "loop integrals of the recovered 1-form g(grad g, .)"
+    misfit = f"gauge-fit misfit, condition number {fit.cond:.3e}"
+    return _emit("roundtrip", {
+        "extract_closedness": (ext.closed_residual, None, closed),
+        "roundtrip_gauge": (fit.residual, None, misfit),
+        "gauge_recovery": (recovery, None, "recovery of a synthetic affine gauge (a, c)"),
+    }, None, tol)
 
 
 # ------------------------------------------------------------ orchestrator
@@ -486,7 +451,7 @@ def resolve_tolerances(overrides: Dict[str, float]) -> Dict[str, float]:
             known = ", ".join(sorted(DEFAULT_TOL))
             raise SceneError(f"unknown tolerance: {name} (known: {known})")
         if not (np.isfinite(value) and value > 0):
-            raise SceneError(f"tolerance {name} must be positive and finite")
+            raise SceneError(f"tolerance must be positive and finite: {name}")
         tol[name] = float(value)
     return tol
 

@@ -251,6 +251,17 @@ def test_mesh_subcommand(tmp_path):
     assert "--project: indices must be distinct" in res3.stderr
 
 
+def test_mesh_refuses_unknown_scene_tolerance(tmp_path):
+    # a scene's tol_ keys are checked at load, so mesh exits 4 like verify
+    p = tmp_path / "warp.scene"
+    p.write_text(GOOD.replace("[run]", "[run]\ntol_warp = 1e-3"))
+    out = tmp_path / "warp.obj"
+    res = run_cli("mesh", str(p), "--out", str(out), "--slice", "u3=0.9")
+    assert res.returncode == 4
+    assert "scene error: unknown tolerance: warp" in res.stderr
+    assert not out.exists()
+
+
 def test_project_messages_name_their_origin(tmp_path):
     # one parsing rule for the flag and the scene key; the message says
     # which one was wrong

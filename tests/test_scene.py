@@ -158,6 +158,10 @@ def test_geometry_only_scene_needs_no_codazzi():
             "tolerance must be positive",
         ),
         (
+            "[chart]\ncatalog = plane2\n[codazzi]\nvariant = minusA\n[run]\ntol_warp = 1e-3\n",
+            "unknown tolerance: warp",
+        ),
+        (
             "[chart]\ncatalog = plane2\n[codazzi]\nvariant = minusA\n[run]\nproject = 1,2\n",
             "project: expected three coordinate indices",
         ),

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from isodeform import catalog, codazzi, deformation, expr, geometry, jet, suites
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.report import FAIL, PASS, SKIP
 from isodeform.scene import load_scene, parse_scene
-from isodeform.suites import DEFAULT_TOL, resolve_tolerances, run_suites
+from isodeform.suites import CHECKS, DEFAULT_TOL, resolve_tolerances, run_suites
 
 SPHERE = """
 [chart]
@@ -704,3 +705,43 @@ def test_each_variant_reports_its_own_check_list(variant):
     roundtrip = SKIP if variant == "explicit" else PASS
     expected = expected + [("roundtrip", n, roundtrip) for n in _ROUNDTRIP]
     assert [(c.suite, c.name, c.verdict) for c in rep.checks] == expected
+
+
+def test_check_table_has_no_dead_row_and_no_unlisted_check():
+    # the variant scenes, one single-point and one order-2 run report only
+    # rows of the table, in table order, as a pass or a skip; every row
+    # passes in one of them, since a row skipped everywhere is dead
+    reports = [
+        run_suites(parse_scene(
+            f"[chart]\ncatalog = {body}[run]\ngrid = 3\n"
+            "suites = codazzi, deformation, roundtrip\n"
+        ))
+        for body, _ in _VARIANT_CHECKS.values()
+    ]
+    reports.append(run_suites(parse_scene(SPHERE), point=(0.6, 0.7, 0.8)))
+    reports.append(run_suites(parse_scene(
+        "[chart]\ncatalog = sphere3\nr = 2\n[run]\ngrid = 3\norder = 2\n"
+        "suites = geometry\n"
+    )))
+    rows = [(c.suite, c.name) for c in CHECKS]
+    assert len(set(rows)) == len(DEFAULT_TOL) == len(rows)
+    passed = set()
+    for rep in reports:
+        got = [(c.suite, c.name) for c in rep.checks]
+        assert all(c.verdict in (PASS, SKIP) for c in rep.checks)
+        assert got == [row for row in rows if row in got]
+        passed.update((c.suite, c.name) for c in rep.checks if c.verdict == PASS)
+    assert passed == set(rows)
+    with pytest.raises(KeyError):  # a suite cannot report a check with no row
+        suites._emit("codazzi", {"metric": np.zeros(1)}, None, DEFAULT_TOL)
+
+
+def test_readme_check_list_matches_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Checks and default tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        if line.startswith("| ") and cells[0] != "suite":
+            rows.append((cells[0], cells[1], float(cells[2])))
+    assert rows == [(c.suite, c.name, c.tol) for c in CHECKS]
