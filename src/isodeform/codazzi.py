@@ -41,7 +41,6 @@ compared against the closed-form route the deformation theory predicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +59,7 @@ from .geometry import (
 from .expr import ExprAst
 from .jet import JetScalar, contract, d1_values, mat_inv, mat_mul, stack, values
 from .linalg import cholesky_spd, index_sum, jacobi_svd, solve
+from .record import Record
 
 GH_CONSTRAINT_TOL = 1e-8
 Q_RANK_RTOL = 1e-9  # Q singular: sigma_min <= Q_RANK_RTOL * max(sigma_max, 1)
@@ -89,9 +89,11 @@ def q_jets(cj: ChartJets, source: Source) -> QJets:
     return source.q_jets(cj)
 
 
-class _Direct:
+class _Direct(Record):
     """A source whose Q is one expression ``_q`` in A, which serves A's
     jets (an (n, n) jet tensor) and a float stack of A alike."""
+
+    __slots__ = ()
 
     def q_jets(self, cj: ChartJets) -> QJets:
         return self._q(cj.Ajet), None, None
@@ -100,9 +102,12 @@ class _Direct:
         return np.moveaxis(self._q(np.moveaxis(vf.A, -1, 0)), 0, -1)
 
 
-@dataclass(frozen=True)
 class Parallel(_Direct):
-    t: float
+    __slots__ = ("t",)
+    _key = lambda self: (self.t,)
+
+    def __init__(self, t: float):
+        self.t = t
 
     def _q(self, A: np.ndarray) -> np.ndarray:
         return np.eye(A.shape[-1]) - self.t * A
@@ -111,8 +116,9 @@ class Parallel(_Direct):
         return gh_parallel_offset(self.t)
 
 
-@dataclass(frozen=True)
 class MinusA(_Direct):
+    __slots__ = ()
+
     def _q(self, A: np.ndarray) -> np.ndarray:
         return -A
 
@@ -120,8 +126,10 @@ class MinusA(_Direct):
         return gh_gauss_translation()
 
 
-class _FromPair:
+class _FromPair(Record):
     """A source whose Q = Hess(s) - h A comes from its scalar pair."""
+
+    __slots__ = ()
 
     def q_jets(self, cj: ChartJets) -> QJets:
         """Q from the pair's jets (s at full order, h at K-1), and the
@@ -157,13 +165,14 @@ class _FromPair:
         return hess - jet_partials([h], 0, batch, last=True)[0] * A
 
 
-@dataclass(frozen=True)
 class GHPair(_FromPair):
     """Q = Hess(g) - h A from DSL sources; ``asts(n)`` parses them once per n."""
 
-    g_source: str
-    h_source: str
-    _parsed: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("g_source", "h_source", "_parsed")
+    _key = lambda self: (self.g_source, self.h_source)
+
+    def __init__(self, g_source: str, h_source: str):
+        self.g_source, self.h_source, self._parsed = g_source, h_source, {}
 
     def asts(self, n: int) -> Tuple[ExprAst, ExprAst]:
         """(g, h) parsed for an n-variable chart."""
@@ -183,7 +192,6 @@ class GHPair(_FromPair):
         return GHPairData(g_fn, h_fn)
 
 
-@dataclass(frozen=True)
 class GHPairData(_FromPair):
     """A scalar pair given as jet-building callables.
 
@@ -193,9 +201,13 @@ class GHPairData(_FromPair):
     closed-form F needs no jets of h.
     """
 
-    g_fn: Callable[[ChartJets], JetScalar]
-    h_fn: Callable[[ChartJets], JetScalar]
-    h_value: Optional[Callable[[ChartJets, np.ndarray], np.ndarray]] = None
+    __slots__ = ("g_fn", "h_fn", "h_value")
+    _key = lambda self: (self.g_fn, self.h_fn, self.h_value)
+
+    def __init__(self, g_fn: Callable[[ChartJets], JetScalar],
+                 h_fn: Callable[[ChartJets], JetScalar],
+                 h_value: Optional[Callable[[ChartJets, np.ndarray], np.ndarray]] = None):
+        self.g_fn, self.h_fn, self.h_value = g_fn, h_fn, h_value
 
     def pair(self) -> "GHPairData":
         return self
@@ -251,18 +263,16 @@ def gh_gauss_translation(a: Optional[Sequence[float]] = None) -> GHPairData:
     return GHPairData(g_fn, h_fn, h_value=h_value)
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(Record):
     """Q^k_j given entrywise; the entries are parsed and interned once, when built."""
 
-    entries: Tuple[Tuple[str, ...], ...]  # row k gives Q^k_1 .. Q^k_n
-    _parsed: tuple = field(init=False, compare=False, repr=False)
-    shared: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("entries", "_parsed", "shared")
+    _key = lambda self: (self.entries,)
 
-    def __post_init__(self):
-        parsed, shared = exprmod.intern(self.entries, len(self.entries))
-        object.__setattr__(self, "_parsed", tuple(a for row in parsed for a in row))
-        object.__setattr__(self, "shared", shared)
+    def __init__(self, entries: Tuple[Tuple[str, ...], ...]):  # row k gives Q^k_1 .. Q^k_n
+        self.entries = entries
+        parsed, self.shared = exprmod.intern(entries, len(entries))
+        self._parsed = tuple(a for row in parsed for a in row)
 
     def asts(self, n: int) -> Tuple[ExprAst, ...]:
         """The n x n entry ASTs row by row, the order ``shared`` counts their
@@ -344,7 +354,6 @@ def _check_explicit_self_adjoint(g: np.ndarray, Q: np.ndarray) -> None:
 # ------------------------------------------------------- pointwise values
 
 
-@dataclass
 class CodazziFrame:
     """Pointwise values of Q and its first covariant derivative.
 
@@ -353,12 +362,11 @@ class CodazziFrame:
     derivative (nabla_i Q)^k_j.
     """
 
-    Q: np.ndarray
-    Q_inv: np.ndarray
-    dQ: np.ndarray
-    nablaQ: np.ndarray
-    sigma_min: np.ndarray
-    sigma_max: np.ndarray
+    __slots__ = ("Q", "Q_inv", "dQ", "nablaQ", "sigma_min", "sigma_max")
+
+    def __init__(self, Q, Q_inv, dQ, nablaQ, sigma_min, sigma_max):
+        self.Q, self.Q_inv, self.dQ, self.nablaQ = Q, Q_inv, dQ, nablaQ
+        self.sigma_min, self.sigma_max = sigma_min, sigma_max
 
 
 def codazzi_frame_from_jets(qj: JetScalar, frame: Frame) -> CodazziFrame:

@@ -35,7 +35,6 @@ scalar pair; ``gauge_fit`` identifies two pairs modulo the affine gauge
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -102,16 +101,18 @@ def closed_form_immersion(
     """Evaluator of a pair-backed deformation's F, values only.
 
     The evaluator maps points (*batch, n), or the chart's order-2 jets at
-    them when the caller has built those already, to F = J g^{-1} ds + h N
-    there, shape (*batch, dim), from their ``ValueFrame``, with no jet matrices.
+    them or those jets' ``ValueFrame`` when the caller has built one already,
+    to F = J g^{-1} ds + h N there, shape (*batch, dim), from the ValueFrame,
+    with no jet matrices.
     """
     pair = source.pair()
     if pair is None:
         raise ValueError("closed-form evaluation needs a scalar pair source")
 
-    def F_fn(x: Union[np.ndarray, ChartJets]) -> np.ndarray:
-        cj = x if isinstance(x, ChartJets) else chart_jets(chart, x, order=2)
-        batch, vf = cj.batch_shape, ValueFrame(cj)
+    def F_fn(x: Union[np.ndarray, ChartJets, ValueFrame]) -> np.ndarray:
+        vf = x if isinstance(x, ValueFrame) else ValueFrame(
+            x if isinstance(x, ChartJets) else chart_jets(chart, x, order=2))
+        cj, batch = vf.cj, vf.batch
         N = vf.N  # the gates of g and the normal ahead of the solve's
         grad = vf.solve(jet_partials([pair.g_fn(cj)], 1, batch, last=True)[0])
         if pair.h_value is not None:
@@ -127,7 +128,6 @@ def closed_form_immersion(
 # ------------------------------------------------------------ verification
 
 
-@dataclass
 class DeformationCheck:
     """Pointwise residual fields for every claim about F, plus the sign.
 
@@ -137,12 +137,12 @@ class DeformationCheck:
     relating the two Gauss maps and shape operators.
     """
 
-    sign: int
-    pair_q_residual: float
-    fields: Dict[str, np.ndarray]
-    frame: Frame
-    frameF: Frame
-    cf: CodazziFrame
+    __slots__ = ("sign", "pair_q_residual", "fields", "frame", "frameF", "cf")
+
+    def __init__(self, sign: int, pair_q_residual: float, fields: Dict[str, np.ndarray],
+                 frame: Frame, frameF: Frame, cf: CodazziFrame):
+        self.sign, self.pair_q_residual, self.fields = sign, pair_q_residual, fields
+        self.frame, self.frameF, self.cf = frame, frameF, cf
 
 
 def global_det_sign(Q: np.ndarray) -> int:
@@ -417,7 +417,6 @@ def _grid_staircase(covector, axes, start, order, tol: float, fixed) -> np.ndarr
     return F
 
 
-@dataclass(frozen=True)
 class LoopRect:
     """An axis-aligned rectangle loop inside the chart domain.
 
@@ -427,13 +426,12 @@ class LoopRect:
     (a0, b0) and (a1, b1).
     """
 
-    axis_a: int
-    axis_b: int
-    a0: float
-    a1: float
-    b0: float
-    b1: float
-    base: Tuple[float, ...]
+    __slots__ = ("axis_a", "axis_b", "a0", "a1", "b0", "b1", "base")
+
+    def __init__(self, axis_a: int, axis_b: int, a0: float, a1: float, b0: float, b1: float,
+                 base: Tuple[float, ...]):
+        self.axis_a, self.axis_b, self.base = axis_a, axis_b, base
+        self.a0, self.a1, self.b0, self.b1 = a0, a1, b0, b1
 
 
 def _circulation(covector, rects: Sequence[LoopRect], tol: float) -> np.ndarray:
@@ -557,7 +555,6 @@ def path_integral_on_grid(
     return mesh, F
 
 
-@dataclass
 class FDFrame:
     """First and second order data of a path-integral immersion, by FD.
 
@@ -566,12 +563,10 @@ class FDFrame:
     on first derivatives and ~1e-6 on second derivatives.
     """
 
-    f: np.ndarray
-    J: np.ndarray
-    N: np.ndarray
-    g: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
+    __slots__ = ("f", "J", "N", "g", "b", "A")
+
+    def __init__(self, f, J, N, g, b, A):
+        self.f, self.J, self.N, self.g, self.b, self.A = f, J, N, g, b, A
 
 
 def fd_second_step() -> float:
@@ -606,15 +601,16 @@ def fd_deformed_frame(chart: Chart, source: Source, u: Sequence[float]) -> FDFra
 # ------------------------------------------------------------- extraction
 
 
-@dataclass
 class GridPair:
-    """Scalar pair sampled on a mesh grid, as produced by ``extract_gh``."""
+    """Scalar pair sampled on a mesh grid, as produced by ``extract_gh``:
+    points (*res, n), g and h (*res,), grad_g (*res, n) in contravariant
+    components."""
 
-    points: np.ndarray  # (*res, n)
-    g: np.ndarray       # (*res,)
-    h: np.ndarray       # (*res,)
-    grad_g: np.ndarray  # (*res, n) contravariant components
-    closed_residual: float
+    __slots__ = ("points", "g", "h", "grad_g", "closed_residual")
+
+    def __init__(self, points, g, h, grad_g, closed_residual: float):
+        self.points, self.g, self.h, self.grad_g = points, g, h, grad_g
+        self.closed_residual = closed_residual
 
 
 def grid_frame(chart: Chart, res) -> Frame:
@@ -631,20 +627,20 @@ def extract_gh(
     """Recover the scalar pair of an immersion with dF = df o Q.
 
     ``frame`` is the chart's ``grid_frame`` and ``F_fn`` maps the chart's
-    order-2 jets at a batch of points to F there, as the evaluator of
-    ``closed_form_immersion`` does.  Decomposes F on the grid into
-    df(Z) + h N, checks that the covector field g(Z, .) = J^T F is closed
-    via rectangle loop integrals, and integrates it along staircase paths
-    to produce g with g(base corner) = 0.
+    order-2 jets at a batch of points, or their ``ValueFrame``, to F there,
+    as the evaluator of ``closed_form_immersion`` does.  Decomposes F on the
+    grid into df(Z) + h N, checks that the covector field g(Z, .) = J^T F is
+    closed via rectangle loop integrals, and integrates it along staircase
+    paths to produce g with g(base corner) = 0.
     """
     mesh = frame.u
     Z, h = decompose_ambient(frame, F_fn(frame.jets))
 
     def zeta_at(pts: np.ndarray) -> np.ndarray:
-        # g(Z, .) = J^T (F - h N) = J^T F as a one-row field, shape (m, 1, n)
-        cj = chart_jets(chart, pts, order=2)
-        J = jet_partials(cj.comps, 1, cj.batch_shape)
-        return np.einsum("...pk,...p->...k", J, F_fn(cj))[..., None, :]
+        # g(Z, .) = J^T (F - h N) = J^T F as a one-row field, shape (m, 1, n),
+        # summed in index order with the J that F's evaluator read
+        vf = ValueFrame(chart_jets(chart, pts, order=2))
+        return index_sum(vf.J * F_fn(vf).T[:, None]).T[:, None]
 
     rects = default_loop_rects(chart)
     closed = float(np.abs(_circulation(zeta_at, rects, DEFAULT_TOL)).max())
@@ -670,14 +666,11 @@ def pair_on_grid(pair: GHPairData, frame: Frame) -> GridPair:
     )
 
 
-@dataclass
 class GaugeFit:
     """Best affine gauge (a, c) matching pair2 = pair1 + gauge."""
 
-    a: np.ndarray
-    c: float
-    residual: float
-    cond: float
+    def __init__(self, a: np.ndarray, c: float, residual: float, cond: float):
+        self.a, self.c, self.residual, self.cond = a, c, residual, cond
 
 
 def gauge_design(frame: Frame):

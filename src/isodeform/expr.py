@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +40,7 @@ import numpy as np
 from . import jet as jetmod
 from .errors import HypothesisError, SceneError
 from .jet import JetScalar, jet_space
+from .record import Record
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -55,50 +55,52 @@ class ExprError(SceneError):
 
 
 # ------------------------------------------------------------------- AST
+# Nodes of one kind with equal fields are equal and hash alike (``Record``);
+# ``span``, a node's offsets in its source, is left out.
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Num(Record):
+    _key = lambda self: (self.value,)
 
-    def __post_init__(self):
+    def __init__(self, value: float, span=(0, 0)):
         # unary minus owns the sign; keeping literals non-negative makes the
         # print/parse fixpoint structural
-        if not (self.value >= 0 and np.isfinite(self.value)):
-            raise ValueError(f"Num literal must be finite and >= 0, got {self.value}")
+        if not (value >= 0 and np.isfinite(value)):
+            raise ValueError(f"Num literal must be finite and >= 0, got {value}")
+        self.value, self.span = value, span
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 0-based
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Var(Record):
+    _key = lambda self: (self.index,)  # index is 0-based
+
+    def __init__(self, index: int, span=(0, 0)):
+        self.index, self.span = index, span
 
 
-@dataclass(frozen=True)
-class Pi:
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Pi(Record):
+    def __init__(self, span=(0, 0)):
+        self.span = span
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "ExprAst"
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Neg(Record):
+    _key = lambda self: (self.child,)
+
+    def __init__(self, child: "ExprAst", span=(0, 0)):
+        self.child, self.span = child, span
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "ExprAst"
-    right: "ExprAst"
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class BinOp(Record):
+    _key = lambda self: (self.op, self.left, self.right)  # op: + - * / ^
+
+    def __init__(self, op: str, left: "ExprAst", right: "ExprAst", span=(0, 0)):
+        self.op, self.left, self.right, self.span = op, left, right, span
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: "ExprAst"
-    span: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
+class Call(Record):
+    _key = lambda self: (self.name, self.arg)
+
+    def __init__(self, name: str, arg: "ExprAst", span=(0, 0)):
+        self.name, self.arg, self.span = name, arg, span
 
 
 ExprAst = Num | Var | Pi | Neg | BinOp | Call
@@ -235,7 +237,7 @@ class _Parser:
 def parse(text: str, n_vars: int) -> ExprAst:
     """Parse a DSL expression with variables u1..u<n_vars>.
 
-    Cached: the ASTs are frozen, so every caller may share one parse, and
+    Cached: nothing modifies an AST, so every caller may share one parse, and
     the integrands that evaluate a scene's few sources per call reparse
     none.  The bound keeps long-lived processes from growing the cache.
     """
@@ -492,18 +494,24 @@ def intern(rows, n_vars: int):
     (spans aside) are one object, the first in evaluation order so errors
     keep their offsets; and the use count by id of each non-leaf subtree
     that evaluating the rows in order repeats."""
-    table, shared = {}, {}
+    table, uses = {}, {}
 
-    def canon(nd):
-        slot = table.setdefault(nd, [])  # hashes the subtree once per visit
-        if not slot:
-            kids = {k: canon(v) for k, v in vars(nd).items() if isinstance(v, ExprAst)}
-            slot.append(replace(nd, **kids))
-        elif isinstance(slot[0], (Neg, BinOp, Call)):
-            shared[id(slot[0])] = shared.get(id(slot[0]), 1) + 1
-        return slot[0]
+    def canon(nd):  # children first, so a node's key holds their ids
+        kids = [canon(v) if isinstance(v, Record) else v for v in nd._key()]
+        key = (type(nd), *(id(v) if isinstance(v, Record) else v for v in kids))
+        if key not in table:  # a first occurrence: evaluating it reads its children
+            table[key] = type(nd)(*kids, nd.span)
+            count(kids)
+        return table[key]
+
+    def count(nodes):
+        for v in nodes:
+            if isinstance(v, (Neg, BinOp, Call)):
+                uses[id(v)] = uses.get(id(v), 0) + 1
 
     def ast(e):
         return e if isinstance(e, ExprAst) else parse(e, n_vars)
 
-    return tuple(tuple(canon(ast(e)) for e in row) for row in rows), shared
+    out = tuple(tuple(canon(ast(e)) for e in row) for row in rows)
+    count(nd for row in out for nd in row)
+    return out, {k: u for k, u in uses.items() if u > 1}

@@ -22,7 +22,6 @@ cross-product normal; it is a checked residual, not an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +40,6 @@ SELF_ADJOINT_TOL = 1e-10
 ORACLE_STEP = 1e-5  # difference step of fd_oracle
 
 
-@dataclass(frozen=True)
 class Chart:
     """An immersion f: box in R^n -> R^{n+1} with DSL components.
 
@@ -50,17 +48,12 @@ class Chart:
     repeat, so ``chart_jets`` evaluates it once.
     """
 
-    n: int
-    components: tuple[ExprAst, ...]
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    label: str = "chart"
-    shared: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("n", "components", "lo", "hi", "label", "shared")
 
-    def __post_init__(self):
-        (comps,), shared = exprmod.intern((self.components,), self.n)
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "shared", shared)
+    def __init__(self, n: int, components: tuple[ExprAst, ...], lo: tuple[float, ...],
+                 hi: tuple[float, ...], label: str = "chart"):
+        (self.components,), self.shared = exprmod.intern((components,), n)
+        self.n, self.lo, self.hi, self.label = n, lo, hi, label
 
     @property
     def ambient_dim(self) -> int:
@@ -106,13 +99,15 @@ def make_chart(component_sources, domain, label="chart") -> Chart:
             raise SceneError(f"{label}: bad domain interval ({a}, {b})")
     chart = Chart(n, tuple(comps), lo, hi, label)
     try:
-        fr = frame_at(chart, chart.center(), order=2)
+        cj = chart_jets(chart, chart.center(), order=2)
+        cj.check_finite()
+        vf = ValueFrame(cj)
+        cross_last(vf.J)  # the normal's gate, then g's, as frame_from_jets orders them
+        vf.L
     except exprmod.ExprError as e:
         raise SceneError(f"{label}: not defined at box center: {e}") from e
     except HypothesisError as e:
         raise SceneError(f"{label}: degenerate at box center: {e}") from e
-    if not np.all(np.isfinite(fr.J)):
-        raise SceneError(f"{label}: non-finite Jacobian at box center")
     return chart
 
 
@@ -314,29 +309,20 @@ def curvature_values(Gamma_jets) -> np.ndarray:
 # ---------------------------------------------------------------- frames
 
 
-@dataclass
 class Frame:
     """Numeric first/second-order data at a point or batch of points.
 
-    Batch axes (if any) lead; tensor indices trail.  nablaA is None when
-    the jet order was 2.  ``jets`` are the chart jets the frame was read
-    from; R is built from them when first read.
+    Batch axes (if any) lead; tensor indices trail: f and N (*b, n+1), J and
+    dN (*b, n+1, n), d2f (*b, n+1, n, n), g, g_inv, b and A (*b, n, n), Gamma
+    (*b, k, i, j) and nablaA (*b, i, k, j), which is None when the jet order
+    was 2.  ``jets`` are the chart jets the frame was read from; R is built
+    from them when first read.
     """
 
-    u: np.ndarray
-    order: int
-    f: np.ndarray       # (*b, n+1)
-    J: np.ndarray       # (*b, n+1, n)
-    d2f: np.ndarray     # (*b, n+1, n, n)
-    N: np.ndarray       # (*b, n+1)
-    dN: np.ndarray      # (*b, n+1, n)
-    g: np.ndarray       # (*b, n, n)
-    g_inv: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
-    Gamma: np.ndarray   # (*b, k, i, j)
-    nablaA: np.ndarray | None  # (*b, i, k, j)
-    jets: ChartJets = field(repr=False, compare=False)
+    def __init__(self, u, order, f, J, d2f, N, dN, g, g_inv, b, A, Gamma, nablaA, jets):
+        self.u, self.order, self.f, self.J, self.d2f, self.N, self.dN = u, order, f, J, d2f, N, dN
+        self.g, self.g_inv, self.b, self.A, self.Gamma = g, g_inv, b, A, Gamma
+        self.nablaA, self.jets = nablaA, jets
 
     @property
     def n(self) -> int:

@@ -15,28 +15,30 @@ dict for machine consumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .record import Record
 
 PASS = "pass"
 FAIL = "FAIL"
 SKIP = "skip"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one named residual check."""
 
-    suite: str
-    name: str
-    max_residual: float
-    mean_residual: float
-    worst_point: Optional[Tuple[float, ...]]
-    tolerance: float
-    verdict: str
-    note: str = ""
+    __slots__ = ("suite", "name", "max_residual", "mean_residual", "worst_point",
+                 "tolerance", "verdict", "note")
+    _key = lambda self: tuple(getattr(self, k) for k in self.__slots__)
+
+    def __init__(self, suite: str, name: str, max_residual: float, mean_residual: float,
+                 worst_point: Optional[Tuple[float, ...]], tolerance: float, verdict: str,
+                 note: str = ""):
+        self.suite, self.name, self.verdict, self.note = suite, name, verdict, note
+        self.max_residual, self.mean_residual = max_residual, mean_residual
+        self.worst_point, self.tolerance = worst_point, tolerance
 
 
 def check_from_field(
@@ -60,49 +62,25 @@ def check_from_field(
         worst = tuple(float(x) for x in pts[idx])
     mx = float(flat[idx])
     verdict = PASS if mx <= tolerance else FAIL
-    return CheckResult(
-        suite=suite,
-        name=name,
-        max_residual=mx,
-        mean_residual=float(flat.mean()),
-        worst_point=worst,
-        tolerance=tolerance,
-        verdict=verdict,
-        note=note,
-    )
+    return CheckResult(suite, name, mx, float(flat.mean()), worst, tolerance, verdict, note)
 
 
 def check_skipped(
     suite: str, name: str, tolerance: float, note: str
 ) -> CheckResult:
-    return CheckResult(
-        suite=suite,
-        name=name,
-        max_residual=math.nan,
-        mean_residual=math.nan,
-        worst_point=None,
-        tolerance=tolerance,
-        verdict=SKIP,
-        note=note,
-    )
+    return CheckResult(suite, name, math.nan, math.nan, None, tolerance, SKIP, note)
 
 
-@dataclass
 class VerificationReport:
     """Everything a verification run asserts, in one serializable object."""
 
-    chart_label: str
-    n: int
-    ambient_dim: int
-    grid: Tuple[int, ...]
-    order: int
-    suites: Tuple[str, ...]
-    rank_min: int
-    rank_max: int
-    sign: Optional[int]
-    warnings: Tuple[str, ...]
-    checks: List[CheckResult] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, chart_label: str, n: int, ambient_dim: int, grid: Tuple[int, ...],
+                 order: int, suites: Tuple[str, ...], rank_min: int, rank_max: int,
+                 sign: Optional[int], warnings: Tuple[str, ...], checks: List[CheckResult],
+                 wall_time: float):
+        self.chart_label, self.n, self.ambient_dim, self.grid = chart_label, n, ambient_dim, grid
+        self.order, self.suites, self.rank_min, self.rank_max = order, suites, rank_min, rank_max
+        self.sign, self.warnings, self.checks, self.wall_time = sign, warnings, checks, wall_time
 
     @property
     def failed(self) -> List[CheckResult]:

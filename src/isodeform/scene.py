@@ -39,7 +39,7 @@ from . import expr as exprmod
 from .catalog import build as build_catalog
 from .codazzi import Explicit, GHPair, MinusA, Parallel, Source, self_adjoint_violation
 from .errors import SceneError
-from .geometry import Chart, frame_at, make_chart
+from .geometry import Chart, ValueFrame, chart_jets, make_chart
 from .suites import resolve_tolerances
 
 SUITES = ("geometry", "codazzi", "deformation", "roundtrip")
@@ -58,7 +58,7 @@ MIN_GRID = 3  # smallest grid resolution per axis
 
 @dataclass(frozen=True)
 class Scene:
-    """A parsed, validated verification run description."""
+    """A parsed, validated verification run; a dataclass, for ``dataclasses.replace``."""
 
     chart: Chart
     spec: Optional[Source]
@@ -109,12 +109,12 @@ def _split_sections(text: str) -> Dict[str, Dict[str, str]]:
     return sections
 
 
-def _as_float(section: str, key: str, value: str) -> float:
+def _as_float(section: str, key: str, value: str, finite: bool = True) -> float:
     try:
         out = float(value)
     except ValueError:
         raise SceneError(f"[{section}] {key}: expected a number, got {value!r}")
-    if not np.isfinite(out):
+    if finite and not np.isfinite(out):
         raise SceneError(f"[{section}] {key}: non-finite value {value!r}")
     return out
 
@@ -221,7 +221,7 @@ def _parse_codazzi(body: Dict[str, str], chart: Chart, warnings: list) -> Source
         # out, but a plainly asymmetric operator is caught at load time
         center = chart.center()
         Q = np.reshape(exprmod.eval_values(spec.asts(n), center, spec.shared), (n, n))
-        g = frame_at(chart, center, order=2).g
+        g = ValueFrame(chart_jets(chart, center, order=2)).g[..., 0]
         resid = self_adjoint_violation(g, Q, _CENTER_SELF_ADJOINT_TOL)
         if resid is not None:
             warnings.append(
@@ -310,7 +310,8 @@ def _parse_run(
         elif key == "project":
             project = _parse_project(value, chart.ambient_dim, "[run] project")
         elif key.startswith("tol_"):
-            tol[key[len("tol_"):]] = _as_float("run", key, value)
+            # resolve_tolerances gates the value, as it does for --tol
+            tol[key[len("tol_"):]] = _as_float("run", key, value, finite=False)
         else:
             raise SceneError(f"unknown key in [run]: {key}")
     resolve_tolerances(tol)  # names and values checked at load

@@ -155,6 +155,20 @@ def test_non_finite_tolerance_exit_four(good_scene, value):
     assert "positive and finite" in res.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_has_one_message_in_scene_and_flag(capsys, tmp_path, value):
+    # the scene's tol_ key and --tol reach the same gate, resolve_tolerances
+    p = tmp_path / "tol.scene"
+    p.write_text(GOOD + f"tol_weingarten = {value}\n")
+    assert cli.main(["verify", str(p)]) == 4
+    from_scene = capsys.readouterr().err
+    p.write_text(GOOD)
+    assert cli.main(["verify", str(p), "--tol", f"weingarten={value}"]) == 4
+    assert capsys.readouterr().err == from_scene == (
+        "scene error: tolerance must be positive and finite: weingarten\n"
+    )
+
+
 def test_expression_domain_violation_exit_four(tmp_path):
     # log(u1) is defined at the box center but not on the whole grid
     p = tmp_path / "log.scene"

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import load_benchmark_module
 
+from isodeform import geometry
 from isodeform.codazzi import Explicit, GHPair, MinusA, Parallel
 from isodeform.errors import SceneError
 from isodeform.scene import SUITES, load_scene, parse_scene
@@ -93,6 +95,25 @@ suites = codazzi
     assert sc.spec.entries == (("1", "u1"), ("0", "1"))
     assert len(sc.warnings) == 1
     assert "not g-self-adjoint" in sc.warnings[0]
+
+
+@pytest.mark.parametrize("workload", ["pointwise", "grid_pair", "explicit"])
+def test_load_scene_builds_no_jet_frame(monkeypatch, tmp_path, workload):
+    # the sphcyl4, sphere3 and explicit graph3 scenes of the benchmark: the
+    # chart's centre gate and the explicit centre warning read value frames
+    path = tmp_path / "w.scene"
+    path.write_text(load_benchmark_module("workloads").WORKLOADS[workload].scene_text(0))
+    frames = []
+    build = geometry.frame_from_jets
+
+    def counting(cj):
+        frames.append(1)
+        return build(cj)
+
+    monkeypatch.setattr(geometry, "frame_from_jets", counting)
+    scene = load_scene(str(path))
+    assert frames == []
+    assert scene.chart.label in ("sphcyl4", "sphere3", "graph3")
 
 
 def test_geometry_only_scene_needs_no_codazzi():
