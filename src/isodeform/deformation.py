@@ -35,6 +35,7 @@ scalar pair; ``gauge_fit`` identifies two pairs modulo the affine gauge
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -308,7 +309,14 @@ def deformation_check_from_jets(
 # it, from one kernel call.  A leg's integral does not depend on the batch
 # it runs in: the integrand is evaluated point by point, and each leg is
 # accepted on its own test: a slice is one batch-last ``ValueFrame``, whose
-# products are sums over matrix indices in index order, with no BLAS.
+# products are sums over matrix indices in index order, with no BLAS.  A
+# slice of ``_slice_points(n)`` points holds as many order-2 chart-jet
+# coefficients as one ``CHUNK``-point order-4 chunk of the sample pass.
+
+
+def _slice_points(n: int) -> int:
+    """Points per integrand slice on an n-dimensional chart; reads ``CHUNK`` at each call."""
+    return CHUNK * comb(n + 4, 4) // comb(n + 2, 2)
 
 
 def _omega_values(
@@ -335,17 +343,18 @@ def _leg_integrals(covector, starts, steps, tol: float) -> np.ndarray:
     covector contracted with its step, so the batch is one quadrature call
     in which each leg is held to the same absolute ``tol`` and is no longer
     evaluated once it has converged.  The covector is evaluated in slices
-    of ``CHUNK`` points to bound memory.
+    of ``_slice_points(n)`` points to bound memory.
     """
     legs = [starts, steps]
+    size = _slice_points(starts.shape[1])
 
     def fn(s: np.ndarray) -> np.ndarray:
         a, v = legs
         pts = (a + s[:, None, None] * v).reshape(-1, a.shape[1])
         vs = np.broadcast_to(v, (len(s),) + v.shape).reshape(pts.shape)
         return np.concatenate([
-            np.einsum("pdn,pn->pd", covector(pts[lo:lo + CHUNK]), vs[lo:lo + CHUNK])
-            for lo in range(0, len(pts), CHUNK)
+            np.einsum("pdn,pn->pd", covector(pts[lo:lo + size]), vs[lo:lo + size])
+            for lo in range(0, len(pts), size)
         ]).reshape(len(s), len(a), -1)
 
     def retire(keep: np.ndarray) -> None:

@@ -35,7 +35,7 @@ from .linalg import check_cross_norm, cholesky_solve, cholesky_spd, cross_last, 
 from .linalg import svd_rank_kernel
 
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
-CHUNK = 1024  # points per batched jet evaluation, which bounds memory
+CHUNK = 1024  # points per sample-pass chunk, bounding memory; integrand slices derive from it
 SELF_ADJOINT_TOL = 1e-10
 ORACLE_STEP = 1e-5  # difference step of fd_oracle
 

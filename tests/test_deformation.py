@@ -31,7 +31,6 @@ from isodeform.deformation import (
 )
 from isodeform.errors import HypothesisError, VerificationError
 from isodeform.geometry import (
-    CHUNK,
     GRID_SHRINK,
     ValueFrame,
     chart_jets,
@@ -222,14 +221,14 @@ def test_path_integral_single_target():
 def test_path_integral_target_batch(axis_order):
     # one batched call must reproduce the single-target integrals, including
     # base itself and targets whose staircase has a zero-length leg; the
-    # grid rows push the integrand past one CHUNK of points per call
+    # grid rows push the integrand past one slice of points per call
     ch = catalog.torus2()
     F_fn = closed_form_immersion(ch, Parallel(0.1))
     base = np.array([0.5, 0.6])
     special = [[4.0, 5.0], [0.5, 0.6], [0.5, 5.0], [4.0, 0.6], [2.0, 3.0]]
-    grid = grid_points(ch, 9)
+    grid = grid_points(ch, 13)
     targets = np.concatenate([special, grid])
-    assert 16 * len(targets) > CHUNK
+    assert 16 * len(targets) > dfm._slice_points(2)
     F0 = F_fn(base[None])[0]
     Fb = path_integral_immersion(
         ch, Parallel(0.1), base, targets, F0=F0, axis_order=axis_order
@@ -756,12 +755,33 @@ def test_shared_legs_integrate_bit_identically_to_single_targets():
 def test_omega_values_do_not_depend_on_the_batch(source):
     # a leg integrated once for every path that shares it relies on this
     ch = catalog.graph3()
-    pts = np.random.default_rng(5).uniform(-0.45, 0.45, (CHUNK + 100, 3))
+    size = dfm._slice_points(3)
+    pts = np.random.default_rng(5).uniform(-0.45, 0.45, (size + 100, 3))
     whole = dfm._omega_values(ch, source, pts)
     rev = pts[::-1]
-    parts = [dfm._omega_values(ch, source, rev[:CHUNK]),
-             dfm._omega_values(ch, source, rev[CHUNK:])]
+    parts = [dfm._omega_values(ch, source, rev[:size]),
+             dfm._omega_values(ch, source, rev[size:])]
     np.testing.assert_array_equal(np.concatenate(parts)[::-1], whole)
+
+
+def test_integrand_slices_hold_one_sample_chunks_chart_coefficients(monkeypatch):
+    # an order-2 slice of n + 1 chart components holds as many coefficients
+    # as one order-4 sample chunk: CHUNK C(n+4, 4) / C(n+2, 2) points, with
+    # CHUNK read at each call
+    monkeypatch.setattr(dfm, "CHUNK", 1024)
+    assert [dfm._slice_points(n) for n in range(2, 6)] == [2560, 3584, 4778, 6144]
+    monkeypatch.setattr(dfm, "CHUNK", 100)
+    assert [dfm._slice_points(n) for n in range(2, 6)] == [250, 350, 466, 600]
+    sizes = []
+
+    def covector(pts):
+        sizes.append(len(pts))
+        return np.ones((len(pts), 1, 3))
+
+    # 40 legs of a constant covector: one level of 16 nodes each, 640 points
+    integrals = dfm._leg_integrals(covector, np.zeros((40, 3)), np.ones((40, 3)), 1e-10)
+    assert sizes == [350, 290]
+    np.testing.assert_allclose(integrals, 3.0, rtol=1e-14)
 
 
 def test_shared_divisor_is_gated_once_per_slice(monkeypatch):

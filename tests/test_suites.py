@@ -1,6 +1,7 @@
 """Suite orchestration: reports, determinism, rank gate, skip logic."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -570,6 +571,67 @@ def test_sample_pass_peak_memory_of_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 9 * (5 * 70 * len(pts) * 8)
+
+
+@pytest.mark.parametrize("chart_name", ["graph3", "sphcyl4"])
+def test_integrand_slice_peak_memory_of_its_chart_coefficients(chart_name):
+    # one full slice of omega on graph3 with the explicit workload's Q and
+    # on sphcyl4 with Parallel: its order-2 chart jets take (n + 1) x
+    # C(n+2, 2) coefficients per point, as many as one order-4 sample chunk,
+    # and the slice peaks below 6 times them (about 2.7 and 4.4 today),
+    # under the sample chunk's bound above
+    scene = parse_scene(
+        load_benchmark_module("workloads").WORKLOADS["explicit"].scene_text(0)
+        if chart_name == "graph3" else
+        "[chart]\ncatalog = sphcyl4\nr = 1\n[codazzi]\nvariant = parallel\nt = 0.3\n"
+    )
+    chart, n = scene.chart, scene.chart.n
+    size = deformation._slice_points(n)
+    pts = np.random.default_rng(0).uniform(chart.lo, chart.hi, (size, n))
+    deformation._omega_values(chart, scene.spec, pts)  # fills the jet-space tables
+    tracemalloc.start()
+    try:
+        deformation._omega_values(chart, scene.spec, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * ((n + 1) * math.comb(n + 2, 2) * size * 8)
+
+
+@pytest.mark.parametrize(
+    "workload, suites_run, grid",
+    [("explicit", "codazzi,deformation", 4), ("grid_pair", "deformation,roundtrip", 5)],
+)
+def test_reports_do_not_depend_on_the_integrand_slice(monkeypatch, workload, suites_run, grid):
+    # graph3 with the explicit workload's Q and sphere3 with Parallel: a
+    # leg's integral does not depend on the slice its nodes are evaluated
+    # in, so slices of 1,024 points and of deformation._slice_points give
+    # the same text report byte for byte but for the timing line; at this
+    # grid some slice of the new size holds more than 1,024 points
+    text = load_benchmark_module("workloads").WORKLOADS[workload].scene_text(0)
+    text = re.sub(r"suites=.*", f"suites={suites_run}", re.sub(r"grid=\d+", f"grid={grid}", text))
+    scene = parse_scene(text)
+    sizes = []
+    leg_integrals = deformation._leg_integrals
+
+    def recording(covector, starts, steps, tol):
+        def sized(pts):
+            sizes.append(len(pts))
+            return covector(pts)
+
+        return leg_integrals(sized, starts, steps, tol)
+
+    def report():
+        sizes.clear()
+        lines = run_suites(scene).to_text().splitlines(True)
+        return "".join(line for line in lines if not line.startswith("wall_time_s:"))
+
+    monkeypatch.setattr(deformation, "_leg_integrals", recording)
+    sliced = report()
+    assert max(sizes) > 1024
+    monkeypatch.setattr(deformation, "_slice_points", lambda n: 1024)
+    assert report() == sliced
+    assert max(sizes) == 1024
 
 
 @pytest.mark.parametrize("suite", ["deformation", "roundtrip"])
