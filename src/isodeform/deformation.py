@@ -12,6 +12,7 @@ which this module pushes through the same jet pipeline as f itself, so
 every geometric quantity of F is computed from scratch rather than assumed.
 For a source with no pair, F is instead recovered by integrating the
 1-form omega = df o Q along staircase paths; the loop integrals of omega
+around rectangles, each given by its two corners (an (R, 2, n) array),
 measure how far Q is from being integrable at all.  A path integrand needs
 values only: at each slice of quadrature nodes it builds order-2 chart jets
 once, and their ``ValueFrame`` factors g once for every solve that forms Q
@@ -29,14 +30,16 @@ one quadrature call.  Path integrals are held to the quadrature's
 ``DEFAULT_TOL``, those of the FD stencil to ``FD_QUAD_TOL``, and F's start
 at ``path_base``, on a mesh slice along its fixed coordinates first.
 ``extract_gh`` runs the construction backwards from an immersion to a
-scalar pair; ``gauge_fit`` identifies two pairs modulo the affine gauge
-(g, h) -> (g + <f, a> + c, h + <N, a>).
+scalar pair on the grid, returning (g, h, closedness); ``gauge_fit``
+identifies two such pairs, given their differences, modulo the affine
+gauge (g, h) -> (g + <f, a> + c, h + <N, a>).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +69,7 @@ from .geometry import (
     grid_axes,
     jet_partials,
 )
-from .jet import JetScalar, values
+from .jet import JetScalar, minor_dets, values
 from .linalg import (
     cholesky_solve,
     cholesky_spd,
@@ -168,20 +171,6 @@ def _ortho_operator(L: np.ndarray, T: np.ndarray) -> np.ndarray:
     return (LT @ T.reshape(-1, n, n) @ solve(LT, np.eye(n))).reshape(T.shape)
 
 
-def _pair_minors(M: np.ndarray) -> np.ndarray:
-    """All 2x2 minors det M[[p,q],[i,j]] for p<q, i<j: shape (*b, P, P)."""
-    n = M.shape[-1]
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    P = len(pairs)
-    out = np.empty(M.shape[:-2] + (P, P))
-    for a, (p, q) in enumerate(pairs):
-        for b_, (i, j) in enumerate(pairs):
-            out[..., a, b_] = (
-                M[..., p, i] * M[..., q, j] - M[..., p, j] * M[..., q, i]
-            )
-    return out
-
-
 def wedge_identity_field(
     frame: Frame, cf: CodazziFrame, Atilde: np.ndarray
 ) -> np.ndarray:
@@ -192,9 +181,15 @@ def wedge_identity_field(
     """
     L = cholesky_spd(frame.g)
     QAt = np.einsum("...km,...mj->...kj", cf.Q, Atilde)
-    M1 = _pair_minors(_ortho_operator(L, QAt))
-    M2 = _pair_minors(_ortho_operator(L, frame.A))
-    return np.abs(M1 - M2).max(axis=(-1, -2))
+    planes = tuple(combinations(range(frame.n), 2))
+    minors = tuple((rows, cols) for rows in planes for cols in planes)
+
+    def wedges(M: np.ndarray) -> np.ndarray:  # every 2x2 minor, (*b, P * P)
+        return np.stack(list(minor_dets(lambda r, c: M[..., r, c], minors)), axis=-1)
+
+    M1 = wedges(_ortho_operator(L, QAt))
+    M2 = wedges(_ortho_operator(L, frame.A))
+    return np.abs(M1 - M2).max(axis=-1)
 
 
 def kernel_angle_field(frame: Frame, Atilde: np.ndarray) -> np.ndarray:
@@ -426,74 +421,53 @@ def _grid_staircase(covector, axes, start, order, tol: float, fixed) -> np.ndarr
     return F
 
 
-class LoopRect:
-    """An axis-aligned rectangle loop inside the chart domain.
-
-    The loop runs through the 2-plane of axes (axis_a, axis_b) at the
-    remaining coordinates of ``base``, clockwise in the (a, b) plane:
-    the b-first staircase minus the a-first staircase between the corners
-    (a0, b0) and (a1, b1).
-    """
-
-    __slots__ = ("axis_a", "axis_b", "a0", "a1", "b0", "b1", "base")
-
-    def __init__(self, axis_a: int, axis_b: int, a0: float, a1: float, b0: float, b1: float,
-                 base: Tuple[float, ...]):
-        self.axis_a, self.axis_b, self.base = axis_a, axis_b, base
-        self.a0, self.a1, self.b0, self.b1 = a0, a1, b0, b1
-
-
-def _circulation(covector, rects: Sequence[LoopRect], tol: float) -> np.ndarray:
+def _circulation(covector, corners, tol: float) -> np.ndarray:
     """Clockwise circulation of the covector around each rectangle: (R, d).
 
-    The b-first and a-first staircases of every rectangle are one
-    ``_staircase`` call, so all loops share one quadrature call.
+    ``corners`` (R, 2, n) holds each rectangle's corners (a0, b0) and
+    (a1, b1) in the 2-plane of the two axes a < b in which they differ, at
+    the corners' common remaining coordinates.  The loop is the b-first
+    staircase minus the a-first one between them; the staircases of every
+    rectangle are one ``_staircase`` call, so all loops share one quadrature
+    call.  Raises ValueError unless the corners of every rectangle differ
+    in exactly two axes.
     """
-    corners = np.array([(r.base, r.base) for r in rects], dtype=float)  # (R, 2, n)
-    for c, r in zip(corners, rects):
-        c[:, [r.axis_a, r.axis_b]] = (r.a0, r.b0), (r.a1, r.b1)
+    corners = np.asarray(corners, dtype=float)
+    if corners.ndim != 3 or corners.shape[1] != 2:
+        raise ValueError(f"loop corners must have shape (R, 2, n), got {corners.shape}")
+    differ = corners[:, 0] != corners[:, 1]
+    if np.any(differ.sum(axis=1) != 2):
+        raise ValueError("a loop rectangle's two corners must differ in exactly two axes")
+    a, b = np.nonzero(differ)[1].reshape(-1, 2).T
     starts, ends = np.concatenate([corners, corners]).transpose(1, 0, 2)
-    orders = [(r.axis_b, r.axis_a) for r in rects] + [(r.axis_a, r.axis_b) for r in rects]
-    paths = _staircase(covector, starts, ends, np.array(orders), tol)
-    return paths[:len(rects)] - paths[len(rects):]
+    orders = np.concatenate([np.stack([b, a], axis=1), np.stack([a, b], axis=1)])
+    paths = _staircase(covector, starts, ends, orders, tol)
+    return paths[:len(corners)] - paths[len(corners):]
 
 
-def omega_loop_integral(chart: Chart, source: Source, rect) -> np.ndarray:
-    """Clockwise circulation of omega around ``rect``: shape (dim,) for one
-    LoopRect, (R, dim) for a sequence of R, all in one quadrature call."""
-    rects = [rect] if isinstance(rect, LoopRect) else rect
-    loops = _circulation(lambda p: _omega_values(chart, source, p), rects, DEFAULT_TOL)
-    return loops[0] if isinstance(rect, LoopRect) else loops
+def omega_loop_integral(chart: Chart, source: Source, corners) -> np.ndarray:
+    """Clockwise circulation of omega around each rectangle of ``corners``
+    (R, 2, n), as ``_circulation`` reads them: (R, dim), all in one
+    quadrature call."""
+    return _circulation(lambda p: _omega_values(chart, source, p), corners, DEFAULT_TOL)
 
 
-def default_loop_rects(chart: Chart) -> List[LoopRect]:
-    """One spanning rectangle per adjacent axis pair, through the center,
-    padded from the box as the sample grid is (``GRID_SHRINK``)."""
+def default_loop_rects(chart: Chart) -> np.ndarray:
+    """Corners (R, 2, n) of one spanning rectangle per adjacent axis pair,
+    through the center, padded from the box as the sample grid is
+    (``GRID_SHRINK``)."""
     rects = []
     center = chart.center()
-    for k in range(chart.n - 1):
-        a, b = k, k + 1
-        pad_a = GRID_SHRINK * (chart.hi[a] - chart.lo[a])
-        pad_b = GRID_SHRINK * (chart.hi[b] - chart.lo[b])
-        a0, a1 = chart.lo[a] + pad_a, chart.hi[a] - pad_a
-        b0, b1 = chart.lo[b] + pad_b, chart.hi[b] - pad_b
-        rects.append(
-            LoopRect(
-                axis_a=a, axis_b=b, a0=a0, a1=a1, b0=b0, b1=b1,
-                base=tuple(center),
-            )
-        )
+    for a in range(chart.n - 1):
+        lo, hi = center.copy(), center.copy()
+        for k in (a, a + 1):
+            pad = GRID_SHRINK * (chart.hi[k] - chart.lo[k])
+            lo[k], hi[k] = chart.lo[k] + pad, chart.hi[k] - pad
+        rects.append((lo, hi))
         # an off-center quarter rectangle as well: symmetric integrands can
         # cancel exactly over the centered spanning rectangle
-        rects.append(
-            LoopRect(
-                axis_a=a, axis_b=b,
-                a0=0.5 * (a0 + a1), a1=a1,
-                b0=0.5 * (b0 + b1), b1=b1,
-                base=tuple(center),
-            )
-        )
-    return rects
+        rects.append((0.5 * (lo + hi), hi))
+    return np.array(rects)
 
 
 def path_base(chart: Chart) -> np.ndarray:
@@ -540,28 +514,22 @@ def path_integral_on_grid(
     res,
     axis_order: Optional[Sequence[int]] = None,
     fixed: Optional[Dict[int, float]] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """F on the whole sample grid by shared-prefix staircase integration,
-    with F = 0 at the grid's first point, ``path_base``.
+    with F = 0 at the grid's first point, ``path_base``: shape (*res, dim).
 
-    Returns (mesh points with shape (*res, n), F values with shape
-    (*res, dim)).  The steps along every axis share one adaptive quadrature
-    call, each accepted on its own, and a cumulative sum per axis chains
-    them.  ``fixed`` (axis -> value, as ``mesh.parse_slice`` gives it) cuts
+    The steps along every axis share one adaptive quadrature call, each
+    accepted on its own, and a cumulative sum per axis chains them.
+    ``fixed`` (axis -> value, as ``mesh.parse_slice`` gives it) cuts
     a slice, length 1 along each fixed axis, swept first through the grid
     nodes below its value up to the value.  So where omega is not closed,
     F is that of the staircase along the fixed axes, then the free ones.
     """
-    fixed = fixed or {}
-    axes = grid_axes(chart, res)
-    mesh_axes = [np.array([fixed[k]]) if k in fixed else a for k, a in enumerate(axes)]
-    mesh = np.stack(np.meshgrid(*mesh_axes, indexing="ij"), axis=-1)
     order = range(chart.n) if axis_order is None else axis_order
-    F = _grid_staircase(
+    return _grid_staircase(
         lambda p: _omega_values(chart, source, p),
-        axes, np.zeros(chart.ambient_dim), order, DEFAULT_TOL, fixed,
+        grid_axes(chart, res), np.zeros(chart.ambient_dim), order, DEFAULT_TOL, fixed or {},
     )
-    return mesh, F
 
 
 class FDFrame:
@@ -610,18 +578,6 @@ def fd_deformed_frame(chart: Chart, source: Source, u: Sequence[float]) -> FDFra
 # ------------------------------------------------------------- extraction
 
 
-class GridPair:
-    """Scalar pair sampled on a mesh grid, as produced by ``extract_gh``:
-    points (*res, n), g and h (*res,), grad_g (*res, n) in contravariant
-    components."""
-
-    __slots__ = ("points", "g", "h", "grad_g", "closed_residual")
-
-    def __init__(self, points, g, h, grad_g, closed_residual: float):
-        self.points, self.g, self.h, self.grad_g = points, g, h, grad_g
-        self.closed_residual = closed_residual
-
-
 def grid_frame(chart: Chart, res) -> Frame:
     """The chart's order-2 frame on the sample grid, with batch shape
     ``res`` (the mesh (*res, n) is its ``u``): what ``extract_gh``,
@@ -632,18 +588,19 @@ def grid_frame(chart: Chart, res) -> Frame:
 
 def extract_gh(
     chart: Chart, F_fn: Callable[[ChartJets], np.ndarray], frame: Frame
-) -> GridPair:
-    """Recover the scalar pair of an immersion with dF = df o Q.
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Recover the scalar pair of an immersion with dF = df o Q on the grid:
+    (g, h, closedness), g and h with shape (*res,).
 
     ``frame`` is the chart's ``grid_frame`` and ``F_fn`` maps the chart's
     order-2 jets at a batch of points, or their ``ValueFrame``, to F there,
     as the evaluator of ``closed_form_immersion`` does.  Decomposes F on the
     grid into df(Z) + h N, checks that the covector field g(Z, .) = J^T F is
-    closed via rectangle loop integrals, and integrates it along staircase
-    paths to produce g with g(base corner) = 0.
+    closed via rectangle loop integrals (closedness: their largest
+    component), and integrates it along staircase paths to produce g with
+    g(base corner) = 0.
     """
-    mesh = frame.u
-    Z, h = decompose_ambient(frame, F_fn(frame.jets))
+    _, h = decompose_ambient(frame, F_fn(frame.jets))
 
     def zeta_at(pts: np.ndarray) -> np.ndarray:
         # g(Z, .) = J^T (F - h N) = J^T F as a one-row field, shape (m, 1, n),
@@ -651,28 +608,18 @@ def extract_gh(
         vf = ValueFrame(chart_jets(chart, pts, order=2))
         return index_sum(vf.J * F_fn(vf).T[:, None]).T[:, None]
 
-    rects = default_loop_rects(chart)
-    closed = float(np.abs(_circulation(zeta_at, rects, DEFAULT_TOL)).max())
-    axes = grid_axes(chart, mesh.shape[:-1])
+    closed = float(np.abs(_circulation(zeta_at, default_loop_rects(chart), DEFAULT_TOL)).max())
+    axes = grid_axes(chart, frame.u.shape[:-1])
     g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(chart.n), DEFAULT_TOL, {})
-    return GridPair(
-        points=mesh, g=g_grid[..., 0], h=h, grad_g=Z, closed_residual=closed
-    )
+    return g_grid[..., 0], h, closed
 
 
-def pair_on_grid(pair: GHPairData, frame: Frame) -> GridPair:
-    """Sample a pair's (g, h, grad g) on the chart's ``grid_frame``, for
-    gauge comparison."""
+def pair_on_grid(pair: GHPairData, frame: Frame) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample a pair's (g, h) on the chart's ``grid_frame``, for gauge
+    comparison: each with shape (*res,)."""
     cj = frame.jets
-    s, h = pair_jets(cj, pair)
-    gh = jet_partials([s, h], 0, cj.batch_shape)  # a constant is broadcast
-    return GridPair(
-        points=frame.u,
-        g=gh[..., 0],
-        h=gh[..., 1],
-        grad_g=values(cj.scalar_grad_jets(s.truncated(1))),
-        closed_residual=0.0,
-    )
+    gh = jet_partials(pair_jets(cj, pair), 0, cj.batch_shape)  # a constant is broadcast
+    return gh[..., 0], gh[..., 1]
 
 
 class GaugeFit:
@@ -695,18 +642,19 @@ def gauge_design(frame: Frame):
     return D, float(s[0] / s[-1]) if s[-1] > 0 else np.inf, cholesky_spd(D.T @ D)
 
 
-def gauge_fit(frame: Frame, pair1: GridPair, pair2: GridPair, design=None) -> GaugeFit:
+def gauge_fit(frame: Frame, dg: np.ndarray, dh: np.ndarray, design=None) -> GaugeFit:
     """Least-squares gauge between two sampled pairs on the same grid.
 
-    ``frame`` is the chart's ``grid_frame`` on that grid, ``design`` its
+    ``dg`` = g2 - g1 and ``dh`` = h2 - h1 are the pairs' differences on the
+    grid of ``frame``, the chart's ``grid_frame``; ``design`` is its
     ``gauge_design`` or None.  Solves the normal equations for (a, c)
     minimizing the joint residual of g2 = g1 + <f, a> + c and
     h2 = h1 + <N, a> over all sample points.
     """
-    if not pair1.points.shape == pair2.points.shape == frame.u.shape:
+    if not np.shape(dg) == np.shape(dh) == frame.u.shape[:-1]:
         raise ValueError("pairs sampled on different grids")
     D, cond, L = design or gauge_design(frame)
-    rhs = np.concatenate([(pair2.g - pair1.g).reshape(-1), (pair2.h - pair1.h).reshape(-1)])
+    rhs = np.concatenate([np.reshape(dg, -1), np.reshape(dh, -1)])
     x = cholesky_solve(L, D.T @ rhs)
     residual = float(np.abs(D @ x - rhs).max())
     dim = D.shape[1] - 1

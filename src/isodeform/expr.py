@@ -409,21 +409,6 @@ def _arith(op: str, a, b):
     return _ARITH[op](a, b)
 
 
-def _require_positive(v, what: str, span) -> None:
-    """The jet evaluator's domain rule for log, sqrt and non-integer powers."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise ExprError(f"{what} of non-positive value {float(np.min(v))}", span)
-
-
-def _require_divisor(v, span) -> None:
-    """The jet evaluator's domain rule for division (and negative powers)."""
-    v = np.asarray(v, dtype=float)
-    if np.any(np.abs(v) <= jetmod.MIN_DIVISOR) or not np.all(np.isfinite(v)):
-        worst = v.flat[int(np.argmin(np.abs(v)))]
-        raise ExprError(f"division by value {float(worst)}", span)
-
-
 def eval_values(nodes, point, shared: dict | None = None) -> list:
     """Evaluate a row of ASTs on floats or numpy arrays at `point`, shape
     (*batch, n): a float for an entry constant over the batch, else an
@@ -433,18 +418,21 @@ def eval_values(nodes, point, shared: dict | None = None) -> list:
     route used by the finite-difference oracle and the path integrands.
     ``shared`` is the use count by id that ``intern`` gives for the row, as
     for ``eval_jets``: a subtree the row repeats is evaluated once.  Domain
-    violations raise ExprError under the jet evaluator's rules, naming
-    the worst offending value; each rule runs once per row on an operand
-    node, so a shared divisor is gated at its first division only, which is
-    also where it would raise.
+    violations raise ExprError with the jet evaluator's rule and text,
+    naming the worst offending value; each rule runs once per row on an
+    operand node, so a shared divisor is gated at its first division only,
+    which is also where it would raise.
     """
     point = np.asarray(point, dtype=float)
     gated = set()
 
-    def gate(rule, operand, v, *args) -> None:
+    def gate(rule, operand, v, span, *args) -> None:
         key = (rule, id(operand))
         if key not in gated:
-            rule(v, *args)
+            try:
+                rule(v, *args)
+            except HypothesisError as e:  # a jet domain rule: name the node
+                raise ExprError(str(e), span) from e
             gated.add(key)
 
     def ev_node(nd):
@@ -459,7 +447,7 @@ def eval_values(nodes, point, shared: dict | None = None) -> list:
         if isinstance(nd, Call):
             v = ev(nd.arg)
             if nd.name in ("log", "sqrt"):
-                gate(_require_positive, nd.arg, v, nd.name, nd.span)
+                gate(jetmod.require_positive, nd.arg, v, nd.span, nd.name)
             return getattr(np, nd.name)(v)
         if isinstance(nd, BinOp):
             a = ev(nd.left)
@@ -471,16 +459,16 @@ def eval_values(nodes, point, shared: dict | None = None) -> list:
             if nd.op == "*":
                 return a * b
             if nd.op == "/":
-                gate(_require_divisor, nd.right, b, nd.span)
+                gate(jetmod.reciprocal, nd.right, b, nd.span)
                 return a / b
             # ^
             a = np.asarray(a, dtype=float)
             bb = np.asarray(b, dtype=float)
             if bb.ndim == 0 and float(bb).is_integer():
                 if bb < 0:
-                    gate(_require_divisor, nd.left, a, nd.span)
+                    gate(jetmod.reciprocal, nd.left, a, nd.span)
                 return a ** int(bb)
-            gate(_require_positive, nd.left, a, "non-integer power", nd.span)
+            gate(jetmod.require_positive, nd.left, a, nd.span, "non-integer power")
             return a ** bb
         raise TypeError(f"not an AST node: {nd!r}")
 

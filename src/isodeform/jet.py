@@ -536,6 +536,14 @@ def reciprocal(v):
     return 1.0 / v
 
 
+def require_positive(v, what: str) -> None:
+    """The rule of log, sqrt and non-integer powers: each value of the
+    argument positive and finite, else HypothesisError naming the least."""
+    v = np.asarray(v)
+    if np.any(v <= 0) or not np.all(np.isfinite(v)):
+        raise HypothesisError(f"{what} of a jet with value {float(np.min(v))}")
+
+
 def recip(a: JetScalar) -> JetScalar:
     v = np.asarray(a.value)
     coeffs = [reciprocal(v)]
@@ -581,8 +589,7 @@ def _exp_taylor(v, order: int) -> list:
 
 def _log_taylor(v, order: int) -> list:
     v = np.asarray(v)
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise HypothesisError(f"log of a jet with value {float(np.min(v))}")
+    require_positive(v, "log")
     coeffs = [np.log(v)]
     for k in range(1, order + 1):
         coeffs.append((-1.0) ** (k - 1) / (k * v**k))
@@ -591,8 +598,7 @@ def _log_taylor(v, order: int) -> list:
 
 def _pow_taylor(v, r: float, order: int, what: str = "non-integer power") -> list:
     v = np.asarray(v)
-    if np.any(v <= 0) or not np.all(np.isfinite(v)):
-        raise HypothesisError(f"{what} of a jet with value {float(np.min(v))}")
+    require_positive(v, what)
     # c_k = binom(r, k) v^(r-k), built by the recurrence c_k = c_{k-1}(r-k+1)/(k v)
     coeffs = [v**r]
     for k in range(1, order + 1):

@@ -70,14 +70,11 @@ def _slice_grid(
                 f"[{chart.lo[axis]}, {chart.hi[axis]}]"
             )
     axes = grid_axes(chart, scene.grid)
-    a, b = free
-    ta, tb = np.meshgrid(axes[a], axes[b], indexing="ij")
-    pts = np.empty(ta.shape + (n,))
-    for axis, value in fixed.items():
-        pts[..., axis] = value
-    pts[..., a] = ta
-    pts[..., b] = tb
-    return pts.reshape(-1, n), (len(axes[a]), len(axes[b]))
+    cut = [np.array([fixed[k]]) if k in fixed else a for k, a in enumerate(axes)]
+    pts = np.empty(tuple(map(len, cut)) + (n,))
+    for k, line in enumerate(np.meshgrid(*cut, indexing="ij", sparse=True)):
+        pts[..., k] = line
+    return pts.reshape(-1, n), tuple(len(axes[k]) for k in free)
 
 
 def _surface_values(
@@ -91,7 +88,7 @@ def _surface_values(
     fv = jet_partials(cj.comps, 0, cj.batch_shape)
     if spec.pair() is None:
         # no closed form: one shared-prefix sweep of the slice grid
-        Fv = path_integral_on_grid(chart, spec, scene.grid, fixed=fixed)[1]
+        Fv = path_integral_on_grid(chart, spec, scene.grid, fixed=fixed)
         return fv, Fv.reshape(-1, chart.ambient_dim)
     return fv, closed_form_immersion(chart, spec)(cj)
 

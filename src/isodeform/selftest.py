@@ -28,7 +28,6 @@ from . import catalog
 from .codazzi import Explicit, Parallel, gh_gauss_translation
 from .deformation import (
     DeformationCheck,
-    LoopRect,
     omega_loop_integral,
     verify_deformation,
 )
@@ -195,8 +194,7 @@ def criterion_negative_controls() -> Verdict:
     # square circulation of omega picks up exactly (0, -1, 0).
     plane = catalog.build("plane2")
     spec = Explicit((("1", "0"), ("0", "1 + u1")))
-    rect = LoopRect(0, 1, 0.0, 1.0, 0.0, 1.0, (0.0, 0.0))
-    loop = omega_loop_integral(plane, spec, rect)
+    loop = omega_loop_integral(plane, spec, [[(0, 0), (1, 1)]])[0]
     loop_err = float(np.abs(loop - np.array([0.0, -1.0, 0.0])).max())
     loop_ok = loop_err <= 1e-8
 

@@ -50,13 +50,15 @@ Q: when deformation or roundtrip runs, a rank of A below 3 (below n for
 n < 3 charts, which get a warning instead) is refused with a
 HypothesisError, since the rigidity claims assume rank A >= 3.  Grid path
 integrals, FD probes and the roundtrip suite run after the pass.  Both
-deformation suites check F's path integrals alike: the loops, then one
-forward and one reversed grid sweep for ``path_order_swap`` and, for a
-pair scene, ``path_vs_closed``.  All FD probes of F are one quadrature
-call.  On a grid, a pair scene's ``path_vs_closed`` and roundtrip read one
-order-2 frame of the grid (``grid_frame``), built once per run.
-Reductions happen in index order so identical scenes produce identical
-reports.
+deformation suites check F's path integrals alike: the loops (corner
+pairs, each reported at its centre), then one forward and one reversed
+grid sweep for ``path_order_swap`` and, for a pair scene,
+``path_vs_closed``.  All FD probes of F are one quadrature call.  On a
+grid, a pair scene's ``path_vs_closed`` and roundtrip read one order-2
+frame of the grid (``grid_frame``), built once per run; the roundtrip
+fits the gauge to the differences of plain (g, h) arrays, the
+``extract_gh`` pair against the source's.  Reductions happen in index
+order so identical scenes produce identical reports.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ from .deformation import (
     gauge_fit,
     global_det_sign,
     grid_frame,
-    GridPair,
     omega_loop_integral,
     pair_on_grid,
     path_integral_on_grid,
@@ -298,16 +299,13 @@ def _codazzi_suite(fields, pts, tol) -> List[CheckResult]:
 
 
 def _loop_check(chart, spec, tol) -> CheckResult:
-    rects = default_loop_rects(chart)
-    loops = omega_loop_integral(chart, spec, rects)
-    centers = np.array([r.base for r in rects], dtype=float)
-    for c, r in zip(centers, rects):
-        c[[r.axis_a, r.axis_b]] = 0.5 * (r.a0 + r.a1), 0.5 * (r.b0 + r.b1)
+    corners = default_loop_rects(chart)
+    loops = omega_loop_integral(chart, spec, corners)
     return check_from_field(
         "deformation",
         "loop",
         np.abs(loops).max(axis=1),
-        centers,
+        corners.mean(axis=1),
         tol["loop"],
         note="worst point is the center of the worst rectangle",
     )
@@ -345,10 +343,8 @@ def _path_checks(chart, spec, grid, tol, grid_fr) -> List[CheckResult]:
         names = ("loop", "path_order_swap") + ("path_vs_closed",) * pair
         return _emit("deformation", dict.fromkeys(names, _NO_GRID_NOTE), None, tol)
     found = {"loop": _loop_check(chart, spec, tol)}
-    _, F_fwd = path_integral_on_grid(chart, spec, grid)
-    _, F_rev = path_integral_on_grid(
-        chart, spec, grid, axis_order=list(reversed(range(chart.n)))
-    )
+    F_fwd = path_integral_on_grid(chart, spec, grid)
+    F_rev = path_integral_on_grid(chart, spec, grid, axis_order=list(reversed(range(chart.n))))
     if pair:
         found["path_vs_closed"] = _path_vs_closed_check(chart, spec, grid_fr, F_fwd, tol)
     found["path_order_swap"] = (np.abs(F_fwd - F_rev).max(), None, "")
@@ -412,29 +408,24 @@ def _roundtrip_suite(chart, spec, grid_fr, tol) -> List[CheckResult]:
         note = "explicit operators carry no scalar pair" if pair is None else _NO_GRID_NOTE
         skipped = {c.name: note for c in CHECKS if c.suite == "roundtrip"}
         return _emit("roundtrip", skipped, None, tol)
-    ext = extract_gh(chart, closed_form_immersion(chart, spec), grid_fr)
-    true = pair_on_grid(pair, grid_fr)
+    g1, h1, closedness = extract_gh(chart, closed_form_immersion(chart, spec), grid_fr)
+    g0, h0 = pair_on_grid(pair, grid_fr)
     design = gauge_design(grid_fr)  # one SVD for both fits
-    fit = gauge_fit(grid_fr, ext, true, design)
+    fit = gauge_fit(grid_fr, g0 - g1, h0 - h1, design)
     # synthetic gauge shift with known ground truth; the five values repeat
     # in higher ambient dimensions
     dim = chart.ambient_dim
     a0 = np.resize([0.3, -0.1, 0.2, 0.5, 0.15], dim)
     c0 = 1.7
-    shape = true.g.shape
-    shifted = GridPair(
-        points=true.points,
-        g=true.g + (grid_fr.f.reshape(-1, dim) @ a0).reshape(shape) + c0,
-        h=true.h + (grid_fr.N.reshape(-1, dim) @ a0).reshape(shape),
-        grad_g=true.grad_g,
-        closed_residual=0.0,
-    )
-    fit2 = gauge_fit(grid_fr, true, shifted, design)
+    f_a0 = (grid_fr.f.reshape(-1, dim) @ a0).reshape(g0.shape)
+    N_a0 = (grid_fr.N.reshape(-1, dim) @ a0).reshape(g0.shape)
+    # the differences of the shifted pair and g0, h0 as sampled, rounding and all
+    fit2 = gauge_fit(grid_fr, (g0 + f_a0 + c0) - g0, (h0 + N_a0) - h0, design)
     recovery = max(float(np.abs(fit2.a - a0).max()), abs(float(fit2.c) - c0))
     closed = "loop integrals of the recovered 1-form g(grad g, .)"
     misfit = f"gauge-fit misfit, condition number {fit.cond:.3e}"
     return _emit("roundtrip", {
-        "extract_closedness": (ext.closed_residual, None, closed),
+        "extract_closedness": (closedness, None, closed),
         "roundtrip_gauge": (fit.residual, None, misfit),
         "gauge_recovery": (recovery, None, "recovery of a synthetic affine gauge (a, c)"),
     }, None, tol)

@@ -229,6 +229,22 @@ def test_operator_domain_violation_in_mesh_exit_four(tmp_path):
     assert "np.float64" not in res.stderr
 
 
+def test_operator_domain_violation_reads_alike_in_verify_and_mesh(capsys, tmp_path):
+    # verify meets log(u1 + 0.3) < 0 on the jet route of its sample pass,
+    # mesh on the value route of its path integrals: one rule, one text
+    p = tmp_path / "qlog3.scene"
+    p.write_text(
+        "[chart]\ncatalog = graph3\n[codazzi]\n"
+        + _explicit(3, "log(u1 + 0.3) + 1", (1, 1))
+        + "\n[run]\ngrid = 5\n"
+    )
+    assert cli.main(["verify", str(p)]) == 4
+    verify = capsys.readouterr().err
+    assert cli.main(["mesh", str(p), "--out", str(tmp_path / "q.obj"), "--slice", "u3=0"]) == 4
+    mesh = capsys.readouterr().err
+    assert mesh == verify == "scene error: log of a jet with value -0.18 (at offset 0)\n"
+
+
 def test_point_mode(good_scene):
     res = run_cli("verify", good_scene, "--point", "0.6,0.7,0.8")
     assert res.returncode == 0, res.stderr
@@ -397,7 +413,7 @@ _Q_INF = (
     "singular values overflow or are NaN"
 )
 _Q_NAN = "hypothesis violated: explicit Q is not g-self-adjoint: |gQ - (gQ)^T| = nan"
-_DIVIDE = "scene error: division by value 0.0 (at offset 0)"
+_DIVIDE = "scene error: division by a jet with value 0.0 (at offset 0)"
 _SPHCYL_T = "variant = parallel\nt = 0.3"
 _GOOD_T = "variant = parallel\nt = 1"
 

@@ -14,7 +14,6 @@ from isodeform.codazzi import (
     gh_parallel_offset,
 )
 from isodeform.deformation import (
-    LoopRect,
     closed_form_immersion,
     default_loop_rects,
     extract_gh,
@@ -147,8 +146,7 @@ def test_plane_loop_control_exact():
     # square is exactly -1 in the second ambient component
     pl = catalog.plane2()
     spec = Explicit((("1", "0"), ("0", "1 + u1")))
-    rect = LoopRect(0, 1, 0.0, 1.0, 0.0, 1.0, base=(0.0, 0.0))
-    loop = omega_loop_integral(pl, spec, rect)
+    loop = omega_loop_integral(pl, spec, [[(0.0, 0.0), (1.0, 1.0)]])[0]
     assert np.allclose(loop, [0.0, -1.0, 0.0], atol=1e-12)
     swap = suites._path_checks(pl, spec, 3, suites.DEFAULT_TOL, None)[-1]
     assert swap.name == "path_order_swap" and swap.max_residual > 1.0
@@ -161,8 +159,8 @@ def test_grid_sweep_matches_point_staircase_where_path_matters(axis_order):
     # staircase to every grid point and must agree there
     pl = catalog.plane2()
     spec = Explicit((("1", "0"), ("0", "1 + u1")))
-    mesh, Fg = path_integral_on_grid(pl, spec, (4, 5), axis_order=axis_order)
-    flat = mesh.reshape(-1, 2)
+    Fg = path_integral_on_grid(pl, spec, (4, 5), axis_order=axis_order)
+    flat = grid_points(pl, (4, 5))
     Fp = path_integral_immersion(
         pl, spec, flat[0], flat, axis_order=axis_order
     )
@@ -194,8 +192,8 @@ def test_loops_vanish_for_integrable_sources():
 def test_path_integral_matches_closed_form():
     ch = catalog.sphere3(2.0)
     F_fn = closed_form_immersion(ch, Parallel(1.0))
-    mesh, Fgrid = path_integral_on_grid(ch, Parallel(1.0), 3)
-    flat = mesh.reshape(-1, 3)
+    Fgrid = path_integral_on_grid(ch, Parallel(1.0), 3)
+    flat = grid_points(ch, 3)
     Fc = F_fn(flat).reshape(Fgrid.shape)
     offset = Fc[(0,) * 3] - Fgrid[(0,) * 3]
     assert np.abs(Fgrid + offset - Fc).max() < 1e-11
@@ -247,16 +245,21 @@ def test_extract_and_gauge_roundtrip():
     ch = catalog.graph3()
     pair = gh_parallel_offset(0.05)
     fr = grid_frame(ch, 4)
-    ext = extract_gh(ch, closed_form_immersion(ch, pair), fr)
-    true = pair_on_grid(pair, fr)
-    assert ext.closed_residual < 1e-10
-    assert np.abs(ext.h - true.h).max() < 1e-12
-    assert np.abs(ext.grad_g - true.grad_g).max() < 1e-11
-    fit = gauge_fit(fr, ext, true)
+    F_fn = closed_form_immersion(ch, pair)
+    g, h, closedness = extract_gh(ch, F_fn, fr)
+    true_g, true_h = pair_on_grid(pair, fr)
+    assert closedness < 1e-10
+    assert np.abs(h - true_h).max() < 1e-12
+    # the tangential part of F is df(grad g) for the pair's own g
+    grad_g = geometry.decompose_ambient(fr, F_fn(fr.jets))[0]
+    s = codazzi.pair_jets(fr.jets, pair)[0]
+    true_grad_g = values(fr.jets.scalar_grad_jets(s.truncated(1)))
+    assert np.abs(grad_g - true_grad_g).max() < 1e-11
+    fit = gauge_fit(fr, true_g - g, true_h - h)
     # extraction fixes g(base) = 0, so the gauge is a pure constant
     assert np.abs(fit.a).max() < 1e-10
     base_idx = (0,) * 3
-    assert fit.c == pytest.approx(true.g[base_idx], abs=1e-10)
+    assert fit.c == pytest.approx(true_g[base_idx], abs=1e-10)
     assert fit.residual < 1e-10
     assert np.isfinite(fit.cond)
 
@@ -280,9 +283,10 @@ def test_roundtrip_fits_share_one_gauge_svd(monkeypatch):
     assert not rep.failed and svds == [(2 * 27, 5)]
     ch = catalog.sphere3()
     fr = grid_frame(ch, 3)
-    ext = extract_gh(ch, closed_form_immersion(ch, Parallel(1.0)), fr)
-    true = pair_on_grid(gh_parallel_offset(1.0), fr)
-    alone, shared = gauge_fit(fr, ext, true), gauge_fit(fr, ext, true, dfm.gauge_design(fr))
+    g, h, _ = extract_gh(ch, closed_form_immersion(ch, Parallel(1.0)), fr)
+    true_g, true_h = pair_on_grid(gh_parallel_offset(1.0), fr)
+    dg, dh = true_g - g, true_h - h
+    alone, shared = gauge_fit(fr, dg, dh), gauge_fit(fr, dg, dh, dfm.gauge_design(fr))
     assert vars(alone).keys() == vars(shared).keys()
     for key in vars(alone):
         np.testing.assert_array_equal(getattr(alone, key), getattr(shared, key))
@@ -292,9 +296,9 @@ def test_gauge_recovers_translation_vector():
     ch = catalog.sphere3(2.0)
     a0 = np.array([0.3, -0.2, 0.5, 0.1])
     fr = grid_frame(ch, 4)
-    ext = extract_gh(ch, closed_form_immersion(ch, gh_gauss_translation(a0)), fr)
-    zero = pair_on_grid(gh_gauss_translation(), fr)
-    fit = gauge_fit(fr, zero, ext)
+    g, h, _ = extract_gh(ch, closed_form_immersion(ch, gh_gauss_translation(a0)), fr)
+    zero_g, zero_h = pair_on_grid(gh_gauss_translation(), fr)
+    fit = gauge_fit(fr, g - zero_g, h - zero_h)
     assert np.abs(fit.a - a0).max() < 1e-9
     assert fit.residual < 1e-9
 
@@ -303,11 +307,43 @@ def test_gauge_detects_non_gauge_difference():
     ch = catalog.graph3()
     pair = gh_parallel_offset(0.05)
     fr = grid_frame(ch, 4)
-    true = pair_on_grid(pair, fr)
-    ext = extract_gh(ch, closed_form_immersion(ch, pair), fr)
-    ext.h = ext.h + 0.01 * true.points[..., 0]
-    fit = gauge_fit(fr, ext, true)
+    true_g, true_h = pair_on_grid(pair, fr)
+    g, h, _ = extract_gh(ch, closed_form_immersion(ch, pair), fr)
+    h = h + 0.01 * fr.u[..., 0]
+    fit = gauge_fit(fr, true_g - g, true_h - h)
     assert fit.residual > 1e-3
+
+
+def test_gauge_fit_refuses_pairs_off_the_frames_grid():
+    ch = catalog.graph3()
+    fr = grid_frame(ch, 4)
+    g, h = pair_on_grid(gh_parallel_offset(0.05), fr)
+    g3, h3 = pair_on_grid(gh_parallel_offset(0.05), grid_frame(ch, 3))
+    for dg, dh in ((g3, h3), (g, h3), (g3, h), (g.reshape(-1), h.reshape(-1))):
+        with pytest.raises(ValueError, match="pairs sampled on different grids"):
+            gauge_fit(fr, dg, dh)
+
+
+@pytest.mark.parametrize(
+    "corners",
+    [
+        [[(0.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.0, 0.0)]],  # a segment
+        [[(0.2, 0.3), (0.2, 0.3)]],  # a point
+        [[(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)]],  # a box
+    ],
+    ids=["one_axis", "no_axis", "three_axes"],
+)
+def test_loops_refuse_corners_that_do_not_span_a_rectangle(corners):
+    ch = catalog.plane2() if len(corners[0][0]) == 2 else catalog.graph3()
+    with pytest.raises(ValueError, match="differ in exactly two axes"):
+        omega_loop_integral(ch, Parallel(0.05), corners)
+
+
+def test_loops_refuse_corners_of_the_wrong_shape():
+    ch = catalog.plane2()
+    for corners in ([(0.0, 0.0), (1.0, 1.0)], [[(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]]):
+        with pytest.raises(ValueError, match=r"shape \(R, 2, n\)"):
+            omega_loop_integral(ch, Parallel(0.05), corners)
 
 
 def test_fd_frame_matches_closed_form_route():
@@ -587,7 +623,7 @@ def test_batched_loops_match_one_rectangle_at_a_time(case):
     rects = default_loop_rects(ch)
     batch = omega_loop_integral(ch, source, rects)
     assert batch.shape == (len(rects), ch.ambient_dim)
-    single = np.array([omega_loop_integral(ch, source, r) for r in rects])
+    single = np.array([omega_loop_integral(ch, source, r[None])[0] for r in rects])
     assert np.abs(batch - single).max() <= 1e-12
     if case == "non_integrable":
         assert np.abs(batch).max() > 0.1
@@ -799,13 +835,13 @@ def test_shared_divisor_is_gated_once_per_slice(monkeypatch):
         walk(ast)
     assert len(divisors) == 2  # W^2 and W, each shared by all nine entries
     calls = []
-    require = exprmod._require_divisor
+    require = exprmod.jetmod.reciprocal  # the divisor rule the value route gates with
 
     def counting(*args):
         calls.append(1)
         return require(*args)
 
-    monkeypatch.setattr(exprmod, "_require_divisor", counting)
+    monkeypatch.setattr(exprmod.jetmod, "reciprocal", counting)
     ch = catalog.graph3()
     pts = np.random.default_rng(3).uniform(-0.45, 0.45, (50, 3))
     cj = chart_jets(ch, pts, order=2)

@@ -210,7 +210,7 @@ def test_mesh_f_is_the_grid_sweep_of_the_plane():
     )
     pts, _ = _slice_grid(scene, {})
     _, Fv = _surface_values(scene, pts, {})
-    _, Fg = path_integral_on_grid(scene.chart, scene.spec, scene.grid)
+    Fg = path_integral_on_grid(scene.chart, scene.spec, scene.grid)
     np.testing.assert_array_equal(Fv, Fg.reshape(-1, 3))
 
 
