@@ -63,7 +63,6 @@ from .geometry import (
     ValueFrame,
     chart_jets,
     codazzi_A_residual_field,
-    decompose_ambient,
     fd_stencil,
     frame_from_jets,
     grid_axes,
@@ -594,13 +593,13 @@ def extract_gh(
 
     ``frame`` is the chart's ``grid_frame`` and ``F_fn`` maps the chart's
     order-2 jets at a batch of points, or their ``ValueFrame``, to F there,
-    as the evaluator of ``closed_form_immersion`` does.  Decomposes F on the
-    grid into df(Z) + h N, checks that the covector field g(Z, .) = J^T F is
-    closed via rectangle loop integrals (closedness: their largest
-    component), and integrates it along staircase paths to produce g with
-    g(base corner) = 0.
+    as the evaluator of ``closed_form_immersion`` does.  Reads h = <F, N>
+    off F on the grid, checks that the covector field g(Z, .) = J^T F of
+    F = df(Z) + h N is closed via rectangle loop integrals (closedness:
+    their largest component), and integrates it along staircase paths to
+    produce g with g(base corner) = 0.
     """
-    _, h = decompose_ambient(frame, F_fn(frame.jets))
+    h = np.einsum("...p,...p->...", F_fn(frame.jets), frame.N)
 
     def zeta_at(pts: np.ndarray) -> np.ndarray:
         # g(Z, .) = J^T (F - h N) = J^T F as a one-row field, shape (m, 1, n),

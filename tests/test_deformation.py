@@ -841,9 +841,10 @@ def test_shared_divisor_is_gated_once_per_slice(monkeypatch):
         calls.append(1)
         return require(*args)
 
-    monkeypatch.setattr(exprmod.jetmod, "reciprocal", counting)
     ch = catalog.graph3()
     pts = np.random.default_rng(3).uniform(-0.45, 0.45, (50, 3))
     cj = chart_jets(ch, pts, order=2)
-    source.q_values(cj, ValueFrame(cj))
+    vf = ValueFrame(cj)
+    monkeypatch.setattr(exprmod.jetmod, "reciprocal", counting)
+    source.q_values(cj, vf)
     assert len(calls) == len(divisors)

@@ -21,8 +21,8 @@ grid = 3
 
 def test_a_checkout_matches_itself_and_a_doctored_output_differs():
     scenes = [("torus", TORUS, "")]
-    first = same_outputs.outputs(same_outputs.ROOT, scenes, selftest=False)
-    second = same_outputs.outputs(same_outputs.ROOT, scenes, selftest=False)
+    first = same_outputs.outputs(same_outputs.ROOT, scenes)
+    second = same_outputs.outputs(same_outputs.ROOT, scenes)
     assert same_outputs.differences(first, second) == []
     assert first["torus verify exit"] == first["torus mesh exit"] == 0
     assert "wall_time_s" not in first["torus verify stdout"]

@@ -1,9 +1,9 @@
 """Whether a change leaves every output of the CLI as its parent's.
 
-    python3 tools/same_outputs.py --parent DIR [--seeds 0,3,7]
+    python3 tools/same_outputs.py --parent DIR
 
-For every workload that this checkout's BENCHMARK.json declares, at each
-seed, the scene text and mesh slice come from this checkout's
+For every workload that this checkout's BENCHMARK.json declares, at seeds
+0, 3 and 7, the scene text and mesh slice come from this checkout's
 ``perfbench/workloads.py``.  In each checkout, with that checkout's
 ``src/`` alone on PYTHONPATH, fresh processes run
 ``python3 -m isodeform.cli verify SCENE --json OUT`` and
@@ -24,6 +24,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 3, 7)
 
 
 def workload_scenes(seeds) -> list:
@@ -52,10 +53,10 @@ def _without_wall_time(stdout: str) -> str:
     return "".join(line for line in stdout.splitlines(True) if not line.startswith("wall_time_s:"))
 
 
-def outputs(checkout: Path, scenes, selftest: bool = True) -> dict:
-    """item -> output of the checkout's CLI for the scenes and, with
-    ``selftest``, the selftest.  Every command runs in a fresh process in
-    a temporary directory of its own, under the same relative file names."""
+def outputs(checkout: Path, scenes) -> dict:
+    """item -> output of the checkout's CLI for the scenes.  Every command
+    runs in a fresh process in a temporary directory of its own, under the
+    same relative file names."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, text, mesh_slice in scenes:
@@ -80,11 +81,15 @@ def outputs(checkout: Path, scenes, selftest: bool = True) -> dict:
                 f"{label} mesh stderr": mesh.stderr,
                 f"{label} mesh exit": mesh.returncode,
             })
-        if selftest:
-            run = _cli(checkout, tmp, "selftest")
-            out.update({"selftest stdout": run.stdout, "selftest stderr": run.stderr,
-                        "selftest exit": run.returncode})
     return out
+
+
+def selftest_outputs(checkout: Path) -> dict:
+    """item -> output of the checkout's ``selftest``, run in a fresh process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _cli(checkout, tmp, "selftest")
+    return {"selftest stdout": run.stdout, "selftest stderr": run.stderr,
+            "selftest exit": run.returncode}
 
 
 def differences(parent: dict, change: dict) -> list:
@@ -96,11 +101,10 @@ def differences(parent: dict, change: dict) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path)
-    parser.add_argument("--seeds", default="0,3,7", help="comma-separated workload seeds")
     args = parser.parse_args(argv)
-    scenes = workload_scenes([int(s) for s in args.seeds.split(",")])
-    parent = outputs(args.parent.resolve(), scenes)
-    change = outputs(ROOT, scenes)
+    scenes = workload_scenes(SEEDS)
+    parent = {**outputs(args.parent.resolve(), scenes), **selftest_outputs(args.parent.resolve())}
+    change = {**outputs(ROOT, scenes), **selftest_outputs(ROOT)}
     differ = differences(parent, change)
     for item in differ:
         print(f"differs: {item}")
