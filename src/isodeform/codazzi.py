@@ -74,6 +74,8 @@ QJets = Tuple[JetScalar, Optional[PairJets], Optional[np.ndarray]]
 class Source(Protocol):
     """What every deformation source answers; see the module docstring."""
 
+    reads: Tuple[str, ...]  # the frame's chart-jet builds that q_jets reads again
+
     def q_jets(self, cj: ChartJets) -> QJets: ...
 
     def q_values(self, cj: ChartJets, vf: ValueFrame) -> np.ndarray: ...
@@ -94,6 +96,7 @@ class _Direct(Record):
     jets (an (n, n) jet tensor) and a float stack of A alike."""
 
     __slots__ = ()
+    reads = ("Ajet",)
 
     def q_jets(self, cj: ChartJets) -> QJets:
         return self._q(cj.Ajet), None, None
@@ -130,6 +133,7 @@ class _FromPair(Record):
     """A source whose Q = Hess(s) - h A comes from its scalar pair."""
 
     __slots__ = ()
+    reads = ("comps", "ginv", "Ajet")
 
     def q_jets(self, cj: ChartJets) -> QJets:
         """Q from the pair's jets (s at full order, h at K-1), and the
@@ -268,6 +272,7 @@ class Explicit(Record):
 
     __slots__ = ("entries", "_parsed", "shared")
     _key = lambda self: (self.entries,)
+    reads = ()
 
     def __init__(self, entries: Tuple[Tuple[str, ...], ...]):  # row k gives Q^k_1 .. Q^k_n
         self.entries = entries
@@ -484,7 +489,7 @@ def deformed_connection_residual_field(
 def deformed_curvature_residual_field(
     cj: ChartJets, frame: Frame, cf: CodazziFrame, Gt: JetScalar
 ) -> np.ndarray:
-    """|R~ - Q^-1 R(.,.) Q| per point, max over all components.
+    """|R~ - Q^-1 R(.,.) Q| per point, max over the components R holds.
 
     R~ comes from differentiating the deformed Christoffel symbols ``Gt``
     (``deformed_christoffel_jets``); the conjugated tensor is the closed
@@ -495,6 +500,6 @@ def deformed_curvature_residual_field(
     Rt = curvature_values(Gt)
     # pairwise contraction: a single three-operand loop is about 4x slower
     Rt -= np.einsum(
-        "...lm,...msij,...sk->...lkij", cf.Q_inv, frame.R, cf.Q, optimize=True
+        "...lm,...msp,...sk->...lkp", cf.Q_inv, frame.R, cf.Q, optimize=True
     )
-    return np.abs(Rt, out=Rt).max(axis=(-1, -2, -3, -4))
+    return np.abs(Rt, out=Rt).max(axis=(-1, -2, -3))

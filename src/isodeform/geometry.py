@@ -37,6 +37,7 @@ from .linalg import svd_rank_kernel
 GRID_SHRINK = 0.02  # grids sample the open box shrunk by this per side
 CHUNK = 1024  # points per sample-pass chunk, bounding memory; integrand slices derive from it
 SELF_ADJOINT_TOL = 1e-10
+FRAME_READS = ("comps", "jacobian", "normal", "bjet", "ginv", "Ajet", "christoffel")  # all but g
 ORACLE_STEP = 1e-5  # difference step of fd_oracle
 
 
@@ -133,8 +134,8 @@ class ChartJets:
     1, a scalar's Hessian at K-2, and a scalar pair's h, ``immersion_jets``
     and ``scalar_grad_jets`` of a full-order scalar read J, the normal and
     g^{-1} (``Jjet``, ``Njet``, ``ginv_jet``), and so g, at K-1.  A build,
-    ``comps`` among them, lives until ``release``; the sample pass in
-    ``suites`` releases each after its last read.
+    ``comps`` among them, lives until ``release``: ``frame_from_jets``
+    releases each it reads after its last read there, unless told to keep it.
     """
 
     def __init__(self, comps, u: np.ndarray):
@@ -294,15 +295,18 @@ def christoffel_jets(gjet, ginv):
 
 
 def curvature_values(Gamma_jets) -> np.ndarray:
-    """R[l,k,i,j] values from Christoffel jets (order >= 1 required)."""
+    """R[..., l, k, p] = R^l_{kij} from Christoffel jets of order >= 1, for (i, j)
+    = ``np.triu_indices(n, 1)``[:, p]: R is antisymmetric in (i, j) by construction."""
+    iu, ju = np.triu_indices(Gamma_jets.shape[0], 1)
     Gv = values(Gamma_jets)  # (*b, k, i, j)
-    dG = d1_values(Gamma_jets)  # (*b, k, i, j, m) = d_m Gamma^k_ij
-    # d_i Gamma^l_jk - d_j Gamma^l_ik
-    term1 = np.einsum("...ljki->...lkij", dG) - np.einsum("...likj->...lkij", dG)
+    # d_i Gamma^l_jk - d_j Gamma^l_ik, from dG[..., k, i, j, m] = d_m Gamma^k_ij
+    dG = np.einsum("...ljki->...lkij", d1_values(Gamma_jets))
+    term1 = dG[..., iu, ju] - dG[..., ju, iu]
     del dG  # freed before the products, which are formed and added in place
     # Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    term2 = np.einsum("...lim,...mjk->...lkij", Gv, Gv)
-    term2 -= np.einsum("...ljm,...mik->...lkij", Gv, Gv)
+    Gi, Gj = Gv[..., iu, :], Gv[..., ju, :]
+    term2 = np.einsum("...lpm,...mpk->...lkp", Gi, Gj)
+    term2 -= np.einsum("...lpm,...mpk->...lkp", Gj, Gi)
     return np.add(term1, term2, out=term1)
 
 
@@ -316,7 +320,7 @@ class Frame:
     dN (*b, n+1, n), d2f (*b, n+1, n, n), g, g_inv, b and A (*b, n, n), Gamma
     (*b, k, i, j) and nablaA (*b, i, k, j), which is None when the jet order
     was 2.  ``jets`` are the chart jets the frame was read from; R is built
-    from them when first read.
+    from them when first read, or by ``frame_from_jets`` before it frees Gamma's.
     """
 
     def __init__(self, u, order, f, J, d2f, N, dN, g, g_inv, b, A, Gamma, nablaA, jets):
@@ -330,35 +334,43 @@ class Frame:
 
     @cached_property
     def R(self) -> np.ndarray | None:
-        """R (*b, l, k, i, j), or None when the jet order was 2.  It reads
-        Gamma at order 1, and so g at order 2, which only the curvature
-        checks need: below jet order 4 they are built when R is first read."""
+        """R (*b, l, k, p) on the pairs p of ``curvature_values``, or None when
+        the jet order was 2.  It reads Gamma at order 1, and so g at order 2,
+        which only the curvature checks need: below jet order 4 they are built
+        when R is first read."""
         return curvature_values(self.jets.christoffel(1)) if self.order >= 3 else None
 
 
-def frame_from_jets(cj: ChartJets) -> Frame:
-    """Extract the numeric frame from the jet pipeline, with validity checks."""
+def frame_from_jets(cj: ChartJets, keep=FRAME_READS) -> Frame:
+    """Extract the numeric frame from the jet pipeline, with validity checks.
+
+    ``keep`` names the builds the caller reads later, by default all that the
+    frame reads; it releases each other one after its last read here."""
+
+    last_read = lambda *names: cj.release(*(name for name in names if name not in keep))
+
     if cj.order < 2:
         raise ValueError(f"jet order {cj.order} < 2 cannot produce a frame")
     cj.check_finite()
     f, J, d2f = (jet_partials(cj.comps, k, cj.batch_shape) for k in (0, 1, 2))
     Nj = cj.normal(max(cj.order - 2, 1))  # dN needs order 1
-    N = values(Nj)
-    dN = d1_values(Nj)
-    # g is read at K-2, at least 1 for Gamma, which is built at the order
-    # that g affords; R reads Gamma at 1, so a frame below order 4 builds
-    # g and Gamma again if R is read
+    N, dN = values(Nj), d1_values(Nj)
+    # g is read at K-2, at least 1 for Gamma, built at the order g affords
     go = max(cj.order - 3, 0)
     g = values(cj.metric(go + 1))
-    g_inv = values(cj.ginv(cj.order - 2))
+    last_read("jacobian")
     b = values(cj.bjet)
+    last_read("comps", "normal")
+    g_inv = values(cj.ginv(cj.order - 2))
     A = values(cj.Ajet)
+    last_read("bjet")
     cholesky_spd(g)  # raises HypothesisError when g is not positive definite
     gA = np.einsum("...ij,...jk->...ik", g, A)
     scale = np.maximum(1.0, np.abs(gA).max())
     if np.abs(gA - gA.swapaxes(-1, -2)).max() > SELF_ADJOINT_TOL * scale:
         raise HypothesisError("shape operator lost g-self-adjointness")
     Gamma = values(cj.christoffel(go))
+    last_read("ginv")
     nablaA = None
     if cj.order >= 3:
         dA = d1_values(cj.Ajet)  # (*b, k, j, i) = d_i A^k_j
@@ -367,10 +379,14 @@ def frame_from_jets(cj: ChartJets) -> Frame:
             + np.einsum("...kil,...lj->...ikj", Gamma, A)
             - np.einsum("...lij,...kl->...ikj", Gamma, A)
         )
-    return Frame(
+    frame = Frame(
         u=cj.u, order=cj.order, f=f, J=J, d2f=d2f, N=N, dN=dN,
         g=g, g_inv=g_inv, b=b, A=A, Gamma=Gamma, nablaA=nablaA, jets=cj,
     )
+    if cj.order >= 4 and "christoffel" not in keep:
+        frame.R  # the last read of Gamma's jets
+    last_read("Ajet", "christoffel")
+    return frame
 
 
 # ---------------------------------------------------------------- values only
@@ -454,18 +470,14 @@ def weingarten_residual_field(frame: Frame) -> np.ndarray:
 
 def gauss_residual_field(frame: Frame) -> np.ndarray:
     """Gauss equation: R(e_i,e_j)e_k = <Ae_j,e_k> Ae_i - <Ae_i,e_k> Ae_j,
-    residual in the g-norm, maxed over i,j,k."""
+    residual in the g-norm, maxed over k and the pairs i < j that R holds."""
     if frame.R is None:
         raise ValueError("curvature needs jet order >= 3")
-    gA = np.einsum("...ij,...jk->...ik", frame.g, frame.A)
-    rhs = np.einsum("...kj,...li->...lkij", gA, frame.A) - np.einsum(
-        "...ki,...lj->...lkij", gA, frame.A
-    )
-    diff = frame.R - rhs
-    norms = np.sqrt(
-        np.abs(np.einsum("...lkij,...lm,...mkij->...kij", diff, frame.g, diff))
-    )
-    return norms.max(axis=(-1, -2, -3))
+    iu, ju = np.triu_indices(frame.n, 1)
+    gA = np.einsum("...ij,...jk->...ik", frame.g, frame.A)[..., None, :, :]  # (*b, 1, k, j)
+    diff = frame.R - (gA[..., ju] * frame.A[..., None, iu] - gA[..., iu] * frame.A[..., None, ju])
+    norms = np.sqrt(np.abs(np.einsum("...lkp,...lm,...mkp->...kp", diff, frame.g, diff)))
+    return norms.max(axis=(-1, -2))
 
 
 def codazzi_A_residual_field(frame: Frame) -> np.ndarray:
@@ -490,12 +502,18 @@ def metric_compat_residual_field(frame: Frame) -> np.ndarray:
 
 
 def bianchi_first_residual_field(frame: Frame) -> np.ndarray:
-    """R^l_{kij} + R^l_{ijk} + R^l_{jki} = 0."""
+    """R^l_{kij} + R^l_{ijk} + R^l_{jki} = 0, on R unpacked from its pairs
+    (R^l_{kji} = -R^l_{kij}, R^l_{kii} = 0) with the batch last, R's memory order."""
     if frame.R is None:
         raise ValueError("curvature needs jet order >= 3")
-    R = frame.R
-    cyc = R + np.einsum("...lkij->...ljki", R) + np.einsum("...lkij->...lijk", R)
-    return np.abs(cyc).max(axis=(-1, -2, -3, -4))
+    n, P, nb = frame.n, frame.R.shape[-1], frame.R.ndim - 3
+    iu, ju = np.triu_indices(n, 1)
+    at = np.full((n, n), 2 * P)  # R^l_kii reads the zero appended
+    at[iu, ju], at[ju, iu] = np.arange(P), np.arange(P, 2 * P)
+    R = np.moveaxis(frame.R, range(nb), range(-nb, 0))
+    R = np.concatenate([R, -R, np.zeros_like(R[:, :, :1])], 2)[:, :, at]
+    cyc = R + np.einsum("lkij...->ljki...", R) + np.einsum("lkij...->lijk...", R)
+    return np.abs(cyc).max(axis=(0, 1, 2, 3))
 
 
 def gauss_formula_residual_field(frame: Frame) -> np.ndarray:

@@ -33,17 +33,16 @@ one Q for the sign gate.  The jet order K is ``Q_CHECK_ORDER`` (4) when
 codazzi or deformation runs, else the scene order when geometry runs, else 2;
 geometry fields do not depend on it, and geometry skips its curvature
 checks when the scene order is below 3.  ``ChartJets`` says at which
-order each reader reads each chart jet; b is released after the frame.
-When the deformation suite runs on a pair scene, its h, F and Hessian
-read the normal, J, g and g^{-1} at K-1 and Gamma at K-2: the slice
-builds these once, before the frame (after its finiteness gate), and the
-frame reads their truncations.  Otherwise only g~ reads the chart jets
-once Q is built, through g, and every other build is released then,
-Gamma after the frame's R, which the curvature checks read.  A Q defined
-by a scalar pair reads Gamma at K-2, and so builds g and Gamma again one
-order above the frame's.  Below K = 4 only geometry reads the jets, its R
-building g and Gamma one order higher, and they die with the slice.  The
-deformed metric is built at K-2 and its inverse at K-3.
+order each reader reads each chart jet.  The frame releases each build
+after its last read there (``geometry.frame_from_jets``), Gamma's after R,
+but keeps what the slice reads later: what Q's source ``reads``, and below
+K = 4 f and g^{-1}, from which R builds g and Gamma one order above the
+frame's (as does a Q from a scalar pair, which reads Gamma at K-2).  Once
+Q is built only g~ reads the jets, through g, and the rest is released,
+unless a pair scene's h, F and Hessian read the normal, J, g and g^{-1}
+at K-1 and Gamma at K-2: the slice builds these once, before the frame
+(after its finiteness gate), which reads their truncations and keeps
+them.  The deformed metric is built at K-2 and its inverse at K-3.
 
 Each slice certifies the rank hypothesis from its frame, before building
 Q: when deformation or roundtrip runs, a rank of A below 3 (below n for
@@ -96,7 +95,7 @@ from .deformation import (
     path_integral_on_grid,
 )
 from .errors import HypothesisError, SceneError
-from .geometry import CHUNK, chart_jets, frame_from_jets, grid_points, rank_A_field
+from .geometry import CHUNK, FRAME_READS, chart_jets, frame_from_jets, grid_points, rank_A_field
 from .report import (
     CheckResult,
     FAIL,
@@ -234,20 +233,18 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
     order = Q_CHECK_ORDER if needs_q else (scene.order if "geometry" in suites else 2)
     reads_pair = "deformation" in suites and spec.pair() is not None
     cj = chart_jets(chart, pts, order)
-    if reads_pair:
+    keep = list(spec.reads) if needs_q else ["comps", "ginv"]  # for Q, or R below K = 4
+    if reads_pair:  # h, F and the Hessian read what build_for_pair builds
         cj.build_for_pair()
-    fr = frame_from_jets(cj)
-    cj.release("bjet")
+        keep += ["comps", "jacobian", "normal", "ginv", "christoffel"]
+    fr = frame_from_jets(cj, keep)
     sample = {"rank_A": _rank_range(fr, chart.n, suites)}
     fields: Fields = {"sample": sample}
     if needs_q:
         qj, pair, gh_field = q_jets(cj, spec)
         cf = codazzi_frame_from_jets(qj, fr)
         if not reads_pair:  # only g~ reads the chart jets after Q, through g
-            cj.release("comps", "jacobian", "normal", "ginv", "Ajet")
-            if "geometry" in suites or "codazzi" in suites:
-                fr.R  # for the curvature checks, from Gamma at 1
-            cj.release("christoffel")
+            cj.release(*FRAME_READS)
     if "geometry" in suites:
         fields["geometry"] = {
             c.name: c.residual(fr)

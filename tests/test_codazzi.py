@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isodeform import catalog, codazzi, deformation, expr as exprmod
+from isodeform import catalog, codazzi, deformation, expr as exprmod, geometry
 from isodeform.codazzi import (
     Explicit,
     GHPair,
@@ -63,6 +63,37 @@ def test_parallel_on_sphere_is_scalar():
     assert deformed_curvature_residual_field(cj, frame, cf, Gt).max() < 1e-9
     G1 = values(Gt)
     assert np.abs(G1 - frame.Gamma).max() < 1e-10
+
+
+def _curvature_residuals(cj, frame, qj, cf):
+    Gt = codazzi.deformed_christoffel_jets(cj, qj)
+    return (
+        geometry.gauss_residual_field(frame).max(),
+        geometry.bianchi_first_residual_field(frame).max(),
+        deformed_curvature_residual_field(cj, frame, cf, Gt).max(),
+    )
+
+
+def test_curvature_checks_see_one_packed_entry_moved(monkeypatch):
+    # R holds only its pairs i < j; each check reading it must still see a
+    # change of one of them: R^0_{2 01} of the frame for gauss, bianchi1 and
+    # the deformed curvature, R~^0_{2 01} of the deformed side for the last
+    pts = [[0.6, 0.7, 0.8, 0.1], [0.9, 1.1, 0.5, -0.2]]
+    case = setup_case(catalog.sphcyl4(), pts, Parallel(0.3), order=4)
+    assert max(_curvature_residuals(*case)) < 1e-9
+    frame = case[1]
+    frame.R[..., 0, 2, 0] += 1e-6
+    assert min(_curvature_residuals(*case)) >= 1e-7
+    frame.R[..., 0, 2, 0] -= 1e-6
+    real = codazzi.curvature_values
+
+    def moved(Gamma_jets):
+        R = real(Gamma_jets)
+        R[..., 0, 2, 0] += 1e-6
+        return R
+
+    monkeypatch.setattr(codazzi, "curvature_values", moved)
+    assert _curvature_residuals(*case)[2] >= 1e-7
 
 
 def test_gauss_translation_pair_gives_minus_A():

@@ -42,14 +42,42 @@ def test_sphere_metric_normal_shape():
 
 
 def test_sphere_curvature_tensor():
-    # constant curvature c = 1/r^2:  R^l_kij = c (g_jk d^l_i - g_ik d^l_j)
+    # constant curvature c = 1/r^2:  R^l_kij = c (g_jk d^l_i - g_ik d^l_j),
+    # compared on the pairs i < j that the frame's R holds
     r = 2.0
     fr = frame_at(catalog.sphere3(r), [0.6, 0.9, 1.0])
     eye = np.eye(3)
     R_exact = (
         np.einsum("jk,li->lkij", fr.g, eye) - np.einsum("ik,lj->lkij", fr.g, eye)
     ) / r**2
-    assert np.abs(fr.R - R_exact).max() < 1e-12
+    iu, ju = np.triu_indices(3, 1)
+    assert fr.R.shape == (3, 3, 3)
+    assert np.abs(fr.R - R_exact[..., iu, ju]).max() < 1e-12
+
+
+def _full_curvature_values(Gamma_jets):
+    """R[l, k, i, j] on every (i, j), by the formula the pair layout replaced."""
+    Gv, dG = values(Gamma_jets), jet.d1_values(Gamma_jets)
+    term1 = np.einsum("...ljki->...lkij", dG) - np.einsum("...likj->...lkij", dG)
+    term2 = np.einsum("...lim,...mjk->...lkij", Gv, Gv)
+    term2 -= np.einsum("...ljm,...mik->...lkij", Gv, Gv)
+    return np.add(term1, term2, out=term1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_curvature_pairs_are_the_full_tensor_bit_for_bit(n):
+    # random Christoffel jets, not symmetric in (i, j): the full formula is
+    # antisymmetric in (i, j) with a zero diagonal exactly, and the packed R
+    # holds its entries i < j bit for bit
+    rng = np.random.default_rng(n)
+    sp = jet.jet_space(n, 1)
+    Gamma = jet.JetScalar(sp, rng.uniform(-2, 2, (n, n, n, sp.size, 7)), 3)
+    full = _full_curvature_values(Gamma)
+    assert np.array_equal(full, -full.swapaxes(-1, -2))
+    iu, ju = np.triu_indices(n, 1)
+    R = geometry.curvature_values(Gamma)
+    assert R.shape == (7, n, n, n * (n - 1) // 2)
+    assert np.array_equal(R, full[..., iu, ju])
 
 
 def test_torus_principal_curvatures():

@@ -174,9 +174,11 @@ def _curvature_reference(d, n):
 def test_frame_curvature_matches_sympy(name):
     # Gamma and R of the order-4 frame, against sympy's derivatives of f up
     # to order 3 with g, g^{-1}, Gamma and R formed in 30-digit arithmetic;
-    # each tensor is compared relative to its largest entry
+    # each tensor is compared relative to its largest entry, R on the pairs
+    # i < j that the frame holds
     chart = catalog.build(name)
     n = chart.n
+    iu, ju = np.triu_indices(n, 1)
     u = sympy.symbols(f"u1:{n + 1}")
     pts = _sample_points(chart, 2, 5)
     frame = frame_from_jets(chart_jets(chart, pts, 4))
@@ -184,7 +186,7 @@ def test_frame_curvature_matches_sympy(name):
     with mpmath.workdps(30):
         for m, p in enumerate(pts):
             Gamma, R = _curvature_reference(partials(p), n)
-            for got, want in ((frame.Gamma[m], Gamma), (frame.R[m], R)):
+            for got, want in ((frame.Gamma[m], Gamma), (frame.R[m], R[..., iu, ju])):
                 want = want.astype(float)
                 err = np.abs(got - want).max()
                 assert err <= 1e-12 * np.abs(want).max(), (name, p, err)
