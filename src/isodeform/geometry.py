@@ -341,11 +341,12 @@ class Frame:
         return curvature_values(self.jets.christoffel(1)) if self.order >= 3 else None
 
 
-def frame_from_jets(cj: ChartJets, keep=FRAME_READS) -> Frame:
+def frame_from_jets(cj: ChartJets, keep=FRAME_READS, curvature=True) -> Frame:
     """Extract the numeric frame from the jet pipeline, with validity checks.
 
     ``keep`` names the builds the caller reads later, by default all that the
-    frame reads; it releases each other one after its last read here."""
+    frame reads; it releases each other one after its last read here, and
+    Gamma's after building R unless ``curvature`` says that no one reads R."""
 
     last_read = lambda *names: cj.release(*(name for name in names if name not in keep))
 
@@ -383,7 +384,7 @@ def frame_from_jets(cj: ChartJets, keep=FRAME_READS) -> Frame:
         u=cj.u, order=cj.order, f=f, J=J, d2f=d2f, N=N, dN=dN,
         g=g, g_inv=g_inv, b=b, A=A, Gamma=Gamma, nablaA=nablaA, jets=cj,
     )
-    if cj.order >= 4 and "christoffel" not in keep:
+    if cj.order >= 4 and curvature and "christoffel" not in keep:
         frame.R  # the last read of Gamma's jets
     last_read("Ajet", "christoffel")
     return frame
@@ -525,20 +526,6 @@ def gauss_formula_residual_field(frame: Frame) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- utilities
-
-
-def decompose_ambient(frame: Frame, vec) -> tuple[np.ndarray, np.ndarray]:
-    """Split an ambient vector (field) into df(Z_top) + h N.
-
-    Returns (Z_top, h) with Z_top in coordinate components.  vec may be a
-    single (n+1,) vector or a batch matching the frame.
-    """
-    vec = np.broadcast_to(np.asarray(vec, dtype=float), frame.f.shape)
-    h = np.einsum("...p,...p->...", vec, frame.N)
-    tang = vec - h[..., None] * frame.N
-    rhs = np.einsum("...pk,...p->...k", frame.J, tang)
-    Z = np.einsum("...kl,...l->...k", frame.g_inv, rhs)
-    return Z, h
 
 
 def rank_A_field(frame: Frame) -> np.ndarray:

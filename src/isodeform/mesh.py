@@ -4,8 +4,11 @@ The mesh is a quad grid over a 2-parameter patch: the chart itself for
 n = 2, or a coordinate slice (all but two coordinates fixed) for higher n.
 Vertices are the first three ambient coordinates, optionally after picking
 a different triple with ``project``.  The file holds two objects, ``f``
-(the original immersion) and ``F`` (the deformed one), so any OBJ viewer
-shows both surfaces in one scene.
+(the original immersion) then ``F`` (the deformed one), so any OBJ viewer
+shows both surfaces in one scene.  Each object is its ``o`` line, one
+``v`` line per grid node, row-major, with each coordinate printed by
+``%.8f``, and one ``f`` quad per grid cell; vertices are numbered from 1
+across both objects.
 
 An explicit Q's F = int df o Q starts at ``path_base`` and runs along the
 fixed coordinates, through the grid nodes up to the slice values, then
@@ -16,7 +19,7 @@ check).  Inputs are checked before any jet or quadrature work.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -120,22 +123,18 @@ def export_mesh(
                     f"project: index {i} outside 1..{chart.ambient_dim}"
                 )
     fv, Fv = _surface_values(scene, pts, fixed)
-    f3 = _project(fv, project)
-    F3 = _project(Fv, project)
-
-    lines: List[str] = ["# isodeform surface pair"]
-    offset = 0
-    for name, verts in (("f", f3), ("F", F3)):
-        lines.append(f"o {name}")
-        for v in verts:
-            lines.append("v " + " ".join(f"{x:.8f}" for x in v))
-        for i in range(ra - 1):
-            for j in range(rb - 1):
-                v00 = offset + i * rb + j + 1
-                v01 = v00 + 1
-                v10 = v00 + rb
-                v11 = v10 + 1
-                lines.append(f"f {v00} {v10} {v11} {v01}")
-        offset += len(verts)
-    write_output(out_path, "\n".join(lines) + "\n")
+    write_output(out_path, obj_text(_project(fv, project), _project(Fv, project), ra, rb))
     return ra * rb, (ra - 1) * (rb - 1)
+
+
+def obj_text(f3: np.ndarray, F3: np.ndarray, ra: int, rb: int) -> str:
+    """The OBJ text of the vertex grids f3 and F3, each (ra * rb, 3) in row-major
+    grid order: one quad per grid cell, numbered across both objects from 1."""
+    cell = np.arange(ra * rb).reshape(ra, rb)[:-1, :-1].reshape(-1, 1)
+    quads = (cell + [0, rb, rb + 1, 1]).reshape(-1)  # v00 v10 v11 v01 of each cell
+    vertex, faces = "v" + " %.8f" * f3.shape[1] + "\n", "f %d %d %d %d\n" * len(cell)
+    text = ["# isodeform surface pair\n"]
+    for name, verts, first in (("f", f3, 1), ("F", F3, 1 + ra * rb)):
+        text += [f"o {name}\n", vertex * len(verts) % tuple(verts.reshape(-1).tolist())]
+        text.append(faces % tuple((quads + first).tolist()))
+    return "".join(text)

@@ -34,8 +34,9 @@ codazzi or deformation runs, else the scene order when geometry runs, else 2;
 geometry fields do not depend on it, and geometry skips its curvature
 checks when the scene order is below 3.  ``ChartJets`` says at which
 order each reader reads each chart jet.  The frame releases each build
-after its last read there (``geometry.frame_from_jets``), Gamma's after R,
-but keeps what the slice reads later: what Q's source ``reads``, and below
+after its last read there (``geometry.frame_from_jets``), Gamma's after R
+when a check reads R (codazzi, or geometry at scene order 3 or more), but
+keeps what the slice reads later: what Q's source ``reads``, and below
 K = 4 f and g^{-1}, from which R builds g and Gamma one order above the
 frame's (as does a Q from a scalar pair, which reads Gamma at K-2).  Once
 Q is built only g~ reads the jets, through g, and the rest is released,
@@ -237,7 +238,8 @@ def _chunk_fields(scene: Scene, pts: np.ndarray, probes: np.ndarray) -> Fields:
     if reads_pair:  # h, F and the Hessian read what build_for_pair builds
         cj.build_for_pair()
         keep += ["comps", "jacobian", "normal", "ginv", "christoffel"]
-    fr = frame_from_jets(cj, keep)
+    reads_R = "codazzi" in suites or ("geometry" in suites and scene.order >= 3)
+    fr = frame_from_jets(cj, keep, curvature=reads_R)
     sample = {"rank_A": _rank_range(fr, chart.n, suites)}
     fields: Fields = {"sample": sample}
     if needs_q:

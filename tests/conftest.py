@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference oracles, random expressions and
-read-only loads of the benchmark's modules."""
+"""Shared test utilities: finite-difference oracles, the split of an ambient
+vector along a frame, random expressions and read-only loads of the
+benchmark's modules."""
 
 import importlib.util
 import sys
@@ -25,6 +26,20 @@ def fd_grad(f, x, i, h=1e-5):
 
 def fd_hess(f, x, i, j, h=1e-3):
     return fd_grad(lambda y: fd_grad(f, y, i, h), x, j, h)
+
+
+def decompose_ambient(frame, vec):
+    """Split an ambient vector (field) into df(Z_top) + h N.
+
+    Returns (Z_top, h) with Z_top in coordinate components.  vec may be a
+    single (n+1,) vector or a batch matching the frame.
+    """
+    vec = np.broadcast_to(np.asarray(vec, dtype=float), frame.f.shape)
+    h = np.einsum("...p,...p->...", vec, frame.N)
+    tang = vec - h[..., None] * frame.N
+    rhs = np.einsum("...pk,...p->...k", frame.J, tang)
+    Z = np.einsum("...kl,...l->...k", frame.g_inv, rhs)
+    return Z, h
 
 
 def random_ast(rng, n_vars, depth):

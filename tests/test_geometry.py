@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import decompose_ambient
 
 from isodeform import catalog, codazzi, expr as exprmod, geometry, jet
 from isodeform.errors import HypothesisError, SceneError
 from isodeform.geometry import (
     chart_jets,
-    decompose_ambient,
     fd_oracle,
     fd_stencil,
     frame_at,

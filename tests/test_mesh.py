@@ -7,7 +7,7 @@ from isodeform import cli, deformation, mesh
 from isodeform.deformation import path_base, path_integral_immersion, path_integral_on_grid
 from isodeform.errors import SceneError
 from isodeform.geometry import grid_axes
-from isodeform.mesh import _slice_grid, _surface_values, export_mesh, parse_slice
+from isodeform.mesh import _project, _slice_grid, _surface_values, export_mesh, obj_text, parse_slice
 from isodeform.scene import parse_scene
 
 TORUS = """
@@ -68,6 +68,54 @@ def _read_obj(path):
         elif parts[0] == "f":
             objects[current]["f"].append([int(x) for x in parts[1:]])
     return objects
+
+
+def _reference_obj(f3, F3, ra, rb):
+    """The OBJ text as a per-coordinate formatter writes it: 8 decimals, the
+    objects f then F, faces numbered from 1 across both objects."""
+    lines = ["# isodeform surface pair"]
+    offset = 0
+    for name, verts in (("f", f3), ("F", F3)):
+        lines.append(f"o {name}")
+        for v in verts:
+            lines.append("v " + " ".join(f"{x:.8f}" for x in v))
+        for i in range(ra - 1):
+            for j in range(rb - 1):
+                v00 = offset + i * rb + j + 1
+                v01 = v00 + 1
+                v10 = v00 + rb
+                v11 = v10 + 1
+                lines.append(f"f {v00} {v10} {v11} {v01}")
+        offset += len(verts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, slice_spec, project",
+    [(TORUS, None, None), (SPHERE, "u3=0.7", (4, 1, 2)), (NONCLOSED, "u3=0.1", None)],
+    ids=["torus2", "sphere3-slice-project", "explicit"],
+)
+def test_obj_bytes_match_the_per_coordinate_formatter(tmp_path, text, slice_spec, project):
+    scene = parse_scene(text)
+    out = tmp_path / "m.obj"
+    export_mesh(scene, str(out), slice_spec=slice_spec, project=project)
+    fixed = parse_slice(slice_spec, scene.chart.n) if slice_spec else {}
+    pts, (ra, rb) = _slice_grid(scene, fixed)
+    fv, Fv = _surface_values(scene, pts, fixed)
+    expected = _reference_obj(_project(fv, project), _project(Fv, project), ra, rb)
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_obj_text_prints_signed_zero_nan_and_inf_as_the_reference():
+    f3 = np.array([[-1e-12, -0.0, 0.0], [np.nan, np.inf, -np.inf],
+                   [1.234567895, -2.5, 1e20], [3.0, -1e-9, 5e-9],
+                   [0.1, 0.2, 0.3], [-7.0, 8.0, -9.0]])
+    F3 = -f3[::-1]
+    text = obj_text(f3, F3, 2, 3)
+    assert text == _reference_obj(f3, F3, 2, 3)
+    assert "v -0.00000000 -0.00000000 0.00000000\n" in text
+    assert "v nan inf -inf\n" in text
+    assert text.endswith("f 7 10 11 8\nf 8 11 12 9\n")
 
 
 def test_two_objects_with_quads(tmp_path):

@@ -347,6 +347,29 @@ def test_sample_pass_builds_jets_and_q_frame_once_per_chunk(monkeypatch):
     assert len(q_frames) == 3
 
 
+@pytest.mark.parametrize(
+    "suites_run, builds",
+    [("deformation", 0), ("geometry,deformation", 3), ("codazzi", 3), ("geometry", 3)],
+)
+def test_sample_pass_builds_R_only_for_its_readers(monkeypatch, suites_run, builds):
+    # R is read by geometry's gauss and bianchi1 and by codazzi's deformed
+    # curvature; an explicit Q's deformation suite reads none of it, so a
+    # deformation-only pass never builds it; three slices of 27 points
+    text = load_benchmark_module("workloads").WORKLOADS["explicit"].scene_text(0)
+    text = re.sub(r"suites=.*", f"suites={suites_run}", re.sub(r"grid=\d+", "grid=3", text))
+    monkeypatch.setattr(suites, "CHUNK", 10)
+    calls = []
+    build = geometry.curvature_values
+
+    def counting(Gamma_jets):
+        calls.append(1)
+        return build(Gamma_jets)
+
+    monkeypatch.setattr(geometry, "curvature_values", counting)
+    assert not run_suites(parse_scene(text)).failed
+    assert len(calls) == builds
+
+
 def test_sample_pass_builds_deformed_metric_once_per_chunk(monkeypatch):
     # the deformed connection and curvature read one build of the deformed
     # Christoffel jets; building them per field made this count 6
