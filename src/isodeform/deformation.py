@@ -295,17 +295,21 @@ def deformation_check_from_jets(
 #
 # Every path integral goes through one leg kernel, ``_leg_integrals``: a
 # covector field callback pts (m, n) -> (m, d, n) integrated along a batch
-# of straight legs in one quadrature call, each leg retired once it has
-# converged.  ``_staircase`` chains axis-parallel legs from a batch of starts
-# to a batch of targets, each path with its own axis order, in one kernel
-# call that integrates each distinct (start, step) leg once, however many
-# paths share it; ``_grid_staircase`` fills a sample grid, or a slice of
-# it, from one kernel call.  A leg's integral does not depend on the batch
-# it runs in: the integrand is evaluated point by point, and each leg is
-# accepted on its own test: a slice is one batch-last ``ValueFrame``, whose
-# products are sums over matrix indices in index order, with no BLAS.  A
-# slice of ``_slice_points(n)`` points holds as many order-2 chart-jet
-# coefficients as one ``CHUNK``-point order-4 chunk of the sample pass.
+# of straight legs over [0, 1] in one quadrature call, each leg retired once
+# it has converged.  ``_staircase`` chains axis-parallel legs from a batch of
+# starts to a batch of targets, each path with its own axis order, in one
+# kernel call that integrates each distinct (start, step) leg once, however
+# many paths share it: the loops of ``_circulation`` and the FD stencil of
+# ``path_integral_immersion`` run on it.  ``_grid_staircase`` fills a sample
+# grid, or a slice of it, from one kernel call, starting from zero at the
+# grid's first point.  Every path integral is held to ``DEFAULT_TOL`` but
+# the FD stencil's, held to ``FD_QUAD_TOL``.  A leg's integral does not
+# depend on the batch it runs in: the integrand is evaluated point by
+# point, and each leg is accepted on its own test: a slice is one
+# batch-last ``ValueFrame``, whose products are sums over matrix indices in
+# index order, with no BLAS.  A slice of ``_slice_points(n)`` points holds
+# as many order-2 chart-jet coefficients as one ``CHUNK``-point order-4
+# chunk of the sample pass.
 
 
 def _slice_points(n: int) -> int:
@@ -354,7 +358,7 @@ def _leg_integrals(covector, starts, steps, tol: float) -> np.ndarray:
     def retire(keep: np.ndarray) -> None:
         legs[:] = legs[0][keep], legs[1][keep]
 
-    return integrate_segment(fn, 0.0, 1.0, tol=tol, retire=retire)
+    return integrate_segment(fn, tol, retire)
 
 
 def _staircase(covector, starts, X, orders, tol: float) -> np.ndarray:
@@ -385,9 +389,9 @@ def _staircase(covector, starts, X, orders, tol: float) -> np.ndarray:
     return total
 
 
-def _grid_staircase(covector, axes, start, order, tol: float, fixed) -> np.ndarray:
-    """``start`` (d,) plus the covector's integral from the first point of
-    the grid with per-axis samples ``axes`` to every grid point: (*res, d).
+def _grid_staircase(covector, axes, order, fixed) -> np.ndarray:
+    """The covector's integral from the first point of the grid with
+    per-axis samples ``axes`` to every grid point: (*res, d).
 
     Axis by axis, every step of every line through the block already filled
     is one leg; the legs of all axes are one kernel call, and a cumulative
@@ -411,8 +415,8 @@ def _grid_staircase(covector, axes, start, order, tol: float, fixed) -> np.ndarr
         blocks.append(starts.shape[:-1])
         legs.append((starts.reshape(-1, n), steps.reshape(-1, n)))
         axes[ax] = axes[ax][-1:] if ax in fixed else axes[ax]
-    seg = _leg_integrals(covector, *(np.concatenate(p) for p in zip(*legs)), tol)
-    F = np.reshape(start, (1,) * n + (-1,))
+    seg = _leg_integrals(covector, *(np.concatenate(p) for p in zip(*legs)), DEFAULT_TOL)
+    F = np.zeros((1,) * n + seg.shape[1:])
     bounds = np.cumsum([np.prod(b, dtype=int) for b in blocks])[:-1]
     for ax, block, part in zip(order, blocks, np.split(seg, bounds)):
         F = np.cumsum(np.concatenate([F, part.reshape(block + seg.shape[1:])], axis=ax), axis=ax)
@@ -420,7 +424,7 @@ def _grid_staircase(covector, axes, start, order, tol: float, fixed) -> np.ndarr
     return F
 
 
-def _circulation(covector, corners, tol: float) -> np.ndarray:
+def _circulation(covector, corners) -> np.ndarray:
     """Clockwise circulation of the covector around each rectangle: (R, d).
 
     ``corners`` (R, 2, n) holds each rectangle's corners (a0, b0) and
@@ -440,7 +444,7 @@ def _circulation(covector, corners, tol: float) -> np.ndarray:
     a, b = np.nonzero(differ)[1].reshape(-1, 2).T
     starts, ends = np.concatenate([corners, corners]).transpose(1, 0, 2)
     orders = np.concatenate([np.stack([b, a], axis=1), np.stack([a, b], axis=1)])
-    paths = _staircase(covector, starts, ends, orders, tol)
+    paths = _staircase(covector, starts, ends, orders, DEFAULT_TOL)
     return paths[:len(corners)] - paths[len(corners):]
 
 
@@ -448,7 +452,7 @@ def omega_loop_integral(chart: Chart, source: Source, corners) -> np.ndarray:
     """Clockwise circulation of omega around each rectangle of ``corners``
     (R, 2, n), as ``_circulation`` reads them: (R, dim), all in one
     quadrature call."""
-    return _circulation(lambda p: _omega_values(chart, source, p), corners, DEFAULT_TOL)
+    return _circulation(lambda p: _omega_values(chart, source, p), corners)
 
 
 def default_loop_rects(chart: Chart) -> np.ndarray:
@@ -477,34 +481,18 @@ def path_base(chart: Chart) -> np.ndarray:
     return lo + GRID_SHRINK * (np.asarray(chart.hi) - lo)
 
 
-def path_integral_immersion(
-    chart: Chart,
-    source: Source,
-    base: Sequence[float],
-    targets: Sequence[float],
-    F0: Optional[Sequence[float]] = None,
-    axis_order: Optional[Sequence[int]] = None,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """F at each target by integrating omega along axis-ordered staircases.
+def path_integral_immersion(chart: Chart, source: Source, targets: np.ndarray) -> np.ndarray:
+    """F at the targets (K, n) by integrating omega from ``path_base``
+    along staircases in axis order: (K, dim), the FD stencil's evaluator.
 
-    ``targets`` is one point, shape (n,), giving F with shape (dim,), or a
-    batch, shape (K, n), giving shape (K, dim).  The staircase legs of every
-    target and axis are one quadrature call, each leg held to the same
-    absolute ``tol`` on its own; a target on the base gives exactly F0.
+    The staircase legs of every target and axis are one quadrature call,
+    each leg held to ``FD_QUAD_TOL`` on its own.
     """
-    base = np.asarray(base, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    X = np.atleast_2d(targets)
-    F = np.zeros((len(X), chart.ambient_dim))
-    if F0 is not None:
-        F += np.asarray(F0, dtype=float)
-    order = range(X.shape[1]) if axis_order is None else axis_order
-    F += _staircase(
-        lambda p: _omega_values(chart, source, p), np.broadcast_to(base, X.shape),
-        X, np.broadcast_to(order, (len(X), len(order))), tol,
+    X = np.asarray(targets, dtype=float)
+    return _staircase(
+        lambda p: _omega_values(chart, source, p), np.broadcast_to(path_base(chart), X.shape),
+        X, np.broadcast_to(np.arange(X.shape[1]), X.shape), FD_QUAD_TOL,
     )
-    return F if targets.ndim > 1 else F[0]
 
 
 def path_integral_on_grid(
@@ -526,8 +514,7 @@ def path_integral_on_grid(
     """
     order = range(chart.n) if axis_order is None else axis_order
     return _grid_staircase(
-        lambda p: _omega_values(chart, source, p),
-        grid_axes(chart, res), np.zeros(chart.ambient_dim), order, DEFAULT_TOL, fixed or {},
+        lambda p: _omega_values(chart, source, p), grid_axes(chart, res), order, fixed or {}
     )
 
 
@@ -556,16 +543,13 @@ def fd_deformed_frame(chart: Chart, source: Source, u: Sequence[float]) -> FDFra
     members carry its batch axes in front.
 
     The Richardson stencils of every probe, at steps FD_STEP and
-    ``fd_second_step()``, are integrated from ``path_base`` in one
-    ``path_integral_immersion`` call, one quadrature call in which every
-    staircase leg is held to ``FD_QUAD_TOL`` on its own.  g and N are gated
-    as on the jet route: g's Cholesky gate, then the normal's.
+    ``fd_second_step()``, are the targets (K, n) of one
+    ``path_integral_immersion`` call: one quadrature call from
+    ``path_base`` at ``FD_QUAD_TOL``.  g and N are gated as on the jet
+    route: g's Cholesky gate, then the normal's.
     """
-    base = path_base(chart)
     f, J, d2 = fd_stencil(
-        chart,
-        lambda x: path_integral_immersion(chart, source, base, x, tol=FD_QUAD_TOL),
-        u, FD_STEP, fd_second_step(),
+        chart, lambda x: path_integral_immersion(chart, source, x), u, FD_STEP, fd_second_step()
     )
     g = gram(J)
     cholesky_spd(g)
@@ -607,9 +591,8 @@ def extract_gh(
         vf = ValueFrame(chart_jets(chart, pts, order=2))
         return index_sum(vf.J * F_fn(vf).T[:, None]).T[:, None]
 
-    closed = float(np.abs(_circulation(zeta_at, default_loop_rects(chart), DEFAULT_TOL)).max())
-    axes = grid_axes(chart, frame.u.shape[:-1])
-    g_grid = _grid_staircase(zeta_at, axes, np.zeros(1), range(chart.n), DEFAULT_TOL, {})
+    closed = float(np.abs(_circulation(zeta_at, default_loop_rects(chart))).max())
+    g_grid = _grid_staircase(zeta_at, grid_axes(chart, frame.u.shape[:-1]), range(chart.n), {})
     return g_grid[..., 0], h, closed
 
 

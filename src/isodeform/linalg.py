@@ -125,21 +125,15 @@ def lu_factor(A: np.ndarray):
 
 
 def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A X = B for one matrix or a stack A (..., n, n).
-
-    B is one vector (n,), for one matrix only, or right-hand sides
-    (..., n, k) on the stack's axes, where an (n, k) B serves every matrix.
-    """
+    """Solve A X = B for one matrix or a stack A (..., n, n), B holding
+    right-hand sides (..., n, k) on the stack's axes, where an (n, k) B
+    serves every matrix."""
     LU, perm, batch = _lu(A)
     n, _, S = LU.shape
-    B = np.asarray(B, dtype=float)
-    _check_finite(B, "right-hand side")
-    single = B.ndim == 1
-    if single and batch:
-        raise ValueError("a 1-d right-hand side needs one matrix, not a stack")
-    X = B[:, None] if single else B
+    X = np.asarray(B, dtype=float)
+    _check_finite(X, "right-hand side")
     if X.ndim < 2 or X.shape[-2] != n:
-        raise ValueError(f"right-hand side of shape {B.shape} for {n} x {n} matrices")
+        raise ValueError(f"right-hand side of shape {X.shape} for {n} x {n} matrices")
     k = X.shape[-1]
     at = perm * k + np.arange(0, S * n * k, n * k)  # P B: row perm[r, s] of B_s
     X = np.broadcast_to(X, batch + (n, k)).take(at[:, None] + np.arange(k)[:, None])
@@ -148,7 +142,7 @@ def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for j in range(n - 1, -1, -1):  # backward: U x = y
         X[j] /= LU[j, j]
         X[:j] -= LU[:j, j, None] * X[j]
-    return _unstack(X[:, 0] if single else X, batch)
+    return _unstack(X, batch)
 
 
 def det(A: np.ndarray):

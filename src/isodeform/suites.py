@@ -297,17 +297,11 @@ def _codazzi_suite(fields, pts, tol) -> List[CheckResult]:
 # ---------------------------------------------------------- deformation
 
 
-def _loop_check(chart, spec, tol) -> CheckResult:
+def _loop_check(chart, spec) -> tuple:
     corners = default_loop_rects(chart)
     loops = omega_loop_integral(chart, spec, corners)
-    return check_from_field(
-        "deformation",
-        "loop",
-        np.abs(loops).max(axis=1),
-        corners.mean(axis=1),
-        tol["loop"],
-        note="worst point is the center of the worst rectangle",
-    )
+    note = "worst point is the center of the worst rectangle"
+    return np.abs(loops).max(axis=1), corners.mean(axis=1), note
 
 
 def _path_vs_closed_check(chart, spec, grid_fr, Fp, tol) -> CheckResult:
@@ -332,22 +326,23 @@ def _path_vs_closed_check(chart, spec, grid_fr, Fp, tol) -> CheckResult:
     )
 
 
-def _path_checks(chart, spec, grid, tol, grid_fr) -> List[CheckResult]:
-    """The checks of F by quadrature: ``loop``, ``path_vs_closed`` for a
-    pair source (F_path against the closed form on ``grid_fr``) and
-    ``path_order_swap``, from one forward and one reversed sweep of the
-    grid; all skipped in single-point mode, where ``grid`` is None."""
+def _path_checks(chart, spec, grid, tol, grid_fr) -> dict:
+    """The ``_emit`` entries of F's checks by quadrature: ``loop``,
+    ``path_vs_closed`` for a pair source (F_path against the closed form on
+    ``grid_fr``) and ``path_order_swap``, from one forward and one reversed
+    sweep of the grid; all skip notes in single-point mode, where ``grid``
+    is None."""
     pair = spec.pair() is not None
     if grid is None:
         names = ("loop", "path_order_swap") + ("path_vs_closed",) * pair
-        return _emit("deformation", dict.fromkeys(names, _NO_GRID_NOTE), None, tol)
-    found = {"loop": _loop_check(chart, spec, tol)}
+        return dict.fromkeys(names, _NO_GRID_NOTE)
+    found = {"loop": _loop_check(chart, spec)}
     F_fwd = path_integral_on_grid(chart, spec, grid)
     F_rev = path_integral_on_grid(chart, spec, grid, axis_order=list(reversed(range(chart.n))))
     if pair:
         found["path_vs_closed"] = _path_vs_closed_check(chart, spec, grid_fr, F_fwd, tol)
     found["path_order_swap"] = (np.abs(F_fwd - F_rev).max(), None, "")
-    return _emit("deformation", found, None, tol)
+    return found
 
 
 def _deformation_pair_suite(
@@ -357,7 +352,7 @@ def _deformation_pair_suite(
     if "pair_q" in found:
         note = "direct Q route vs scalar-pair Q route"
         found["pair_q"] = (found["pair_q"].max(), None, note)
-    found.update((c.name, c) for c in _path_checks(chart, spec, grid, tol, grid_fr))
+    found.update(_path_checks(chart, spec, grid, tol, grid_fr))
     return _emit("deformation", found, pts, tol)
 
 
@@ -377,7 +372,7 @@ def _fd_probe_index(chart, grid, pts) -> np.ndarray:
 
 
 def _deformation_explicit_suite(chart, spec, ref, probes, grid, tol, sign) -> List[CheckResult]:
-    found = {c.name: c for c in _path_checks(chart, spec, grid, tol, None)}
+    found = _path_checks(chart, spec, grid, tol, None)
     # F exists only through quadrature here: cross-check its FD frame
     # against the operator route at a few interior probe points
     if not len(probes):

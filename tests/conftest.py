@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference oracles, the split of an ambient
-vector along a frame, random expressions and read-only loads of the
-benchmark's modules."""
+vector along a frame, staircase path integrals from any base, random
+expressions and read-only loads of the benchmark's modules."""
 
 import importlib.util
 import sys
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
-from isodeform import expr
+from isodeform import deformation, expr
+from isodeform.quadrature import DEFAULT_TOL
 
 
 def fd_grad(f, x, i, h=1e-5):
@@ -40,6 +41,21 @@ def decompose_ambient(frame, vec):
     rhs = np.einsum("...pk,...p->...k", frame.J, tang)
     Z = np.einsum("...kl,...l->...k", frame.g_inv, rhs)
     return Z, h
+
+
+def staircase_immersion(chart, source, base, targets, axis_order=None):
+    """The integrals of omega = df o Q from ``base`` to the targets (K, n)
+    along staircases in ``axis_order`` (index order by default), at the
+    quadrature's DEFAULT_TOL: (K, dim), or (K, 1) zeros when no leg moves.
+    The path integrals that ``path_integral_immersion`` takes from
+    ``path_base`` in index order, from any base in any order."""
+    X = np.asarray(targets, dtype=float)
+    order = list(range(X.shape[1]) if axis_order is None else axis_order)
+    return deformation._staircase(
+        lambda p: deformation._omega_values(chart, source, p),
+        np.broadcast_to(np.asarray(base, dtype=float), X.shape), X,
+        np.broadcast_to(order, (len(X), len(order))), DEFAULT_TOL,
+    )
 
 
 def random_ast(rng, n_vars, depth):

@@ -297,9 +297,7 @@ def test_q_gates_refuse_nan(spec, message):
     with pytest.raises(HypothesisError, match=message):
         q_jets(cj, spec)
     with pytest.raises(HypothesisError, match=message):
-        deformation.path_integral_immersion(
-            chart, spec, [0.5, 0.5, 0.5], [[0.7, 0.8, 0.9]]
-        )
+        deformation.path_integral_immersion(chart, spec, [[0.7, 0.8, 0.9]])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

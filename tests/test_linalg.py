@@ -28,8 +28,8 @@ from isodeform.linalg import (
 
 def test_solve_known_system():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    x = solve(A, np.array([5.0, 10.0]))
-    assert np.allclose(x, [1.0, 3.0], atol=1e-14)
+    x = solve(A, np.array([[5.0], [10.0]]))
+    assert np.allclose(x, [[1.0], [3.0]], atol=1e-14)
 
 
 def test_solve_multiple_rhs_vs_numpy():
@@ -43,15 +43,15 @@ def test_solve_multiple_rhs_vs_numpy():
 def test_solve_requires_pivoting():
     # zero in the (0,0) slot forces a row swap
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(solve(A, np.array([2.0, 3.0])), [3.0, 2.0])
+    assert np.allclose(solve(A, np.array([[2.0], [3.0]])), [[3.0], [2.0]])
 
 
 def test_solve_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(HypothesisError, match="pivot at column 1 at or below"):
-        solve(A, np.array([1.0, 1.0]))
+        solve(A, np.ones((2, 1)))
     with pytest.raises(HypothesisError, match="matrix contains non-finite entries"):
-        solve(np.array([[np.nan, 0], [0, 1.0]]), np.array([1.0, 1.0]))
+        solve(np.array([[np.nan, 0], [0, 1.0]]), np.ones((2, 1)))
 
 
 def test_det_vs_numpy():
@@ -215,8 +215,10 @@ def test_lu_solve_det_on_stacks(n):
         assert np.array_equal(X[i], solve(A[i], B[i]))
         assert np.array_equal(shared[i], solve(A[i], B[0]))
     assert np.allclose(X, np.linalg.solve(A, B), atol=1e-12)
-    with pytest.raises(ValueError, match="1-d right-hand side"):
-        solve(A, B[0, :, 0])
+    # right-hand sides are stacked columns: a 1-d vector is refused
+    for M in (A, A[0]):
+        with pytest.raises(ValueError, match=rf"right-hand side of shape \({n},\) for {n} x {n}"):
+            solve(M, B[0, :, 0])
 
     S = _mixed_stack(rng, n)  # members 1..n are singular, the rest not
     d = det(S)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import staircase_immersion
 
 from isodeform import cli, deformation, mesh
-from isodeform.deformation import path_base, path_integral_immersion, path_integral_on_grid
+from isodeform.deformation import path_base, path_integral_on_grid
 from isodeform.errors import SceneError
 from isodeform.geometry import grid_axes
 from isodeform.mesh import _project, _slice_grid, _surface_values, export_mesh, obj_text, parse_slice
@@ -269,10 +270,10 @@ def test_mesh_slice_integrates_the_fixed_coordinates_first():
     pts, _ = _slice_grid(scene, fixed)
     _, Fv = _surface_values(scene, pts, fixed)
     base = path_base(ch)
-    fixed_first = path_integral_immersion(ch, spec, base, pts, axis_order=(2, 0, 1))
+    fixed_first = staircase_immersion(ch, spec, base, pts, (2, 0, 1))
     assert np.abs(Fv - fixed_first).max() < 1e-12
     # the convention matters here: the index-order staircase is another F
-    assert np.abs(Fv - path_integral_immersion(ch, spec, base, pts)).max() > 1e-2
+    assert np.abs(Fv - staircase_immersion(ch, spec, base, pts)).max() > 1e-2
 
 
 @pytest.mark.parametrize(
@@ -297,9 +298,7 @@ def test_edge_slices_match_the_fixed_first_staircase(tmp_path, where):
     assert fixed == {2: value}
     pts, _ = _slice_grid(scene, fixed)
     _, Fv = _surface_values(scene, pts, fixed)
-    Fp = path_integral_immersion(
-        ch, scene.spec, path_base(ch), pts, axis_order=(2, 0, 1)
-    )
+    Fp = staircase_immersion(ch, scene.spec, path_base(ch), pts, (2, 0, 1))
     assert np.abs(Fv - Fp).max() < 1e-12
     if where == "first_node":
         np.testing.assert_array_equal(Fv[0], 0.0)

@@ -13,11 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "isodeform"
 
 SETTING_NAMES = {"tol", "rtol", "rank_rtol", "step", "margin", "max_levels", "max_sweeps"}
 # input forms with more than one value in use, not settings
-INPUT_FORMS = {
-    ("quadrature", "integrate_segment", "tol"),
-    ("deformation", "path_integral_immersion", "tol"),
-    ("selftest", "_scene", "tol"),
-}
+INPUT_FORMS = {("selftest", "_scene", "tol")}
 
 
 def defaulted_settings(src: Path) -> set:
@@ -43,6 +39,11 @@ def test_no_function_takes_a_setting_as_a_defaulted_parameter():
     assert defaulted_settings(SRC) - INPUT_FORMS == set()
 
 
+def test_every_input_form_exemption_names_a_defaulted_setting():
+    # an exemption goes with its parameter, so it cannot cover a later one
+    assert INPUT_FORMS - defaulted_settings(SRC) == set()
+
+
 def test_fd_step_moves_the_probe_filter_and_the_stencil_together(monkeypatch):
     ch = catalog.graph3()
     u = ch.center()
@@ -54,9 +55,9 @@ def test_fd_step_moves_the_probe_filter_and_the_stencil_together(monkeypatch):
     seen = []
     integrate = dfm.path_integral_immersion
 
-    def recording(chart, source, base, x, **kwargs):
+    def recording(chart, source, x):
         seen.append(np.array(x))
-        return integrate(chart, source, base, x, **kwargs)
+        return integrate(chart, source, x)
 
     monkeypatch.setattr(dfm, "path_integral_immersion", recording)
     monkeypatch.setattr(dfm, "FD_STEP", 2e-3)

@@ -830,3 +830,32 @@ def test_readme_check_list_matches_the_table():
         if line.startswith("| ") and cells[0] != "suite":
             rows.append((cells[0], cells[1], float(cells[2])))
     assert rows == [(c.suite, c.name, c.tol) for c in CHECKS]
+
+
+# the round sphere r = 2, where A = -Id/2: every g with h = g/2 + c is a
+# scalar pair, and Q = Hess g + (g/2 + c)/2 Id (support functions)
+_SUPPORT_G = {
+    "bilinear": "0.03*u1*u2 + 0.02*sin(u3)",
+    "cubic": "0.1*u1^2*u3 + 0.05*cos(u1 + u2)",
+    "exp": "0.05*exp(0.5*u1)*cos(u2) - 0.04*u3^3",
+}
+
+
+@pytest.mark.parametrize("c", [2, -2])
+@pytest.mark.parametrize("g", list(_SUPPORT_G), ids=list(_SUPPORT_G))
+def test_support_function_pairs_on_the_sphere(g, c):
+    # each passes all 25 checks with sign(det Q) = sign(c), but for the
+    # "exp" g at c = 2, whose det Q changes sign over the sample
+    text = _SUPPORT_G[g]
+    scene = parse_scene(
+        "[chart]\ncatalog = sphere3\nr = 2\n[codazzi]\nvariant = gh\n"
+        f"g = {text}\nh = ({text})/2 {'+' if c > 0 else '-'} {abs(c)}\n[run]\ngrid = 4\n"
+    )
+    if g == "exp" and c > 0:
+        with pytest.raises(HypothesisError, match=r"sign\(det Q\) changes over the sample"):
+            run_suites(scene)
+        return
+    rep = run_suites(scene)
+    assert rep.suites == ("geometry", "codazzi", "deformation", "roundtrip")
+    assert len(rep.checks) == 25 and all(ch.verdict == PASS for ch in rep.checks)
+    assert rep.sign == np.sign(c)
